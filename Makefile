@@ -214,8 +214,8 @@ determinism-chaos:
 
 # Run every committed fuzzer for a short budget (FUZZTIME each) — the
 # smoke layer between unit tests and a real fuzzing campaign. Patterns
-# are anchored: internal/core and internal/serve each have two fuzzers,
-# and go test -fuzz refuses to run more than one match.
+# are anchored: internal/core and internal/serve each have several
+# fuzzers, and go test -fuzz refuses to run more than one match.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSpecFromJSON$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONString$$' -fuzztime $(FUZZTIME) ./internal/serve
@@ -224,6 +224,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignGridOrder$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreCache$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzNoiseSource$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Build sg2042d and smoke-test it: start the daemon, hit one experiment
 # endpoint through the example client, then shut the daemon down.

@@ -271,6 +271,37 @@ func BenchmarkCampaignPlanWarm(b *testing.B) {
 	}
 }
 
+// coldDistinctClock is the next clock value (GHz) BenchmarkCampaignColdDistinct
+// hands out; it only grows, so no value repeats within a process.
+var coldDistinctClock = 1.0
+
+// BenchmarkCampaignColdDistinct: a cold engine evaluating a 256-point
+// grid (2 bases x 16 clocks x 2 threads x 2 placements x 2 precisions)
+// whose clock values never repeat across iterations, so every point is
+// a new derived machine, as in a cold what-if campaign. The fixed-grid
+// cold benchmarks replay the same clocks and so hit the process-wide
+// derivation and placement memos after their first iteration; this one
+// prices what each new grid point pays.
+func BenchmarkCampaignColdDistinct(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		clocks := make([]float64, 16)
+		for k := range clocks {
+			clocks[k] = coldDistinctClock
+			coldDistinctClock += 1e-4
+		}
+		spec := CampaignSpec{
+			Bases:      []*Machine{SG2042(), SG2044()},
+			Axes:       []CampaignAxis{{Axis: SweepClock, Values: clocks}},
+			Threads:    []int{0, 32},
+			Placements: []Policy{Block, CyclicNUMA},
+			Precs:      []Precision{F32, F64},
+		}
+		if _, err := RunCampaign(spec, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCampaignPlanValidate: the cheap surface — validating a
 // 1024-point spec and counting its grid — which the odometer keeps flat
 // in grid size (no materialized case slice).

@@ -84,10 +84,12 @@ func FormatCampaignResult(res CampaignResult, csv bool) string {
 }
 
 // CampaignPoints evaluates only the selected grid points of spec (by
-// index into the expanded grid), calling emit once per point in
-// completion order — the shard-scoped API the distributed fabric's
-// workers serve. Each point is bit-identical to the same point of a
-// full Campaign: same memoized cache, same configuration-seeded noise.
+// index into the expanded grid), calling emit once per point on the
+// calling goroutine in request order (points sharing one evaluation
+// together, at the first one's position) — the shard-scoped API the
+// distributed fabric's workers serve. Each point is bit-identical to
+// the same point of a full Campaign: same memoized cache, same
+// configuration-seeded noise.
 func (e *Engine) CampaignPoints(spec CampaignSpec, indices []int, emit func(CampaignPoint) error) error {
 	return e.st.CampaignPoints(spec, indices, emit)
 }

@@ -32,8 +32,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/autovec"
@@ -426,12 +426,15 @@ func (st *Study) Campaign(spec CampaignSpec, emit func(CampaignPoint) error) (Ca
 // shard-scoped form the distributed fabric's workers serve. Indices
 // index the expanded grid (spec.Points()); they must be in range and
 // unique. Points fan out over the study's worker pool into the shared
-// memoized suite cache exactly like a full Campaign, and emit is called
-// once per point in completion order (serialized — never concurrently).
-// Delivery order is unspecified by design: the coordinator reorders
-// into grid order, so each evaluated point must be bit-identical to the
-// same point of a single-process campaign, which it is — same cache,
-// same seeding. An emit error aborts the remaining evaluations.
+// memoized suite cache exactly like a full Campaign. emit is called
+// once per point on the calling goroutine, in request order; points
+// colliding on one evaluation are emitted together at the first one's
+// position. Because emit runs on the caller's goroutine, a panic in it
+// (net/http's ErrAbortHandler from a dead client) unwinds the caller,
+// where its handler can recover it. Each evaluated point must be
+// bit-identical to the same point of a single-process campaign, which
+// it is — same cache, same seeding. An emit error aborts the remaining
+// evaluations.
 func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(CampaignPoint) error) error {
 	plan, err := planFor(spec)
 	if err != nil {
@@ -450,8 +453,7 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 	}
 	// Group the requested indices by evaluation unit (first-occurrence
 	// order) so colliding points in one shard evaluate once; each unit's
-	// points emit together under the mutex, which preserves the contract
-	// — emission is serialized, completion-ordered, unspecified.
+	// points emit together.
 	groups := make(map[int32][]int)
 	var order []int32
 	for _, i := range indices {
@@ -461,41 +463,55 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 		}
 		groups[u] = append(groups[u], i)
 	}
-	var mu sync.Mutex
-	var emitErr error
-	err = par.ForEach(len(order), st.Workers, func(k int) error {
-		mu.Lock()
-		failed := emitErr != nil
-		mu.Unlock()
-		if failed {
-			return errCampaignAborted
+	// Workers fill evaluated[k] and send k on done; the caller emits the
+	// finished prefix of order. One done slot per worker, so a worker
+	// need not wait for the caller's emit before its next unit.
+	evaluated := make([]CampaignPoint, len(order))
+	done := make(chan int, max(st.Workers, 1))
+	var aborted atomic.Bool
+	var evalErr error
+	go func() {
+		defer close(done)
+		evalErr = par.ForEach(len(order), st.Workers, func(k int) error {
+			if aborted.Load() {
+				return errCampaignAborted
+			}
+			p, err := st.evalUniq(plan, plan.uniqs[order[k]])
+			if err != nil {
+				return err
+			}
+			evaluated[k] = p
+			done <- k
+			return nil
+		})
+	}()
+	// However this function leaves — done, emit error, or a panic in
+	// emit — stop new evaluations and drain the in-flight ones, so no
+	// worker blocks forever on a send nobody receives.
+	defer func() {
+		aborted.Store(true)
+		for range done {
 		}
-		u := order[k]
-		p, err := st.evalUniq(plan, plan.uniqs[u])
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if emitErr != nil {
-			return errCampaignAborted
-		}
-		if emit != nil {
-			for _, i := range groups[u] {
+	}()
+	finished := make([]bool, len(order))
+	next := 0
+	for k := range done {
+		finished[k] = true
+		for ; next < len(order) && finished[next]; next++ {
+			if emit == nil {
+				continue
+			}
+			p := evaluated[next]
+			evaluated[next] = CampaignPoint{} // emitted: let it go
+			for _, i := range groups[order[next]] {
 				p.Index = i
-				if emitErr = emit(p); emitErr != nil {
-					return emitErr
+				if err := emit(p); err != nil {
+					return err
 				}
 			}
 		}
-		return nil
-	})
-	if errors.Is(err, errCampaignAborted) {
-		mu.Lock()
-		defer mu.Unlock()
-		return emitErr
 	}
-	return err
+	return evalErr
 }
 
 // AssembleCampaign builds a CampaignResult from already-evaluated
@@ -524,17 +540,27 @@ func AssembleCampaign(spec CampaignSpec, points []CampaignPoint) (CampaignResult
 }
 
 // rankByMeanRatio orders point indices by descending MeanRatio, grid
-// order breaking ties — a deterministic insertion sort over a small
-// grid.
+// order breaking ties.
 func rankByMeanRatio(points []CampaignPoint) []int {
-	out := make([]int, len(points))
+	out := gridOrder(len(points))
+	slices.SortStableFunc(out, func(a, b int) int {
+		ra, rb := points[a].MeanRatio, points[b].MeanRatio
+		switch {
+		case ra > rb:
+			return -1
+		case ra < rb:
+			return 1
+		}
+		return 0
+	})
+	return out
+}
+
+// gridOrder returns the indices 0..n-1.
+func gridOrder(n int) []int {
+	out := make([]int, n)
 	for i := range out {
 		out[i] = i
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && points[out[j]].MeanRatio > points[out[j-1]].MeanRatio; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
 	}
 	return out
 }
@@ -566,25 +592,19 @@ func bestByClass(points []CampaignPoint) map[kernels.Class]int {
 // front when it is strictly faster than everything with fewer or equal
 // cores before it.
 func paretoFront(points []CampaignPoint) []int {
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
-	}
-	less := func(a, b int) bool {
-		pa, pb := points[a], points[b]
-		if pa.Cores != pb.Cores {
-			return pa.Cores < pb.Cores
+	order := gridOrder(len(points))
+	slices.SortStableFunc(order, func(a, b int) int {
+		pa, pb := &points[a], &points[b]
+		switch {
+		case pa.Cores != pb.Cores:
+			return pa.Cores - pb.Cores
+		case pa.TotalSeconds < pb.TotalSeconds:
+			return -1
+		case pa.TotalSeconds > pb.TotalSeconds:
+			return 1
 		}
-		if pa.TotalSeconds != pb.TotalSeconds {
-			return pa.TotalSeconds < pb.TotalSeconds
-		}
-		return a < b
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+		return 0
+	})
 	var front []int
 	best := 0.0
 	for k, i := range order {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -55,23 +54,51 @@ func TestCampaignPointsMatchFullCampaign(t *testing.T) {
 }
 
 // TestCampaignPointsEmitsEachOnce: emit fires exactly once per
-// requested index, even under parallel evaluation.
+// requested index, in request order, even under parallel evaluation.
 func TestCampaignPointsEmitsEachOnce(t *testing.T) {
 	spec := smallCampaign()
 	st := NewStudy().WithWorkers(8)
 	indices := []int{3, 0, 7, 12, 5}
 	var got []int
 	if err := st.CampaignPoints(spec, indices, func(p CampaignPoint) error {
-		got = append(got, p.Index) // emit is serialized by the mutex
+		got = append(got, p.Index) // emit runs on this goroutine
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sort.Ints(got)
-	want := append([]int(nil), indices...)
-	sort.Ints(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("emitted indices %v, want %v", got, want)
+	if !reflect.DeepEqual(got, indices) {
+		t.Fatalf("emitted indices %v, want %v", got, indices)
+	}
+}
+
+// TestCampaignPointsEmitPanicReachesCaller: a panic in emit unwinds the
+// caller's goroutine, where it can be recovered (as net/http recovers
+// ErrAbortHandler), and leaves no evaluation blocked behind it.
+func TestCampaignPointsEmitPanicReachesCaller(t *testing.T) {
+	spec := smallCampaign()
+	st := NewStudy().WithWorkers(4)
+	indices := make([]int, spec.Points())
+	for i := range indices {
+		indices[i] = i
+	}
+	const sentinel = "emit panicked on purpose"
+	func() {
+		defer func() {
+			if r := recover(); r != sentinel {
+				t.Fatalf("recovered %v, want %q", r, sentinel)
+			}
+		}()
+		calls := 0
+		st.CampaignPoints(spec, indices, func(CampaignPoint) error {
+			if calls++; calls == 2 {
+				panic(sentinel)
+			}
+			return nil
+		})
+	}()
+	n := 0
+	if err := st.CampaignPoints(spec, indices, func(CampaignPoint) error { n++; return nil }); err != nil || n != len(indices) {
+		t.Fatalf("campaign after a recovered panic: %d points, err %v", n, err)
 	}
 }
 

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -150,31 +149,16 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	seed := st.Seed ^ configSeed(cfg)
-	if draws := noiseDraws(seed, len(specs)*runs); draws != nil {
-		// Cached draws: the same values a freshly seeded generator
-		// produces, consumed in the same order (kernel-major).
-		k := 0
-		for i := range specs {
-			sum := 0.0
-			for r := 0; r < runs; r++ {
-				sum += bds[i].Seconds * (1 + st.Noise*draws[k])
-				k++
-			}
-			out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class,
-				Seconds: sum / float64(runs)}
+	noise := seededNoise(st.Seed ^ configSeed(cfg))
+	for i := range specs {
+		sum := 0.0
+		for r := 0; r < runs; r++ {
+			sum += bds[i].Seconds * (1 + st.Noise*noise.rng.NormFloat64())
 		}
-	} else {
-		rng := rand.New(rand.NewSource(seed))
-		for i := range specs {
-			sum := 0.0
-			for r := 0; r < runs; r++ {
-				sum += bds[i].Seconds * (1 + st.Noise*rng.NormFloat64())
-			}
-			out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class,
-				Seconds: sum / float64(runs)}
-		}
+		out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class,
+			Seconds: sum / float64(runs)}
 	}
+	noisePool.Put(noise)
 	*buf = bds
 	breakdownPool.Put(buf)
 	return out, nil

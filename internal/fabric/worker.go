@@ -53,11 +53,11 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 
 // ServeHTTP answers POST /v1/fabric/points, streaming one
 // length-prefixed frame per evaluated point, flushed as soon as the
-// point completes (completion order, not grid order — the coordinator
-// owns ordering). Spec and index validation happen before the first
-// frame, so protocol errors are clean JSON with a real status code; a
-// failure after streaming starts tears the stream, which the
-// coordinator treats like a dead worker.
+// point and the points requested before it complete (request order,
+// not grid order — the coordinator owns ordering). Spec and index
+// validation happen before the first frame, so protocol errors are
+// clean JSON with a real status code; a failure after streaming starts
+// tears the stream, which the coordinator treats like a dead worker.
 func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

@@ -64,6 +64,25 @@ func (m *Machine) Fingerprint() uint64 {
 	return h.sum()
 }
 
+// TopologyFingerprint hashes only the fields thread placement reads —
+// core count, cluster size, the NUMA map and the socket and node counts
+// — so machines differing elsewhere (clock, caches, bandwidths, label)
+// share one placement analysis. Fingerprint stays the full-parameter
+// key; this one is for memos of topology-only computations.
+func (m *Machine) TopologyFingerprint() uint64 {
+	h := newFieldHasher()
+	h.int(m.Cores)
+	h.int(m.ClusterSize)
+	h.int(len(m.NUMARegionOf))
+	for _, r := range m.NUMARegionOf {
+		h.int(r)
+	}
+	h.int(m.NUMARegions)
+	h.int(m.Sockets)
+	h.int(m.Nodes)
+	return h.sum()
+}
+
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

@@ -85,57 +85,52 @@ var scalarBuildDecision = autovec.Decision{
 }
 
 // sharingCache memoizes the placement analysis process-wide, keyed by
-// the machine's full-parameter fingerprint (the same trust the suite
-// cache places in it) plus policy and thread count. A campaign's grid
-// points revisit a handful of (machine, placement, threads) triples
-// across hundreds of configurations; the Map/Analyze pair — a core
-// enumeration plus per-domain histograms — is the dominant allocator
-// of evalCtx construction, and its result is a pure function of the
-// key. The cached Sharing is shared read-only across contexts (the
-// model only reads its scalar fields and hands it to levelParamsFor,
-// which reads too). Map errors memoize alongside — a policy invalid
-// for a machine is as deterministic as a valid one.
+// the machine's topology fingerprint plus policy and thread count.
+// Placement reads only the topology, so every clock, cache or bandwidth
+// variant of a machine — each grid point of a cold campaign — shares
+// its base's entry instead of re-running the Map/Analyze pair, a core
+// enumeration plus per-domain histograms and the dominant allocator of
+// evalCtx construction. The cached Sharing is shared read-only across
+// contexts (the model only reads its scalar fields and hands it to
+// levelParamsFor, which reads too). Only successes are memoized: an
+// invalid (threads, policy) pair is checked again per call, so its
+// error names the machine that asked.
 var sharingCache struct {
 	mu sync.Mutex
-	m  map[sharingKey]sharingVal
+	m  map[sharingKey]placement.Sharing
 }
 
 type sharingKey struct {
-	fp      uint64
+	topo    uint64
 	pol     placement.Policy
 	threads int
-}
-
-type sharingVal struct {
-	sh  placement.Sharing
-	err error
 }
 
 // maxSharings bounds the memo; past it, new triples analyze per call.
 const maxSharings = 4096
 
 func sharingFor(mach *machine.Machine, pol placement.Policy, threads int) (placement.Sharing, error) {
-	k := sharingKey{mach.Fingerprint(), pol, threads}
+	k := sharingKey{mach.TopologyFingerprint(), pol, threads}
 	sharingCache.mu.Lock()
-	v, ok := sharingCache.m[k]
+	sh, ok := sharingCache.m[k]
 	sharingCache.mu.Unlock()
 	if ok {
-		return v.sh, v.err
+		return sh, nil
 	}
 	cores, err := placement.Map(mach, pol, threads)
-	var sh placement.Sharing
-	if err == nil {
-		sh = placement.Analyze(mach, cores)
+	if err != nil {
+		return placement.Sharing{}, err
 	}
+	sh = placement.Analyze(mach, cores)
 	sharingCache.mu.Lock()
 	if sharingCache.m == nil {
-		sharingCache.m = make(map[sharingKey]sharingVal)
+		sharingCache.m = make(map[sharingKey]placement.Sharing)
 	}
 	if len(sharingCache.m) < maxSharings {
-		sharingCache.m[k] = sharingVal{sh: sh, err: err}
+		sharingCache.m[k] = sh
 	}
 	sharingCache.mu.Unlock()
-	return sh, err
+	return sh, nil
 }
 
 // newEvalCtx validates cfg and derives the kernel-independent inputs.

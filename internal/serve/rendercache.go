@@ -6,7 +6,10 @@ package serve
 // the same bytes — so the server can cache entire response bodies, not
 // just the suite evaluations behind them. Each entry stores the
 // rendered body, a precomputed strong ETag over it, and (for bodies
-// worth compressing) a gzip form built once with a pooled writer.
+// worth compressing) a gzip form built with a pooled writer the first
+// time a request accepts it — most cold campaign bodies are never read
+// again, let alone by a gzip client, so compressing at fill time would
+// be work for nobody.
 // Repeat GETs cost a map lookup and one write; conditional requests
 // (If-None-Match) cost a 304 with no body at all. Entries are filled
 // under a per-key sync.Once, so concurrent first requests coalesce
@@ -40,14 +43,16 @@ type renderKey struct {
 	format  format
 }
 
-// renderEntry is one immutable cached rendering.
+// renderEntry is one cached rendering. Its identity form is immutable;
+// the gzip form is filled once, on demand, by gzip.
 type renderEntry struct {
 	body  []byte
 	ctype string
 	etag  string // strong ETag over body
-	// gzipped/etagGzip are set when compression pays; the gzip
+	// gzipped/etagGzip are set by gzip when compression pays; the gzip
 	// representation gets its own ETag ("...-gzip"), nginx-style, so
 	// each representation revalidates against the exact bytes it serves.
+	gzipOnce sync.Once
 	gzipped  []byte
 	etagGzip string
 }
@@ -218,24 +223,32 @@ var gzipPool = sync.Pool{
 
 func newRenderEntry(body []byte, ctype string) *renderEntry {
 	sum := sha256.Sum256(body)
-	tag := hex.EncodeToString(sum[:16])
-	e := &renderEntry{
+	return &renderEntry{
 		body:  body,
 		ctype: ctype,
-		etag:  `"` + tag + `"`,
+		etag:  `"` + hex.EncodeToString(sum[:16]) + `"`,
 	}
-	if len(body) >= gzipMinSize {
+}
+
+// gzip returns the entry's gzip representation and its ETag, or nil
+// when the body is too small or does not shrink. The first call
+// compresses; concurrent first callers wait for that one compression.
+func (e *renderEntry) gzip() ([]byte, string) {
+	e.gzipOnce.Do(func() {
+		if len(e.body) < gzipMinSize {
+			return
+		}
 		var buf bytes.Buffer
 		zw := gzipPool.Get().(*gzip.Writer)
 		zw.Reset(&buf)
-		zw.Write(body)
-		if err := zw.Close(); err == nil && buf.Len() < len(body) {
+		zw.Write(e.body)
+		if err := zw.Close(); err == nil && buf.Len() < len(e.body) {
 			e.gzipped = buf.Bytes()
-			e.etagGzip = `"` + tag + `-gzip"`
+			e.etagGzip = strings.TrimSuffix(e.etag, `"`) + `-gzip"`
 		}
 		gzipPool.Put(zw)
-	}
-	return e
+	})
+	return e.gzipped, e.etagGzip
 }
 
 // serveRendered writes a cached entry: a 304 when the client already
@@ -250,8 +263,10 @@ func serveRendered(w http.ResponseWriter, r *http.Request, ent *renderEntry) {
 	h.Add("Vary", "Accept")
 	h.Add("Vary", "Accept-Encoding")
 	body, etag, enc := ent.body, ent.etag, ""
-	if ent.gzipped != nil && acceptsGzip(r) {
-		body, etag, enc = ent.gzipped, ent.etagGzip, "gzip"
+	if acceptsGzip(r) {
+		if gz, gzTag := ent.gzip(); gz != nil {
+			body, etag, enc = gz, gzTag, "gzip"
+		}
 	}
 	h.Set("ETag", etag)
 	// RFC 9110 defines the 304 answer to If-None-Match for GET/HEAD

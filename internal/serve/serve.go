@@ -89,9 +89,10 @@ type Server struct {
 	reg *repro.MachineRegistry
 	met *metrics
 	mux *http.ServeMux
-	// rc caches fully rendered response bodies (with precomputed ETags
-	// and gzip forms): the engine is deterministic, so a repeat request
-	// for the same rendering never re-renders — see rendercache.go.
+	// rc caches fully rendered response bodies (with precomputed ETags,
+	// and gzip forms built on first demand): the engine is
+	// deterministic, so a repeat request for the same rendering never
+	// re-renders — see rendercache.go.
 	rc *renderCache
 	// ready gates /healthz: false from New until the prewarm pass
 	// completes (immediately true when Options.Prewarm is unset).
