@@ -30,8 +30,8 @@ package core
 // bytes the naive per-point path produces.
 
 import (
-	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -238,10 +238,6 @@ type CampaignResult struct {
 	Pareto []int
 }
 
-// errCampaignAborted cancels remaining grid evaluation after an emit
-// failure; Campaign never returns it (the emit error does).
-var errCampaignAborted = errors.New("core: campaign aborted by emit failure")
-
 // campaignConfig is the software configuration of one grid point — the
 // machine's default compiler in VLS mode, exactly like sweepConfig, so
 // equivalent points share cache entries with sweeps.
@@ -330,151 +326,123 @@ func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error)
 	return p, nil
 }
 
-// Campaign evaluates a multi-axis campaign. Points fan out over the
-// study's worker pool into the shared memoized suite cache; when emit
-// is non-nil it is called once per point, in grid order, as soon as the
-// point and all its predecessors have finished — the streaming surface
-// (NDJSON over HTTP) hangs off this hook without disturbing the
-// determinism contract, because delivery order is grid order whatever
-// the completion order. An emit error aborts the campaign after the
-// in-flight evaluations drain.
+// Campaign evaluates a multi-axis campaign: every grid point through
+// the same evaluation loop CampaignPoints uses, then the ranked
+// summaries. When emit is non-nil it is called once per point, in grid
+// order, as soon as the point and all its predecessors have finished —
+// the streaming surface (NDJSON over HTTP) hangs off this hook without
+// disturbing the determinism contract, because delivery order is grid
+// order whatever the completion order. An emit error aborts the
+// campaign after the in-flight evaluations drain.
 func (st *Study) Campaign(spec CampaignSpec, emit func(CampaignPoint) error) (CampaignResult, error) {
 	plan, err := planFor(spec)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	plan.dedup()
-	n := plan.n
-	nu := len(plan.uniqs)
-	// Workers evaluate deduplicated units, not grid points: colliding
-	// points (same derived machine, same clamped threads against variant
-	// and base, same placement/precision) share one evaluation and fan
-	// out by index below. templates and ready are sized to the units.
-	templates := make([]CampaignPoint, nu)
-	ready := make([]chan struct{}, nu)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	// An emit failure (a disconnected streaming client) flips aborted;
-	// workers check it before each unit so the rest of the grid is
-	// cancelled through par's first-error path instead of evaluated for
-	// nobody.
-	var aborted atomic.Bool
-	evalDone := make(chan error, 1)
-	go func() {
-		evalDone <- par.ForEach(nu, st.Workers, func(u int) error {
-			if aborted.Load() {
-				return errCampaignAborted
-			}
-			p, err := st.evalUniq(plan, plan.uniqs[u])
-			if err != nil {
-				return err
-			}
-			templates[u] = p
-			close(ready[u])
-			return nil
-		})
-	}()
-
-	points := make([]CampaignPoint, n)
-	var emitErr error
-	pending := evalDone
-	for i := 0; i < n && emitErr == nil; i++ {
-		u := plan.pointUniq[i]
-		if pending != nil {
-			select {
-			case <-ready[u]:
-			case err := <-evalDone:
-				pending = nil
-				if err != nil {
-					return CampaignResult{}, err
-				}
-				// Evaluation finished cleanly: every unit is ready.
-				<-ready[u]
-			}
-		} else {
-			<-ready[u]
-		}
-		points[i] = templates[u]
-		points[i].Index = i
+	points := make([]CampaignPoint, 0, plan.n)
+	err = st.evaluate(plan, gridOrder(plan.n), func(p CampaignPoint) error {
+		points = append(points, p)
 		if emit != nil {
-			if emitErr = emit(points[i]); emitErr != nil {
-				aborted.Store(true)
-			}
+			return emit(p)
 		}
+		return nil
+	})
+	if err != nil {
+		return CampaignResult{}, err
 	}
-	if pending != nil {
-		// Drain the evaluation goroutine before returning so no worker
-		// writes into points after we hand the result out. A genuine
-		// evaluation error still wins over the abort sentinel.
-		if err := <-evalDone; err != nil && !errors.Is(err, errCampaignAborted) {
-			return CampaignResult{}, err
-		}
-	}
-	if emitErr != nil {
-		return CampaignResult{}, emitErr
-	}
-
-	res := CampaignResult{Title: spec.Title(), Points: points}
-	res.Ranked = rankByMeanRatio(points)
-	res.BestByClass = bestByClass(points)
-	res.Pareto = paretoFront(points)
-	return res, nil
+	return assemble(spec, points), nil
 }
 
-// CampaignPoints evaluates only the selected grid points of spec — the
-// shard-scoped form the distributed fabric's workers serve. Indices
-// index the expanded grid (spec.Points()); they must be in range and
-// unique. Points fan out over the study's worker pool into the shared
-// memoized suite cache exactly like a full Campaign. emit is called
-// once per point on the calling goroutine, in request order; points
-// colliding on one evaluation are emitted together at the first one's
-// position. Because emit runs on the caller's goroutine, a panic in it
-// (net/http's ErrAbortHandler from a dead client) unwinds the caller,
-// where its handler can recover it. Each evaluated point must be
-// bit-identical to the same point of a single-process campaign, which
-// it is — same cache, same seeding. An emit error aborts the remaining
-// evaluations.
-func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(CampaignPoint) error) error {
-	plan, err := planFor(spec)
+// CheckPoints validates a grid-index selection against the spec: every
+// index in range of the expanded grid, none twice. It is the one index
+// check of the shard-scoped surfaces — CampaignPoints and the fabric
+// worker's request validation.
+func (s CampaignSpec) CheckPoints(indices []int) error {
+	plan, err := planFor(s)
 	if err != nil {
 		return err
 	}
-	plan.dedup()
-	seen := make(map[int]bool, len(indices))
+	return plan.checkPoints(indices)
+}
+
+// checkPoints is CheckPoints on an already compiled plan, so
+// CampaignPoints does not compile the spec twice (past the plan cache's
+// capacity, planFor compiles on every call).
+func (p *campaignPlan) checkPoints(indices []int) error {
+	seen := make([]bool, p.n)
 	for _, i := range indices {
-		if i < 0 || i >= plan.n {
-			return fmt.Errorf("core: campaign point %d out of range (grid has %d points)", i, plan.n)
+		if i < 0 || i >= p.n {
+			return fmt.Errorf("core: campaign point %d out of range (grid has %d points)", i, p.n)
 		}
 		if seen[i] {
 			return fmt.Errorf("core: campaign point %d requested twice", i)
 		}
 		seen[i] = true
 	}
-	// Group the requested indices by evaluation unit (first-occurrence
-	// order) so colliding points in one shard evaluate once; each unit's
-	// points emit together.
-	groups := make(map[int32][]int)
-	var order []int32
-	for _, i := range indices {
-		u := plan.pointUniq[i]
-		if _, ok := groups[u]; !ok {
-			order = append(order, u)
-		}
-		groups[u] = append(groups[u], i)
+	return nil
+}
+
+// CampaignPoints evaluates only the selected grid points of spec — the
+// shard-scoped form the distributed fabric's workers serve. Indices
+// index the expanded grid (spec.Points()) and must pass CheckPoints.
+// Evaluation runs through the same loop as a full Campaign, so emit is
+// called once per index on the calling goroutine, in request order,
+// and each point is bit-identical to the same point of a
+// single-process campaign — same cache, same seeding. Because emit runs
+// on the caller's goroutine, a panic in it (net/http's ErrAbortHandler
+// from a dead client) unwinds the caller, where its handler can
+// recover it. An emit error aborts the remaining evaluations.
+func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(CampaignPoint) error) error {
+	plan, err := planFor(spec)
+	if err != nil {
+		return err
 	}
-	// Workers fill evaluated[k] and send k on done; the caller emits the
-	// finished prefix of order. One done slot per worker, so a worker
-	// need not wait for the caller's emit before its next unit.
+	if err := plan.checkPoints(indices); err != nil {
+		return err
+	}
+	return st.evaluate(plan, indices, emit)
+}
+
+// evaluate is the one campaign evaluation loop. Requested points that
+// collide on one deduplicated evaluation unit (same derived machine,
+// same clamped threads against variant and base, same placement and
+// precision) share one evaluation: the units evaluate in
+// first-occurrence order over the study's worker pool, into the shared
+// memoized suite cache. emit (nil to discard) runs on the calling
+// goroutine once per index, in request order, as soon as that index's
+// unit and every earlier index's are done. However evaluate leaves —
+// finished, emit error, or a panic in emit — it stops new evaluations
+// and drains the in-flight ones before returning, so nothing keeps
+// evaluating for nobody.
+func (st *Study) evaluate(plan *campaignPlan, indices []int, emit func(CampaignPoint) error) error {
+	plan.dedup()
+	// order lists the requested units by first occurrence; slot[j] is
+	// indices[j]'s position in it.
+	unitSlot := make([]int, len(plan.uniqs)) // unit -> position in order + 1
+	var order []int32
+	slot := make([]int, len(indices))
+	for j, i := range indices {
+		u := plan.pointUniq[i]
+		if unitSlot[u] == 0 {
+			order = append(order, u)
+			unitSlot[u] = len(order)
+		}
+		slot[j] = unitSlot[u] - 1
+	}
+	// Workers fill evaluated[k] and send k on done, which holds every
+	// unit, so evaluation never waits on the caller's emit. After each
+	// send a worker yields: the send readies the waiting caller on the
+	// worker's own P, where it would otherwise sit until the worker's
+	// time slice ends, delaying the first emitted point by milliseconds.
 	evaluated := make([]CampaignPoint, len(order))
-	done := make(chan int, max(st.Workers, 1))
-	var aborted atomic.Bool
+	done := make(chan int, len(order))
+	var stop atomic.Bool
 	var evalErr error
 	go func() {
 		defer close(done)
 		evalErr = par.ForEach(len(order), st.Workers, func(k int) error {
-			if aborted.Load() {
-				return errCampaignAborted
+			if stop.Load() {
+				return nil
 			}
 			p, err := st.evalUniq(plan, plan.uniqs[order[k]])
 			if err != nil {
@@ -482,14 +450,12 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 			}
 			evaluated[k] = p
 			done <- k
+			runtime.Gosched()
 			return nil
 		})
 	}()
-	// However this function leaves — done, emit error, or a panic in
-	// emit — stop new evaluations and drain the in-flight ones, so no
-	// worker blocks forever on a send nobody receives.
 	defer func() {
-		aborted.Store(true)
+		stop.Store(true)
 		for range done {
 		}
 	}()
@@ -497,14 +463,10 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 	next := 0
 	for k := range done {
 		finished[k] = true
-		for ; next < len(order) && finished[next]; next++ {
-			if emit == nil {
-				continue
-			}
-			p := evaluated[next]
-			evaluated[next] = CampaignPoint{} // emitted: let it go
-			for _, i := range groups[order[next]] {
-				p.Index = i
+		for ; next < len(indices) && finished[slot[next]]; next++ {
+			p := evaluated[slot[next]]
+			p.Index = indices[next]
+			if emit != nil {
 				if err := emit(p); err != nil {
 					return err
 				}
@@ -532,11 +494,20 @@ func AssembleCampaign(spec CampaignSpec, points []CampaignPoint) (CampaignResult
 			return CampaignResult{}, fmt.Errorf("core: campaign point at position %d has index %d", i, points[i].Index)
 		}
 	}
-	res := CampaignResult{Title: spec.Title(), Points: points}
-	res.Ranked = rankByMeanRatio(points)
-	res.BestByClass = bestByClass(points)
-	res.Pareto = paretoFront(points)
-	return res, nil
+	return assemble(spec, points), nil
+}
+
+// assemble computes the ranked summaries over a full grid in grid
+// order — shared by Campaign and AssembleCampaign, so a sharded result
+// renders byte-identically to a single-process one.
+func assemble(spec CampaignSpec, points []CampaignPoint) CampaignResult {
+	return CampaignResult{
+		Title:       spec.Title(),
+		Points:      points,
+		Ranked:      rankByMeanRatio(points),
+		BestByClass: bestByClass(points),
+		Pareto:      paretoFront(points),
+	}
 }
 
 // rankByMeanRatio orders point indices by descending MeanRatio, grid

@@ -2,8 +2,11 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // TestCampaignPointsMatchFullCampaign: a point evaluated through the
@@ -71,34 +74,63 @@ func TestCampaignPointsEmitsEachOnce(t *testing.T) {
 	}
 }
 
-// TestCampaignPointsEmitPanicReachesCaller: a panic in emit unwinds the
-// caller's goroutine, where it can be recovered (as net/http recovers
-// ErrAbortHandler), and leaves no evaluation blocked behind it.
+// TestCampaignPointsEmitPanicReachesCaller: on both entry points,
+// Campaign and CampaignPoints, a panic in emit unwinds the caller's
+// goroutine, where it can be recovered (as net/http recovers
+// ErrAbortHandler), and stops the rest of the grid: by the time the
+// caller recovers, no evaluation is left running for nobody. The grid
+// is cold and every point its own evaluation unit, so it is still
+// evaluating when the panic hits.
 func TestCampaignPointsEmitPanicReachesCaller(t *testing.T) {
-	spec := smallCampaign()
-	st := NewStudy().WithWorkers(4)
-	indices := make([]int, spec.Points())
-	for i := range indices {
-		indices[i] = i
+	clocks := make([]float64, 512)
+	for i := range clocks {
+		clocks[i] = 1.0 + 0.01*float64(i)
 	}
-	const sentinel = "emit panicked on purpose"
-	func() {
-		defer func() {
-			if r := recover(); r != sentinel {
-				t.Fatalf("recovered %v, want %q", r, sentinel)
+	spec := CampaignSpec{
+		Bases:   []*machine.Machine{machine.SG2042()},
+		Axes:    []AxisValues{{Axis: SweepClock, Values: clocks}},
+		Threads: []int{8, 16, 32, 0},
+	}
+	all := gridOrder(spec.Points())
+	for _, tc := range []struct {
+		name string
+		run  func(st *Study, emit func(CampaignPoint) error)
+	}{
+		{"Campaign", func(st *Study, emit func(CampaignPoint) error) { st.Campaign(spec, emit) }},
+		{"CampaignPoints", func(st *Study, emit func(CampaignPoint) error) { st.CampaignPoints(spec, all, emit) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStudy().WithWorkers(2)
+			baseline := runtime.NumGoroutine()
+			const sentinel = "emit panicked on purpose"
+			func() {
+				defer func() {
+					if r := recover(); r != sentinel {
+						t.Fatalf("recovered %v, want %q", r, sentinel)
+					}
+				}()
+				calls := 0
+				tc.run(st, func(CampaignPoint) error {
+					if calls++; calls == 2 {
+						panic(sentinel)
+					}
+					return nil
+				})
+			}()
+			// Drained goroutines have signalled but may not have exited
+			// yet: allow them a few scheduler rounds, far less than the
+			// rest of the grid would take.
+			for i := 0; i < 10 && runtime.NumGoroutine() > baseline; i++ {
+				runtime.Gosched()
 			}
-		}()
-		calls := 0
-		st.CampaignPoints(spec, indices, func(CampaignPoint) error {
-			if calls++; calls == 2 {
-				panic(sentinel)
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Fatalf("%d goroutines after recover, baseline %d: evaluation kept running", n, baseline)
 			}
-			return nil
+			n := 0
+			if err := st.CampaignPoints(spec, all, func(CampaignPoint) error { n++; return nil }); err != nil || n != len(all) {
+				t.Fatalf("campaign after a recovered panic: %d points, err %v", n, err)
+			}
 		})
-	}()
-	n := 0
-	if err := st.CampaignPoints(spec, indices, func(CampaignPoint) error { n++; return nil }); err != nil || n != len(indices) {
-		t.Fatalf("campaign after a recovered panic: %d points, err %v", n, err)
 	}
 }
 

@@ -343,7 +343,8 @@ func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 
 // dedup lazily builds the evaluation tables: the unique configurations,
 // the deduplicated evaluation units, and the grid-index mapping. Only
-// the evaluating surfaces (Campaign, CampaignPoints) pay for it.
+// the evaluation loop (evaluate, behind Campaign and CampaignPoints)
+// pays for it.
 func (p *campaignPlan) dedup() {
 	p.uniqOnce.Do(func() {
 		s := p.spec

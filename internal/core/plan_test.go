@@ -61,28 +61,55 @@ func TestCampaignDedupCollisionsIdentical(t *testing.T) {
 
 // TestCampaignPointsDedupMatchesCampaign: the point-subset surface
 // returns, for any index selection over a colliding grid, exactly the
-// points the full campaign evaluates.
+// points the full campaign evaluates, in request order — also when the
+// grid's evaluation units interleave, so colliding points are not
+// adjacent — and a full-grid request emits exactly what Campaign emits.
 func TestCampaignPointsDedupMatchesCampaign(t *testing.T) {
-	st := NewStudy().WithWorkers(2)
-	spec := collidingCampaign()
-	res, err := st.Campaign(spec, nil)
-	if err != nil {
-		t.Fatal(err)
+	// interleaved: clock 2.0, 2.2, 2.0 x threads full, 64 — points 0,
+	// 1, 4 and 5 are one unit, 2 and 3 another.
+	interleaved := CampaignSpec{
+		Bases:   []*machine.Machine{machine.SG2042()},
+		Axes:    []AxisValues{{Axis: SweepClock, Values: []float64{2.0, 2.2, 2.0}}},
+		Threads: []int{0, 64},
 	}
-	for _, indices := range [][]int{{0}, {3, 0}, {1, 2, 3, 0}} {
-		var got []CampaignPoint
-		if err := st.CampaignPoints(spec, indices, func(p CampaignPoint) error {
-			got = append(got, p)
+	for _, tc := range []struct {
+		name       string
+		spec       CampaignSpec
+		selections [][]int
+	}{
+		{"adjacent", collidingCampaign(), [][]int{{0}, {3, 0}, {1, 2, 3, 0}}},
+		{"interleaved", interleaved, [][]int{{0, 1, 2, 3, 4, 5}, {5, 2, 0}, {3, 4, 1}}},
+	} {
+		st := NewStudy().WithWorkers(2)
+		var campaignOrder []int
+		res, err := st.Campaign(tc.spec, func(p CampaignPoint) error {
+			campaignOrder = append(campaignOrder, p.Index)
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(indices) {
-			t.Fatalf("indices %v: emitted %d points", indices, len(got))
+		if want := gridOrder(len(res.Points)); !reflect.DeepEqual(campaignOrder, want) {
+			t.Errorf("%s: Campaign emitted %v, want %v", tc.name, campaignOrder, want)
 		}
-		for j, i := range indices {
-			if !reflect.DeepEqual(got[j], res.Points[i]) {
-				t.Errorf("indices %v: point %d differs from full campaign", indices, i)
+		for _, indices := range tc.selections {
+			var got []CampaignPoint
+			if err := st.CampaignPoints(tc.spec, indices, func(p CampaignPoint) error {
+				got = append(got, p)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(indices) {
+				t.Fatalf("%s %v: emitted %d points", tc.name, indices, len(got))
+			}
+			for j, i := range indices {
+				if got[j].Index != i {
+					t.Errorf("%s %v: emission %d is point %d, want request order", tc.name, indices, j, got[j].Index)
+				}
+				if !reflect.DeepEqual(got[j], res.Points[i]) {
+					t.Errorf("%s %v: point %d differs from full campaign", tc.name, indices, i)
+				}
 			}
 		}
 	}

@@ -39,15 +39,7 @@ type AllWorkersDownError struct {
 }
 
 func (e *AllWorkersDownError) Error() string {
-	parts := make([]string, 0, len(e.Failures))
-	for t := range e.Failures {
-		parts = append(parts, t)
-	}
-	sort.Strings(parts)
-	for i, t := range parts {
-		parts[i] = fmt.Sprintf("%s: %s", t, e.Failures[t])
-	}
-	return "fabric: all workers down (" + strings.Join(parts, "; ") + ")"
+	return "fabric: all workers down (" + joinSorted(e.Failures, ": ", "; ") + ")"
 }
 
 // ReplicaMismatchError reports a point whose replica votes diverged
@@ -61,16 +53,22 @@ type ReplicaMismatchError struct {
 }
 
 func (e *ReplicaMismatchError) Error() string {
-	parts := make([]string, 0, len(e.Votes))
-	for t := range e.Votes {
+	return fmt.Sprintf("fabric: replica mismatch at point %d unresolvable (%s)",
+		e.Index, joinSorted(e.Votes, "=", ", "))
+}
+
+// joinSorted renders a worker-keyed map as "key<kv>value" pairs in key
+// order, joined by sep.
+func joinSorted(m map[string]string, kv, sep string) string {
+	parts := make([]string, 0, len(m))
+	for t := range m {
 		parts = append(parts, t)
 	}
 	sort.Strings(parts)
 	for i, t := range parts {
-		parts[i] = fmt.Sprintf("%s=%s", t, e.Votes[t])
+		parts[i] = t + kv + m[t]
 	}
-	return fmt.Sprintf("fabric: replica mismatch at point %d unresolvable (%s)",
-		e.Index, strings.Join(parts, ", "))
+	return strings.Join(parts, sep)
 }
 
 // FabricStats is a point-in-time view of the coordinator's self-healing
@@ -286,14 +284,6 @@ func (c *Coordinator) postWarm(target string, wreq warmRequest) (warmResponse, e
 	return wr, nil
 }
 
-// replicas returns the effective replica factor.
-func (c *Coordinator) replicas() int {
-	if c.Replicas < 1 {
-		return 1
-	}
-	return c.Replicas
-}
-
 // workerMsg is one event from a request goroutine: an evaluated point
 // (with its raw frame bytes, for the replica cross-check), or the
 // request's end (err nil on a clean stream end).
@@ -310,6 +300,15 @@ type workerMsg struct {
 type replicaVote struct {
 	frame []byte
 	point repro.CampaignPoint
+}
+
+// shardRequest is one dispatched shard: the worker asked and the grid
+// indices it still owes.
+type shardRequest struct {
+	id      int
+	target  string
+	indices []int
+	owed    map[int]bool
 }
 
 // Run evaluates the campaign described by specJSON (the verbatim
@@ -344,319 +343,334 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 	if err != nil {
 		return repro.CampaignResult{}, err
 	}
-	n := len(fps)
-	replicas := c.replicas()
-	quorum := replicas/2 + 1
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var (
-		msgs        = make(chan workerMsg, 16)
-		runFailed   = map[string]int{}    // target -> membership epoch at run-local failure
-		failures    = map[string]string{} // target -> why it was excluded
-		outstanding = map[int]map[int]bool{}
-		reqTargets  = map[int]string{}
-		nextReq     = 0
-		assigned    = make([]map[string]bool, n) // index -> targets asked to vote
-		votes       = make([]map[string]replicaVote, n)
-		points      = make([]repro.CampaignPoint, n)
-		decidedFr   = make([][]byte, n) // winning frame bytes once decided
-		have        = make([]bool, n)
-		received    = 0
-		nextEmit    = 0
-	)
-	for i := range assigned {
-		assigned[i] = map[string]bool{}
-		votes[i] = map[string]replicaVote{}
-	}
-
-	// exclusion merges the fleet's dead set with this run's local
-	// failures — except failures whose worker the prober has revived
-	// since (epoch bumped), which are forgiven so the revived worker
-	// rejoins mid-campaign.
-	exclusion := func() map[string]bool {
-		exc := c.mem.DeadSet()
-		for t, ep := range runFailed {
-			if c.mem.Epoch(t) == ep {
-				exc[t] = true
-			}
-		}
-		return exc
-	}
-
-	dispatch := func(target string, indices []int) {
-		nextReq++
-		id := nextReq
-		set := make(map[int]bool, len(indices))
-		for _, i := range indices {
-			set[i] = true
-		}
-		outstanding[id] = set
-		reqTargets[id] = target
-		go c.runRequest(ctx, id, target, specJSON, indices, msgs)
-	}
-
-	// assign tops each index up to its replica set: the first
-	// `replicas` distinct live owners in ring order, skipping targets
-	// already asked. It fails only when an index has no reachable
-	// owner and no banked vote.
-	assign := func(indices []int) error {
-		exc := exclusion()
-		ring := c.mem.Ring()
-		byTarget := map[string][]int{}
-		for _, i := range indices {
-			if have[i] {
-				continue
-			}
-			owners := ring.Owners(fps[i], replicas, exc)
-			if len(owners) == 0 && len(votes[i]) == 0 {
-				return &AllWorkersDownError{Failures: failures}
-			}
-			for _, o := range owners {
-				if assigned[i][o] {
-					continue
-				}
-				assigned[i][o] = true
-				byTarget[o] = append(byTarget[o], i)
-			}
-		}
-		targets := make([]string, 0, len(byTarget))
-		for t := range byTarget {
-			targets = append(targets, t)
-		}
-		sort.Strings(targets)
-		for _, t := range targets {
-			dispatch(t, byTarget[t])
-		}
-		return nil
-	}
-
-	var tally func(i int) error
-	var quarantine func(target, reason string) error
-
-	frameDigest := func(frame []byte) string {
-		return fmt.Sprintf("%016x", fnv1a(string(frame)))
-	}
-
-	// decide commits index i to the winning frame, emits any newly
-	// in-order prefix, and quarantines voters that disagreed with the
-	// winner.
-	decide := func(i int, winner string) error {
-		for _, v := range votes[i] {
-			if string(v.frame) == winner {
-				points[i] = v.point
-				break
-			}
-		}
-		decidedFr[i] = []byte(winner)
-		have[i] = true
-		received++
-		for nextEmit < n && have[nextEmit] {
-			if emit != nil {
-				if err := emit(points[nextEmit]); err != nil {
-					return err
-				}
-			}
-			nextEmit++
-		}
-		var losers []string
-		loserDigest := map[string]string{}
-		for t, v := range votes[i] {
-			if string(v.frame) != winner {
-				losers = append(losers, t)
-				loserDigest[t] = frameDigest(v.frame)
-			}
-		}
-		sort.Strings(losers)
-		for _, t := range losers {
-			reason := fmt.Sprintf("replica mismatch: point %d frame %s diverges from quorum %s",
-				i, loserDigest[t], frameDigest([]byte(winner)))
-			if err := quarantine(t, reason); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// tally re-examines index i after its vote set changed: decide on
-	// quorum, wait while a voter is still pending, recruit a
-	// tiebreaker when the votes are in but split, accept a unanimous
-	// undervote only when the fleet has nobody left to ask.
-	tally = func(i int) error {
-		if have[i] || len(votes[i]) == 0 {
-			return nil
-		}
-		counts := map[string]int{}
-		for _, v := range votes[i] {
-			counts[string(v.frame)]++
-		}
-		winner, best := "", 0
-		for f, cnt := range counts {
-			if cnt > best || (cnt == best && f < winner) {
-				winner, best = f, cnt
-			}
-		}
-		if best >= quorum {
-			return decide(i, winner)
-		}
-		exc := exclusion()
-		for t := range assigned[i] {
-			if _, voted := votes[i][t]; !voted && !exc[t] {
-				return nil // a live voter still owes its frame
-			}
-		}
-		// Every asked worker has answered or died. Look for one more
-		// voter beyond the current assignment.
-		for t := range assigned[i] {
-			exc[t] = true
-		}
-		extra := c.mem.Ring().Owners(fps[i], 1, exc)
-		if len(extra) == 0 {
-			if len(counts) == 1 {
-				// Unanimous but under quorum: the surviving fleet is
-				// smaller than the replica factor. Accept.
-				return decide(i, winner)
-			}
-			e := &ReplicaMismatchError{Index: i, Votes: map[string]string{}}
-			for t, v := range votes[i] {
-				e.Votes[t] = frameDigest(v.frame)
-			}
-			return e
-		}
-		assigned[i][extra[0]] = true
-		dispatch(extra[0], []int{i})
-		return nil
-	}
-
-	// quarantine marks a worker sticky-dead fleet-wide, retires its
-	// in-flight requests, strips its votes from undecided indices, and
-	// re-dispatches everything it was still on the hook for.
-	quarantine = func(target, reason string) error {
-		if c.mem.Quarantine(target, reason) {
-			c.mu.Lock()
-			c.stats.Quarantines++
-			c.mu.Unlock()
-		}
-		failures[target] = reason
-		runFailed[target] = c.mem.Epoch(target)
-		var affected []int
-		for id, tgt := range reqTargets {
-			if tgt != target {
-				continue
-			}
-			set := outstanding[id]
-			delete(outstanding, id)
-			delete(reqTargets, id)
-			for i := range set {
-				delete(assigned[i], target)
-				affected = append(affected, i)
-			}
-		}
-		for i := 0; i < n; i++ {
-			if have[i] {
-				continue
-			}
-			if _, ok := votes[i][target]; ok {
-				delete(votes[i], target)
-				delete(assigned[i], target)
-				affected = append(affected, i)
-			}
-		}
-		if len(affected) == 0 {
-			return nil
-		}
-		sort.Ints(affected)
-		if err := assign(affected); err != nil {
-			return err
-		}
-		for _, i := range affected {
-			if err := tally(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	all := make([]int, n)
+	r := c.newRun(fps, emit)
+	all := make([]int, len(fps))
 	for i := range all {
 		all[i] = i
 	}
-	if err := assign(all); err != nil {
-		return repro.CampaignResult{}, err
-	}
-
-	for received < n {
-		var m workerMsg
+	err = r.assign(all)
+	msgs := make(chan workerMsg, 16)
+	for err == nil && r.nextEmit < len(fps) {
+		for _, q := range r.queued {
+			go c.runRequest(ctx, q.id, q.target, specJSON, q.indices, msgs)
+		}
+		r.queued = r.queued[:0]
 		select {
 		case <-ctx.Done():
-			return repro.CampaignResult{}, ctx.Err()
-		case m = <-msgs:
-		}
-		set, known := outstanding[m.reqID]
-		if !known {
-			continue // a late message from a request already retired
-		}
-		if !m.done {
-			i := m.point.Index
-			if i < 0 || i >= n || !set[i] {
-				// Not a point this request owes: discard. (A worker
-				// sending indices it was never asked for is
-				// misbehaving, but the grid stays exactly-once.)
-				continue
-			}
-			delete(set, i)
-			if have[i] {
-				// A replica vote arriving after the index was already
-				// decided still gets cross-checked: agreeing is
-				// redundant, diverging is quarantine.
-				if !bytes.Equal(m.frame, decidedFr[i]) {
-					reason := fmt.Sprintf("replica mismatch: point %d frame %s diverges from quorum %s",
-						i, frameDigest(m.frame), frameDigest(decidedFr[i]))
-					if err := quarantine(m.target, reason); err != nil {
-						return repro.CampaignResult{}, err
-					}
-				}
-				continue
-			}
-			votes[i][m.target] = replicaVote{frame: m.frame, point: m.point}
-			if err := tally(i); err != nil {
-				return repro.CampaignResult{}, err
-			}
-			continue
-		}
-		// Request ended. Clean end with nothing outstanding: retire it.
-		// Anything else — transport error, decode error, timeout, or a
-		// clean end that still owes points — excludes the worker for
-		// this run and re-dispatches what it owed.
-		delete(outstanding, m.reqID)
-		delete(reqTargets, m.reqID)
-		if m.err == nil && len(set) == 0 {
-			continue
-		}
-		runFailed[m.target] = c.mem.Epoch(m.target)
-		if m.err != nil {
-			failures[m.target] = m.err.Error()
-		} else {
-			failures[m.target] = fmt.Sprintf("stream ended with %d points missing", len(set))
-		}
-		missing := make([]int, 0, len(set))
-		for i := range set {
-			delete(assigned[i], m.target)
-			missing = append(missing, i)
-		}
-		sort.Ints(missing)
-		if err := assign(missing); err != nil {
-			return repro.CampaignResult{}, err
-		}
-		for _, i := range missing {
-			if err := tally(i); err != nil {
-				return repro.CampaignResult{}, err
+			err = ctx.Err()
+		case m := <-msgs:
+			if m.done {
+				err = r.onEnd(m)
+			} else {
+				err = r.onPoint(m)
 			}
 		}
 	}
+	if err != nil {
+		return repro.CampaignResult{}, err
+	}
+	return repro.AssembleCampaignResult(spec, r.points)
+}
 
-	return repro.AssembleCampaignResult(spec, points)
+// run is one Run's exactly-once bookkeeping: which workers each grid
+// index was asked of and what they voted, the decided points, and the
+// in-flight shard requests. Its methods change state and call emit but
+// do no I/O: requests they dispatch queue up for Run to launch, so the
+// state machine can be driven without a network.
+type run struct {
+	c        *Coordinator
+	fps      []uint64
+	emit     func(repro.CampaignPoint) error
+	replicas int
+	quorum   int
+
+	runFailed map[string]int    // target -> membership epoch at run-local failure
+	failures  map[string]string // target -> why it was excluded
+	inflight  map[int]*shardRequest
+	queued    []*shardRequest // dispatched, not yet launched
+	nextReq   int
+
+	assigned []map[string]bool // index -> targets asked to vote
+	votes    []map[string]replicaVote
+	points   []repro.CampaignPoint
+	decided  [][]byte // winning frame bytes once decided (nil before)
+	nextEmit int      // grid points before it are decided and emitted
+}
+
+func (c *Coordinator) newRun(fps []uint64, emit func(repro.CampaignPoint) error) *run {
+	n := len(fps)
+	replicas := max(c.Replicas, 1)
+	r := &run{
+		c: c, fps: fps, emit: emit,
+		replicas:  replicas,
+		quorum:    replicas/2 + 1,
+		runFailed: map[string]int{},
+		failures:  map[string]string{},
+		inflight:  map[int]*shardRequest{},
+		assigned:  make([]map[string]bool, n),
+		votes:     make([]map[string]replicaVote, n),
+		points:    make([]repro.CampaignPoint, n),
+		decided:   make([][]byte, n),
+	}
+	for i := range r.assigned {
+		r.assigned[i] = map[string]bool{}
+		r.votes[i] = map[string]replicaVote{}
+	}
+	return r
+}
+
+// exclusion merges the fleet's dead set with this run's local
+// failures — except failures whose worker the prober has revived since
+// (epoch bumped), which are forgiven so the revived worker rejoins
+// mid-campaign.
+func (r *run) exclusion() map[string]bool {
+	exc := r.c.mem.DeadSet()
+	for t, ep := range r.runFailed {
+		if r.c.mem.Epoch(t) == ep {
+			exc[t] = true
+		}
+	}
+	return exc
+}
+
+// dispatch records a shard request to target and queues it for launch.
+func (r *run) dispatch(target string, indices []int) {
+	r.nextReq++
+	q := &shardRequest{id: r.nextReq, target: target, indices: indices, owed: make(map[int]bool, len(indices))}
+	for _, i := range indices {
+		q.owed[i] = true
+	}
+	r.inflight[q.id] = q
+	r.queued = append(r.queued, q)
+}
+
+// assign tops each index up to its replica set: the first `replicas`
+// distinct live owners in ring order, skipping targets already asked.
+// It fails only when an index has no reachable owner and no banked
+// vote.
+func (r *run) assign(indices []int) error {
+	exc := r.exclusion()
+	ring := r.c.mem.Ring()
+	byTarget := map[string][]int{}
+	for _, i := range indices {
+		if r.decided[i] != nil {
+			continue
+		}
+		owners := ring.Owners(r.fps[i], r.replicas, exc)
+		if len(owners) == 0 && len(r.votes[i]) == 0 {
+			return &AllWorkersDownError{Failures: r.failures}
+		}
+		for _, o := range owners {
+			if r.assigned[i][o] {
+				continue
+			}
+			r.assigned[i][o] = true
+			byTarget[o] = append(byTarget[o], i)
+		}
+	}
+	targets := make([]string, 0, len(byTarget))
+	for t := range byTarget {
+		targets = append(targets, t)
+	}
+	sort.Strings(targets)
+	for _, t := range targets {
+		r.dispatch(t, byTarget[t])
+	}
+	return nil
+}
+
+// reassign re-dispatches indices a worker let down and re-examines
+// their votes.
+func (r *run) reassign(indices []int) error {
+	sort.Ints(indices)
+	if err := r.assign(indices); err != nil {
+		return err
+	}
+	for _, i := range indices {
+		if err := r.tally(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// onPoint takes one frame: a vote for an undecided index, or a late
+// replica of a decided one, which still gets cross-checked — agreeing
+// is redundant, diverging is quarantine.
+func (r *run) onPoint(m workerMsg) error {
+	q, ok := r.inflight[m.reqID]
+	if !ok {
+		return nil // a late message from a request already retired
+	}
+	i := m.point.Index
+	if i < 0 || i >= len(r.fps) || !q.owed[i] {
+		// Not a point this request owes: discard. (A worker sending
+		// indices it was never asked for is misbehaving, but the grid
+		// stays exactly-once.)
+		return nil
+	}
+	delete(q.owed, i)
+	if r.decided[i] != nil {
+		if !bytes.Equal(m.frame, r.decided[i]) {
+			return r.quarantine(m.target, mismatch(i, m.frame, r.decided[i]))
+		}
+		return nil
+	}
+	r.votes[i][m.target] = replicaVote{frame: m.frame, point: m.point}
+	return r.tally(i)
+}
+
+// onEnd retires a finished request. A clean end with nothing owed is
+// done; anything else — transport error, decode error, timeout, or a
+// clean end that still owes points — excludes the worker for this run
+// and re-dispatches what it owed.
+func (r *run) onEnd(m workerMsg) error {
+	q, ok := r.inflight[m.reqID]
+	if !ok {
+		return nil
+	}
+	delete(r.inflight, m.reqID)
+	if m.err == nil && len(q.owed) == 0 {
+		return nil
+	}
+	r.runFailed[m.target] = r.c.mem.Epoch(m.target)
+	if m.err != nil {
+		r.failures[m.target] = m.err.Error()
+	} else {
+		r.failures[m.target] = fmt.Sprintf("stream ended with %d points missing", len(q.owed))
+	}
+	missing := make([]int, 0, len(q.owed))
+	for i := range q.owed {
+		delete(r.assigned[i], m.target)
+		missing = append(missing, i)
+	}
+	return r.reassign(missing)
+}
+
+// tally re-examines index i after its vote set changed: decide on
+// quorum, wait while a voter is still pending, recruit a tiebreaker
+// when the votes are in but split, accept a unanimous undervote only
+// when the fleet has nobody left to ask.
+func (r *run) tally(i int) error {
+	if r.decided[i] != nil || len(r.votes[i]) == 0 {
+		return nil
+	}
+	counts := map[string]int{}
+	for _, v := range r.votes[i] {
+		counts[string(v.frame)]++
+	}
+	winner, best := "", 0
+	for f, cnt := range counts {
+		if cnt > best || (cnt == best && f < winner) {
+			winner, best = f, cnt
+		}
+	}
+	if best >= r.quorum {
+		return r.decide(i, winner)
+	}
+	exc := r.exclusion()
+	for t := range r.assigned[i] {
+		if _, voted := r.votes[i][t]; !voted && !exc[t] {
+			return nil // a live voter still owes its frame
+		}
+	}
+	// Every asked worker has answered or died. Look for one more voter
+	// beyond the current assignment.
+	for t := range r.assigned[i] {
+		exc[t] = true
+	}
+	extra := r.c.mem.Ring().Owners(r.fps[i], 1, exc)
+	if len(extra) == 0 {
+		if len(counts) == 1 {
+			// Unanimous but under quorum: the surviving fleet is
+			// smaller than the replica factor. Accept.
+			return r.decide(i, winner)
+		}
+		e := &ReplicaMismatchError{Index: i, Votes: map[string]string{}}
+		for t, v := range r.votes[i] {
+			e.Votes[t] = frameDigest(v.frame)
+		}
+		return e
+	}
+	r.assigned[i][extra[0]] = true
+	r.dispatch(extra[0], []int{i})
+	return nil
+}
+
+// decide commits index i to the winning frame, emits any newly
+// in-order prefix, and quarantines voters that disagreed with the
+// winner.
+func (r *run) decide(i int, winner string) error {
+	var losers []string
+	for t, v := range r.votes[i] {
+		if string(v.frame) == winner {
+			r.points[i] = v.point
+		} else {
+			losers = append(losers, t)
+		}
+	}
+	r.decided[i] = []byte(winner)
+	for r.nextEmit < len(r.fps) && r.decided[r.nextEmit] != nil {
+		if r.emit != nil {
+			if err := r.emit(r.points[r.nextEmit]); err != nil {
+				return err
+			}
+		}
+		r.nextEmit++
+	}
+	sort.Strings(losers)
+	for _, t := range losers {
+		if err := r.quarantine(t, mismatch(i, r.votes[i][t].frame, r.decided[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// quarantine marks a worker sticky-dead fleet-wide, retires its
+// in-flight requests, strips its votes from undecided indices, and
+// re-dispatches everything it was still on the hook for.
+func (r *run) quarantine(target, reason string) error {
+	if r.c.mem.Quarantine(target, reason) {
+		r.c.mu.Lock()
+		r.c.stats.Quarantines++
+		r.c.mu.Unlock()
+	}
+	r.failures[target] = reason
+	r.runFailed[target] = r.c.mem.Epoch(target)
+	var affected []int
+	for id, q := range r.inflight {
+		if q.target != target {
+			continue
+		}
+		delete(r.inflight, id)
+		for i := range q.owed {
+			delete(r.assigned[i], target)
+			affected = append(affected, i)
+		}
+	}
+	for i := range r.votes {
+		if _, ok := r.votes[i][target]; ok && r.decided[i] == nil {
+			delete(r.votes[i], target)
+			delete(r.assigned[i], target)
+			affected = append(affected, i)
+		}
+	}
+	return r.reassign(affected)
+}
+
+// mismatch is the quarantine reason for a frame that diverges from
+// the quorum's at grid index i.
+func mismatch(i int, frame, quorum []byte) string {
+	return fmt.Sprintf("replica mismatch: point %d frame %s diverges from quorum %s",
+		i, frameDigest(frame), frameDigest(quorum))
+}
+
+func frameDigest(frame []byte) string {
+	return fmt.Sprintf("%016x", fnv1a(string(frame)))
 }
 
 // runRequest performs one shard request, forwarding each decoded point

@@ -1,11 +1,13 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,5 +179,94 @@ func TestCoordinatorRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := coord.Run(context.Background(), []byte(`{nope`), nil); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestLateDivergentVoteQuarantined drives the run state machine with
+// synthetic frames: with three replicas, two agreeing frames decide the
+// point, and a third, different frame arriving afterwards still gets
+// cross-checked — its worker is quarantined with a replica-mismatch
+// reason, and the emitted point is the quorum's.
+func TestLateDivergentVoteQuarantined(t *testing.T) {
+	coord, err := NewCoordinator([]string{"http://w1", "http://w2", "http://w3"}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Replicas = 3
+	var emitted []repro.CampaignPoint
+	r := coord.newRun([]uint64{42}, func(p repro.CampaignPoint) error {
+		emitted = append(emitted, p)
+		return nil
+	})
+	if err := r.assign([]int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.queued) != 3 {
+		t.Fatalf("dispatched %d requests, want one per replica", len(r.queued))
+	}
+	quorum := repro.CampaignPoint{Index: 0, Machine: "quorum"}
+	late := repro.CampaignPoint{Index: 0, Machine: "tampered"}
+	votes := []struct {
+		point repro.CampaignPoint
+		frame string
+	}{{quorum, "frame-A"}, {quorum, "frame-A"}, {late, "frame-B"}}
+	for k, v := range votes {
+		q := r.queued[k]
+		if err := r.onPoint(workerMsg{reqID: q.id, target: q.target, point: v.point, frame: []byte(v.frame)}); err != nil {
+			t.Fatalf("vote %d: %v", k, err)
+		}
+		if k == 1 && len(emitted) != 1 {
+			t.Fatalf("two agreeing votes emitted %d points, want the decision", len(emitted))
+		}
+	}
+	if len(emitted) != 1 || emitted[0].Machine != "quorum" {
+		t.Fatalf("emitted %+v, want the quorum's point once", emitted)
+	}
+	lateTarget := r.queued[2].target
+	if reason := coord.Membership().Reason(lateTarget); !strings.Contains(reason, "replica mismatch") {
+		t.Fatalf("late voter %s reason %q, want a replica mismatch quarantine", lateTarget, reason)
+	}
+	for _, m := range coord.Membership().Status() {
+		if m.Quarantined != (m.Target == lateTarget) {
+			t.Errorf("%s quarantined = %v", m.Target, m.Quarantined)
+		}
+	}
+	if got := coord.Stats().Quarantines; got != 1 {
+		t.Errorf("Quarantines = %d, want 1", got)
+	}
+}
+
+// TestWorkerRejectsBadPoints: a points request whose index selection
+// is out of range, repeats an index, or selects nothing is answered
+// 400 with a JSON error before any frame is written.
+func TestWorkerRejectsBadPoints(t *testing.T) {
+	wk := NewWorker(repro.NewEngine(repro.Options{}), nil)
+	n := testSpec(t).Points()
+	for _, tc := range []struct {
+		name   string
+		points []int
+		want   string
+	}{
+		{"out of range", []int{0, n}, "out of range"},
+		{"negative", []int{-1}, "out of range"},
+		{"duplicate", []int{1, 2, 1}, "requested twice"},
+		{"empty", []int{}, "selects no points"},
+	} {
+		body, err := json.Marshal(pointsRequest{Spec: testSpecJSON, Points: tc.points})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		wk.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PointsPath, bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s: content type %q, want JSON (no frame stream)", tc.name, ct)
+		}
+		var e struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: body %q, want a JSON error containing %q", tc.name, rec.Body.String(), tc.want)
+		}
 	}
 }

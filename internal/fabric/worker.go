@@ -52,12 +52,14 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 }
 
 // ServeHTTP answers POST /v1/fabric/points, streaming one
-// length-prefixed frame per evaluated point, flushed as soon as the
-// point and the points requested before it complete (request order,
-// not grid order — the coordinator owns ordering). Spec and index
-// validation happen before the first frame, so protocol errors are
-// clean JSON with a real status code; a failure after streaming starts
-// tears the stream, which the coordinator treats like a dead worker.
+// length-prefixed frame per requested point, in request order (not
+// grid order — the coordinator owns ordering), each flushed as soon as
+// the point and every point requested before it are evaluated. Spec
+// and index validation (CampaignSpec.CheckPoints: in range, no
+// duplicates, and at least one point) happen before the first frame,
+// so protocol errors are clean JSON with a real status code; a failure
+// after streaming starts tears the stream, which the coordinator
+// treats like a dead worker.
 func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -85,23 +87,13 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		workerError(w, status, err)
 		return
 	}
-	n := spec.Points()
 	if len(req.Points) == 0 {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("points request selects no points"))
 		return
 	}
-	seen := make(map[int]bool, len(req.Points))
-	for _, i := range req.Points {
-		if i < 0 || i >= n {
-			workerError(w, http.StatusBadRequest,
-				fmt.Errorf("point %d out of range (grid has %d points)", i, n))
-			return
-		}
-		if seen[i] {
-			workerError(w, http.StatusBadRequest, fmt.Errorf("point %d requested twice", i))
-			return
-		}
-		seen[i] = true
+	if err := spec.CheckPoints(req.Points); err != nil {
+		workerError(w, http.StatusBadRequest, err)
+		return
 	}
 
 	w.Header().Set("Content-Type", ContentType)
