@@ -225,6 +225,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignGridOrder$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreCache$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzNoiseSource$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePoint$$' -fuzztime $(FUZZTIME) ./internal/fabric
 
 # Build sg2042d and smoke-test it: start the daemon, hit one experiment
 # endpoint through the example client, then shut the daemon down.

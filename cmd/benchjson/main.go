@@ -9,7 +9,8 @@
 // pipeline: whole-experiment evaluation and campaigns (repro), suite
 // evaluation and the memoized hit path (internal/core), the batched
 // model API (internal/perfmodel) and the HTTP hot path
-// (internal/serve). See docs/PERFORMANCE.md for how to read the
+// (internal/serve), plus the campaign fabric's point codec
+// (internal/fabric). See docs/PERFORMANCE.md for how to read the
 // numbers.
 //
 // With -compare, benchjson is CI's regression gate instead: it reads
@@ -70,7 +71,7 @@ func main() {
 	}
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
-		pkgs = []string{".", "./internal/core", "./internal/perfmodel", "./internal/serve"}
+		pkgs = []string{".", "./internal/core", "./internal/perfmodel", "./internal/serve", "./internal/fabric"}
 	}
 
 	args := append([]string{"test", "-run", "^$", "-bench", *bench,

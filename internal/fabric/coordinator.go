@@ -738,12 +738,7 @@ func (c *Coordinator) runRequest(ctx context.Context, id int, target string, spe
 			return
 		}
 		watchdog.Reset(timeout)
-		t, err := decodeFrame(buf)
-		if err != nil {
-			fail(err)
-			return
-		}
-		p, err := decodePoint(t)
+		p, err := decodePoint(buf)
 		if err != nil {
 			fail(err)
 			return

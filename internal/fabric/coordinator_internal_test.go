@@ -29,12 +29,12 @@ func fakeWorker(t *testing.T, points []repro.CampaignPoint, script func(req poin
 		w.Header().Set("Content-Type", ContentType)
 		flusher, _ := w.(http.Flusher)
 		script(req, func(p repro.CampaignPoint) {
-			tab, err := encodePoint(p)
+			frame, err := appendPoint(nil, p)
 			if err != nil {
 				t.Errorf("fake worker: %v", err)
 				return
 			}
-			if err := writeFrame(w, tab); err != nil {
+			if err := writeFrame(w, frame); err != nil {
 				return
 			}
 			if flusher != nil {

@@ -11,10 +11,11 @@
 //     worker restarted from a cache snapshot (core.RestoreCache) is
 //     warm for its own shard.
 //
-//   - The point codec (point.go): one wire frame per evaluated
-//     CampaignPoint, length-prefixed for incremental stream decoding.
-//     Float64 fields travel as IEEE-754 bit patterns, so a point
-//     decoded from a worker is bit-identical to one evaluated locally.
+//   - The point codec (point.go): one frame per evaluated
+//     CampaignPoint in a fixed canonical layout, length-prefixed for
+//     incremental stream decoding. Float64 fields travel as IEEE-754
+//     bit patterns, so a point decoded from a worker is bit-identical
+//     to one evaluated locally.
 //
 //   - Worker (worker.go): the HTTP handler behind sg2042d -worker. It
 //     answers POST /v1/fabric/points — a shard-scoped campaign API:
@@ -62,7 +63,8 @@ const SnapshotPath = "/v1/fabric/snapshot"
 const WarmPath = "/v1/fabric/warm"
 
 // ContentType is the media type of a worker's point-frame stream: a
-// sequence of uvarint-length-prefixed wire frames, one per point.
+// sequence of uvarint-length-prefixed point frames (point.go), one per
+// point.
 const ContentType = "application/vnd.sg2042.fabric-frames"
 
 // SnapshotContentType is the media type of an arc-filtered suite-cache

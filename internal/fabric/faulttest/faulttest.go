@@ -213,9 +213,10 @@ func (kw *killWriter) Write(p []byte) (int, error) {
 		return kw.ResponseWriter.Write(bad)
 	}
 	if tamper && len(p) > 0 {
-		// Flip the low bit of the frame's last byte — deep in the last
-		// column's float payload, so the frame still parses and the
-		// length prefix still matches. The silent-wrong-answer fault.
+		// Flip the low bit of the frame's last byte — the top byte of
+		// the last class cell's Ratio.Max float, so the frame still
+		// parses and the length prefix still matches. The
+		// silent-wrong-answer fault.
 		bad := append([]byte(nil), p...)
 		bad[len(bad)-1] ^= 0x01
 		return kw.ResponseWriter.Write(bad)

@@ -5,308 +5,236 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 
 	"repro"
 	"repro/internal/kernels"
 	"repro/internal/placement"
 	"repro/internal/prec"
 	"repro/internal/stats"
-	"repro/internal/wire"
 )
 
-// The point codec: one evaluated CampaignPoint per wire frame. The
-// frame is a column table with one row per kernel class (sorted by
-// class, so encoding is canonical); the point's scalar fields repeat
-// on every row, its axis values travel as one column per axis (v0,
-// v1, ...), absent when the campaign has no axes. All float64 fields
-// ride the wire format's IEEE-754 bit patterns, so decode(encode(p))
-// is bit-identical to p — the property the distributed determinism
-// contract stands on.
+// The point codec: one evaluated CampaignPoint per frame, in one fixed
+// layout. Integers are minimal uvarints, strings a uvarint byte length
+// then the bytes, floats the 8-byte little-endian IEEE-754 bit pattern
+// (so decode(encode(p)) is bit-identical to p — the property the
+// distributed determinism contract stands on):
+//
+//	pointMagic ("SGPF" and version byte 1)
+//	index, base, machine, threads, placement, prec, cores
+//	total seconds, mean ratio
+//	axis count, then one float per axis value
+//	class count (at least 1), then per class, in strictly ascending
+//	class order: class, seconds, ratio N, ratio mean, min, max
+//
+// The frame ends with the last class's Ratio.Max. The decoder accepts
+// exactly the bytes appendPoint produces: non-minimal uvarints,
+// unordered or repeated classes and trailing bytes are errors, so a
+// frame that decodes re-encodes to itself and replicas that agree on a
+// point agree on its frame, byte for byte.
 //
 // On the stream each frame is prefixed with its uvarint byte length,
 // so the coordinator can decode points incrementally as the worker
 // flushes them, and a mid-stream kill surfaces as a truncated frame
 // rather than a hang.
 
-// pointKind is the frame kind of an encoded campaign point.
-const pointKind = "campaign-point"
+// pointMagic opens every point frame: four magic bytes, then the
+// layout version.
+const pointMagic = "SGPF\x01"
+
+// minCellSize is the smallest encoding of one class cell: two one-byte
+// uvarints and four floats.
+const minCellSize = 2 + 4*8
 
 // maxFrameSize bounds one frame on the read side. A campaign point is
 // a few hundred bytes; a declared length beyond this is a corrupt or
 // hostile stream, refused before allocation.
 const maxFrameSize = 1 << 20
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// encodePoint shapes one evaluated point as a wire table.
-func encodePoint(p repro.CampaignPoint) (wire.Table, error) {
+// appendPoint appends p's frame to dst. Its integer fields are never
+// negative (spec validation and grid expansion see to that); one that
+// were would encode as a uvarint beyond math.MaxInt, which decodePoint
+// rejects.
+func appendPoint(dst []byte, p repro.CampaignPoint) ([]byte, error) {
 	if len(p.ByClass) == 0 {
-		return wire.Table{}, fmt.Errorf("fabric: point %d has no class cells", p.Index)
+		return dst, fmt.Errorf("fabric: point %d has no class cells", p.Index)
 	}
-	classes := make([]kernels.Class, 0, len(p.ByClass))
+	var classBuf [8]kernels.Class
+	classes := classBuf[:0]
 	for c := range p.ByClass {
 		classes = append(classes, c)
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 
-	rows := len(classes)
-	rep := func(v int64) []int64 {
-		col := make([]int64, rows)
-		for i := range col {
-			col[i] = v
-		}
-		return col
+	dst = append(dst, pointMagic...)
+	dst = binary.AppendUvarint(dst, uint64(p.Index))
+	dst = appendString(dst, p.Base)
+	dst = appendString(dst, p.Machine)
+	for _, v := range [...]int{p.Threads, int(p.Placement), int(p.Prec), p.Cores} {
+		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	repf := func(v float64) []float64 {
-		col := make([]float64, rows)
-		for i := range col {
-			col[i] = v
-		}
-		return col
+	dst = appendFloat(dst, p.TotalSeconds)
+	dst = appendFloat(dst, p.MeanRatio)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Values)))
+	for _, v := range p.Values {
+		dst = appendFloat(dst, v)
 	}
-	repS := func(v string) []string {
-		col := make([]string, rows)
-		for i := range col {
-			col[i] = v
-		}
-		return col
-	}
-
-	t := wire.Table{
-		Kind:  pointKind,
-		Title: p.Machine,
-		Columns: []wire.Column{
-			{Name: "index", Type: wire.Int64, Ints: rep(int64(p.Index))},
-			{Name: "base", Type: wire.String, Strings: repS(p.Base)},
-			{Name: "threads", Type: wire.Int64, Ints: rep(int64(p.Threads))},
-			{Name: "placement", Type: wire.Int64, Ints: rep(int64(p.Placement))},
-			{Name: "prec", Type: wire.Int64, Ints: rep(int64(p.Prec))},
-			{Name: "cores", Type: wire.Int64, Ints: rep(int64(p.Cores))},
-			{Name: "total_seconds", Type: wire.Float64, Floats: repf(p.TotalSeconds)},
-			{Name: "mean_ratio", Type: wire.Float64, Floats: repf(p.MeanRatio)},
-		},
-	}
-	for i, v := range p.Values {
-		t.Columns = append(t.Columns, wire.Column{
-			Name: fmt.Sprintf("v%d", i), Type: wire.Float64, Floats: repf(v),
-		})
-	}
-	classCol := make([]int64, rows)
-	secCol := make([]float64, rows)
-	nCol := make([]int64, rows)
-	meanCol := make([]float64, rows)
-	minCol := make([]float64, rows)
-	maxCol := make([]float64, rows)
-	for i, c := range classes {
+	dst = binary.AppendUvarint(dst, uint64(len(classes)))
+	for _, c := range classes {
 		cell := p.ByClass[c]
-		classCol[i] = int64(c)
-		secCol[i] = cell.Seconds
-		nCol[i] = int64(cell.Ratio.N)
-		meanCol[i] = cell.Ratio.Mean
-		minCol[i] = cell.Ratio.Min
-		maxCol[i] = cell.Ratio.Max
+		dst = binary.AppendUvarint(dst, uint64(c))
+		dst = appendFloat(dst, cell.Seconds)
+		dst = binary.AppendUvarint(dst, uint64(cell.Ratio.N))
+		dst = appendFloat(dst, cell.Ratio.Mean)
+		dst = appendFloat(dst, cell.Ratio.Min)
+		dst = appendFloat(dst, cell.Ratio.Max)
 	}
-	t.Columns = append(t.Columns,
-		wire.Column{Name: "class", Type: wire.Int64, Ints: classCol},
-		wire.Column{Name: "class_seconds", Type: wire.Float64, Floats: secCol},
-		wire.Column{Name: "ratio_n", Type: wire.Int64, Ints: nCol},
-		wire.Column{Name: "ratio_mean", Type: wire.Float64, Floats: meanCol},
-		wire.Column{Name: "ratio_min", Type: wire.Float64, Floats: minCol},
-		wire.Column{Name: "ratio_max", Type: wire.Float64, Floats: maxCol},
-	)
-	return t, nil
+	return dst, nil
 }
 
-// decodePoint rebuilds a CampaignPoint from its frame, validating the
-// frame's shape (constant scalar columns, sorted unique classes) so a
-// corrupt stream surfaces as an error, never as a silently-wrong
-// point.
-func decodePoint(t wire.Table) (repro.CampaignPoint, error) {
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+// decodePoint rebuilds a CampaignPoint from one frame body, rejecting
+// any frame appendPoint would not produce, so a corrupt stream
+// surfaces as an error, never as a silently-wrong point.
+func decodePoint(frame []byte) (repro.CampaignPoint, error) {
 	var p repro.CampaignPoint
-	if t.Kind != pointKind {
-		return p, fmt.Errorf("fabric: frame kind %q, want %q", t.Kind, pointKind)
+	if len(frame) < len(pointMagic) || string(frame[:len(pointMagic)]) != pointMagic {
+		return p, fmt.Errorf("fabric: frame does not start with point magic %q", pointMagic)
 	}
-	rows := t.NumRows()
-	if rows == 0 {
-		return p, fmt.Errorf("fabric: point frame has no rows")
-	}
-
-	intCol := func(name string) ([]int64, error) {
-		c, err := findColumn(&t, name, wire.Int64)
-		if err != nil {
-			return nil, err
-		}
-		return c.Ints, nil
-	}
-	floatCol := func(name string) ([]float64, error) {
-		c, err := findColumn(&t, name, wire.Float64)
-		if err != nil {
-			return nil, err
-		}
-		return c.Floats, nil
-	}
-	constInt := func(name string) (int64, error) {
-		col, err := intCol(name)
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range col[1:] {
-			if v != col[0] {
-				return 0, fmt.Errorf("fabric: column %q varies across rows", name)
-			}
-		}
-		return col[0], nil
-	}
-	constFloat := func(name string) (float64, error) {
-		col, err := floatCol(name)
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range col[1:] {
-			if v != col[0] {
-				return 0, fmt.Errorf("fabric: column %q varies across rows", name)
-			}
-		}
-		return col[0], nil
-	}
-
-	idx, err := constInt("index")
-	if err != nil {
-		return p, err
-	}
-	baseCol, err := findColumn(&t, "base", wire.String)
-	if err != nil {
-		return p, err
-	}
-	for _, v := range baseCol.Strings[1:] {
-		if v != baseCol.Strings[0] {
-			return p, fmt.Errorf("fabric: column \"base\" varies across rows")
+	r := frameReader{buf: frame[len(pointMagic):]}
+	p.Index = r.int()
+	p.Base = r.string()
+	p.Machine = r.string()
+	p.Threads = r.int()
+	p.Placement = placement.Policy(r.int())
+	p.Prec = prec.Precision(r.int())
+	p.Cores = r.int()
+	p.TotalSeconds = r.float()
+	p.MeanRatio = r.float()
+	if n := r.count(8); n > 0 {
+		p.Values = make([]float64, n)
+		for i := range p.Values {
+			p.Values[i] = r.float()
 		}
 	}
-	threads, err := constInt("threads")
-	if err != nil {
-		return p, err
+	n := r.count(minCellSize)
+	if n == 0 {
+		r.fail("point frame has no class cells")
 	}
-	pol, err := constInt("placement")
-	if err != nil {
-		return p, err
-	}
-	pr, err := constInt("prec")
-	if err != nil {
-		return p, err
-	}
-	cores, err := constInt("cores")
-	if err != nil {
-		return p, err
-	}
-	total, err := constFloat("total_seconds")
-	if err != nil {
-		return p, err
-	}
-	mean, err := constFloat("mean_ratio")
-	if err != nil {
-		return p, err
-	}
-	if idx < 0 {
-		return p, fmt.Errorf("fabric: negative point index %d", idx)
-	}
-
-	p.Index = int(idx)
-	p.Base = baseCol.Strings[0]
-	p.Machine = t.Title
-	p.Threads = int(threads)
-	p.Placement = placement.Policy(pol)
-	p.Prec = prec.Precision(pr)
-	p.Cores = int(cores)
-	p.TotalSeconds = total
-	p.MeanRatio = mean
-	for i := 0; ; i++ {
-		c, err := findColumn(&t, fmt.Sprintf("v%d", i), wire.Float64)
-		if err != nil {
-			break
+	p.ByClass = make(map[kernels.Class]repro.CampaignCell, n)
+	prev := kernels.Class(-1)
+	for i := 0; i < n && r.err == nil; i++ {
+		c := kernels.Class(r.int())
+		if c == prev {
+			r.fail("class %d repeated in point frame", c)
+		} else if c < prev {
+			r.fail("class %d out of order after class %d in point frame", c, prev)
 		}
-		v, err := constFloat(c.Name)
-		if err != nil {
-			return p, err
-		}
-		p.Values = append(p.Values, v)
-	}
-
-	classCol, err := intCol("class")
-	if err != nil {
-		return p, err
-	}
-	secCol, err := floatCol("class_seconds")
-	if err != nil {
-		return p, err
-	}
-	nCol, err := intCol("ratio_n")
-	if err != nil {
-		return p, err
-	}
-	meanCol, err := floatCol("ratio_mean")
-	if err != nil {
-		return p, err
-	}
-	minCol, err := floatCol("ratio_min")
-	if err != nil {
-		return p, err
-	}
-	maxCol, err := floatCol("ratio_max")
-	if err != nil {
-		return p, err
-	}
-	p.ByClass = make(map[kernels.Class]repro.CampaignCell, rows)
-	for i := 0; i < rows; i++ {
-		c := kernels.Class(classCol[i])
-		if _, dup := p.ByClass[c]; dup {
-			return p, fmt.Errorf("fabric: class %d repeated in point frame", classCol[i])
-		}
+		// Operands evaluate left to right: the cell's fields in layout order.
 		p.ByClass[c] = repro.CampaignCell{
-			Seconds: secCol[i],
-			Ratio: stats.Summary{
-				N:    int(nCol[i]),
-				Mean: meanCol[i],
-				Min:  minCol[i],
-				Max:  maxCol[i],
-			},
+			Seconds: r.float(),
+			Ratio:   stats.Summary{N: r.int(), Mean: r.float(), Min: r.float(), Max: r.float()},
 		}
+		prev = c
+	}
+	if len(r.buf) != 0 {
+		r.fail("%d trailing bytes in point frame", len(r.buf))
+	}
+	if r.err != nil {
+		return repro.CampaignPoint{}, r.err
 	}
 	return p, nil
 }
 
-// findColumn locates a named column of the expected type.
-func findColumn(t *wire.Table, name string, typ wire.ColType) (*wire.Column, error) {
-	for i := range t.Columns {
-		c := &t.Columns[i]
-		if c.Name == name {
-			if c.Type != typ {
-				return nil, fmt.Errorf("fabric: column %q has type %v, want %v", name, c.Type, typ)
-			}
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("fabric: frame %q lacks column %q", t.Kind, name)
+// frameReader is a cursor over a frame body with a sticky error: once
+// a read fails, every later read returns a zero value, so decodePoint
+// checks once at the end. Every length and count is checked against
+// the bytes left before anything is sized from it.
+type frameReader struct {
+	buf []byte
+	err error
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, t wire.Table) error {
-	data, err := wire.Encode(t)
-	if err != nil {
-		return err
+func (r *frameReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("fabric: "+format, args...)
 	}
+	r.buf = nil
+}
+
+func (r *frameReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 {
+		r.fail("truncated or over-long uvarint in point frame")
+		return 0
+	}
+	if n > 1 && r.buf[n-1] == 0 {
+		// A minimal uvarint never ends in a zero byte.
+		r.fail("non-minimal uvarint in point frame")
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+func (r *frameReader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.fail("integer %d out of range in point frame", v)
+		return 0
+	}
+	return int(v)
+}
+
+// count reads an element count and refuses one that cannot fit in the
+// bytes left at size bytes per element.
+func (r *frameReader) count(size int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.buf)/size) {
+		r.fail("count %d exceeds the %d bytes left in point frame", v, len(r.buf))
+		return 0
+	}
+	return int(v)
+}
+
+func (r *frameReader) string() string {
+	n := r.count(1)
+	s := string(r.buf[:n])
+	r.buf = r.buf[n:]
+	return s
+}
+
+func (r *frameReader) float() float64 {
+	if len(r.buf) < 8 {
+		r.fail("point frame truncated in a float")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
+	r.buf = r.buf[8:]
+	return v
+}
+
+// writeFrame writes one length-prefixed frame as two writes, the
+// length prefix and then the body.
+func writeFrame(w io.Writer, frame []byte) error {
 	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(data)))
+	n := binary.PutUvarint(lenBuf[:], uint64(len(frame)))
 	if _, err := w.Write(lenBuf[:n]); err != nil {
 		return err
 	}
-	_, err = w.Write(data)
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -332,25 +260,4 @@ func readRawFrame(br *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("fabric: frame truncated: %w", err)
 	}
 	return buf, nil
-}
-
-// readFrame reads and decodes one length-prefixed frame.
-func readFrame(br *bufio.Reader) (wire.Table, error) {
-	buf, err := readRawFrame(br)
-	if err != nil {
-		return wire.Table{}, err
-	}
-	return decodeFrame(buf)
-}
-
-// decodeFrame rebuilds the wire table from a raw frame body.
-func decodeFrame(buf []byte) (wire.Table, error) {
-	t, rest, err := wire.Decode(buf)
-	if err != nil {
-		return wire.Table{}, fmt.Errorf("fabric: decoding frame: %w", err)
-	}
-	if len(rest) != 0 {
-		return wire.Table{}, fmt.Errorf("fabric: %d trailing bytes in frame", len(rest))
-	}
-	return t, nil
 }

@@ -99,12 +99,14 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", ContentType)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	flusher, _ := w.(http.Flusher)
+	var buf []byte
 	err = wk.eng.CampaignPoints(spec, req.Points, func(p repro.CampaignPoint) error {
-		t, err := encodePoint(p)
+		frame, err := appendPoint(buf[:0], p)
 		if err != nil {
 			return err
 		}
-		if err := writeFrame(w, t); err != nil {
+		buf = frame
+		if err := writeFrame(w, frame); err != nil {
 			return err
 		}
 		if flusher != nil {
