@@ -121,13 +121,20 @@ type suiteShard struct {
 	misses  uint64
 }
 
+// suiteEntry is one memoized configuration. secs holds its per-kernel
+// seconds in suite.All() order and nothing else: the kernel names and
+// classes are the suite's own, the same for every entry, so they are
+// joined back in only where Measurements are asked for (RunSuite,
+// snapshot encoding). A 64-kernel entry is one 512-byte array with no
+// pointers for the GC to scan. The slice is never written after once
+// completes, so readers share it without copying.
 type suiteEntry struct {
 	once sync.Once
-	ms   []Measurement
+	secs []float64
 	err  error
-	// done flips (atomically, after ms/err are written inside once) when
-	// the entry's evaluation has completed; the snapshot walk reads it to
-	// skip entries still in flight without blocking on them.
+	// done flips (atomically, after secs/err are written inside once)
+	// when the entry's evaluation has completed; the snapshot walk reads
+	// it to skip entries still in flight without blocking on them.
 	done atomic.Bool
 }
 
@@ -183,8 +190,8 @@ func (c *suiteCache) entry(k suiteKey) *suiteEntry {
 // snapshotEntry is one completed, successful cache entry — the unit the
 // warm-cache snapshot (snapshot.go) serializes.
 type snapshotEntry struct {
-	key suiteKey
-	ms  []Measurement
+	key  suiteKey
+	secs []float64
 }
 
 // snapshotEntries collects every completed, successful entry. Entries
@@ -200,9 +207,7 @@ func (c *suiteCache) snapshotEntries() []snapshotEntry {
 			if !e.done.Load() || e.err != nil {
 				continue
 			}
-			ms := make([]Measurement, len(e.ms))
-			copy(ms, e.ms)
-			out = append(out, snapshotEntry{key: k, ms: ms})
+			out = append(out, snapshotEntry{key: k, secs: e.secs})
 		}
 		s.mu.Unlock()
 	}
@@ -216,12 +221,10 @@ func (c *suiteCache) snapshotEntries() []snapshotEntry {
 // RunSuite lookup serves it as an ordinary hit instead of
 // re-evaluating over it. Installs count toward neither hits nor
 // misses: the counters keep meaning "lookups served vs evaluated".
-func (c *suiteCache) install(k suiteKey, ms []Measurement) bool {
+// The cache takes ownership of secs.
+func (c *suiteCache) install(k suiteKey, secs []float64) bool {
 	e := &suiteEntry{}
-	e.once.Do(func() {
-		e.ms = make([]Measurement, len(ms))
-		copy(e.ms, ms)
-	})
+	e.once.Do(func() { e.secs = secs })
 	e.done.Store(true)
 	s := c.shardFor(k)
 	s.mu.Lock()

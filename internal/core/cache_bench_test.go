@@ -8,8 +8,8 @@ import (
 )
 
 // A cached RunSuite hit must stay O(1) small allocations: the key is
-// hashed without reflection and the only allocation left is the copy
-// of the 64-measurement result the caller owns.
+// hashed without reflection and the only allocation left is the
+// 64-measurement result built for the caller.
 func TestRunSuiteCachedHitAllocs(t *testing.T) {
 	st := NewStudy()
 	cfg := sgConfig(32, placement.CyclicNUMA, prec.F32)
@@ -22,7 +22,35 @@ func TestRunSuiteCachedHitAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("cached RunSuite hit allocates %.1f/op, want <= 1 (the result copy)", allocs)
+		t.Errorf("cached RunSuite hit allocates %.1f/op, want <= 1 (the result)", allocs)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// An uncached RunSuite allocates nothing beyond the model evaluation
+// and the result it returns: its seconds stay in a stack buffer.
+func TestRunSuiteUncachedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts on pooled paths vary under -race")
+	}
+	st := NewStudy()
+	st.NoCache = true
+	cfg := sgConfig(32, placement.CyclicNUMA, prec.F32)
+	var buf [64]float64
+	eval := testing.AllocsPerRun(100, func() {
+		if _, err := st.runSuiteUncached(cfg, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	full := testing.AllocsPerRun(100, func() {
+		if _, err := st.RunSuite(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if full > eval+1 {
+		t.Errorf("uncached RunSuite allocates %.1f/op, want <= %.1f (the evaluation's %.1f plus the result)", full, eval+1, eval)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -317,4 +318,38 @@ func TestSuiteCacheShardedStress(t *testing.T) {
 	if misses != uint64(len(cfgs)) {
 		t.Errorf("misses = %d, want %d (each config evaluates exactly once)", misses, len(cfgs))
 	}
+}
+
+// TestSuiteCacheRetainedPerEntry bounds what one cold configuration
+// keeps alive in the suite cache: its key, map slot, entry and 64
+// per-kernel seconds. Only the Study seed (a key field) varies, so the
+// configuration itself is the same throughout, every model-side memo
+// hits, and the heap growth is the cache's alone.
+func TestSuiteCacheRetainedPerEntry(t *testing.T) {
+	const entries = 1024
+	st := NewStudy()
+	cfg := sgConfig(32, placement.CyclicNUMA, prec.F32)
+	if _, err := st.RunSuite(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= entries; i++ {
+		st.Seed = 42 + int64(i)
+		if _, err := st.RunSuite(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if _, misses := st.CacheStats(); misses != entries+1 {
+		t.Fatalf("%d cache misses, want %d distinct entries", misses, entries+1)
+	}
+	perEntry := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / entries
+	t.Logf("suite cache retains %d B per entry", perEntry)
+	if perEntry > 1200 {
+		t.Errorf("suite cache retains %d B per entry, want <= 1200", perEntry)
+	}
+	runtime.KeepAlive(st)
 }

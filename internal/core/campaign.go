@@ -44,6 +44,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/prec"
 	"repro/internal/stats"
+	"repro/internal/suite"
 )
 
 // AxisValues is one swept hardware axis of a campaign: the axis and the
@@ -259,15 +260,15 @@ func campaignConfig(m *machine.Machine, threads int, pol placement.Policy, p pre
 //
 // The aggregation is the positional form of the Ratios/ClassSummaries
 // pipeline the naive path used: ratios and per-class groups are read
-// off measurement positions (suite order, the order the map-based path
-// iterated in anyway), so every float operation happens on the same
+// off the cached seconds by suite position (the order the map-based
+// path iterated in anyway), so every float operation happens on the same
 // values in the same order and the template is bit-identical — without
 // the two name-keyed maps and per-class append-grown slices per point.
 func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error) {
 	pc := &plan.configs[u.cfg]
 	bc := &plan.configs[u.baseCfg]
 	cfg := campaignConfig(pc.m, pc.threads, pc.pol, pc.p)
-	ms, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp))
+	secs, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp))
 	if err != nil {
 		return CampaignPoint{}, err
 	}
@@ -287,15 +288,15 @@ func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error)
 	// ratio and per-class slices were the naive path's hottest allocs.
 	var ratiosArr, secsArr, ratsArr [64]float64
 	ratios := ratiosArr[:0]
-	if len(ms) > len(ratiosArr) {
-		ratios = make([]float64, 0, len(ms))
+	if len(secs) > len(ratiosArr) {
+		ratios = make([]float64, 0, len(secs))
 	}
-	for i := range ms {
-		if ms[i].Seconds <= 0 {
-			return CampaignPoint{}, fmt.Errorf("core: kernel %s has non-positive time", ms[i].Kernel)
+	for i, s := range secs {
+		if s <= 0 {
+			return CampaignPoint{}, fmt.Errorf("core: kernel %s has non-positive time", suite.All()[i].Name)
 		}
-		ratios = append(ratios, base[i].Seconds/ms[i].Seconds)
-		p.TotalSeconds += ms[i].Seconds
+		ratios = append(ratios, base[i]/s)
+		p.TotalSeconds += s
 	}
 	pos := classPositions()
 	sum, n := 0.0, 0
@@ -304,18 +305,12 @@ func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error)
 		if len(idxs) == 0 {
 			continue
 		}
-		secs, rats := secsArr[:0], ratsArr[:0]
+		cs, rats := secsArr[:0], ratsArr[:0]
 		for _, k := range idxs {
-			if k >= len(ms) {
-				continue
-			}
-			secs = append(secs, ms[k].Seconds)
+			cs = append(cs, secs[k])
 			rats = append(rats, ratios[k])
 		}
-		if len(secs) == 0 {
-			continue
-		}
-		cell := CampaignCell{Seconds: stats.Mean(secs), Ratio: stats.Summarize(rats)}
+		cell := CampaignCell{Seconds: stats.Mean(cs), Ratio: stats.Summarize(rats)}
 		p.ByClass[class] = cell
 		sum += cell.Ratio.Mean
 		n++

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/par"
+	"repro/internal/wire"
 )
 
 // TestCampaignPointsMatchFullCampaign: a point evaluated through the
@@ -221,5 +225,86 @@ func TestCampaignFingerprints(t *testing.T) {
 	}
 	if _, err := (CampaignSpec{}).Fingerprints(); err == nil {
 		t.Error("Fingerprints of an invalid spec did not error")
+	}
+}
+
+// shortBaseSpec is a small cold grid over one base: every point's base
+// reference is the SG2042 at full occupancy.
+func shortBaseSpec() CampaignSpec {
+	return CampaignSpec{
+		Bases: []*machine.Machine{machine.SG2042()},
+		Axes:  []AxisValues{{Axis: SweepClock, Values: []float64{1.5, 2.5, 3.5}}},
+	}
+}
+
+// TestCampaignRestoredShortBase: a snapshot whose base entry holds one
+// row, the shape a hostile or foreign -restore file or warm-join peer
+// can send, is rejected by restore, so a campaign over that base
+// evaluates it afresh and matches a cold study. Were it installed,
+// every point would index the base past its one row.
+func TestCampaignRestoredShortBase(t *testing.T) {
+	spec := shortBaseSpec()
+	src := NewStudy()
+	want, err := src.Campaign(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseFP := int64(machine.SG2042().Fingerprint())
+	shortened := 0
+	bad := rewriteSnapshot(t, data, func(key, s *wire.Table) {
+		if fp, err := headerInt(key, "fingerprint"); err == nil && fp == baseFP {
+			pickRows(s, []int{0})
+			shortened++
+		}
+	})
+	if shortened != 1 {
+		t.Fatalf("shortened %d base entries, want 1", shortened)
+	}
+	st := NewStudy().WithWorkers(2)
+	// Errorf, not Fatalf: a decoder that wrongly accepts the entry must
+	// still be shown what the campaign then does with it.
+	if n, err := st.RestoreCache(bad); err == nil || n != 0 {
+		t.Errorf("RestoreCache = (%d, %v), want (0, error)", n, err)
+	}
+	got, err := st.Campaign(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("campaign after a rejected restore differs from a cold study's")
+	}
+}
+
+// TestCampaignContainsEvaluationPanic: a short entry installed straight
+// into the cache, past restore's validation, makes evaluation index
+// beyond its end. On the serial and the parallel pool alike the panic
+// comes back from Campaign as a *par.PanicError, and the process
+// survives.
+func TestCampaignContainsEvaluationPanic(t *testing.T) {
+	spec := shortBaseSpec()
+	plan, err := planFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.dedup()
+	bc := plan.configs[plan.uniqs[0].baseCfg]
+	bcfg := campaignConfig(bc.m, bc.threads, bc.pol, bc.p)
+	for _, workers := range []int{1, 2} {
+		st := NewStudy().WithWorkers(workers)
+		if !st.cache.install(st.suiteKeyFP(bcfg, bc.fp), []float64{1}) {
+			t.Fatal("short base entry not installed")
+		}
+		_, err := st.Campaign(spec, nil)
+		var pe *par.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: Campaign error = %v, want a *par.PanicError", workers, err)
+		}
+		if !strings.Contains(fmt.Sprint(pe.Value), "index out of range") {
+			t.Fatalf("workers=%d: panic value %v, want an index out of range", workers, pe.Value)
+		}
 	}
 }

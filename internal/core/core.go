@@ -75,6 +75,10 @@ func (st *Study) WithWorkers(workers int) *Study {
 }
 
 // Measurement is one kernel's averaged time under one configuration.
+// The suite cache does not store Measurements: it keeps only each
+// configuration's per-kernel seconds, in suite.All() order, and
+// RunSuite (or the snapshot encoder) joins them with the suite's
+// kernel names and classes when a caller asks.
 type Measurement struct {
 	Kernel  string
 	Class   kernels.Class
@@ -84,51 +88,59 @@ type Measurement struct {
 // RunSuite measures every kernel under cfg, averaging Runs noisy
 // evaluations. Results are memoized per canonicalized configuration
 // (unless NoCache is set); noise is seeded from the configuration, so
-// cached and freshly evaluated results are bit-identical.
+// cached and freshly evaluated results are bit-identical. The result
+// is a fresh slice the caller owns, in suite.All() order.
 func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
+	var secs []float64
+	var err error
 	if st.NoCache || st.cache == nil {
-		return st.runSuiteUncached(cfg)
+		// Uncached seconds live only until they are joined with the
+		// suite below, so they stay in a stack buffer and this path
+		// allocates just the result.
+		var buf [64]float64
+		secs, err = st.runSuiteUncached(cfg, buf[:0])
+	} else {
+		secs, err = st.runSuiteShared(cfg, st.suiteKeyFor(cfg))
 	}
-	e := st.cache.entry(st.suiteKeyFor(cfg))
-	e.once.Do(func() {
-		e.ms, e.err = st.runSuiteUncached(cfg)
-		e.done.Store(true)
-	})
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
-	out := make([]Measurement, len(e.ms))
-	copy(out, e.ms)
+	specs := suite.All()
+	out := make([]Measurement, len(secs))
+	for i, s := range secs {
+		out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class, Seconds: s}
+	}
 	return out, nil
 }
 
-// runSuiteShared is RunSuite without the defensive copy-out: it returns
-// the cache's own measurement slice, which the caller must treat as
-// read-only. The campaign planner reads each configuration's
-// measurements positionally (suite order) without mutating them, so the
-// per-point 64-measurement copies RunSuite pays are pure waste there.
+// runSuiteShared returns cfg's per-kernel seconds in suite order. With
+// the cache on, the slice is the cache entry's own and the caller must
+// treat it as read-only; the campaign planner reads it positionally.
 // key must be st.suiteKeyFor(cfg) (or suiteKeyFP with the machine's
 // fingerprint).
-func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey) ([]Measurement, error) {
+func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey) ([]float64, error) {
 	if st.NoCache || st.cache == nil {
-		return st.runSuiteUncached(cfg)
+		return st.runSuiteUncached(cfg, nil)
 	}
 	e := st.cache.entry(key)
 	e.once.Do(func() {
-		e.ms, e.err = st.runSuiteUncached(cfg)
+		e.secs, e.err = st.runSuiteUncached(cfg, nil)
 		e.done.Store(true)
 	})
-	return e.ms, e.err
+	return e.secs, e.err
 }
 
 // breakdownPool recycles the per-configuration Breakdown buffer: the
-// model's intermediate terms are consumed immediately into Measurements
+// model's intermediate terms are consumed immediately into seconds
 // and never escape a single runSuiteUncached call.
 var breakdownPool = sync.Pool{
 	New: func() any { b := make([]perfmodel.Breakdown, 0, 64); return &b },
 }
 
-func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
+// runSuiteUncached evaluates cfg and returns each kernel's averaged
+// seconds in suite.All() order, written into dst when it has the
+// capacity (pass nil to allocate).
+func (st *Study) runSuiteUncached(cfg perfmodel.Config, dst []float64) ([]float64, error) {
 	specs := suite.All()
 	// Compiled evaluation: one plan per configuration, so the
 	// placement/sharing analysis and the per-spec invariants are
@@ -144,7 +156,11 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 	}
 	buf := breakdownPool.Get().(*[]perfmodel.Breakdown)
 	bds := plan.Times(*buf)
-	out := make([]Measurement, len(specs))
+	if cap(dst) >= len(specs) {
+		dst = dst[:len(specs)]
+	} else {
+		dst = make([]float64, len(specs))
+	}
 	runs := st.Runs
 	if runs < 1 {
 		runs = 1
@@ -155,13 +171,12 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config) ([]Measurement, error) {
 		for r := 0; r < runs; r++ {
 			sum += bds[i].Seconds * (1 + st.Noise*noise.rng.NormFloat64())
 		}
-		out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class,
-			Seconds: sum / float64(runs)}
+		dst[i] = sum / float64(runs)
 	}
 	noisePool.Put(noise)
 	*buf = bds
 	breakdownPool.Put(buf)
-	return out, nil
+	return dst, nil
 }
 
 // configSeed hashes distinguishing config fields so different

@@ -5,7 +5,8 @@ package core
 // the distributed fabric (internal/fabric) would otherwise boot cold
 // and re-evaluate its whole slice of the grid. SnapshotCache serializes
 // every completed cache entry — the canonical suite key plus the
-// memoized measurements — through the internal/wire canonical encoding,
+// memoized per-kernel seconds, joined with the suite's kernel names and
+// classes — through the internal/wire canonical encoding,
 // and RestoreCache installs a snapshot into a fresh study so its first
 // shard-owned request is already a cache hit.
 //
@@ -19,8 +20,9 @@ package core
 //	                                        (fingerprint-keyed: the
 //	                                        machine's full Fingerprint()
 //	                                        plus every other key field)
-//	frame 2k+2        kind "snapshot-suite" one row per kernel:
-//	                                        kernel, class, seconds
+//	frame 2k+2        kind "snapshot-suite" one row per suite kernel,
+//	                                        in suite order: kernel,
+//	                                        class, seconds
 //
 // Float64 fields travel as IEEE-754 bit patterns, so a restored entry
 // is bit-identical to the evaluated one — the determinism contract
@@ -30,7 +32,8 @@ package core
 //
 // Restore is all-or-nothing: the entire snapshot is decoded and
 // validated into a staging slice before anything touches the cache, so
-// a corrupt, truncated or version-skewed file errors cleanly and never
+// a corrupt, truncated or version-skewed file — or one whose entries
+// are not the suite's kernels in suite order — errors cleanly and never
 // poisons (or partially populates) a live cache. The one key field that
 // cannot travel is the *perfmodel.Model pointer; restored entries are
 // keyed to the restoring study's Model, which is correct exactly when
@@ -44,9 +47,9 @@ import (
 	"sort"
 
 	"repro/internal/autovec"
-	"repro/internal/kernels"
 	"repro/internal/placement"
 	"repro/internal/prec"
+	"repro/internal/suite"
 	"repro/internal/wire"
 )
 
@@ -101,7 +104,7 @@ func (st *Study) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, erro
 	}
 	tables = append(tables, header)
 	for _, e := range entries {
-		tables = append(tables, keyTable(e.key), suiteTable(e.key, e.ms))
+		tables = append(tables, keyTable(e.key), suiteTable(e.key, e.secs))
 	}
 	return wire.Encode(tables...)
 }
@@ -121,7 +124,7 @@ func (st *Study) RestoreCache(data []byte) (int, error) {
 	installed := 0
 	for _, e := range entries {
 		e.key.model = st.Model
-		if st.cache.install(e.key, e.ms) {
+		if st.cache.install(e.key, e.secs) {
 			installed++
 		}
 	}
@@ -197,23 +200,22 @@ func keyTable(k suiteKey) wire.Table {
 	}
 }
 
-// suiteTable encodes one entry's measurements.
-func suiteTable(k suiteKey, ms []Measurement) wire.Table {
-	kernelCol := make([]string, len(ms))
-	classCol := make([]int64, len(ms))
-	secondsCol := make([]float64, len(ms))
-	for i, m := range ms {
-		kernelCol[i] = m.Kernel
-		classCol[i] = int64(m.Class)
-		secondsCol[i] = m.Seconds
+// suiteTable encodes one entry's measurements: the cached seconds
+// joined with the suite's kernel names and classes, row i being
+// suite.All()[i].
+func suiteTable(k suiteKey, secs []float64) wire.Table {
+	specs := suite.All()
+	classCol := make([]int64, len(specs))
+	for i := range specs {
+		classCol[i] = int64(specs[i].Class)
 	}
 	return wire.Table{
 		Kind:  snapSuiteKind,
 		Title: k.machine,
 		Columns: []wire.Column{
-			{Name: "kernel", Type: wire.String, Strings: kernelCol},
+			{Name: "kernel", Type: wire.String, Strings: suite.Names()},
 			{Name: "class", Type: wire.Int64, Ints: classCol},
-			{Name: "seconds", Type: wire.Float64, Floats: secondsCol},
+			{Name: "seconds", Type: wire.Float64, Floats: secs},
 		},
 	}
 }
@@ -376,21 +378,26 @@ func decodeEntry(keyT, suiteT *wire.Table) (snapshotEntry, error) {
 	if err != nil {
 		return e, err
 	}
-	rows := suiteT.NumRows()
-	if rows == 0 {
-		return e, fmt.Errorf("entry has no measurements")
+	// The cache stores seconds by suite position alone, so the rows
+	// must be exactly the suite's kernels, in suite order, with the
+	// suite's classes: a short or reordered entry would be read against
+	// the wrong kernels (or past its end) by every campaign using it.
+	specs := suite.All()
+	if rows := suiteT.NumRows(); rows != len(specs) {
+		return e, fmt.Errorf("entry has %d measurements, the suite has %d kernels", rows, len(specs))
 	}
-	e.ms = make([]Measurement, rows)
-	for i := 0; i < rows; i++ {
+	e.secs = make([]float64, len(specs))
+	for i := range specs {
+		name, class := kernelCol.Strings[i], classCol.Ints[i]
+		if name != specs[i].Name || class != int64(specs[i].Class) {
+			return e, fmt.Errorf("row %d is kernel %q class %d, the suite has %q class %d there",
+				i, name, class, specs[i].Name, int64(specs[i].Class))
+		}
 		sec := secondsCol.Floats[i]
 		if math.IsNaN(sec) || math.IsInf(sec, 0) || sec <= 0 {
-			return e, fmt.Errorf("kernel %q has non-positive time %v", kernelCol.Strings[i], sec)
+			return e, fmt.Errorf("kernel %q has non-positive time %v", name, sec)
 		}
-		e.ms[i] = Measurement{
-			Kernel:  kernelCol.Strings[i],
-			Class:   kernels.Class(classCol.Ints[i]),
-			Seconds: sec,
-		}
+		e.secs[i] = sec
 	}
 	return e, nil
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/prec"
+	"repro/internal/suite"
 	"repro/internal/wire"
 )
 
@@ -177,4 +179,124 @@ func mustSnapshotHeader(t *testing.T, version, entries int64) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// rewriteSnapshot re-encodes a snapshot after mutate has edited each
+// entry's key and measurement frames in place.
+func rewriteSnapshot(t *testing.T, data []byte, mutate func(key, suite *wire.Table)) []byte {
+	t.Helper()
+	var tables []wire.Table
+	for rest := data; len(rest) > 0; {
+		var tab wire.Table
+		var err error
+		if tab, rest, err = wire.Decode(rest); err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, tab)
+	}
+	for i := 1; i+1 < len(tables); i += 2 {
+		mutate(&tables[i], &tables[i+1])
+	}
+	out, err := wire.Encode(tables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// pickRows rebuilds every column of a measurement frame from the given
+// row indices, so rows can be dropped, duplicated or reordered.
+func pickRows(suiteT *wire.Table, rows []int) {
+	for i := range suiteT.Columns {
+		c := &suiteT.Columns[i]
+		switch c.Type {
+		case wire.String:
+			s := make([]string, len(rows))
+			for j, r := range rows {
+				s[j] = c.Strings[r]
+			}
+			c.Strings = s
+		case wire.Int64:
+			s := make([]int64, len(rows))
+			for j, r := range rows {
+				s[j] = c.Ints[r]
+			}
+			c.Ints = s
+		case wire.Float64:
+			s := make([]float64, len(rows))
+			for j, r := range rows {
+				s[j] = c.Floats[r]
+			}
+			c.Floats = s
+		}
+	}
+}
+
+// TestRestoreRejectsForeignSuiteRows: the cache reads an entry's
+// seconds by suite position, so restore accepts only entries whose
+// rows are exactly the suite's kernels, in suite order, with the
+// suite's classes. Anything else errors, installs nothing and leaves
+// the counters and later lookups as they were.
+func TestRestoreRejectsForeignSuiteRows(t *testing.T) {
+	cfg := mustMachineCfg(machine.SG2042(), 4, prec.F64)
+	src := NewStudy()
+	want, err := src.RunSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(suite.All())
+	inOrder := make([]int, n)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	swapped := append([]int(nil), inOrder...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	cases := map[string][]byte{
+		"one row": rewriteSnapshot(t, data, func(_, s *wire.Table) {
+			pickRows(s, []int{0})
+		}),
+		"swapped rows": rewriteSnapshot(t, data, func(_, s *wire.Table) {
+			pickRows(s, swapped)
+		}),
+		"foreign class": rewriteSnapshot(t, data, func(_, s *wire.Table) {
+			for i := range s.Columns {
+				if s.Columns[i].Name == "class" {
+					s.Columns[i].Ints[0]++
+				}
+			}
+		}),
+		"extra row": rewriteSnapshot(t, data, func(_, s *wire.Table) {
+			pickRows(s, append(inOrder, n-1))
+		}),
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			st := NewStudy()
+			if _, err := st.RunSuite(mustMachineCfg(machine.SG2042(), 1, prec.F64)); err != nil {
+				t.Fatal(err)
+			}
+			hits, misses := st.CacheStats()
+			got, err := st.RestoreCache(bad)
+			if err == nil || got != 0 || !strings.Contains(err.Error(), "the suite has") {
+				t.Fatalf("RestoreCache = (%d, %v), want (0, a suite-rows error)", got, err)
+			}
+			if h, m := st.CacheStats(); h != hits || m != misses {
+				t.Fatalf("failed restore moved the counters: hits %d->%d misses %d->%d", hits, h, misses, m)
+			}
+			ms, err := st.RunSuite(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ms, want) {
+				t.Fatal("lookup after a failed restore differs from a fresh evaluation")
+			}
+			if _, m := st.CacheStats(); m != misses+1 {
+				t.Fatalf("lookup after a failed restore was served from the cache (misses %d->%d)", misses, m)
+			}
+		})
+	}
 }

@@ -3,13 +3,37 @@
 // indexed ForEach worker pool. Callers write results into slot i of a
 // pre-sized slice, so output ordering never depends on scheduling and
 // the serial (workers <= 1) and parallel paths produce identical
-// results.
+// results. A task that panics fails its group or ForEach with a
+// *PanicError instead of taking the process down.
 package par
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is a task panic recovered by Group or ForEach and
+// returned as their first error: the value passed to panic and the
+// stack of the goroutine that panicked.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("par: task panicked: %v", e.Value)
+}
+
+// recovered converts a recover() result into the error it stands for:
+// nil when there was no panic.
+func recovered(r any) error {
+	if r == nil {
+		return nil
+	}
+	return &PanicError{Value: r, Stack: debug.Stack()}
+}
 
 // Group runs tasks on a bounded number of goroutines. The first error
 // wins: it is returned from Wait, and tasks scheduled (or dequeued)
@@ -35,7 +59,7 @@ func NewGroup(workers int) *Group {
 // Go schedules f on the group, blocking while all workers are busy. If
 // a previous task has already failed, f is silently dropped — the
 // errgroup-style cancellation that lets a failing experiment stop the
-// rest of the batch.
+// rest of the batch. A panic in f fails the group with a *PanicError.
 func (g *Group) Go(f func() error) {
 	if g.stop.Load() {
 		return
@@ -49,14 +73,24 @@ func (g *Group) Go(f func() error) {
 		if g.sem != nil {
 			defer func() { <-g.sem }()
 		}
+		defer func() {
+			if err := recovered(recover()); err != nil {
+				g.fail(err)
+			}
+		}()
 		if g.stop.Load() {
 			return
 		}
 		if err := f(); err != nil {
-			g.once.Do(func() { g.err = err })
-			g.stop.Store(true)
+			g.fail(err)
 		}
 	}()
+}
+
+// fail records err if it is the group's first and stops the group.
+func (g *Group) fail(err error) {
+	g.once.Do(func() { g.err = err })
+	g.stop.Store(true)
 }
 
 // Cancelled reports whether a task has failed; long-running tasks may
@@ -72,17 +106,13 @@ func (g *Group) Wait() error {
 
 // ForEach invokes fn(i) for every i in [0, n) using at most workers
 // goroutines and returns the first error; remaining indices are skipped
-// once a call fails. With workers <= 1 (or n <= 1) it runs inline, in
-// order, on the calling goroutine — no scheduling, no goroutines — so a
+// once a call fails or panics (a panic is returned as a *PanicError).
+// With workers <= 1 (or n <= 1) it runs inline, in order, on the
+// calling goroutine — no scheduling, no goroutines — so a
 // deterministic fn gives bit-identical results on both paths.
 func ForEach(n, workers int, fn func(i int) error) error {
 	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
+		return serial(n, fn)
 	}
 	if workers > n {
 		workers = n
@@ -103,4 +133,20 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		})
 	}
 	return g.Wait()
+}
+
+// serial is ForEach's inline path, with the same panic containment as
+// a pool goroutine.
+func serial(n int, fn func(i int) error) (err error) {
+	defer func() {
+		if perr := recovered(recover()); perr != nil {
+			err = perr
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }

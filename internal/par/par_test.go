@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -150,5 +151,57 @@ func TestGroupUnbounded(t *testing.T) {
 	}
 	if sum.Load() != 10 {
 		t.Errorf("ran %d tasks, want 10", sum.Load())
+	}
+}
+
+// mustPanicError asserts err is a *PanicError carrying value and the
+// stack of the panicking task.
+func mustPanicError(t *testing.T, err error, value any) {
+	t.Helper()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want *PanicError", err, err)
+	}
+	if pe.Value != value {
+		t.Fatalf("PanicError.Value = %v, want %v", pe.Value, value)
+	}
+	if !strings.Contains(string(pe.Stack), "par_test.go") {
+		t.Fatalf("PanicError.Stack does not reach the panicking task:\n%s", pe.Stack)
+	}
+}
+
+// TestGroupRecoversPanic: a panicking task fails the group with a
+// *PanicError, the process survives, and later tasks are dropped.
+func TestGroupRecoversPanic(t *testing.T) {
+	g := NewGroup(2)
+	g.Go(func() error { panic("task blew up") })
+	mustPanicError(t, g.Wait(), "task blew up")
+	ran := false
+	g.Go(func() error { ran = true; return nil })
+	mustPanicError(t, g.Wait(), "task blew up")
+	if ran {
+		t.Error("task ran after a panicking task failed the group")
+	}
+}
+
+// TestForEachRecoversPanic: on the parallel and the serial path alike,
+// a panic in fn is returned as a *PanicError and stops the remaining
+// indices.
+func TestForEachRecoversPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var calls atomic.Int64
+			err := ForEach(1000, workers, func(i int) error {
+				calls.Add(1)
+				if i == 3 {
+					panic(i)
+				}
+				return nil
+			})
+			mustPanicError(t, err, 3)
+			if c := calls.Load(); c > 100 {
+				t.Errorf("%d calls ran after the panic", c)
+			}
+		})
 	}
 }
