@@ -18,9 +18,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The race job CI runs, reproducible locally.
+# The race job CI runs, reproducible locally. The par panic tests run
+# 50 more times: they time how fast a panicking task stops its siblings.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=50 -run 'Panic' ./internal/par
 
 # Cross-compile for the paper's actual target: the reproduction must
 # keep building for riscv64 even though the model runs anywhere.

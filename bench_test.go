@@ -15,6 +15,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"repro/internal/autovec"
@@ -301,6 +302,64 @@ func BenchmarkCampaignColdDistinct(b *testing.B) {
 		}
 	}
 }
+
+// errFirstPoint stops a campaign after its first emitted point.
+var errFirstPoint = errors.New("first point emitted")
+
+// BenchmarkCampaignFirstPointCold: what a cold 256-point campaign pays
+// before its first point can be emitted — JSON spec parse (plan
+// compile, fingerprints of every derived machine), dedup, and the first
+// point's evaluation — on a fresh engine, with clock values that never
+// repeat, as a daemon's cold NDJSON request does. The campaign stops at
+// the first point.
+func BenchmarkCampaignFirstPointCold(b *testing.B) {
+	bodies := make([][]byte, b.N)
+	for i := range bodies {
+		clocks := make([]float64, 16)
+		for k := range clocks {
+			clocks[k] = coldDistinctClock
+			coldDistinctClock += 1e-4
+		}
+		body, err := json.Marshal(map[string]any{
+			"machines":   []string{"SG2042", "SG2044"},
+			"axes":       []map[string]any{{"axis": "clock", "values": clocks}},
+			"threads":    []int{0, 32},
+			"placements": []string{"block", "cyclic"},
+			"precisions": []string{"f64", "f32"},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		spec, err := CampaignSpecFromJSON(body, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = NewEngine(Options{}).CampaignStream(spec, func(CampaignPoint) error { return errFirstPoint })
+		if !errors.Is(err, errFirstPoint) {
+			b.Fatalf("campaign did not stop at its first point: %v", err)
+		}
+	}
+}
+
+// BenchmarkCampaignBaseFingerprint: one full-parameter fingerprint of
+// the SG2042 preset. A campaign's plan compile hashes every derived
+// machine and its derivation memo re-hashes the parent once per
+// derivation.
+func BenchmarkCampaignBaseFingerprint(b *testing.B) {
+	m := SG2042()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = m.Fingerprint()
+	}
+}
+
+var fingerprintSink uint64
 
 // BenchmarkCampaignPlanValidate: the cheap surface — validating a
 // 1024-point spec and counting its grid — which the odometer keeps flat

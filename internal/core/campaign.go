@@ -265,8 +265,7 @@ func campaignConfig(m *machine.Machine, threads int, pol placement.Policy, p pre
 // values in the same order and the template is bit-identical — without
 // the two name-keyed maps and per-class append-grown slices per point.
 func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error) {
-	pc := &plan.configs[u.cfg]
-	bc := &plan.configs[u.baseCfg]
+	pc, bc := &u.cfg, &u.base
 	cfg := campaignConfig(pc.m, pc.threads, pc.pol, pc.p)
 	secs, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp))
 	if err != nil {

@@ -291,7 +291,7 @@ func TestCampaignContainsEvaluationPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan.dedup()
-	bc := plan.configs[plan.uniqs[0].baseCfg]
+	bc := plan.uniqs[0].base
 	bcfg := campaignConfig(bc.m, bc.threads, bc.pol, bc.p)
 	for _, workers := range []int{1, 2} {
 		st := NewStudy().WithWorkers(workers)

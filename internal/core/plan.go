@@ -21,9 +21,9 @@ package core
 //     same derived machine, same clamped thread counts (against both
 //     the variant and its base), same placement and precision —
 //     evaluate once and fan out in grid order;
-//   - per-configuration compilation: every unique suite configuration
-//     carries its precomputed machine fingerprint, so cache lookups
-//     skip the per-point hash walk.
+//   - per-unit compilation: every evaluation unit carries its point and
+//     base configurations with their precomputed machine fingerprints,
+//     so cache lookups skip the per-point hash walk.
 //
 // Plans are memoized process-wide under a canonical content key (base
 // fingerprints, exact axis value bit patterns, software lists), the
@@ -56,9 +56,9 @@ type planCombo struct {
 	canon  int32     // first combo with the same machine (dup axis values)
 }
 
-// planConfig is one unique suite configuration a campaign evaluates —
-// a grid point's own config or a base-machine reference config — with
-// its fingerprint precomputed for suite-cache keying.
+// planConfig is one suite configuration a campaign evaluates — a grid
+// point's own config or a base-machine reference config — with its
+// fingerprint precomputed for suite-cache keying.
 type planConfig struct {
 	m       *machine.Machine
 	fp      uint64
@@ -70,10 +70,11 @@ type planConfig struct {
 // planUniq is one deduplicated evaluation unit: every grid point that
 // resolves to the same (machine, clamped threads, base threads,
 // placement, precision) shares it and fans its template out by index.
+// Identical configurations of different units meet in the suite cache.
 type planUniq struct {
-	combo   int32 // canonical combo (metadata: labels, values, cores)
-	cfg     int32 // index into configs: the point's configuration
-	baseCfg int32 // index into configs: the base reference configuration
+	combo int32      // canonical combo (metadata: labels, values, cores)
+	cfg   planConfig // the point's configuration
+	base  planConfig // the base reference configuration
 }
 
 // campaignPlan is a compiled campaign: validated spec, derived
@@ -90,7 +91,6 @@ type campaignPlan struct {
 	uniqOnce  sync.Once
 	uniqs     []planUniq
 	pointUniq []int32 // grid index -> uniq index
-	configs   []planConfig
 }
 
 // softPerCombo is the number of software points per combo.
@@ -341,65 +341,83 @@ func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 	return plan, nil
 }
 
-// dedup lazily builds the evaluation tables: the unique configurations,
-// the deduplicated evaluation units, and the grid-index mapping. Only
-// the evaluation loop (evaluate, behind Campaign and CampaignPoints)
-// pays for it.
+// dedup lazily builds the evaluation tables: the deduplicated
+// evaluation units and the grid-index mapping. Only the evaluation loop
+// (evaluate, behind Campaign and CampaignPoints) pays for it.
+//
+// Units are found by index arithmetic, not by hashing each point. A
+// unit is (canonical combo, thread class, placement, precision), each
+// list entry standing for the first equal one: derived machines are
+// unique per combo (duplicate axis values alias their canonical combo,
+// and no two bases share a derivation), so the canonical combo fixes
+// the machine and its base, and a thread class is the threads that
+// clamp alike against both their core counts. A point's unit therefore
+// first occurs at the grid index of those first entries — never after
+// the point itself — so one pass in grid order numbers the units in
+// first-occurrence order.
 func (p *campaignPlan) dedup() {
 	p.uniqOnce.Do(func() {
 		s := p.spec
-		type ukey struct {
-			m      *machine.Machine
-			pt, bt int
-			pol    placement.Policy
-			pr     prec.Precision
-		}
-		type ckey struct {
-			m   *machine.Machine
-			t   int
-			pol placement.Policy
-			pr  prec.Precision
-		}
-		uniqBy := make(map[ukey]int32)
-		cfgBy := make(map[ckey]int32)
-		p.pointUniq = make([]int32, 0, p.n)
-		getCfg := func(m *machine.Machine, fp uint64, t int, pol placement.Policy, pr prec.Precision) int32 {
-			k := ckey{m, t, pol, pr}
-			if i, ok := cfgBy[k]; ok {
-				return i
-			}
-			i := int32(len(p.configs))
-			p.configs = append(p.configs, planConfig{m: m, fp: fp, threads: t, pol: pol, p: pr})
-			cfgBy[k] = i
-			return i
-		}
+		nT, nP, nQ := len(s.Threads), len(s.Placements), len(s.Precs)
+		polRep := firstAlike(nP, func(i, j int) bool { return s.Placements[i] == s.Placements[j] })
+		precRep := firstAlike(nQ, func(i, j int) bool { return s.Precs[i] == s.Precs[j] })
+		// Thread classes depend only on the two core counts.
+		threadReps := make(map[[2]int][]int)
+		p.pointUniq = make([]int32, p.n)
+		at := 0
 		for ci := range p.combos {
-			cb := &p.combos[ci]
-			canon := &p.combos[cb.canon]
-			base := s.Bases[ci/p.axisCombos]
-			baseFP := p.baseFPs[ci/p.axisCombos]
-			for _, t := range s.Threads {
-				pt := resolveThreads(t, cb.m.Cores)
-				bt := resolveThreads(t, base.Cores)
-				for _, pol := range s.Placements {
-					for _, pr := range s.Precs {
-						k := ukey{canon.m, pt, bt, pol, pr}
-						u, ok := uniqBy[k]
-						if !ok {
-							u = int32(len(p.uniqs))
+			canon := p.combos[ci].canon
+			cb := &p.combos[canon]
+			bi := ci / p.axisCombos
+			base := s.Bases[bi]
+			cores := [2]int{cb.m.Cores, base.Cores}
+			threadRep, ok := threadReps[cores]
+			if !ok {
+				threadRep = firstAlike(nT, func(i, j int) bool {
+					ti, tj := s.Threads[i], s.Threads[j]
+					return resolveThreads(ti, cores[0]) == resolveThreads(tj, cores[0]) &&
+						resolveThreads(ti, cores[1]) == resolveThreads(tj, cores[1])
+				})
+				threadReps[cores] = threadRep
+			}
+			for ti, t := range s.Threads {
+				for pi, pol := range s.Placements {
+					for qi, pr := range s.Precs {
+						first := ((int(canon)*nT+threadRep[ti])*nP+polRep[pi])*nQ + precRep[qi]
+						if first < at {
+							p.pointUniq[at] = p.pointUniq[first]
+						} else {
+							p.pointUniq[at] = int32(len(p.uniqs))
 							p.uniqs = append(p.uniqs, planUniq{
-								combo:   cb.canon,
-								cfg:     getCfg(canon.m, canon.fp, pt, pol, pr),
-								baseCfg: getCfg(base, baseFP, bt, pol, pr),
+								combo: canon,
+								cfg: planConfig{m: cb.m, fp: cb.fp,
+									threads: resolveThreads(t, cb.m.Cores), pol: pol, p: pr},
+								base: planConfig{m: base, fp: p.baseFPs[bi],
+									threads: resolveThreads(t, base.Cores), pol: pol, p: pr},
 							})
-							uniqBy[k] = u
 						}
-						p.pointUniq = append(p.pointUniq, u)
+						at++
 					}
 				}
 			}
 		}
 	})
+}
+
+// firstAlike returns, for each i in [0, n), the first j <= i that is
+// alike(i, j) — the representative of i's class.
+func firstAlike(n int, alike func(i, j int) bool) []int {
+	rep := make([]int, n)
+	for i := range rep {
+		rep[i] = i
+		for j := range i {
+			if alike(i, j) {
+				rep[i] = j
+				break
+			}
+		}
+	}
+	return rep
 }
 
 // suiteClassPos maps each class (by its index in kernels.Classes) to

@@ -254,3 +254,81 @@ func FuzzCampaignGridOrder(f *testing.F) {
 		}
 	})
 }
+
+// dedupByMap is dedup by definition: units keyed on (derived machine,
+// clamped threads against variant and base, placement, precision),
+// numbered in first-occurrence grid order.
+func dedupByMap(p *campaignPlan) (uniqs []planUniq, pointUniq []int32) {
+	type key struct {
+		m      *machine.Machine
+		pt, bt int
+		pol    placement.Policy
+		pr     prec.Precision
+	}
+	seen := make(map[key]int32)
+	for i := 0; i < p.n; i++ {
+		ci, ti, pi, qi := p.caseAt(i)
+		cb := &p.combos[p.combos[ci].canon]
+		bi := ci / p.axisCombos
+		base := p.spec.Bases[bi]
+		t := p.spec.Threads[ti]
+		k := key{cb.m, resolveThreads(t, cb.m.Cores), resolveThreads(t, base.Cores),
+			p.spec.Placements[pi], p.spec.Precs[qi]}
+		u, ok := seen[k]
+		if !ok {
+			u = int32(len(uniqs))
+			seen[k] = u
+			uniqs = append(uniqs, planUniq{
+				combo: p.combos[ci].canon,
+				cfg:   planConfig{m: cb.m, fp: cb.fp, threads: k.pt, pol: k.pol, p: k.pr},
+				base:  planConfig{m: base, fp: p.baseFPs[bi], threads: k.bt, pol: k.pol, p: k.pr},
+			})
+		}
+		pointUniq = append(pointUniq, u)
+	}
+	return uniqs, pointUniq
+}
+
+// TestDedupMatchesMapReference: the arithmetic dedup finds exactly the
+// units, unit numbering and point mapping of the map-keyed form, on
+// grids that collide every way a grid can — duplicate axis values,
+// threads that clamp alike on one machine but not its base, repeated
+// placements and precisions, several bases.
+func TestDedupMatchesMapReference(t *testing.T) {
+	specs := []CampaignSpec{
+		collidingCampaign(),
+		{
+			Bases:      []*machine.Machine{machine.SG2042(), machine.SG2044(), machine.VisionFiveV2()},
+			Axes:       []AxisValues{{Axis: SweepCores, Values: []float64{4, 32, 4, 64}}},
+			Threads:    []int{0, 4, 64, 0, 128, 32, 2},
+			Placements: []placement.Policy{placement.Block, placement.CyclicNUMA, placement.Block},
+			Precs:      []prec.Precision{prec.F64, prec.F32, prec.F64},
+		},
+		{
+			Bases: []*machine.Machine{machine.SG2042(), machine.EPYC7742()},
+			Axes: []AxisValues{
+				{Axis: SweepClock, Values: []float64{2.0, 2.5, 2.0}},
+				{Axis: SweepCores, Values: []float64{16, 64, 16}},
+			},
+			Threads: []int{16, 0, 64, 16},
+		},
+		{Bases: []*machine.Machine{machine.SG2042x2()}, Threads: []int{0, 128, 64, 200}},
+	}
+	for i, spec := range specs {
+		p, err := buildPlan(spec)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		p.dedup()
+		uniqs, pointUniq := dedupByMap(p)
+		if !reflect.DeepEqual(p.pointUniq, pointUniq) {
+			t.Errorf("spec %d: point->unit map\n got %v\nwant %v", i, p.pointUniq, pointUniq)
+		}
+		if !reflect.DeepEqual(p.uniqs, uniqs) {
+			t.Errorf("spec %d: %d units, reference has %d, or they differ", i, len(p.uniqs), len(uniqs))
+		}
+		if len(p.uniqs) == p.n {
+			t.Errorf("spec %d: no point collided; the spec tests nothing", i)
+		}
+	}
+}

@@ -53,8 +53,10 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 
 // ServeHTTP answers POST /v1/fabric/points, streaming one
 // length-prefixed frame per requested point, in request order (not
-// grid order — the coordinator owns ordering), each flushed as soon as
-// the point and every point requested before it are evaluated. Spec
+// grid order — the coordinator owns ordering), each written as soon as
+// the point and every point requested before it are evaluated, and
+// flushed per frame when w is an http.Flusher. Behind the daemon's
+// metrics wrapper it is not, and frames batch in net/http's buffer. Spec
 // and index validation (CampaignSpec.CheckPoints: in range, no
 // duplicates, and at least one point) happen before the first frame,
 // so protocol errors are clean JSON with a real status code; a failure

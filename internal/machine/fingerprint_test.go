@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -123,5 +125,94 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 	m := SG2042()
 	if allocs := testing.AllocsPerRun(100, func() { _ = m.Fingerprint() }); allocs > 0 {
 		t.Errorf("Fingerprint allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// Suite-cache snapshot keys and the fabric's ring placement are built
+// from these values, so a hasher change that moves any of them breaks
+// every persisted snapshot and reshuffles every fleet. Pinned for each
+// registry preset and one derived clock variant.
+func TestFingerprintGolden(t *testing.T) {
+	golden := []struct {
+		label          string
+		full, topology uint64
+	}{
+		{"V1", 0xc2fc619a4bc32592, 0x5116122a6c442825},
+		{"V2", 0x633ddd01169c212f, 0xe84fdd625581e7a5},
+		{"SG2042", 0xbd99dee0dada700d, 0x11c50e498097d065},
+		{"Rome", 0x7ac5a764bb082f6c, 0x5c86dab9c988d065},
+		{"Broadwell", 0x06e3d87be5e03fe0, 0x554942b86fe63425},
+		{"Icelake", 0x14fc83427dcda3fa, 0x38788542d540f9a5},
+		{"Sandybridge", 0x0adf8a9857ebd4de, 0xe84fdd625581e7a5},
+		{"SG2044", 0x94198596a3e94825, 0xd812d1b4eebbda80},
+		{"SG2042x2", 0xca754f2e2e6e8a59, 0x93f5a6aef72e74eb},
+		{"SG2042/2.6GHz", 0xfd6b60094b861d7a, 0x11c50e498097d065},
+	}
+	ms := DefaultRegistry().Machines()
+	v, err := SG2042().WithClock(2.6e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms = append(ms, v)
+	if len(ms) != len(golden) {
+		t.Fatalf("%d machines, %d golden rows: pin the new preset", len(ms), len(golden))
+	}
+	for i, m := range ms {
+		g := golden[i]
+		if m.Label != g.label {
+			t.Errorf("machine %d is %s, golden row is %s", i, m.Label, g.label)
+			continue
+		}
+		if got := m.Fingerprint(); got != g.full {
+			t.Errorf("%s: Fingerprint = %#016x, want %#016x", m.Label, got, g.full)
+		}
+		if got := m.TopologyFingerprint(); got != g.topology {
+			t.Errorf("%s: TopologyFingerprint = %#016x, want %#016x", m.Label, got, g.topology)
+		}
+	}
+}
+
+// byteSerialU64 is the reference FNV-1a fold of v's eight little-endian
+// bytes, one multiply per byte.
+func byteSerialU64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// fieldHasher.u64 skips runs of zero bytes; it must equal the
+// byte-serial fold for every value, from any starting state.
+func TestFieldHasherU64MatchesByteSerial(t *testing.T) {
+	vals := []uint64{0, 1, 0xff, 0x100, math.MaxUint64, math.MaxUint64 >> 8, 1 << 63,
+		math.Float64bits(1), math.Float64bits(2.6e9), math.Float64bits(-0.5)}
+	for k := 0; k < 8; k++ {
+		for _, b := range []uint64{1, 0x80, 0xff} {
+			vals = append(vals, b<<(8*k)) // a single nonzero byte
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		v := rng.Uint64()
+		// Zero a random run of low and of high bytes, the shapes the
+		// fast path special-cases.
+		lo, hi := rng.Intn(9), rng.Intn(9)
+		if lo < 8 {
+			v &^= 1<<(8*lo) - 1
+		} else {
+			v = 0
+		}
+		v &= math.MaxUint64 >> (8 * hi)
+		vals = append(vals, v, rng.Uint64())
+	}
+	for _, start := range []uint64{fnvOffset64, 0, rng.Uint64()} {
+		for _, v := range vals {
+			f := fieldHasher{h: start}
+			f.u64(v)
+			if want := byteSerialU64(start, v); f.h != want {
+				t.Fatalf("u64(%#x) from %#x = %#x, byte-serial FNV-1a gives %#x", v, start, f.h, want)
+			}
+		}
 	}
 }

@@ -74,8 +74,12 @@ func (g *Group) Go(f func() error) {
 			defer func() { <-g.sem }()
 		}
 		defer func() {
-			if err := recovered(recover()); err != nil {
-				g.fail(err)
+			if r := recover(); r != nil {
+				// Stop the group before building the error: debug.Stack
+				// is slow, and until stop is set the sibling workers keep
+				// dequeuing indices.
+				g.stop.Store(true)
+				g.fail(recovered(r))
 			}
 		}()
 		if g.stop.Load() {

@@ -218,8 +218,8 @@ func (s *Server) writeCampaignError(w http.ResponseWriter, err error) {
 const fleetDownRetryAfter = "5"
 
 // campaignNDJSON serves the streaming form. The first request for a
-// grid renders live — each point line is written and flushed as the
-// engine finishes it, in grid order — while teeing the bytes into the
+// grid renders live — each point line is written as the engine
+// finishes it, in grid order — while teeing the bytes into the
 // render cache; repeat requests (and concurrent requests that lost the
 // singleflight race) serve the cached body, byte-identical to the
 // stream.
@@ -256,9 +256,15 @@ func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec rep
 // what json.Encoder produced, without a reflection walk and interface
 // boxing per line — while the one-off summary line stays on
 // encoding/json.
+//
+// The first point line is flushed as soon as it is written, so a client
+// sees the head of the grid without waiting for net/http's buffers to
+// fill; later lines leave in transport-sized batches. The flush goes
+// through http.NewResponseController, which unwraps the metrics
+// statusWriter. Flushing every line measured slower on the fabric tier
+// (docs/PERFORMANCE.md, "Time to first point").
 func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte) ([]byte, error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
 	var buf bytes.Buffer
 	line := lineBufPool.Get().(*[]byte)
 	defer func() { *line = (*line)[:0]; lineBufPool.Put(line) }()
@@ -271,10 +277,12 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec rep
 		if _, err := w.Write(b); err != nil {
 			return err
 		}
-		buf.Write(b)
-		if flusher != nil {
-			flusher.Flush()
+		if buf.Len() == 0 {
+			// The stream is underway either way; a writer that cannot
+			// flush (ErrNotSupported) just batches the head too.
+			_ = http.NewResponseController(w).Flush()
 		}
+		buf.Write(b)
 		return nil
 	})
 	if err != nil {
@@ -295,9 +303,6 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec rep
 	}
 	if err := json.NewEncoder(io.MultiWriter(w, &buf)).Encode(campaignSummaryLine(res)); err != nil {
 		return nil, err
-	}
-	if flusher != nil {
-		flusher.Flush()
 	}
 	return buf.Bytes(), nil
 }

@@ -228,6 +228,12 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 }
 
 // statusWriter records the response status for the error counter.
+//
+// It deliberately has no Flush method: a handler that type-asserts
+// http.Flusher (the daemon-mounted fabric worker) sees none and leaves
+// its frames to net/http's buffering. Unwrap lets
+// http.NewResponseController reach the connection's writer, which is
+// how the NDJSON campaign stream flushes its first line.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -237,3 +243,6 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
 }
+
+// Unwrap returns the wrapped writer for http.NewResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
