@@ -124,7 +124,7 @@ func (s CampaignSpec) Points() int {
 
 // Fingerprints returns the derived machine fingerprint of every grid
 // point, in grid order. The distributed fabric (internal/fabric) keys
-// its consistent-hash shard assignment on these, so every point of one
+// its rendezvous-hash shard assignment on these, so every point of one
 // derived machine lands on the same worker and each shard owns a
 // stable slice of the suite cache. The fingerprints come straight off
 // the compiled plan — one hash per unique derived machine, decoded to
@@ -360,8 +360,7 @@ func (s CampaignSpec) CheckPoints(indices []int) error {
 }
 
 // checkPoints is CheckPoints on an already compiled plan, so
-// CampaignPoints does not compile the spec twice (past the plan cache's
-// capacity, planFor compiles on every call).
+// CampaignPoints does not look the spec up twice.
 func (p *campaignPlan) checkPoints(indices []int) error {
 	seen := make([]bool, p.n)
 	for _, i := range indices {

@@ -205,7 +205,7 @@ func TestAssembleCampaignValidates(t *testing.T) {
 
 // TestCampaignFingerprints: one fingerprint per grid point, aligned
 // with expansion order, and equal for points sharing a machine variant
-// (the property consistent-hash sharding keys on).
+// (the property rendezvous-hash sharding keys on).
 func TestCampaignFingerprints(t *testing.T) {
 	spec := smallCampaign()
 	fps, err := spec.Fingerprints()

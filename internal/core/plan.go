@@ -168,8 +168,10 @@ func planKeyFor(s CampaignSpec) string {
 }
 
 // planCache memoizes compiled plans process-wide. Entries build under a
-// sync.Once (singleflight); past maxPlans the cache stops admitting new
-// specs and they compile per call.
+// sync.Once (singleflight); at maxPlans, admitting a new spec drops an
+// arbitrary existing entry (a caller already holding it still finishes
+// its build), so a long-running process keeps memoizing its current
+// specs.
 var planCache struct {
 	mu sync.Mutex
 	m  map[string]*planEntry
@@ -195,8 +197,10 @@ func planFor(s CampaignSpec) (*campaignPlan, error) {
 	e, ok := planCache.m[key]
 	if !ok {
 		if len(planCache.m) >= maxPlans {
-			planCache.mu.Unlock()
-			return buildPlan(s)
+			for k := range planCache.m {
+				delete(planCache.m, k)
+				break
+			}
 		}
 		e = &planEntry{}
 		planCache.m[key] = e

@@ -166,6 +166,39 @@ func TestPlanMemoryFlatInGridSize(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEvictsPastCapacity: past maxPlans distinct specs the
+// plan cache still memoizes the newest spec — it drops an old entry
+// rather than refusing admission — and never grows past the bound.
+func TestPlanCacheEvictsPastCapacity(t *testing.T) {
+	var newest CampaignSpec
+	for i := 0; i < 200; i++ {
+		newest = CampaignSpec{
+			Bases: []*machine.Machine{machine.SG2042()},
+			Axes:  []AxisValues{{Axis: SweepClock, Values: []float64{1.0 + float64(i)/1000}}},
+		}
+		if _, err := planFor(newest); err != nil {
+			t.Fatal(err)
+		}
+		planCache.mu.Lock()
+		n := len(planCache.m)
+		planCache.mu.Unlock()
+		if n > maxPlans {
+			t.Fatalf("after %d specs the plan cache holds %d entries, want at most %d", i+1, n, maxPlans)
+		}
+	}
+	a, err := planFor(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := planFor(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("the newest spec compiled twice: the full plan cache did not admit it")
+	}
+}
+
 // FuzzCampaignGridOrder cross-checks the odometer decode against a
 // naive materialization of the same grid: for every index, caseAt must
 // name exactly the (base, axis values, thread, placement, precision)

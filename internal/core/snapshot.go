@@ -75,9 +75,9 @@ func (st *Study) SnapshotCache() ([]byte, error) {
 // SnapshotCacheIf is SnapshotCache restricted to entries whose machine
 // fingerprint keep accepts (nil keeps everything). The distributed
 // fabric's snapshot shipping uses it to carve a worker's cache down to
-// one ring arc: a peer answers GET /v1/fabric/snapshot?arc=... with
-// exactly the entries whose fingerprints the arc owns, so a rejoining
-// worker pulls its slice of the key space and nothing else.
+// one owner's keys: a peer answers GET /v1/fabric/snapshot?owner=...
+// with exactly the entries whose fingerprints that worker owns, so a
+// rejoining worker pulls its slice of the key space and nothing else.
 func (st *Study) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, error) {
 	var entries []snapshotEntry
 	if st.cache != nil {

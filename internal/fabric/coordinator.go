@@ -86,9 +86,9 @@ type FabricStats struct {
 // Coordinator shards campaigns over a dynamic fleet of workers. Fleet
 // state lives in a Membership shared with the health prober, so a
 // worker that dies mid-campaign is excluded, and one that recovers —
-// or is added — takes its arcs back without a coordinator restart.
+// or is added — takes its keys back without a coordinator restart.
 // Campaign state itself stays per-Run: each Run re-expands the grid,
-// assigns points by consistent hash on the machine fingerprint, and
+// assigns points by rendezvous hash on the machine fingerprint, and
 // holds its own exactly-once bookkeeping.
 type Coordinator struct {
 	mem    *Membership
@@ -98,7 +98,7 @@ type Coordinator struct {
 	// PointTimeout overrides DefaultPointTimeout (tests shrink it).
 	PointTimeout time.Duration
 
-	// Replicas is how many ring-successor workers each point is
+	// Replicas is how many top-ranked workers each point is
 	// dispatched to (<=1 means no replication). With N > 1 the
 	// coordinator byte-compares the replicas' frames and emits on
 	// quorum (N/2+1); a worker whose bytes diverge is quarantined.
@@ -170,10 +170,10 @@ func (c *Coordinator) StopProber() {
 }
 
 // AddWorker joins a new worker to a running fleet: the ring is rebuilt
-// (only arcs the newcomer's vnodes capture move), the prober starts
-// watching it, and a warm-join shipment warms it for the arcs it just
-// took over. Campaigns dispatched after the join route to it; in-flight
-// campaigns finish on their existing assignments.
+// (only keys the newcomer now wins move, all of them to it), the prober
+// starts watching it, and a warm-join shipment warms it for the keys it
+// just took over. Campaigns dispatched after the join route to it;
+// in-flight campaigns finish on their existing assignments.
 func (c *Coordinator) AddWorker(target string) error {
 	if err := c.mem.Add(target); err != nil {
 		return err
@@ -208,29 +208,29 @@ func (c *Coordinator) onProbeTransition(target string, live bool) {
 // failed attempt counts in WarmErrors.
 const warmAttempts = 3
 
-// shipWarm tells a (re)joined worker to pull its arcs' suite-cache
-// entries from its live peers: POST /v1/fabric/warm with the peer list
-// and the FormatArcs encoding of the arcs the ring routes to the
-// worker. The shipment is retried a bounded number of times if it
-// fails outright or the worker reached no peer at all (the edge fires
-// once per revival, so a transient pull failure would otherwise leave
-// the worker cold for good). Residual failure is non-fatal — a worker
+// shipWarm tells a (re)joined worker to pull the suite-cache entries
+// it owns from its live peers: POST /v1/fabric/warm with the peer list,
+// the full fleet and the worker itself as owner, so each peer ships
+// exactly the keys the ring routes to the worker. The shipment is
+// retried a bounded number of times if it fails outright or the worker
+// reached no peer at all (the edge fires once per revival, so a
+// transient pull failure would otherwise leave the worker cold for
+// good). Residual failure is non-fatal — a worker
 // that could not warm serves its shard cold, bit-identically, just
 // slower — but every failed shipment and every per-peer pull failure
 // the worker reports is counted in WarmErrors so degraded warmth is
 // observable.
 func (c *Coordinator) shipWarm(target string) {
-	arcs := c.mem.Ring().Arcs(target)
 	var peers []string
 	for _, t := range c.mem.Live() {
 		if t != target {
 			peers = append(peers, t)
 		}
 	}
-	if len(arcs) == 0 || len(peers) == 0 {
+	if len(peers) == 0 {
 		return
 	}
-	wreq := warmRequest{Peers: peers, Arc: FormatArcs(arcs)}
+	wreq := warmRequest{Peers: peers, Fleet: c.mem.Targets(), Owner: target}
 	for attempt := 0; attempt < warmAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(warmRetryDelay)
@@ -321,15 +321,15 @@ type shardRequest struct {
 // errors, stalls, or ends its stream with points missing is excluded
 // for the rest of the run and its outstanding points re-dispatched.
 // Re-dispatch consults the live Membership, so a worker the prober has
-// revived since its failure takes its arcs back mid-campaign. Run
+// revived since its failure takes its keys back mid-campaign. Run
 // fails with *AllWorkersDownError only when no worker remains.
 //
-// With Replicas == N > 1 each point goes to its N distinct ring
-// successors; the coordinator byte-compares the replicas' frames and
-// emits once a quorum (N/2+1) agrees. A worker whose bytes diverge
-// from quorum is quarantined: marked sticky-dead in the Membership,
-// its in-flight requests retired, its votes discarded, and its load
-// re-dispatched. Divergence with no quorum and no tiebreaker worker
+// With Replicas == N > 1 each point goes to its N highest-ranked
+// workers (Ring.Owners); the coordinator byte-compares the replicas'
+// frames and emits once a quorum (N/2+1) agrees. A worker whose bytes
+// diverge from quorum is quarantined: marked sticky-dead in the
+// Membership, its in-flight requests retired, its votes discarded, and
+// its load re-dispatched. Divergence with no quorum and no tiebreaker worker
 // left fails the run with *ReplicaMismatchError. When the surviving
 // fleet is smaller than N, unanimous agreement among the reachable
 // replicas is accepted at this degraded quorum — but divergence never
@@ -448,7 +448,7 @@ func (r *run) dispatch(target string, indices []int) {
 }
 
 // assign tops each index up to its replica set: the first `replicas`
-// distinct live owners in ring order, skipping targets already asked.
+// distinct live owners in rank order, skipping targets already asked.
 // It fails only when an index has no reachable owner and no banked
 // vote.
 func (r *run) assign(indices []int) error {

@@ -4,12 +4,13 @@
 //
 // The pieces:
 //
-//   - Ring (ring.go): a consistent-hash ring over worker base URLs,
-//     keyed on each grid point's machine Fingerprint(). Points sharing
-//     a machine variant land on the same worker, so its config-keyed
-//     suite cache concentrates exactly the variants it owns — and a
-//     worker restarted from a cache snapshot (core.RestoreCache) is
-//     warm for its own shard.
+//   - Ring (ring.go): rendezvous (highest-random-weight) hashing over
+//     worker base URLs, keyed on each grid point's machine
+//     Fingerprint(): the owner is the worker scoring highest for the
+//     key. Points sharing a machine variant land on the same worker,
+//     so its config-keyed suite cache concentrates exactly the
+//     variants it owns — and a worker restarted from a cache snapshot
+//     (core.RestoreCache) is warm for its own shard.
 //
 //   - The point codec (point.go): one frame per evaluated
 //     CampaignPoint in a fixed canonical layout, length-prefixed for
@@ -50,16 +51,21 @@ const PointsPath = "/v1/fabric/points"
 const HealthPath = "/v1/fabric/healthz"
 
 // SnapshotPath is the worker's suite-cache snapshot endpoint:
-// GET ?arc=lo-hi,... answers the cache entries whose machine
-// fingerprints fall in the arcs (core snapshot format, arc-filtered);
-// no arc parameter means the full cache. Peers serve a rejoining
-// worker's warm-join pull from here.
+// GET ?owner=<url>&fleet=<url>&fleet=<url>... answers the cache entries
+// whose machine fingerprints owner wins over the full fleet, exclusions
+// ignored (core snapshot format); no parameters means the full cache.
+// An owner without a fleet, a fleet NewRing rejects, or an owner not in
+// the fleet is a 400. Peers serve a rejoining worker's warm-join pull
+// from here.
 const SnapshotPath = "/v1/fabric/snapshot"
 
 // WarmPath is the worker's warm-join trigger: POST {"peers": [...],
-// "arc": "lo-hi,..."} makes the worker pull its arcs' snapshot from
-// each peer and install the entries into its own suite cache. The
-// coordinator posts it on every rejoin/join transition.
+// "fleet": [...], "owner": "<url>"} makes the worker pull owner's keys
+// from each peer and install the entries into its own suite cache. The
+// coordinator posts it on every rejoin/join transition. A worker built
+// before rendezvous hashing knows only the older {"peers", "arc"} body
+// and answers this one with 400, which costs the joiner its warmth (a
+// cold worker is still correct) and counts in FabricStats.WarmErrors.
 const WarmPath = "/v1/fabric/warm"
 
 // ContentType is the media type of a worker's point-frame stream: a
@@ -67,6 +73,6 @@ const WarmPath = "/v1/fabric/warm"
 // point.
 const ContentType = "application/vnd.sg2042.fabric-frames"
 
-// SnapshotContentType is the media type of an arc-filtered suite-cache
+// SnapshotContentType is the media type of an owner-filtered suite-cache
 // snapshot (the core snapshot wire format).
 const SnapshotContentType = "application/vnd.sg2042.cache-snapshot"

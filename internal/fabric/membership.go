@@ -9,16 +9,15 @@ import (
 // Membership is the fleet's dynamic view: which workers exist (the
 // ring) and which of them are currently believed live. The ring itself
 // changes only when a worker is added — death and recovery are
-// exclusion-set transitions, so a bounced worker keeps its vnodes and
-// takes back exactly the arcs it lost (its peers keep theirs, and
-// their warm caches with them). One Membership is shared by every
+// exclusion-set transitions, so a bounced worker takes back exactly the
+// keys it lost (its peers keep theirs, and their warm caches with
+// them). One Membership is shared by every
 // campaign a coordinator runs and by its health prober; all methods
 // are safe for concurrent use.
 type Membership struct {
-	mu      sync.Mutex
-	ring    *Ring
-	targets []string
-	state   map[string]*memberState
+	mu    sync.Mutex
+	ring  *Ring // its targets are the members, in join order
+	state map[string]*memberState
 }
 
 type memberState struct {
@@ -46,9 +45,8 @@ func NewMembership(targets []string) (*Membership, error) {
 		return nil, err
 	}
 	m := &Membership{
-		ring:    ring,
-		targets: append([]string(nil), targets...),
-		state:   make(map[string]*memberState, len(targets)),
+		ring:  ring,
+		state: make(map[string]*memberState, len(targets)),
 	}
 	for _, t := range targets {
 		m.state[t] = &memberState{live: true}
@@ -68,7 +66,7 @@ func (m *Membership) Ring() *Ring {
 func (m *Membership) Targets() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]string(nil), m.targets...)
+	return append([]string(nil), m.ring.targets...)
 }
 
 // DeadSet returns the current exclusion set: dead targets mapped to
@@ -90,7 +88,7 @@ func (m *Membership) Live() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var live []string
-	for _, t := range m.targets {
+	for _, t := range m.ring.targets {
 		if m.state[t].live {
 			live = append(live, t)
 		}
@@ -134,7 +132,7 @@ func (m *Membership) MarkLive(target string) bool {
 // that excluded a worker run-locally compares epochs at re-dispatch
 // time: a bumped epoch means the prober has since verified the worker
 // healthy, so the run-local grudge is dropped and the revived worker
-// takes its arcs back mid-campaign.
+// takes its keys back mid-campaign.
 func (m *Membership) Epoch(target string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -188,10 +186,10 @@ func (m *Membership) Reason(target string) string {
 }
 
 // Add joins a new worker to the fleet, rebuilding the ring over the
-// grown target list. Ring construction sorts all vnodes, so ownership
-// after an Add is identical to a ring built over the full list at once
-// — only arcs the new worker's vnodes capture move (the rebalancing
-// property ring_test.go pins). The new member starts live; the prober
+// grown target list. A key's owner depends only on the set of targets,
+// so ownership after an Add is identical to a ring built over the full
+// list at once — only keys the new worker wins move, all of them to it
+// (the rebalancing property ring_test.go pins). The new member starts live; the prober
 // corrects it if it is not.
 func (m *Membership) Add(target string) error {
 	m.mu.Lock()
@@ -199,12 +197,11 @@ func (m *Membership) Add(target string) error {
 	if _, ok := m.state[target]; ok {
 		return fmt.Errorf("fabric: worker %q already a member", target)
 	}
-	ring, err := NewRing(append(append([]string(nil), m.targets...), target))
+	ring, err := NewRing(append(append([]string(nil), m.ring.targets...), target))
 	if err != nil {
 		return err
 	}
 	m.ring = ring
-	m.targets = append(m.targets, target)
 	m.state[target] = &memberState{live: true}
 	return nil
 }
@@ -214,8 +211,8 @@ func (m *Membership) Add(target string) error {
 func (m *Membership) Status() []MemberStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]MemberStatus, 0, len(m.targets))
-	for _, t := range m.targets {
+	out := make([]MemberStatus, 0, len(m.ring.targets))
+	for _, t := range m.ring.targets {
 		st := m.state[t]
 		out = append(out, MemberStatus{
 			Target:      t,

@@ -1,30 +1,18 @@
 package fabric
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
-// vnodes is how many virtual nodes each worker contributes to the
-// ring. More vnodes smooth the shard balance; 64 keeps the ring tiny
-// (a few KB for a handful of workers) while holding the imbalance of
-// realistic fleets well under 2x.
-const vnodes = 64
-
-// Ring is a consistent-hash ring over worker targets. Keys are the
-// campaign grid's machine fingerprints; Owner maps a key to the worker
-// whose vnode follows it on the ring, skipping excluded workers — so
-// excluding a dead worker moves only its own arcs, and every other
-// point keeps its assignment (and its worker's warm cache).
+// Ring assigns keys to worker targets by rendezvous (highest-random-
+// weight) hashing: a key's score on a worker is splitmix64(key ^
+// fnv1a(target)), and the key's owner is the non-excluded worker with
+// the highest score. Keys are the campaign grid's machine fingerprints.
+// Every worker scores every key independently of the others, so
+// excluding a dead worker moves only the keys it owned, adding a worker
+// moves keys only to the newcomer, and the assignment never depends on
+// the order targets were listed or joined in.
 type Ring struct {
-	points []ringPoint
-}
-
-type ringPoint struct {
-	hash   uint64
-	target string
+	targets []string
+	hashes  []uint64 // fnv1a(targets[i])
 }
 
 // NewRing builds a ring over the given worker targets. Targets must be
@@ -34,156 +22,100 @@ func NewRing(targets []string) (*Ring, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("fabric: ring needs at least one worker")
 	}
-	seen := make(map[string]bool, len(targets))
-	r := &Ring{points: make([]ringPoint, 0, vnodes*len(targets))}
+	r := &Ring{
+		targets: make([]string, 0, len(targets)),
+		hashes:  make([]uint64, 0, len(targets)),
+	}
 	for _, t := range targets {
 		if t == "" {
 			return nil, fmt.Errorf("fabric: empty worker target")
 		}
-		if seen[t] {
+		if r.index(t) >= 0 {
 			return nil, fmt.Errorf("fabric: worker %q listed twice", t)
 		}
-		seen[t] = true
-		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{
-				hash:   fnv1a(fmt.Sprintf("%s#%d", t, v)),
-				target: t,
-			})
-		}
+		r.targets = append(r.targets, t)
+		r.hashes = append(r.hashes, fnv1a(t))
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		a, b := r.points[i], r.points[j]
-		if a.hash != b.hash {
-			return a.hash < b.hash
-		}
-		return a.target < b.target // deterministic under hash collision
-	})
 	return r, nil
 }
 
-// Owner returns the worker owning the key: the first vnode at or after
-// the key's position, walking past vnodes of excluded workers and
-// wrapping at the top. It errors only when every worker is excluded.
-func (r *Ring) Owner(key uint64, excluded map[string]bool) (string, error) {
-	owners := r.Owners(key, 1, excluded)
-	if len(owners) == 0 {
-		return "", fmt.Errorf("fabric: all workers excluded")
+// index returns the position of target in the ring, or -1.
+func (r *Ring) index(target string) int {
+	for i, t := range r.targets {
+		if t == target {
+			return i
+		}
 	}
-	return owners[0], nil
+	return -1
 }
 
-// Owners returns up to n distinct non-excluded workers in ring order
-// from the key's position: the key's owner first, then its ring
-// successors — the replica set `-replicas n` dispatches each point to.
-// Fewer than n workers come back when the surviving fleet is smaller.
+// Owner returns the worker owning the key: the highest-scoring
+// non-excluded worker. It errors only when every worker is excluded.
+func (r *Ring) Owner(key uint64, excluded map[string]bool) (string, error) {
+	i := r.next(key, excluded, -1)
+	if i < 0 {
+		return "", fmt.Errorf("fabric: all workers excluded")
+	}
+	return r.targets[i], nil
+}
+
+// Owners returns up to n distinct non-excluded workers ordered by the
+// key's score, highest first (ties by target): the key's owner, then
+// the worker that would own it were the owner excluded, and so on — the
+// replica set `-replicas n` dispatches each point to. Fewer than n
+// workers come back when the surviving fleet is smaller.
 func (r *Ring) Owners(key uint64, n int, excluded map[string]bool) []string {
-	owners := make([]string, 0, n)
-	r.walk(key, func(target string) bool {
-		if excluded[target] {
-			return true
+	owners := make([]string, 0, min(max(n, 0), len(r.targets)))
+	for prev := -1; len(owners) < n; {
+		prev = r.next(key, excluded, prev)
+		if prev < 0 {
+			break
 		}
-		for _, t := range owners {
-			if t == target {
-				return true
-			}
-		}
-		owners = append(owners, target)
-		return len(owners) < n
-	})
+		owners = append(owners, r.targets[prev])
+	}
 	return owners
 }
 
-// walk visits the ring's vnodes from the key's position (wrapping at
-// the top), calling fn with each vnode's target until fn returns false
-// or the whole ring has been visited.
-func (r *Ring) walk(key uint64, fn func(target string) bool) {
-	start := sort.Search(len(r.points), func(i int) bool {
-		return r.points[i].hash >= key
-	})
-	for i := 0; i < len(r.points); i++ {
-		if !fn(r.points[(start+i)%len(r.points)].target) {
-			return
-		}
+// next returns the index of the highest-ranked non-excluded worker that
+// ranks strictly below worker prev for the key (prev < 0: the top
+// worker), or -1 when none is left. Rank is score descending, then
+// target ascending; targets are unique, so the order is total.
+func (r *Ring) next(key uint64, excluded map[string]bool, prev int) int {
+	var prevScore uint64
+	if prev >= 0 {
+		prevScore = splitmix64(key ^ r.hashes[prev])
 	}
-}
-
-// HashRange is one half-open arc (Lo, Hi] of the ring's 64-bit key
-// space. Lo > Hi means the arc wraps through the top of the space;
-// Lo == Hi means the full circle (a single-vnode ring owns everything).
-type HashRange struct {
-	Lo, Hi uint64
-}
-
-// Contains reports whether the key falls inside the arc.
-func (h HashRange) Contains(key uint64) bool {
-	if h.Lo == h.Hi {
-		return true
-	}
-	if h.Lo < h.Hi {
-		return key > h.Lo && key <= h.Hi
-	}
-	return key > h.Lo || key <= h.Hi
-}
-
-// Arcs returns the key-space arcs the target owns on the full ring
-// (exclusions ignored): one (predecessor, vnode] interval per vnode of
-// the target. A (re)joining worker warms exactly these arcs from its
-// peers — they are the keys the ring will route to it.
-func (r *Ring) Arcs(target string) []HashRange {
-	var arcs []HashRange
-	for i, p := range r.points {
-		if p.target != target {
+	best, bestScore := -1, uint64(0)
+	for i, t := range r.targets {
+		if excluded[t] {
 			continue
 		}
-		prev := r.points[(i-1+len(r.points))%len(r.points)]
-		arcs = append(arcs, HashRange{Lo: prev.hash, Hi: p.hash})
+		s := splitmix64(key ^ r.hashes[i])
+		if prev >= 0 && !ranksAbove(prevScore, r.targets[prev], s, t) {
+			continue
+		}
+		if best < 0 || ranksAbove(s, t, bestScore, r.targets[best]) {
+			best, bestScore = i, s
+		}
 	}
-	return arcs
+	return best
 }
 
-// FormatArcs renders arcs as the snapshot endpoint's ?arc= parameter:
-// comma-separated lo-hi pairs in fixed-width hex. The encoding is part
-// of the fabric protocol (worker and coordinator may be different
-// builds), so it is frozen like the ring hash.
-func FormatArcs(arcs []HashRange) string {
-	var b strings.Builder
-	for i, a := range arcs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%016x-%016x", a.Lo, a.Hi)
-	}
-	return b.String()
+// ranksAbove reports whether (score a, target at) outranks (b, bt).
+func ranksAbove(a uint64, at string, b uint64, bt string) bool {
+	return a > b || (a == b && at < bt)
 }
 
-// ParseArcs decodes FormatArcs output. An empty string is an empty arc
-// list (the snapshot endpoint treats it as "everything").
-func ParseArcs(s string) ([]HashRange, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	arcs := make([]HashRange, 0, len(parts))
-	for _, part := range parts {
-		lo, hi, ok := strings.Cut(part, "-")
-		if !ok {
-			return nil, fmt.Errorf("fabric: arc %q is not lo-hi", part)
-		}
-		l, err := strconv.ParseUint(lo, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: arc bound %q: %w", lo, err)
-		}
-		h, err := strconv.ParseUint(hi, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: arc bound %q: %w", hi, err)
-		}
-		arcs = append(arcs, HashRange{Lo: l, Hi: h})
-	}
-	return arcs, nil
+// splitmix64 is the SplitMix64 finalizer: a bijective mix that turns
+// the XOR of a key and a target hash into a well-spread score.
+func splitmix64(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // fnv1a is the 64-bit FNV-1a of s — the same hash family the machine
-// fingerprint uses, hand-rolled so the ring layout is a frozen part of
+// fingerprint uses, hand-rolled so the assignment is a frozen part of
 // the fabric protocol rather than an import detail.
 func fnv1a(s string) uint64 {
 	const (

@@ -3,8 +3,10 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"strconv"
 	"testing"
+
+	"repro"
 )
 
 // sampleKeys returns a deterministic spread of ring keys: seeded-random
@@ -165,69 +167,6 @@ func TestMembershipIncrementalEqualsBatch(t *testing.T) {
 	}
 }
 
-// TestArcsPartitionKeySpace: every key falls in exactly one target's
-// arc set, and that target is the key's ring owner — the property
-// snapshot shipping stands on (a worker warms precisely the keys the
-// ring will route to it).
-func TestArcsPartitionKeySpace(t *testing.T) {
-	targets := ringTargets(4)
-	r, err := NewRing(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arcs := map[string][]HashRange{}
-	for _, tgt := range targets {
-		arcs[tgt] = r.Arcs(tgt)
-		if len(arcs[tgt]) != vnodes {
-			t.Fatalf("%s has %d arcs, want %d (one per vnode)", tgt, len(arcs[tgt]), vnodes)
-		}
-	}
-	for _, k := range sampleKeys(4096) {
-		owner := ownerOf(t, r, k, nil)
-		holders := 0
-		for _, tgt := range targets {
-			in := false
-			for _, a := range arcs[tgt] {
-				if a.Contains(k) {
-					in = true
-					break
-				}
-			}
-			if in {
-				holders++
-				if tgt != owner {
-					t.Fatalf("key %016x is in %s's arcs but owned by %s", k, tgt, owner)
-				}
-			}
-		}
-		if holders != 1 {
-			t.Fatalf("key %016x falls in %d targets' arcs, want exactly 1", k, holders)
-		}
-	}
-}
-
-// TestSingleWorkerArcCoversEverything: one worker's arcs contain every
-// key (the Lo==Hi full-circle arc degenerate included).
-func TestSingleWorkerArcCoversEverything(t *testing.T) {
-	r, err := NewRing(ringTargets(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	arcs := r.Arcs(ringTargets(1)[0])
-	for _, k := range sampleKeys(512) {
-		in := false
-		for _, a := range arcs {
-			if a.Contains(k) {
-				in = true
-				break
-			}
-		}
-		if !in {
-			t.Fatalf("key %016x escapes a single-worker ring's arcs", k)
-		}
-	}
-}
-
 // TestOwnersDistinctAndOrdered: the replica set is distinct targets,
 // leads with Owner's answer, skips exclusions, and caps at the
 // surviving fleet size.
@@ -265,50 +204,89 @@ func TestOwnersDistinctAndOrdered(t *testing.T) {
 	}
 }
 
-func TestFormatParseArcsRoundTrip(t *testing.T) {
-	r, err := NewRing(ringTargets(3))
+// TestOwnersAllocatesOnlyTheResult: ranking the fleet for a key costs
+// the result slice and nothing else — no candidate array, no sort.
+func TestOwnersAllocatesOnlyTheResult(t *testing.T) {
+	r, err := NewRing(ringTargets(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tgt := range ringTargets(3) {
-		arcs := r.Arcs(tgt)
-		parsed, err := ParseArcs(FormatArcs(arcs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(arcs, parsed) {
-			t.Fatalf("arcs round trip: %v != %v", arcs, parsed)
-		}
-	}
-	if arcs, err := ParseArcs(""); err != nil || arcs != nil {
-		t.Fatalf(`ParseArcs("") = (%v, %v), want (nil, nil)`, arcs, err)
-	}
-	for _, bad := range []string{"zz-00", "00", "0-1-2", "00000000000000000,"} {
-		if _, err := ParseArcs(bad); err == nil {
-			t.Errorf("ParseArcs(%q) accepted", bad)
+	excluded := map[string]bool{ringTargets(5)[2]: true}
+	keys := sampleKeys(64)
+	for _, n := range []int{1, 3} {
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			r.Owners(keys[i%len(keys)], n, excluded)
+			i++
+		})
+		if allocs > 1 {
+			t.Errorf("Owners(n=%d) made %.1f allocations per call, want at most 1", n, allocs)
 		}
 	}
 }
 
-func TestHashRangeContains(t *testing.T) {
-	cases := []struct {
-		arc  HashRange
-		key  uint64
-		want bool
-	}{
-		{HashRange{10, 20}, 10, false}, // half-open: Lo excluded
-		{HashRange{10, 20}, 11, true},
-		{HashRange{10, 20}, 20, true}, // Hi included
-		{HashRange{10, 20}, 21, false},
-		{HashRange{20, 10}, 25, true},  // wrapped arc: above Lo
-		{HashRange{20, 10}, 5, true},   // wrapped arc: below Hi
-		{HashRange{20, 10}, 15, false}, // wrapped arc: the gap
-		{HashRange{7, 7}, 7, true},     // full circle
-		{HashRange{7, 7}, 0, true},
+// clockGridGHz is the benchmark generator's candidate clock axis: 2000
+// values from 0.5 GHz in 1 MHz steps, rounded to three decimals.
+func clockGridGHz(k int) float64 {
+	v, _ := strconv.ParseFloat(strconv.FormatFloat(0.5+float64(k)/1000, 'f', 3, 64), 64)
+	return v
+}
+
+// TestRendezvousBalancesClockVariants pins the balance on real keys:
+// the SG2042 and SG2044 derived at each of the 2000 benchmark clock
+// values, over the fleets the repository's benchmark and CI jobs run.
+// No worker may own more than 1.10x its fair share, and the benchmark
+// pair must split enough clock values across its two workers for the
+// cold-campaign generator, which needs 448.
+func TestRendezvousBalancesClockVariants(t *testing.T) {
+	const clocks = 2000
+	reg := repro.DefaultMachineRegistry()
+	var keys [clocks][2]uint64
+	for k := 0; k < clocks; k++ {
+		for j, label := range []string{"SG2042", "SG2044"} {
+			base, ok := reg.Get(label)
+			if !ok {
+				t.Fatalf("%s missing from the registry", label)
+			}
+			m, err := base.WithClock(clockGridGHz(k) * 1e9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[k][j] = m.Fingerprint()
+		}
 	}
-	for _, c := range cases {
-		if got := c.arc.Contains(c.key); got != c.want {
-			t.Errorf("%+v.Contains(%d) = %v, want %v", c.arc, c.key, got, c.want)
+	fleets := [][]string{
+		{"http://127.0.0.1:24439", "http://127.0.0.1:24440"},
+		{"http://127.0.0.1:18143", "http://127.0.0.1:18144"},
+		{"http://127.0.0.1:18153", "http://127.0.0.1:18154", "http://127.0.0.1:18155"},
+	}
+	for fi, fleet := range fleets {
+		r, err := NewRing(fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]int{}
+		split := 0
+		for _, pair := range keys {
+			a, b := ownerOf(t, r, pair[0], nil), ownerOf(t, r, pair[1], nil)
+			counts[a]++
+			counts[b]++
+			if a != b {
+				split++
+			}
+		}
+		fair := float64(2*clocks) / float64(len(fleet))
+		busiest := 0
+		for _, c := range counts {
+			busiest = max(busiest, c)
+		}
+		skew := float64(busiest) / fair
+		t.Logf("fleet %v: busiest worker at %.3fx fair, %d split clocks", fleet, skew, split)
+		if skew > 1.10 {
+			t.Errorf("fleet %v: busiest worker owns %.3fx its fair share (%v), want <= 1.10", fleet, skew, counts)
+		}
+		if fi == 0 && split < 448 {
+			t.Errorf("fleet %v splits %d clock values across its workers, want >= 448", fleet, split)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func waitForStats(t *testing.T, coord *fabric.Coordinator, what string, cond fun
 // three-worker fleet under a live prober loses a worker, keeps serving
 // byte-identical campaigns on the survivors, then the worker restarts
 // on its old address — cold — and the prober revives it, ships it peer
-// snapshots covering its arcs, and routes to it again. No coordinator
+// snapshots covering its keys, and routes to it again. No coordinator
 // restart anywhere.
 func TestWorkerRestartRejoins(t *testing.T) {
 	want := evalDirect(t, wideSpecJSON)
@@ -132,7 +132,7 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	assertIdentical(t, want, runCoord(t, coord, wideSpecJSON))
 
 	// Phase 2: worker 1 dies. The prober notices; the survivors absorb
-	// its arcs — and, by evaluating them, cache exactly the entries the
+	// its keys — and, by evaluating them, cache exactly the entries the
 	// restarted worker will be shipped.
 	cluster.Kill(1)
 	waitForStats(t, coord, "probe death", func(s fabric.FabricStats) bool {
@@ -151,10 +151,10 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	})
 
 	assertIdentical(t, want, runCoord(t, coord, wideSpecJSON))
-	// The rejoined worker took its arcs back warm: every shard key
+	// The rejoined worker took its keys back warm: every shard key
 	// routed to it was in the shipped snapshot. Each point's ratio
 	// column also evaluates its base machine's suite, and the two base
-	// fingerprints need not fall inside this worker's arcs — so up to
+	// fingerprints need not be owned by this worker — so up to
 	// two side-computation misses are legitimate; more means the warm
 	// join shipped short.
 	hits, misses := cluster.Node(1).Engine.CacheStats()

@@ -140,33 +140,24 @@ func (wk *Worker) ServeHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// ServeSnapshot answers GET /v1/fabric/snapshot?arc=lo-hi,...: the
-// worker's suite-cache entries whose machine fingerprints the arcs
-// contain, in the core snapshot wire format. Without an arc parameter
-// the full cache is returned. The body is deterministic for a given
-// cache state (entries sort by canonical key), so two peers holding
-// the same entries ship identical bytes.
+// ServeSnapshot answers GET
+// /v1/fabric/snapshot?owner=<url>&fleet=<url>&fleet=<url>...: the
+// worker's suite-cache entries whose machine fingerprints owner wins
+// over the full fleet (exclusions ignored), in the core snapshot wire
+// format. Without parameters the full cache is returned. The body is
+// deterministic for a given cache state (entries sort by canonical
+// key), so two peers holding the same entries ship identical bytes.
 func (wk *Worker) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		workerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	arcs, err := ParseArcs(r.URL.Query().Get("arc"))
+	q := r.URL.Query()
+	keep, err := ownerFilter(q.Get("owner"), q["fleet"])
 	if err != nil {
 		workerError(w, http.StatusBadRequest, err)
 		return
-	}
-	var keep func(uint64) bool
-	if len(arcs) > 0 {
-		keep = func(fp uint64) bool {
-			for _, a := range arcs {
-				if a.Contains(fp) {
-					return true
-				}
-			}
-			return false
-		}
 	}
 	data, err := wk.eng.SnapshotCacheIf(keep)
 	if err != nil {
@@ -178,11 +169,37 @@ func (wk *Worker) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
+// ownerFilter is the snapshot filter for the keys owner wins over
+// fleet: nil (everything) when both are empty, an error when only one
+// is given, when the fleet breaks NewRing's rules, or when owner is not
+// in the fleet.
+func ownerFilter(owner string, fleet []string) (func(uint64) bool, error) {
+	if owner == "" && len(fleet) == 0 {
+		return nil, nil
+	}
+	if owner == "" {
+		return nil, fmt.Errorf("fabric: fleet given without an owner")
+	}
+	if len(fleet) == 0 {
+		return nil, fmt.Errorf("fabric: owner %q given without a fleet", owner)
+	}
+	ring, err := NewRing(fleet)
+	if err != nil {
+		return nil, err
+	}
+	i := ring.index(owner)
+	if i < 0 {
+		return nil, fmt.Errorf("fabric: owner %q is not in the fleet", owner)
+	}
+	return func(fp uint64) bool { return ring.next(fp, nil, -1) == i }, nil
+}
+
 // warmRequest is the body of POST /v1/fabric/warm: the peers to pull
-// from and the arcs (FormatArcs encoding) this worker should warm.
+// from, and the full fleet and owner (this worker) whose keys to warm.
 type warmRequest struct {
 	Peers []string `json:"peers"`
-	Arc   string   `json:"arc"`
+	Fleet []string `json:"fleet"`
+	Owner string   `json:"owner"`
 }
 
 // warmResponse reports a warm-join pull: entries installed into the
@@ -194,7 +211,7 @@ type warmResponse struct {
 	Errors    []string `json:"errors,omitempty"`
 }
 
-// ServeWarm answers POST /v1/fabric/warm by pulling the named arcs'
+// ServeWarm answers POST /v1/fabric/warm by pulling the owner's
 // snapshot from each peer and installing the entries into the
 // worker's own suite cache (already-cached keys are skipped). Failures
 // against individual peers are reported but not fatal: a warm-join is
@@ -213,13 +230,13 @@ func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding warm request: %w", err))
 		return
 	}
-	if _, err := ParseArcs(req.Arc); err != nil {
+	if _, err := ownerFilter(req.Owner, req.Fleet); err != nil {
 		workerError(w, http.StatusBadRequest, err)
 		return
 	}
 	resp := warmResponse{}
 	for _, peer := range req.Peers {
-		n, err := wk.pullSnapshot(r.Context(), peer, req.Arc)
+		n, err := wk.pullSnapshot(r.Context(), peer, req.Owner, req.Fleet)
 		if err != nil {
 			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", peer, err))
 			continue
@@ -231,12 +248,12 @@ func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// pullSnapshot fetches one peer's arc-filtered snapshot and installs
+// pullSnapshot fetches one peer's owner-filtered snapshot and installs
 // it.
-func (wk *Worker) pullSnapshot(ctx context.Context, peer, arc string) (int, error) {
+func (wk *Worker) pullSnapshot(ctx context.Context, peer, owner string, fleet []string) (int, error) {
 	u := peer + SnapshotPath
-	if arc != "" {
-		u += "?arc=" + url.QueryEscape(arc)
+	if owner != "" {
+		u += "?" + url.Values{"owner": {owner}, "fleet": fleet}.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {

@@ -1,0 +1,159 @@
+package fabric
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"testing"
+
+	"repro"
+)
+
+// clockSpecJSON spreads a campaign over 32 derived machines (2 bases x
+// 16 clocks), so every worker of a small fleet owns some cache entries.
+var clockSpecJSON = []byte(`{
+	"machines": ["SG2042", "SG2044"],
+	"axes": [{"axis": "clock", "values": [
+		1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7,
+		1.8, 1.9, 2.0, 2.1, 2.2, 2.3, 2.4, 2.5]}],
+	"threads": [0],
+	"precisions": ["f64"]
+}`)
+
+// warmedWorker returns a worker whose suite cache holds clockSpecJSON's
+// entries.
+func warmedWorker(t *testing.T) *Worker {
+	t.Helper()
+	spec, err := repro.CampaignSpecFromJSON(clockSpecJSON, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := repro.NewEngine(repro.Options{})
+	if _, err := eng.Campaign(spec); err != nil {
+		t.Fatal(err)
+	}
+	return NewWorker(eng, nil)
+}
+
+// getSnapshot calls ServeSnapshot with the given query and returns the
+// status and body.
+func getSnapshot(wk *Worker, query string) (int, []byte) {
+	rec := httptest.NewRecorder()
+	wk.ServeSnapshot(rec, httptest.NewRequest(http.MethodGet, SnapshotPath+query, nil))
+	return rec.Code, rec.Body.Bytes()
+}
+
+func ownerQuery(owner string, fleet []string) string {
+	return "?" + url.Values{"owner": {owner}, "fleet": fleet}.Encode()
+}
+
+// TestOwnerSnapshotsPartitionCache is the property warm-joins stand
+// on: the per-owner snapshots of one cache are pairwise disjoint and
+// together restore exactly the full snapshot's entries, so a joining
+// worker warms precisely the keys the ring will route to it. On a
+// one-worker fleet the owner's snapshot is the full one.
+func TestOwnerSnapshotsPartitionCache(t *testing.T) {
+	wk := warmedWorker(t)
+	code, full := getSnapshot(wk, "")
+	if code != http.StatusOK {
+		t.Fatalf("full snapshot: status %d", code)
+	}
+	total, err := repro.NewEngine(repro.Options{}).RestoreCache(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fleet := ringTargets(4)
+	union := repro.NewEngine(repro.Options{})
+	sum := 0
+	for _, owner := range fleet {
+		code, part := getSnapshot(wk, ownerQuery(owner, fleet))
+		if code != http.StatusOK {
+			t.Fatalf("%s's snapshot: status %d: %s", owner, code, part)
+		}
+		n, err := repro.NewEngine(repro.Options{}).RestoreCache(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Errorf("%s owns none of the %d cache entries", owner, total)
+		}
+		installed, err := union.RestoreCache(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if installed != n {
+			t.Errorf("%s's %d entries overlap other owners' (%d new)", owner, n, installed)
+		}
+		sum += n
+	}
+	if sum != total {
+		t.Errorf("owners' snapshots hold %d entries, the full cache %d", sum, total)
+	}
+	restored, err := union.SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(restored, full) {
+		t.Error("union of the owners' snapshots differs from the full snapshot")
+	}
+
+	solo := ringTargets(1)
+	code, only := getSnapshot(wk, ownerQuery(solo[0], solo))
+	if code != http.StatusOK || !bytes.Equal(only, full) {
+		t.Errorf("one-worker fleet: status %d, snapshot equal to full: %v", code, bytes.Equal(only, full))
+	}
+}
+
+// badOwnerFilters are owner/fleet pairs both the snapshot endpoint and
+// the warm body must refuse.
+var badOwnerFilters = []struct {
+	name  string
+	owner string
+	fleet []string
+}{
+	{"owner not in fleet", "http://w9:8042", ringTargets(2)},
+	{"empty fleet target", ringTargets(1)[0], append(ringTargets(1), "")},
+	{"duplicate fleet target", ringTargets(1)[0], append(ringTargets(2), ringTargets(1)[0])},
+	{"owner without fleet", ringTargets(1)[0], nil},
+	{"fleet without owner", "", ringTargets(2)},
+}
+
+func TestSnapshotRejectsBadOwnerFilter(t *testing.T) {
+	wk := warmedWorker(t)
+	for _, c := range badOwnerFilters {
+		q := url.Values{"fleet": c.fleet}
+		if c.owner != "" {
+			q.Set("owner", c.owner)
+		}
+		if code, body := getSnapshot(wk, "?"+q.Encode()); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, code, body)
+		}
+	}
+}
+
+func TestWarmRejectsBadBody(t *testing.T) {
+	wk := NewWorker(repro.NewEngine(repro.Options{}), nil)
+	post := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		wk.ServeWarm(rec, httptest.NewRequest(http.MethodPost, WarmPath, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, c := range badOwnerFilters {
+		var fleet []string
+		for _, f := range c.fleet {
+			fleet = append(fleet, `"`+f+`"`)
+		}
+		body := `{"peers": [], "fleet": [` + strings.Join(fleet, ",") + `], "owner": "` + c.owner + `"}`
+		if code, msg := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, code, msg)
+		}
+	}
+	// The body a worker's peers sent before rendezvous hashing.
+	old := `{"peers": [], "arc": "0000000000000000-ffffffffffffffff"}`
+	if code, msg := post(old); code != http.StatusBadRequest {
+		t.Errorf("arc-era warm body: status %d, want 400 (%s)", code, msg)
+	}
+}

@@ -24,11 +24,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strings"
 
 	"repro"
 	"repro/internal/fabric"
+	"repro/internal/par"
 )
 
 // campaignJSON is the non-streaming JSON envelope; Output carries the
@@ -200,7 +202,8 @@ func (s *Server) runCampaign(r *http.Request, spec repro.CampaignSpec, raw []byt
 // hint (the prober revives workers on their next healthy probe, so the
 // condition is expected to clear) and its own fleet-down counter — an
 // operator alerting on fleet outages should not have to parse generic
-// endpoint error rates. Everything else stays a plain 500.
+// endpoint error rates. An evaluation panic is a fixed "internal error"
+// 500 (see recordPanic). Everything else stays a plain 500.
 func (s *Server) writeCampaignError(w http.ResponseWriter, err error) {
 	var down *fabric.AllWorkersDownError
 	if errors.As(err, &down) {
@@ -209,7 +212,27 @@ func (s *Server) writeCampaignError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusBadGateway, err)
 		return
 	}
+	if s.recordPanic(err) {
+		err = errInternal
+	}
 	writeError(w, http.StatusInternalServerError, err)
+}
+
+// errInternal is all a client learns of an evaluation panic.
+var errInternal = errors.New("internal error")
+
+// recordPanic reports whether err carries a recovered evaluation panic
+// (*par.PanicError). If so it logs the panic value and stack and counts
+// it in sg2042d_panics_total: they are for the operator, not the
+// client.
+func (s *Server) recordPanic(err error) bool {
+	var pe *par.PanicError
+	if !errors.As(err, &pe) {
+		return false
+	}
+	s.met.addPanic()
+	log.Printf("serve: campaign evaluation panicked: %v\n%s", pe.Value, pe.Stack)
+	return true
 }
 
 // fleetDownRetryAfter is the Retry-After value (in seconds) sent with
@@ -296,9 +319,13 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec rep
 		// The stream is already underway with a 200 status; a terminal
 		// error line is the only way left to tell the client the grid
 		// is truncated. The body is not cached (the fill error path).
+		msg := err
+		if s.recordPanic(err) {
+			msg = errInternal
+		}
 		json.NewEncoder(w).Encode(struct {
 			Error string `json:"error"`
-		}{err.Error()})
+		}{msg.Error()})
 		return nil, err
 	}
 	if err := json.NewEncoder(io.MultiWriter(w, &buf)).Encode(campaignSummaryLine(res)); err != nil {

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/par"
 )
 
 const campaignBody = `{
@@ -344,5 +348,39 @@ func TestDistributedCampaignDedupByteIdentical(t *testing.T) {
 	}
 	if got != want {
 		t.Error("degraded-fleet colliding-grid body differs from local")
+	}
+}
+
+// TestCampaignPanicIsInternalError: an evaluation panic reaches the
+// client as a fixed "internal error" 500 — the panic value stays out of
+// the body — while the value and stack go to the log and the panic
+// counts in sg2042d_panics_total.
+func TestCampaignPanicIsInternalError(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if body := getMetricsBody(t, ts); !strings.Contains(body, "sg2042d_panics_total 0") {
+		t.Errorf("metrics lack the panic counter at zero:\n%s", grepMetrics(body, "panics"))
+	}
+
+	const value = "suite cache row 7 out of order"
+	err := fmt.Errorf("core: evaluating unit 3: %w", &par.PanicError{Value: value, Stack: []byte("goroutine 9 [running]:")})
+	rec := httptest.NewRecorder()
+	s.writeCampaignError(rec, err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); strings.Contains(body, value) || !strings.Contains(body, "internal error") {
+		t.Errorf("body %q: want a fixed internal error without the panic value", body)
+	}
+	if !strings.Contains(logged.String(), value) || !strings.Contains(logged.String(), "goroutine 9 [running]:") {
+		t.Errorf("log %q lacks the panic value and stack", logged.String())
+	}
+	if body := getMetricsBody(t, ts); !strings.Contains(body, "sg2042d_panics_total 1") {
+		t.Errorf("metrics lack the counted panic:\n%s", grepMetrics(body, "panics"))
 	}
 }

@@ -35,6 +35,9 @@ type metrics struct {
 	// not folded into generic endpoint errors, so an operator can alert
 	// on fleet outages without parsing error rates.
 	fleetDown uint64
+	// panics counts campaign evaluations that failed with a recovered
+	// panic (*par.PanicError) — a bug, never a client error.
+	panics uint64
 }
 
 type endpointStats struct {
@@ -72,6 +75,13 @@ func (m *metrics) addFleetDown() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.fleetDown++
+}
+
+// addPanic records one campaign evaluation that panicked.
+func (m *metrics) addPanic() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.panics++
 }
 
 // addCampaign records one served campaign response.
@@ -168,6 +178,9 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 	b.WriteString("# HELP sg2042d_fabric_fleet_down_total Campaign requests refused because every fabric worker was down.\n")
 	b.WriteString("# TYPE sg2042d_fabric_fleet_down_total counter\n")
 	fmt.Fprintf(&b, "sg2042d_fabric_fleet_down_total %d\n", m.fleetDown)
+	b.WriteString("# HELP sg2042d_panics_total Campaign evaluations that failed with a recovered panic.\n")
+	b.WriteString("# TYPE sg2042d_panics_total counter\n")
+	fmt.Fprintf(&b, "sg2042d_panics_total %d\n", m.panics)
 
 	if fs != nil {
 		b.WriteString("# HELP sg2042d_fabric_probe_deaths_total Worker live-to-dead transitions observed by the health prober.\n")

@@ -21,7 +21,7 @@
 //	GET  /livez                     liveness probe (200 from the first request)
 //	POST /v1/fabric/points          shard-scoped campaign points (Options.Worker)
 //	GET  /v1/fabric/healthz         fabric liveness for the coordinator's prober (Options.Worker)
-//	GET  /v1/fabric/snapshot        arc-scoped suite-cache snapshot (Options.Worker)
+//	GET  /v1/fabric/snapshot        owner-scoped suite-cache snapshot (Options.Worker)
 //	POST /v1/fabric/warm            pull peer snapshots into the local cache (Options.Worker)
 //
 // With Options.Coordinate the campaign endpoint shards its grid over a
@@ -163,8 +163,8 @@ func (s *Server) routes() {
 	if s.wk != nil {
 		s.handle("POST "+fabric.PointsPath, "fabric-points", s.wk.ServeHTTP)
 		// The self-healing surface: the coordinator's prober watches
-		// fabric healthz, and peers ship arc-scoped cache snapshots to a
-		// (re)joining worker through snapshot/warm.
+		// fabric healthz, and peers ship a (re)joining worker the cache
+		// entries it owns through snapshot/warm.
 		s.handle("GET "+fabric.HealthPath, "fabric-healthz", s.wk.ServeHealth)
 		s.handle("GET "+fabric.SnapshotPath, "fabric-snapshot", s.wk.ServeSnapshot)
 		s.handle("POST "+fabric.WarmPath, "fabric-warm", s.wk.ServeWarm)

@@ -20,8 +20,8 @@ func (e *Engine) SnapshotCache() ([]byte, error) {
 
 // SnapshotCacheIf is SnapshotCache restricted to entries whose machine
 // fingerprint keep accepts (nil keeps everything). The fabric's
-// snapshot-shipping endpoint uses it to serve one ring arc of the
-// cache to a rejoining peer.
+// snapshot-shipping endpoint uses it to serve a rejoining peer the
+// entries that peer owns.
 func (e *Engine) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, error) {
 	return e.st.SnapshotCacheIf(keep)
 }
