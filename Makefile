@@ -12,8 +12,11 @@ FUZZTIME ?= 10s
 build:
 	$(GO) build ./...
 
+# vet also fails on any tracked Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -207,7 +207,7 @@ func TestDualSocketNodePaysIntraNodeComm(t *testing.T) {
 	if weak[0].CommSec <= 0 {
 		t.Error("weak scaling on a dual-socket node has no intra-node comm")
 	}
-	red, err := x2.StrongScaleAllreduce(1 << 20, prec.F64, []int{1, 2})
+	red, err := x2.StrongScaleAllreduce(1<<20, prec.F64, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

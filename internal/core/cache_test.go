@@ -244,17 +244,16 @@ func (e constErr) Error() string { return string(e) }
 
 const errFigureMismatch = constErr("concurrent Figure1 differs from serial reference")
 
-// TestSuiteCacheShardedStress hammers the sharded cache with a key
-// space spanning every shard from many goroutines at once — the
-// make-race workload for the shard locking: concurrent misses on
-// different shards, repeat hits, and singleflight coalescing within a
-// shard must all agree with a serial evaluation.
-func TestSuiteCacheShardedStress(t *testing.T) {
+// TestSuiteCacheConcurrentStress hammers the cache with many distinct
+// keys from many goroutines at once — the make-race workload for the
+// memo: concurrent misses on different keys, repeat hits, and
+// singleflight coalescing on one key must all agree with a serial
+// evaluation.
+func TestSuiteCacheConcurrentStress(t *testing.T) {
 	shared := NewStudy()
 	serial := NewStudy()
 
-	// 18 distinct configs (machine x threads x placement) spread over the
-	// shards; thread counts stay within the smallest machine's 4 cores.
+	// 18 distinct configs (machine x threads x placement); thread counts stay within the smallest machine's 4 cores.
 	// Each goroutine walks all of them from a different offset.
 	var cfgs []perfmodel.Config
 	for _, m := range []*machine.Machine{machine.SG2042(), machine.VisionFiveV2(), machine.EPYC7742()} {
@@ -273,13 +272,6 @@ func TestSuiteCacheShardedStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = ms
-	}
-	shardsHit := make(map[*suiteShard]bool)
-	for _, cfg := range cfgs {
-		shardsHit[shared.cache.shardFor(shared.suiteKeyFor(cfg))] = true
-	}
-	if len(shardsHit) < 2 {
-		t.Fatalf("stress key space lands on %d shard(s); hash is not spreading", len(shardsHit))
 	}
 
 	const workers = 16
@@ -317,6 +309,34 @@ func TestSuiteCacheShardedStress(t *testing.T) {
 	}
 	if misses != uint64(len(cfgs)) {
 		t.Errorf("misses = %d, want %d (each config evaluates exactly once)", misses, len(cfgs))
+	}
+}
+
+// A panicking evaluation must not poison the cache: the entry is
+// dropped, so a second RunSuite of the same configuration evaluates
+// (and panics) again instead of returning no measurements and a nil
+// error.
+func TestRunSuitePanicDoesNotPoisonCache(t *testing.T) {
+	st := NewStudy()
+	st.Model = nil
+	cfg := sgConfig(1, placement.Block, prec.F32)
+	for call := 1; call <= 2; call++ {
+		var ms []Measurement
+		var err error
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			ms, err = st.RunSuite(cfg)
+			return false
+		}()
+		if !panicked && err == nil {
+			t.Fatalf("call %d returned %d measurements and a nil error from a panicking evaluation", call, len(ms))
+		}
+	}
+	if n := st.cache.Len(); n != 0 {
+		t.Errorf("panicked evaluations left %d cache entries", n)
+	}
+	if hits, misses := st.CacheStats(); hits != 0 || misses != 0 {
+		t.Errorf("panicked evaluations counted %d hits / %d misses", hits, misses)
 	}
 }
 

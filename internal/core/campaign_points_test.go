@@ -295,7 +295,7 @@ func TestCampaignContainsEvaluationPanic(t *testing.T) {
 	bcfg := campaignConfig(bc.m, bc.threads, bc.pol, bc.p)
 	for _, workers := range []int{1, 2} {
 		st := NewStudy().WithWorkers(workers)
-		if !st.cache.install(st.suiteKeyFP(bcfg, bc.fp), []float64{1}) {
+		if !st.cache.Put(st.suiteKeyFP(bcfg, bc.fp), []float64{1}) {
 			t.Fatal("short base entry not installed")
 		}
 		_, err := st.Campaign(spec, nil)

@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/autovec"
 	"repro/internal/kernels"
@@ -122,19 +121,10 @@ func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey) ([]float64, 
 	if st.NoCache || st.cache == nil {
 		return st.runSuiteUncached(cfg, nil)
 	}
-	e := st.cache.entry(key)
-	e.once.Do(func() {
-		e.secs, e.err = st.runSuiteUncached(cfg, nil)
-		e.done.Store(true)
+	secs, _, err := st.cache.Get(key, func() ([]float64, error) {
+		return st.runSuiteUncached(cfg, nil)
 	})
-	return e.secs, e.err
-}
-
-// breakdownPool recycles the per-configuration Breakdown buffer: the
-// model's intermediate terms are consumed immediately into seconds
-// and never escape a single runSuiteUncached call.
-var breakdownPool = sync.Pool{
-	New: func() any { b := make([]perfmodel.Breakdown, 0, 64); return &b },
+	return secs, err
 }
 
 // runSuiteUncached evaluates cfg and returns each kernel's averaged
@@ -154,8 +144,6 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config, dst []float64) ([]float6
 		}
 		return nil, fmt.Errorf("core: suite on %s: %w", label, err)
 	}
-	buf := breakdownPool.Get().(*[]perfmodel.Breakdown)
-	bds := plan.Times(*buf)
 	if cap(dst) >= len(specs) {
 		dst = dst[:len(specs)]
 	} else {
@@ -167,15 +155,14 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config, dst []float64) ([]float6
 	}
 	noise := seededNoise(st.Seed ^ configSeed(cfg))
 	for i := range specs {
+		secs := plan.At(i).Seconds
 		sum := 0.0
 		for r := 0; r < runs; r++ {
-			sum += bds[i].Seconds * (1 + st.Noise*noise.rng.NormFloat64())
+			sum += secs * (1 + st.Noise*noise.rng.NormFloat64())
 		}
 		dst[i] = sum / float64(runs)
 	}
 	noisePool.Put(noise)
-	*buf = bds
-	breakdownPool.Put(buf)
 	return dst, nil
 }
 

@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/placement"
 	"repro/internal/prec"
 	"repro/internal/suite"
@@ -167,47 +168,21 @@ func planKeyFor(s CampaignSpec) string {
 	return string(b)
 }
 
-// planCache memoizes compiled plans process-wide. Entries build under a
-// sync.Once (singleflight); at maxPlans, admitting a new spec drops an
-// arbitrary existing entry (a caller already holding it still finishes
-// its build), so a long-running process keeps memoizing its current
-// specs.
-var planCache struct {
-	mu sync.Mutex
-	m  map[string]*planEntry
-}
-
-type planEntry struct {
-	once sync.Once
-	plan *campaignPlan
-	err  error
-}
+// planCache memoizes compiled plans process-wide. At maxPlans,
+// admitting a new spec evicts an arbitrary entry, so a long-running
+// process keeps memoizing its current specs. Validation errors are not
+// kept: an invalid spec never takes a slot from a valid plan.
+var planCache = memo.Map[string, *campaignPlan]{Max: maxPlans}
 
 const maxPlans = 128
 
 // planFor returns the compiled plan for spec, building and memoizing it
-// on first use. Validation errors memoize too — a spec's validity is as
-// deterministic as its grid.
+// on first use.
 func planFor(s CampaignSpec) (*campaignPlan, error) {
-	key := planKeyFor(s)
-	planCache.mu.Lock()
-	if planCache.m == nil {
-		planCache.m = make(map[string]*planEntry)
-	}
-	e, ok := planCache.m[key]
-	if !ok {
-		if len(planCache.m) >= maxPlans {
-			for k := range planCache.m {
-				delete(planCache.m, k)
-				break
-			}
-		}
-		e = &planEntry{}
-		planCache.m[key] = e
-	}
-	planCache.mu.Unlock()
-	e.once.Do(func() { e.plan, e.err = buildPlan(s) })
-	return e.plan, e.err
+	plan, _, err := planCache.Get(planKeyFor(s), func() (*campaignPlan, error) {
+		return buildPlan(s)
+	})
+	return plan, err
 }
 
 // buildPlan validates the spec and derives every combo's machine — the

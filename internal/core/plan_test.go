@@ -179,10 +179,7 @@ func TestPlanCacheEvictsPastCapacity(t *testing.T) {
 		if _, err := planFor(newest); err != nil {
 			t.Fatal(err)
 		}
-		planCache.mu.Lock()
-		n := len(planCache.m)
-		planCache.mu.Unlock()
-		if n > maxPlans {
+		if n := planCache.Len(); n > maxPlans {
 			t.Fatalf("after %d specs the plan cache holds %d entries, want at most %d", i+1, n, maxPlans)
 		}
 	}

@@ -58,6 +58,13 @@ import (
 // rejects versions it does not know.
 const SnapshotVersion = 1
 
+// snapshotEntry is one completed suite-cache entry — the unit a
+// snapshot serializes. The cache takes ownership of a restored secs.
+type snapshotEntry struct {
+	key  suiteKey
+	secs []float64
+}
+
 // Snapshot frame kinds.
 const (
 	snapHeaderKind = "snapshot"
@@ -81,7 +88,12 @@ func (st *Study) SnapshotCache() ([]byte, error) {
 func (st *Study) SnapshotCacheIf(keep func(machineFP uint64) bool) ([]byte, error) {
 	var entries []snapshotEntry
 	if st.cache != nil {
-		entries = st.cache.snapshotEntries()
+		// Range skips entries still in flight instead of waiting on
+		// them, so a snapshot during live traffic never blocks
+		// evaluation.
+		st.cache.Range(func(k suiteKey, secs []float64) {
+			entries = append(entries, snapshotEntry{key: k, secs: secs})
+		})
 	}
 	if keep != nil {
 		kept := entries[:0]
@@ -124,7 +136,7 @@ func (st *Study) RestoreCache(data []byte) (int, error) {
 	installed := 0
 	for _, e := range entries {
 		e.key.model = st.Model
-		if st.cache.install(e.key, e.secs) {
+		if st.cache.Put(e.key, e.secs) {
 			installed++
 		}
 	}

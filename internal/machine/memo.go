@@ -8,15 +8,16 @@ package machine
 // per software configuration). The memo keys on the base machine's
 // full-parameter fingerprint (the same trust the study engine's suite
 // cache places in it), the operation, and the argument's bit pattern,
-// and stores a private clone: hits are served as fresh clones, so the
-// API contract is unchanged — every call still returns a machine the
-// caller owns outright and may mutate freely.
+// and keeps a private instance: every call, hit or miss, returns a
+// fresh clone of it, so the API contract is unchanged — each call
+// returns a machine the caller owns outright and may mutate freely.
 //
-// Errors are not cached: they are rare, cheap to recompute (the
-// argument checks run before the memo is consulted), and keeping them
-// out means the cache holds only validated machines.
+// The memo is an internal/memo Map: concurrent first derivations of a
+// key share one build, and errors are not kept — they are rare, cheap
+// to recompute (the argument checks run before the memo is consulted),
+// and keeping them out means the memo holds only validated machines.
 
-import "sync"
+import "repro/internal/memo"
 
 // deriveOp names one derivation helper in the memo key.
 type deriveOp uint8
@@ -38,36 +39,17 @@ type deriveKey struct {
 
 // maxDerived bounds the memo. Distinct keys come from distinct (base,
 // axis, value) triples — a bounded working set in any real process —
-// and past the bound new derivations simply build per call.
+// and past the bound a new derivation evicts an arbitrary old one.
 const maxDerived = 4096
 
-var deriveMemo struct {
-	mu sync.Mutex
-	m  map[deriveKey]*Machine
-}
+var deriveMemo = memo.Map[deriveKey, *Machine]{Max: maxDerived}
 
-// derived memoizes one derivation: a hit returns a clone of the cached
-// variant; a miss builds it, stores a private clone, and returns the
-// built machine. The caller always owns the returned pointer.
+// derived memoizes one derivation and returns a clone of the memoized
+// variant. The caller always owns the returned pointer.
 func derived(m *Machine, op deriveOp, bits uint64, build func() (*Machine, error)) (*Machine, error) {
-	k := deriveKey{fp: m.Fingerprint(), op: op, bits: bits}
-	deriveMemo.mu.Lock()
-	v, ok := deriveMemo.m[k]
-	deriveMemo.mu.Unlock()
-	if ok {
-		return v.Clone(), nil
-	}
-	built, err := build()
+	v, _, err := deriveMemo.Get(deriveKey{fp: m.Fingerprint(), op: op, bits: bits}, build)
 	if err != nil {
 		return nil, err
 	}
-	deriveMemo.mu.Lock()
-	if deriveMemo.m == nil {
-		deriveMemo.m = make(map[deriveKey]*Machine)
-	}
-	if len(deriveMemo.m) < maxDerived {
-		deriveMemo.m[k] = built.Clone()
-	}
-	deriveMemo.mu.Unlock()
-	return built, nil
+	return v.Clone(), nil
 }

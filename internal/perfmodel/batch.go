@@ -15,11 +15,11 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/autovec"
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/placement"
 	"repro/internal/prec"
 )
@@ -92,13 +92,8 @@ var scalarBuildDecision = autovec.Decision{
 // enumeration plus per-domain histograms and the dominant allocator of
 // evalCtx construction. The cached Sharing is shared read-only across
 // contexts (the model only reads its scalar fields and hands it to
-// levelParamsFor, which reads too). Only successes are memoized: an
-// invalid (threads, policy) pair is checked again per call, so its
-// error names the machine that asked.
-var sharingCache struct {
-	mu sync.Mutex
-	m  map[sharingKey]placement.Sharing
-}
+// levelParamsFor, which reads too). Errors are not kept (internal/memo).
+var sharingCache = memo.Map[sharingKey, placement.Sharing]{Max: maxSharings}
 
 type sharingKey struct {
 	topo    uint64
@@ -106,31 +101,27 @@ type sharingKey struct {
 	threads int
 }
 
-// maxSharings bounds the memo; past it, new triples analyze per call.
+// maxSharings bounds the memo; past it, a new triple evicts an
+// arbitrary old one.
 const maxSharings = 4096
 
 func sharingFor(mach *machine.Machine, pol placement.Policy, threads int) (placement.Sharing, error) {
 	k := sharingKey{mach.TopologyFingerprint(), pol, threads}
-	sharingCache.mu.Lock()
-	sh, ok := sharingCache.m[k]
-	sharingCache.mu.Unlock()
-	if ok {
-		return sh, nil
-	}
-	cores, err := placement.Map(mach, pol, threads)
+	sh, _, err := sharingCache.Get(k, func() (placement.Sharing, error) {
+		cores, err := placement.Map(mach, pol, threads)
+		if err != nil {
+			return placement.Sharing{}, err
+		}
+		return placement.Analyze(mach, cores), nil
+	})
 	if err != nil {
-		return placement.Sharing{}, err
+		// A topology twin's concurrent fill may have produced the error;
+		// re-check so it names the machine that asked.
+		if _, merr := placement.Map(mach, pol, threads); merr != nil {
+			err = merr
+		}
 	}
-	sh = placement.Analyze(mach, cores)
-	sharingCache.mu.Lock()
-	if sharingCache.m == nil {
-		sharingCache.m = make(map[sharingKey]placement.Sharing)
-	}
-	if len(sharingCache.m) < maxSharings {
-		sharingCache.m[k] = sh
-	}
-	sharingCache.mu.Unlock()
-	return sh, nil
+	return sh, err
 }
 
 // newEvalCtx validates cfg and derives the kernel-independent inputs.
@@ -291,15 +282,17 @@ func (m *Model) kernelTime(ctx *evalCtx, spec kernels.Spec) Breakdown {
 	if !ctx.scalarBuild {
 		dec = autovec.AnalyzeKernel(ctx.cfg.Compiler, spec.Loop, ctx.cfg.Mode)
 	}
-	return m.kernelTimePre(ctx, &spec, &pre, dec, m.patternEfficiency(pre.dom))
+	var b Breakdown
+	m.kernelTimePre(&b, ctx, &spec, &pre, dec, m.patternEfficiency(pre.dom))
+	return b
 }
 
 // kernelTimePre is the per-kernel half of the model: everything
 // KernelTime used to compute that actually depends on the kernel, with
 // the spec's pure invariants supplied by the caller (a one-shot preOf,
-// or a SuitePlan's memoized table).
-func (m *Model) kernelTimePre(ctx *evalCtx, spec *kernels.Spec, pre *specPre,
-	dec autovec.Decision, patternEff float64) Breakdown {
+// or a SuitePlan's memoized table). It writes the result through b.
+func (m *Model) kernelTimePre(b *Breakdown, ctx *evalCtx, spec *kernels.Spec, pre *specPre,
+	dec autovec.Decision, patternEff float64) {
 	cfg := ctx.cfg
 	mach := ctx.mach
 
@@ -312,7 +305,7 @@ func (m *Model) kernelTimePre(ctx *evalCtx, spec *kernels.Spec, pre *specPre,
 	// SCAN's cross-thread prefix) does not divide by the thread count.
 	amdahl := spec.SerialFrac + (1-spec.SerialFrac)/float64(threads)
 	itersPerThread := pre.iters * amdahl
-	b := Breakdown{Decision: dec}
+	*b = Breakdown{Decision: dec}
 
 	vecOn := dec.VectorEffective() && !cfg.ScalarOnly
 
@@ -405,7 +398,6 @@ func (m *Model) kernelTimePre(ctx *evalCtx, spec *kernels.Spec, pre *specPre,
 	}
 	b.PerRep = perRep
 	b.Seconds = perRep * float64(spec.Reps)
-	return b
 }
 
 // servingLevel walks the pre-derived level parameters for the kernel's

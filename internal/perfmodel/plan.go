@@ -20,6 +20,7 @@ import (
 	"repro/internal/autovec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/memo"
 	"repro/internal/suite"
 )
 
@@ -72,19 +73,20 @@ func preOf(spec *kernels.Spec, problemN int) specPre {
 
 // canonicalPre memoizes the invariants of the full suite at default
 // problem sizes — the slice suite.All returns is shared and immutable,
-// so its backing array identifies it. Decisions are memoized alongside:
-// the compiler model's per-kernel analysis depends only on (compiler,
-// mode, loop), and a campaign asks for the same one or two pairs across
-// every configuration.
+// so its backing array identifies it.
 var canonicalPre struct {
 	once sync.Once
 	head *kernels.Spec
 	n    int
 	pre  []specPre
-
-	mu  sync.Mutex
-	dec map[decKey][]autovec.Decision
 }
+
+// decisionMemo holds the canonical suite's autovec decisions per
+// (compiler, mode): the compiler model's per-kernel analysis depends
+// only on (compiler, mode, loop), and a campaign asks for the same one
+// or two pairs across every configuration. Unbounded — the key space
+// is the handful of compiler and mode values.
+var decisionMemo memo.Map[decKey, []autovec.Decision]
 
 type decKey struct {
 	c autovec.Compiler
@@ -99,7 +101,12 @@ func canonicalInit() {
 	for i := range specs {
 		canonicalPre.pre[i] = preOf(&specs[i], 0)
 	}
-	canonicalPre.dec = make(map[decKey][]autovec.Decision)
+}
+
+// isCanonical reports whether specs is the shared suite slice.
+func isCanonical(specs []kernels.Spec) bool {
+	canonicalPre.once.Do(canonicalInit)
+	return &specs[0] == canonicalPre.head && len(specs) == canonicalPre.n
 }
 
 // preFor returns the invariant table for specs: the memoized canonical
@@ -110,8 +117,7 @@ func preFor(specs []kernels.Spec, problemN int) []specPre {
 	if len(specs) == 0 {
 		return nil
 	}
-	canonicalPre.once.Do(canonicalInit)
-	if problemN == 0 && &specs[0] == canonicalPre.head && len(specs) == canonicalPre.n {
+	if problemN == 0 && isCanonical(specs) {
 		return canonicalPre.pre
 	}
 	pre := make([]specPre, len(specs))
@@ -127,33 +133,27 @@ func decisionsFor(specs []kernels.Spec, c autovec.Compiler, mode autovec.Mode) [
 	if len(specs) == 0 {
 		return nil
 	}
-	canonicalPre.once.Do(canonicalInit)
-	canonical := &specs[0] == canonicalPre.head && len(specs) == canonicalPre.n
-	if canonical {
-		canonicalPre.mu.Lock()
-		if dec, ok := canonicalPre.dec[decKey{c, mode}]; ok {
-			canonicalPre.mu.Unlock()
-			return dec
+	analyze := func() ([]autovec.Decision, error) {
+		dec := make([]autovec.Decision, len(specs))
+		for i := range specs {
+			dec[i] = autovec.AnalyzeKernel(c, specs[i].Loop, mode)
 		}
-		canonicalPre.mu.Unlock()
+		return dec, nil
 	}
-	dec := make([]autovec.Decision, len(specs))
-	for i := range specs {
-		dec[i] = autovec.AnalyzeKernel(c, specs[i].Loop, mode)
+	if !isCanonical(specs) {
+		dec, _ := analyze()
+		return dec
 	}
-	if canonical {
-		canonicalPre.mu.Lock()
-		canonicalPre.dec[decKey{c, mode}] = dec
-		canonicalPre.mu.Unlock()
-	}
+	dec, _, _ := decisionMemo.Get(decKey{c, mode}, analyze)
 	return dec
 }
 
 // SuitePlan is a compiled (Model, Config, specs) evaluation: the
 // config-level context, the per-spec invariants and the compiler
-// decisions, resolved once. Times replays it as pure arithmetic into a
-// caller-owned buffer, so a campaign planner can pool the Breakdown
-// storage. A plan is only used by the goroutine that built it.
+// decisions, resolved once. At replays one kernel as pure arithmetic,
+// so a caller that needs one field per kernel keeps no Breakdown
+// buffer; Times replays them all. A plan is only used by the goroutine
+// that built it.
 type SuitePlan struct {
 	m     *Model
 	ctx   *evalCtx
@@ -184,6 +184,24 @@ func (m *Model) SuitePlan(specs []kernels.Spec, cfg Config) (*SuitePlan, error) 
 // Len returns the number of kernels the plan evaluates.
 func (p *SuitePlan) Len() int { return len(p.specs) }
 
+// At evaluates the plan's i-th kernel. It is bit-identical to the
+// one-shot KernelTime on that spec.
+func (p *SuitePlan) At(i int) Breakdown {
+	var b Breakdown
+	p.into(&b, i)
+	return b
+}
+
+// into evaluates kernel i in place: the model writes the Breakdown
+// through b, so neither At (small enough to inline) nor Times copies it.
+func (p *SuitePlan) into(b *Breakdown, i int) {
+	dec := scalarBuildDecision
+	if p.dec != nil {
+		dec = p.dec[i]
+	}
+	p.m.kernelTimePre(b, p.ctx, &p.specs[i], &p.pre[i], dec, p.eff[i])
+}
+
 // Times evaluates every planned kernel, reusing out when it has the
 // capacity (pass nil to allocate). The breakdowns are bit-identical to
 // SuiteTimes and to per-kernel KernelTime calls.
@@ -194,11 +212,7 @@ func (p *SuitePlan) Times(out []Breakdown) []Breakdown {
 		out = make([]Breakdown, len(p.specs))
 	}
 	for i := range p.specs {
-		dec := scalarBuildDecision
-		if p.dec != nil {
-			dec = p.dec[i]
-		}
-		out[i] = p.m.kernelTimePre(p.ctx, &p.specs[i], &p.pre[i], dec, p.eff[i])
+		p.into(&out[i], i)
 	}
 	return out
 }

@@ -201,12 +201,12 @@ func TestPrewarmFillsCorpusAndMetrics(t *testing.T) {
 	if n != len(s.prewarmCorpus()) {
 		t.Errorf("prewarmed %d of %d corpus entries", n, len(s.prewarmCorpus()))
 	}
-	if got := s.rc.size(); got != n {
+	if got := s.rc.Len(); got != n {
 		t.Errorf("render cache holds %d entries after prewarming %d", got, n)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	hitsBefore, _ := s.rc.stats()
+	hitsBefore, _ := s.rc.Stats()
 	for _, path := range []string{
 		"/v1/experiments/figure1?format=binary",
 		"/v1/experiments/table3?format=csv",
@@ -217,7 +217,7 @@ func TestPrewarmFillsCorpusAndMetrics(t *testing.T) {
 			t.Errorf("%s: status %d: %s", path, status, body)
 		}
 	}
-	if h, _ := s.rc.stats(); h != hitsBefore+4 {
+	if h, _ := s.rc.Stats(); h != hitsBefore+4 {
 		t.Errorf("corpus requests after prewarm: %d hits, want %d (all hits)", h, hitsBefore+4)
 	}
 	status, _, body := get(t, ts, "/metrics", "")
@@ -251,7 +251,7 @@ func TestPrewarmCancelled(t *testing.T) {
 }
 
 // TestRenderCacheConcurrentStress is the make-race workload for the
-// sharded render cache: many goroutines over a key space bigger than
+// render cache: many goroutines over a key space bigger than
 // the global cap, with error fills mixed in, must always observe the
 // body their key's fill produces and keep the size bounded.
 func TestRenderCacheConcurrentStress(t *testing.T) {
@@ -300,10 +300,10 @@ func TestRenderCacheConcurrentStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if n := c.size(); n > maxRenderEntries {
+	if n := c.Len(); n > maxRenderEntries {
 		t.Errorf("cache grew to %d entries past the %d cap", n, maxRenderEntries)
 	}
-	hits, misses := c.stats()
+	hits, misses := c.Stats()
 	if hits == 0 || misses == 0 {
 		t.Errorf("stress produced hits=%d misses=%d; expected both", hits, misses)
 	}

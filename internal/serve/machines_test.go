@@ -331,7 +331,7 @@ func TestConcurrentSweepsCoalesce(t *testing.T) {
 	}
 	// The identical sweeps themselves coalesce on the render cache:
 	// one fill, five shared renderings.
-	rhits, rmisses := srv.rc.stats()
+	rhits, rmisses := srv.rc.Stats()
 	if rmisses != 1 {
 		t.Errorf("render cache misses = %d, want 1 (identical sweeps must share one render)", rmisses)
 	}

@@ -12,8 +12,8 @@ package serve
 // be work for nobody.
 // Repeat GETs cost a map lookup and one write; conditional requests
 // (If-None-Match) cost a 304 with no body at all. Entries are filled
-// under a per-key sync.Once, so concurrent first requests coalesce
-// exactly like the engine's suite cache. docs/PERFORMANCE.md documents
+// once per key, so concurrent first requests coalesce exactly like the
+// engine's suite cache. docs/PERFORMANCE.md documents
 // the semantics.
 
 import (
@@ -25,6 +25,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/memo"
 )
 
 // renderKey identifies one cacheable rendering.
@@ -57,153 +59,41 @@ type renderEntry struct {
 	etagGzip string
 }
 
-type renderSlot struct {
-	once sync.Once
-	ent  *renderEntry
-	err  error
-}
-
-// maxRenderEntries bounds the cache across all shards. The fixed key
-// space (experiments x formats, reports per machine and parameter set)
-// is far below it; what it defends against is the client-controlled key
-// spaces (sweep specs, cluster grid/node parameters) — an inline custom
-// machine spec makes every tweaked request a distinct key, and without
-// a bound a long-running daemon would retain every rendered body it
-// ever produced. At the cap an arbitrary entry is evicted for each new
-// one, so caching and request coalescing keep working under churn (an
+// maxRenderEntries bounds the cache. The fixed key space (experiments
+// x formats, reports per machine and parameter set) is far below it;
+// what it defends against is the client-controlled key spaces (sweep
+// specs, cluster grid/node parameters) — an inline custom machine spec
+// makes every tweaked request a distinct key, and without a bound a
+// long-running daemon would retain every rendered body it ever
+// produced. At the cap an arbitrary entry is evicted for each new one,
+// so caching and request coalescing keep working under churn (an
 // evicted hot entry just re-renders on its next request) while memory
 // stays bounded.
 const maxRenderEntries = 1024
 
-// renderShards is the shard count — a power of two so shard selection
-// is a mask, sized like the suite cache's (internal/core) so neither
-// lock is the hot one under concurrent load.
-const renderShards = 16
-
-// maxShardEntries is the per-shard cap; the shard-local bound keeps the
-// global maxRenderEntries invariant without any cross-shard counting.
-const maxShardEntries = maxRenderEntries / renderShards
-
-// renderCache memoizes rendered responses for one Server, sharded
-// across renderShards mutexes keyed by an FNV-1a hash of the render
-// key, so concurrent requests for different renderings no longer
-// serialize on one lock. hits/misses count successful responses only:
-// served from cache vs rendered.
+// renderCache memoizes rendered responses for one Server through an
+// internal/memo Map: concurrent first requests share one render, fill
+// errors go to every waiter and are not kept, and the counters count
+// successful responses only (served from cache vs rendered).
 type renderCache struct {
-	shards [renderShards]renderShard
+	memo.Map[renderKey, *renderEntry]
 }
 
-type renderShard struct {
-	mu      sync.Mutex
-	entries map[renderKey]*renderSlot
-	hits    uint64
-	misses  uint64
+func newRenderCache() *renderCache {
+	return &renderCache{memo.Map[renderKey, *renderEntry]{Max: maxRenderEntries}}
 }
 
-func newRenderCache() *renderCache { return &renderCache{} }
-
-// shardFor hashes the key's fields with FNV-1a. Every field
-// participates: kind and format have few values, so name and variant
-// carry the entropy for the client-controlled key spaces.
-func (c *renderCache) shardFor(k renderKey) *renderShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff // field separator: ("ab","c") must not collide with ("a","bc")
-		h *= prime64
-	}
-	mix(k.kind)
-	mix(k.name)
-	mix(k.variant)
-	h ^= uint64(k.format)
-	h *= prime64
-	return &c.shards[h&(renderShards-1)]
-}
-
-// get returns the cached rendering for k, filling it exactly once via
-// fill on first request. Concurrent first requests share one fill. A
-// fill error is returned to every waiter but not cached: the slot is
-// removed so a later request retries (and errors count toward neither
-// hits nor misses).
+// get returns the cached rendering for k, rendering it via fill on the
+// first request.
 func (c *renderCache) get(k renderKey, fill func() (body []byte, ctype string, err error)) (*renderEntry, error) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	if sh.entries == nil {
-		sh.entries = make(map[renderKey]*renderSlot)
-	}
-	slot, cached := sh.entries[k]
-	if slot == nil {
-		if len(sh.entries) >= maxShardEntries {
-			// Evict an arbitrary entry (map iteration order): a slot
-			// another request still holds completes its fill and
-			// serves normally, it just won't be found again.
-			for victim := range sh.entries {
-				delete(sh.entries, victim)
-				break
-			}
-		}
-		slot = &renderSlot{}
-		sh.entries[k] = slot
-	}
-	sh.mu.Unlock()
-
-	slot.once.Do(func() {
+	ent, _, err := c.Get(k, func() (*renderEntry, error) {
 		body, ctype, err := fill()
 		if err != nil {
-			slot.err = err
-			sh.mu.Lock()
-			if sh.entries[k] == slot {
-				delete(sh.entries, k)
-			}
-			sh.mu.Unlock()
-			return
+			return nil, err
 		}
-		slot.ent = newRenderEntry(body, ctype)
+		return newRenderEntry(body, ctype), nil
 	})
-	if slot.err != nil {
-		return nil, slot.err
-	}
-	sh.mu.Lock()
-	if cached {
-		sh.hits++
-	} else {
-		sh.misses++
-	}
-	sh.mu.Unlock()
-	return slot.ent, nil
-}
-
-// stats reports lookups served from the cache vs renders computed,
-// summed across shards.
-func (c *renderCache) stats() (hits, misses uint64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		hits += sh.hits
-		misses += sh.misses
-		sh.mu.Unlock()
-	}
-	return hits, misses
-}
-
-// size reports the live entry count across shards (tests use it to
-// check the bound).
-func (c *renderCache) size() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	return ent, err
 }
 
 // gzipMinSize is the smallest body worth compressing: below this the

@@ -58,7 +58,7 @@ func TestExperimentETagAndConditionalGet(t *testing.T) {
 		t.Errorf("stale tag: status %d body %d bytes", miss.Code, miss.Body.Len())
 	}
 
-	hits, misses := s.rc.stats()
+	hits, misses := s.rc.Stats()
 	if misses != 1 {
 		t.Errorf("render cache misses = %d, want 1", misses)
 	}
@@ -83,7 +83,7 @@ func TestRenderCacheKeyedByFormat(t *testing.T) {
 	if len(tags) != 3 {
 		t.Errorf("3 formats produced %d distinct ETags", len(tags))
 	}
-	if _, misses := s.rc.stats(); misses != 3 {
+	if _, misses := s.rc.Stats(); misses != 3 {
 		t.Errorf("misses = %d, want 3", misses)
 	}
 }
@@ -299,7 +299,7 @@ func TestReportsAndSweepsCached(t *testing.T) {
 	}
 	// Fills: roofline f64, roofline f32, sweep. Hits: roofline repeat,
 	// sweep repeat.
-	hits, misses := s.rc.stats()
+	hits, misses := s.rc.Stats()
 	if hits != 2 || misses != 3 {
 		t.Errorf("render cache hits/misses = %d/%d, want 2/3", hits, misses)
 	}
@@ -348,7 +348,7 @@ func TestRenderCacheDoesNotCacheErrors(t *testing.T) {
 	}
 	// Failed fills count toward neither hits nor misses; the recovery
 	// fill is the one miss.
-	if hits, misses := c.stats(); hits != 0 || misses != 1 {
+	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("stats after errors = %d/%d, want 0 hits / 1 miss", hits, misses)
 	}
 }
@@ -363,7 +363,7 @@ func TestRenderCacheBounded(t *testing.T) {
 		if _, err := c.get(renderKey{kind: "sweep", variant: fmt.Sprint(i)}, fill); err != nil {
 			t.Fatal(err)
 		}
-		if n := c.size(); n > maxRenderEntries {
+		if n := c.Len(); n > maxRenderEntries {
 			t.Fatalf("cache grew to %d entries past the %d cap", n, maxRenderEntries)
 		}
 	}

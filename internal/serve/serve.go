@@ -368,7 +368,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // derived hit rates).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	hits, misses := s.eng.CacheStats()
-	rhits, rmisses := s.rc.stats()
+	rhits, rmisses := s.rc.Stats()
 	var fs *fabric.FabricStats
 	if s.coord != nil {
 		v := s.coord.Stats()

@@ -188,7 +188,7 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 	}
 	// Identical requests coalesce one layer up now: the render cache
 	// fills the body once, every other client shares it.
-	rhits, rmisses := srv.rc.stats()
+	rhits, rmisses := srv.rc.Stats()
 	if rmisses != 1 {
 		t.Errorf("render cache misses = %d, want 1 (identical requests must share one render)", rmisses)
 	}
