@@ -47,7 +47,7 @@
 // resilient to worker loss (README has a quickstart). The coordinator
 // health-probes every worker (-probe-interval/-probe-timeout/
 // -probe-backoff): a dead worker leaves the ring, a recovered one
-// rejoins mid-campaign and is snapshot-warmed from its ring peers — no
+// rejoins mid-campaign and is snapshot-warmed from its peers — no
 // coordinator restart. -replicas N cross-checks each shard on N
 // workers, byte-comparing frames and quarantining any worker whose
 // bytes diverge from quorum (visible in /metrics). -restore loads a
@@ -95,7 +95,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	prewarm := fs.Bool("prewarm", false, "render the preset corpus at boot; /healthz stays 503 until it completes")
 	worker := fs.Bool("worker", false, "serve the fabric shard API (POST /v1/fabric/points) beside the ordinary surface")
 	coordinate := fs.String("coordinate", "", "comma-separated worker base URLs; campaigns shard over them instead of evaluating locally")
-	replicas := fs.Int("replicas", 1, "dispatch each campaign shard to N ring-successor workers and byte-compare their frames; divergent workers are quarantined (1 = no replication; needs -coordinate)")
+	replicas := fs.Int("replicas", 1, "dispatch each campaign shard to the N workers with the highest rendezvous score for its key and byte-compare their frames; divergent workers are quarantined (1 = no replication; needs -coordinate)")
 	probeInterval := fs.Duration("probe-interval", fabric.DefaultProbeInterval, "how often the coordinator health-probes each worker (needs -coordinate)")
 	probeTimeout := fs.Duration("probe-timeout", fabric.DefaultProbeTimeout, "per-probe timeout before a worker counts as failed")
 	probeBackoff := fs.Duration("probe-backoff", fabric.DefaultProbeBackoff, "cap on the probe delay to a dead worker (doubles from -probe-interval up to this)")

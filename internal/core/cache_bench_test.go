@@ -76,6 +76,71 @@ func BenchmarkRunSuiteUncached(b *testing.B) {
 	}
 }
 
+// sweepCache returns a study whose cache holds an SG2042 sweep of 384
+// configurations: 64 thread counts, 3 placements, 2 precisions.
+func sweepCache(b *testing.B) *Study {
+	b.Helper()
+	st := NewStudy()
+	for threads := 1; threads <= 64; threads++ {
+		for _, pol := range placement.Policies {
+			for _, p := range []prec.Precision{prec.F32, prec.F64} {
+				if _, err := st.RunSuite(sgConfig(threads, pol, p)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	return st
+}
+
+// reportPerEntry reports the mean time per entry of b's timed loop and
+// the snapshot's size per entry.
+func reportPerEntry(b *testing.B, snapshot []byte, entries int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(entries), "ns/entry")
+	b.ReportMetric(float64(len(snapshot))/float64(entries), "B/entry")
+}
+
+// BenchmarkSnapshotCache is what a warm join's peer or a -snapshot
+// write pays per entry, to set against BenchmarkRunSuiteUncached, the
+// evaluation the entry saves.
+func BenchmarkSnapshotCache(b *testing.B) {
+	st := sweepCache(b)
+	var data []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if data, err = st.SnapshotCache(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportPerEntry(b, data, st.cache.Len())
+}
+
+// BenchmarkRestoreCache is what the joiner or a -restore boot pays per
+// entry: decode, validate and install into an empty cache.
+func BenchmarkRestoreCache(b *testing.B) {
+	st := sweepCache(b)
+	data, err := st.SnapshotCache()
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := st.cache.Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := NewStudy()
+		b.StartTimer()
+		if n, err := fresh.RestoreCache(data); err != nil || n != want {
+			b.Fatalf("RestoreCache = (%d, %v), want (%d, nil)", n, err, want)
+		}
+	}
+	b.StopTimer()
+	reportPerEntry(b, data, want)
+}
+
 // BenchmarkRunSuiteCachedHit is the hit path: key construction (with
 // the machine fingerprint), the map lookup and the result copy.
 func BenchmarkRunSuiteCachedHit(b *testing.B) {

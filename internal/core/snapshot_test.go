@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/canon"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/prec"
 	"repro/internal/suite"
-	"repro/internal/wire"
 )
 
 // populate evaluates one suite per registry preset plus a couple of
@@ -116,42 +121,224 @@ func TestRestoreDoesNotOverwrite(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruption: truncated, version-skewed and
-// bit-flipped snapshots error cleanly and leave the cache untouched.
+// snapshotGoldenSHA256 pins the snapshot layout: the SHA-256 of
+// populateStudy's snapshot. The layout, the suite, the model, the
+// presets and the noise seeding all move it; a change that does says
+// why.
+const snapshotGoldenSHA256 = "a6dfb34fbc4b6fb154e2dc874a4963d2182d1aded36309e6a9468e1d66892374"
+
+// TestSnapshotGoldenDigest: populateStudy's snapshot hashes to the
+// committed digest.
+func TestSnapshotGoldenDigest(t *testing.T) {
+	data, err := populateStudy(t).SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != snapshotGoldenSHA256 {
+		t.Fatalf("snapshot SHA-256 = %s (%d bytes), want %s", got, len(data), snapshotGoldenSHA256)
+	}
+}
+
+// TestSnapshotRoundTripNegativeFields: ProblemN may be negative in a
+// key and the seed is an int64, so both travel as zigzag varints and
+// come back unchanged.
+func TestSnapshotRoundTripNegativeFields(t *testing.T) {
+	src := NewStudy()
+	if _, err := src.RunSuite(mustMachineCfg(machine.SG2042(), 4, prec.F64)); err != nil {
+		t.Fatal(err)
+	}
+	var want snapshotEntry
+	src.cache.Range(func(k suiteKey, secs []float64) { want = snapshotEntry{k, secs} })
+	st := NewStudy()
+	want.key.model = st.Model
+	want.key.problemN = -3
+	want.key.seed = math.MinInt64 + 7
+	if !st.cache.Put(want.key, want.secs) {
+		t.Fatal("entry not installed")
+	}
+	data, err := st.SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewStudy()
+	if n, err := fresh.RestoreCache(data); err != nil || n != 1 {
+		t.Fatalf("RestoreCache = (%d, %v), want (1, nil)", n, err)
+	}
+	want.key.model = fresh.Model
+	var got []snapshotEntry
+	fresh.cache.Range(func(k suiteKey, secs []float64) { got = append(got, snapshotEntry{k, secs}) })
+	if len(got) != 1 || got[0].key != want.key || !reflect.DeepEqual(got[0].secs, want.secs) {
+		t.Fatalf("restored %+v, want %+v", got, want)
+	}
+}
+
+// TestSnapshotRefusesShortEntry: an entry that does not hold one
+// seconds value per suite kernel cannot be encoded in the layout, so
+// the snapshot errors instead of writing a file no restore accepts.
+func TestSnapshotRefusesShortEntry(t *testing.T) {
+	st := NewStudy()
+	if !st.cache.Put(suiteKey{model: st.Model, machine: "SG2042", runs: 1}, []float64{1}) {
+		t.Fatal("short entry not installed")
+	}
+	if _, err := st.SnapshotCache(); err == nil || !strings.Contains(err.Error(), "the suite has") {
+		t.Fatalf("SnapshotCache = %v, want a suite-size error", err)
+	}
+}
+
+// snapshotParts splits a snapshot into its encoded entries, failing
+// unless its kernel list is exactly the suite's.
+func snapshotParts(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	head := assembleSnapshot(suite.All(), nil)
+	head = head[:len(head)-1] // the zero entry count
+	if !bytes.HasPrefix(data, head) {
+		t.Fatal("snapshot does not open with the suite's kernel list")
+	}
+	r := canon.NewReader(data[len(head):])
+	n := r.Count(1)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	off := len(data) - r.Len()
+	entries := make([][]byte, n)
+	for i := range entries {
+		size := entryLayoutOf(t, data[off:]).size
+		entries[i] = data[off : off+size]
+		off += size
+	}
+	if off != len(data) {
+		t.Fatalf("%d trailing bytes after %d entries", len(data)-off, n)
+	}
+	return entries
+}
+
+// entryLayout locates the fields of one encoded entry.
+type entryLayout struct {
+	fp      int    // the fingerprint's 8 bytes
+	varints [9]int // threads ... seed
+	noise   int
+	secs    int // the first seconds value
+	size    int
+}
+
+// entryLayoutOf walks the entry that opens e.
+func entryLayoutOf(t *testing.T, e []byte) entryLayout {
+	t.Helper()
+	var l entryLayout
+	r := canon.NewReader(e)
+	at := func() int { return len(e) - r.Len() }
+	r.Str()
+	l.fp = at()
+	r.Uint64()
+	for i := range l.varints {
+		l.varints[i] = at()
+		r.Varint()
+	}
+	l.noise = at()
+	r.Float()
+	l.secs = at()
+	for range suite.All() {
+		r.Float()
+	}
+	l.size = at()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return l
+}
+
+// assembleSnapshot builds a snapshot from a kernel list and encoded
+// entries, which may disagree with each other and with the suite.
+func assembleSnapshot(specs []kernels.Spec, entries [][]byte) []byte {
+	out := binary.AppendUvarint([]byte(snapMagic), SnapshotVersion)
+	out = binary.AppendUvarint(out, uint64(len(specs)))
+	for _, s := range specs {
+		out = canon.AppendString(out, s.Name)
+		out = binary.AppendUvarint(out, uint64(s.Class))
+	}
+	out = binary.AppendUvarint(out, uint64(len(entries)))
+	for _, e := range entries {
+		out = append(out, e...)
+	}
+	return out
+}
+
+// pickSeconds returns entry e with its seconds rebuilt from the given
+// row indices, so rows can be dropped, duplicated or reordered.
+func pickSeconds(t *testing.T, e []byte, rows []int) []byte {
+	t.Helper()
+	l := entryLayoutOf(t, e)
+	out := append([]byte(nil), e[:l.secs]...)
+	for _, row := range rows {
+		out = append(out, e[l.secs+8*row:l.secs+8*row+8]...)
+	}
+	return out
+}
+
+// splice returns b with the n bytes at offset at replaced by with.
+func splice(b []byte, at, n int, with ...byte) []byte {
+	out := append([]byte(nil), b[:at]...)
+	return append(append(out, with...), b[at+n:]...)
+}
+
+// TestRestoreRejectsCorruption: truncated, version-skewed, bit-flipped
+// and out-of-range snapshots error cleanly and leave the cache
+// untouched.
 func TestRestoreRejectsCorruption(t *testing.T) {
 	st := populateStudy(t)
 	data, err := st.SnapshotCache()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Version skew: a header declaring an unknown snapshot version must
-	// be rejected even though the wire framing itself is valid.
-	badHeader := mustSnapshotHeader(t, 99, 0)
-	if _, err := NewStudy().RestoreCache(badHeader); err == nil {
-		t.Fatal("version-skewed snapshot restored without error")
+	entries := snapshotParts(t, data)
+	first := len(data) - len(bytes.Join(entries, nil))
+	l := entryLayoutOf(t, entries[0])
+	threads, runs := first+l.varints[0], first+l.varints[7]
+	if data[threads] >= 0x80 || data[runs] >= 0x80 || data[runs] == 0 || data[first-1] != byte(len(entries)) {
+		t.Fatalf("unexpected layout: threads byte %#x, runs byte %#x, count byte %#x",
+			data[threads], data[runs], data[first-1])
 	}
+	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
+	negative := canon.AppendFloat(nil, -1)
 
-	cases := map[string][]byte{
-		"empty":     {},
-		"truncated": data[:len(data)/2],
-		"trailing":  append(append([]byte(nil), data...), 0xFF),
+	cases := map[string]struct {
+		data []byte
+		want string // "" when any error will do
+	}{
+		"empty":              {nil, "magic"},
+		"version skew":       {splice(data, len(snapMagic), 1, 99), "version 99"},
+		"truncated":          {data[:len(data)/2], ""},
+		"trailing":           {append(append([]byte(nil), data...), 0xFF), "trailing"},
+		"non-minimal varint": {splice(data, threads, 1, data[threads]|0x80, 0), "non-minimal"},
+		"scalar flag 2":      {splice(data, first+l.varints[5], 1, 4), "scalar flag 2"},
+		"NaN noise":          {splice(data, first+l.noise, 8, nan...), "NaN noise"},
+		"zero runs":          {splice(data, runs, 1, 0), "0 runs"},
+		"negative seconds":   {splice(data, first+l.secs, 8, negative...), "non-positive time -1"},
+		"huge entry count":   {splice(data, first-1, 1, 0xFF, 0xFF, 0x03), "exceeds"},
 	}
 	if len(data) > 64 {
 		flipped := append([]byte(nil), data...)
 		flipped[37] ^= 0xFF
 		flipped[len(flipped)-5] ^= 0x55
-		cases["bitflip"] = flipped
+		cases["bitflip"] = struct {
+			data []byte
+			want string
+		}{flipped, ""}
 	}
-	for name, bad := range cases {
+	for name, tc := range cases {
 		fresh := NewStudy()
-		if _, err := fresh.RestoreCache(bad); err == nil {
+		n, err := fresh.RestoreCache(tc.data)
+		if err == nil {
 			// A bit flip can, in principle, land in a value byte and
 			// still decode; every structural case must fail though.
 			if name != "bitflip" {
 				t.Errorf("%s snapshot restored without error", name)
 			}
 			continue
+		}
+		if n != 0 || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RestoreCache = (%d, %v), want (0, an error containing %q)", name, n, err, tc.want)
 		}
 		if hits, misses := fresh.CacheStats(); hits != 0 || misses != 0 {
 			t.Errorf("%s: failed restore touched the cache (hits=%d misses=%d)", name, hits, misses)
@@ -163,78 +350,9 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// mustSnapshotHeader builds a snapshot whose header declares the given
-// version and entry count, with no entry frames.
-func mustSnapshotHeader(t *testing.T, version, entries int64) []byte {
-	t.Helper()
-	out, err := wire.Encode(wire.Table{
-		Kind:  snapHeaderKind,
-		Title: "sg2042 suite cache",
-		Columns: []wire.Column{
-			{Name: "version", Type: wire.Int64, Ints: []int64{version}},
-			{Name: "entries", Type: wire.Int64, Ints: []int64{entries}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// rewriteSnapshot re-encodes a snapshot after mutate has edited each
-// entry's key and measurement frames in place.
-func rewriteSnapshot(t *testing.T, data []byte, mutate func(key, suite *wire.Table)) []byte {
-	t.Helper()
-	var tables []wire.Table
-	for rest := data; len(rest) > 0; {
-		var tab wire.Table
-		var err error
-		if tab, rest, err = wire.Decode(rest); err != nil {
-			t.Fatal(err)
-		}
-		tables = append(tables, tab)
-	}
-	for i := 1; i+1 < len(tables); i += 2 {
-		mutate(&tables[i], &tables[i+1])
-	}
-	out, err := wire.Encode(tables...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// pickRows rebuilds every column of a measurement frame from the given
-// row indices, so rows can be dropped, duplicated or reordered.
-func pickRows(suiteT *wire.Table, rows []int) {
-	for i := range suiteT.Columns {
-		c := &suiteT.Columns[i]
-		switch c.Type {
-		case wire.String:
-			s := make([]string, len(rows))
-			for j, r := range rows {
-				s[j] = c.Strings[r]
-			}
-			c.Strings = s
-		case wire.Int64:
-			s := make([]int64, len(rows))
-			for j, r := range rows {
-				s[j] = c.Ints[r]
-			}
-			c.Ints = s
-		case wire.Float64:
-			s := make([]float64, len(rows))
-			for j, r := range rows {
-				s[j] = c.Floats[r]
-			}
-			c.Floats = s
-		}
-	}
-}
-
 // TestRestoreRejectsForeignSuiteRows: the cache reads an entry's
-// seconds by suite position, so restore accepts only entries whose
-// rows are exactly the suite's kernels, in suite order, with the
+// seconds by suite position, so restore accepts only a snapshot whose
+// kernel list is exactly the suite's kernels, in suite order, with the
 // suite's classes. Anything else errors, installs nothing and leaves
 // the counters and later lookups as they were.
 func TestRestoreRejectsForeignSuiteRows(t *testing.T) {
@@ -248,30 +366,36 @@ func TestRestoreRejectsForeignSuiteRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(suite.All())
+	entries := snapshotParts(t, data)
+	specs := suite.All()
+	n := len(specs)
 	inOrder := make([]int, n)
 	for i := range inOrder {
 		inOrder[i] = i
 	}
 	swapped := append([]int(nil), inOrder...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
+	// pick lists the kernels at rows and rebuilds every entry's seconds
+	// from the same rows, so list and entries agree with each other
+	// but not with the suite.
+	pick := func(rows []int) []byte {
+		ks := make([]kernels.Spec, len(rows))
+		es := make([][]byte, len(entries))
+		for i, row := range rows {
+			ks[i] = specs[row]
+		}
+		for i, e := range entries {
+			es[i] = pickSeconds(t, e, rows)
+		}
+		return assembleSnapshot(ks, es)
+	}
+	foreign := append([]kernels.Spec(nil), specs...)
+	foreign[0].Class++
 	cases := map[string][]byte{
-		"one row": rewriteSnapshot(t, data, func(_, s *wire.Table) {
-			pickRows(s, []int{0})
-		}),
-		"swapped rows": rewriteSnapshot(t, data, func(_, s *wire.Table) {
-			pickRows(s, swapped)
-		}),
-		"foreign class": rewriteSnapshot(t, data, func(_, s *wire.Table) {
-			for i := range s.Columns {
-				if s.Columns[i].Name == "class" {
-					s.Columns[i].Ints[0]++
-				}
-			}
-		}),
-		"extra row": rewriteSnapshot(t, data, func(_, s *wire.Table) {
-			pickRows(s, append(inOrder, n-1))
-		}),
+		"one row":       pick([]int{0}),
+		"swapped rows":  pick(swapped),
+		"foreign class": assembleSnapshot(foreign, entries),
+		"extra row":     pick(append(inOrder, n-1)),
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {

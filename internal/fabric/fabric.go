@@ -14,7 +14,8 @@
 //
 //   - The point codec (point.go): one frame per evaluated
 //     CampaignPoint in a fixed canonical layout, length-prefixed for
-//     incremental stream decoding. Float64 fields travel as IEEE-754
+//     incremental stream decoding. Its reader (internal/canon) is the
+//     one core's suite-cache snapshot decodes with. Float64 fields travel as IEEE-754
 //     bit patterns, so a point decoded from a worker is bit-identical
 //     to one evaluated locally.
 //
@@ -53,7 +54,8 @@ const HealthPath = "/v1/fabric/healthz"
 // SnapshotPath is the worker's suite-cache snapshot endpoint:
 // GET ?owner=<url>&fleet=<url>&fleet=<url>... answers the cache entries
 // whose machine fingerprints owner wins over the full fleet, exclusions
-// ignored (core snapshot format); no parameters means the full cache.
+// ignored (core's fixed snapshot layout); no parameters means the full
+// cache.
 // An owner without a fleet, a fleet NewRing rejects, or an owner not in
 // the fleet is a 400. Peers serve a rejoining worker's warm-join pull
 // from here.
@@ -66,6 +68,8 @@ const SnapshotPath = "/v1/fabric/snapshot"
 // before rendezvous hashing knows only the older {"peers", "arc"} body
 // and answers this one with 400, which costs the joiner its warmth (a
 // cold worker is still correct) and counts in FabricStats.WarmErrors.
+// So does a pull from a peer that ships an older SnapshotVersion: the
+// joiner's restore rejects it whole.
 const WarmPath = "/v1/fabric/warm"
 
 // ContentType is the media type of a worker's point-frame stream: a
@@ -74,5 +78,5 @@ const WarmPath = "/v1/fabric/warm"
 const ContentType = "application/vnd.sg2042.fabric-frames"
 
 // SnapshotContentType is the media type of an owner-filtered suite-cache
-// snapshot (the core snapshot wire format).
+// snapshot (core's fixed snapshot layout, docs/PERFORMANCE.md).
 const SnapshotContentType = "application/vnd.sg2042.cache-snapshot"

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"repro"
+	"repro/internal/canon"
 	"repro/internal/kernels"
 	"repro/internal/placement"
 	"repro/internal/prec"
@@ -16,10 +16,11 @@ import (
 )
 
 // The point codec: one evaluated CampaignPoint per frame, in one fixed
-// layout. Integers are minimal uvarints, strings a uvarint byte length
-// then the bytes, floats the 8-byte little-endian IEEE-754 bit pattern
-// (so decode(encode(p)) is bit-identical to p — the property the
-// distributed determinism contract stands on):
+// layout, in internal/canon's primitives. Integers are minimal
+// uvarints, strings a uvarint byte length then the bytes, floats the
+// 8-byte little-endian IEEE-754 bit pattern (so decode(encode(p)) is
+// bit-identical to p — the property the distributed determinism
+// contract stands on):
 //
 //	pointMagic ("SGPF" and version byte 1)
 //	index, base, machine, threads, placement, prec, cores
@@ -69,37 +70,28 @@ func appendPoint(dst []byte, p repro.CampaignPoint) ([]byte, error) {
 
 	dst = append(dst, pointMagic...)
 	dst = binary.AppendUvarint(dst, uint64(p.Index))
-	dst = appendString(dst, p.Base)
-	dst = appendString(dst, p.Machine)
+	dst = canon.AppendString(dst, p.Base)
+	dst = canon.AppendString(dst, p.Machine)
 	for _, v := range [...]int{p.Threads, int(p.Placement), int(p.Prec), p.Cores} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	dst = appendFloat(dst, p.TotalSeconds)
-	dst = appendFloat(dst, p.MeanRatio)
+	dst = canon.AppendFloat(dst, p.TotalSeconds)
+	dst = canon.AppendFloat(dst, p.MeanRatio)
 	dst = binary.AppendUvarint(dst, uint64(len(p.Values)))
 	for _, v := range p.Values {
-		dst = appendFloat(dst, v)
+		dst = canon.AppendFloat(dst, v)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(classes)))
 	for _, c := range classes {
 		cell := p.ByClass[c]
 		dst = binary.AppendUvarint(dst, uint64(c))
-		dst = appendFloat(dst, cell.Seconds)
+		dst = canon.AppendFloat(dst, cell.Seconds)
 		dst = binary.AppendUvarint(dst, uint64(cell.Ratio.N))
-		dst = appendFloat(dst, cell.Ratio.Mean)
-		dst = appendFloat(dst, cell.Ratio.Min)
-		dst = appendFloat(dst, cell.Ratio.Max)
+		dst = canon.AppendFloat(dst, cell.Ratio.Mean)
+		dst = canon.AppendFloat(dst, cell.Ratio.Min)
+		dst = canon.AppendFloat(dst, cell.Ratio.Max)
 	}
 	return dst, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendFloat(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 // decodePoint rebuilds a CampaignPoint from one frame body, rejecting
@@ -107,123 +99,47 @@ func appendFloat(dst []byte, v float64) []byte {
 // surfaces as an error, never as a silently-wrong point.
 func decodePoint(frame []byte) (repro.CampaignPoint, error) {
 	var p repro.CampaignPoint
-	if len(frame) < len(pointMagic) || string(frame[:len(pointMagic)]) != pointMagic {
-		return p, fmt.Errorf("fabric: frame does not start with point magic %q", pointMagic)
-	}
-	r := frameReader{buf: frame[len(pointMagic):]}
-	p.Index = r.int()
-	p.Base = r.string()
-	p.Machine = r.string()
-	p.Threads = r.int()
-	p.Placement = placement.Policy(r.int())
-	p.Prec = prec.Precision(r.int())
-	p.Cores = r.int()
-	p.TotalSeconds = r.float()
-	p.MeanRatio = r.float()
-	if n := r.count(8); n > 0 {
+	r := canon.NewReader(frame)
+	r.Magic(pointMagic)
+	p.Index = r.Int()
+	p.Base = r.Str()
+	p.Machine = r.Str()
+	p.Threads = r.Int()
+	p.Placement = placement.Policy(r.Int())
+	p.Prec = prec.Precision(r.Int())
+	p.Cores = r.Int()
+	p.TotalSeconds = r.Float()
+	p.MeanRatio = r.Float()
+	if n := r.Count(8); n > 0 {
 		p.Values = make([]float64, n)
 		for i := range p.Values {
-			p.Values[i] = r.float()
+			p.Values[i] = r.Float()
 		}
 	}
-	n := r.count(minCellSize)
+	n := r.Count(minCellSize)
 	if n == 0 {
-		r.fail("point frame has no class cells")
+		r.Fail("no class cells")
 	}
 	p.ByClass = make(map[kernels.Class]repro.CampaignCell, n)
 	prev := kernels.Class(-1)
-	for i := 0; i < n && r.err == nil; i++ {
-		c := kernels.Class(r.int())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		c := kernels.Class(r.Int())
 		if c == prev {
-			r.fail("class %d repeated in point frame", c)
+			r.Fail("class %d repeated", c)
 		} else if c < prev {
-			r.fail("class %d out of order after class %d in point frame", c, prev)
+			r.Fail("class %d out of order after class %d", c, prev)
 		}
 		// Operands evaluate left to right: the cell's fields in layout order.
 		p.ByClass[c] = repro.CampaignCell{
-			Seconds: r.float(),
-			Ratio:   stats.Summary{N: r.int(), Mean: r.float(), Min: r.float(), Max: r.float()},
+			Seconds: r.Float(),
+			Ratio:   stats.Summary{N: r.Int(), Mean: r.Float(), Min: r.Float(), Max: r.Float()},
 		}
 		prev = c
 	}
-	if len(r.buf) != 0 {
-		r.fail("%d trailing bytes in point frame", len(r.buf))
-	}
-	if r.err != nil {
-		return repro.CampaignPoint{}, r.err
+	if err := r.End(); err != nil {
+		return repro.CampaignPoint{}, fmt.Errorf("fabric: point frame: %w", err)
 	}
 	return p, nil
-}
-
-// frameReader is a cursor over a frame body with a sticky error: once
-// a read fails, every later read returns a zero value, so decodePoint
-// checks once at the end. Every length and count is checked against
-// the bytes left before anything is sized from it.
-type frameReader struct {
-	buf []byte
-	err error
-}
-
-func (r *frameReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("fabric: "+format, args...)
-	}
-	r.buf = nil
-}
-
-func (r *frameReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("truncated or over-long uvarint in point frame")
-		return 0
-	}
-	if n > 1 && r.buf[n-1] == 0 {
-		// A minimal uvarint never ends in a zero byte.
-		r.fail("non-minimal uvarint in point frame")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *frameReader) int() int {
-	v := r.uvarint()
-	if v > math.MaxInt {
-		r.fail("integer %d out of range in point frame", v)
-		return 0
-	}
-	return int(v)
-}
-
-// count reads an element count and refuses one that cannot fit in the
-// bytes left at size bytes per element.
-func (r *frameReader) count(size int) int {
-	v := r.uvarint()
-	if v > uint64(len(r.buf)/size) {
-		r.fail("count %d exceeds the %d bytes left in point frame", v, len(r.buf))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *frameReader) string() string {
-	n := r.count(1)
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-func (r *frameReader) float() float64 {
-	if len(r.buf) < 8 {
-		r.fail("point frame truncated in a float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
 }
 
 // writeFrame writes one length-prefixed frame as two writes, the

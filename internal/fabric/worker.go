@@ -45,8 +45,9 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 	return &Worker{
 		eng: eng,
 		reg: reg,
-		// Snapshot pulls are a few MB of local traffic at worst; a
-		// bounded client keeps a hung peer from wedging a warm-join.
+		// A snapshot costs about 550 B per cache entry (210 KB for a
+		// 384-configuration sweep); a bounded client keeps a hung peer
+		// from wedging a warm-join.
 		client: &http.Client{Timeout: 30 * time.Second},
 	}
 }
@@ -123,14 +124,6 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Register mounts every worker endpoint on a mux.
-func (wk *Worker) Register(mux *http.ServeMux) {
-	mux.Handle(PointsPath, wk)
-	mux.HandleFunc(HealthPath, wk.ServeHealth)
-	mux.HandleFunc(SnapshotPath, wk.ServeSnapshot)
-	mux.HandleFunc(WarmPath, wk.ServeWarm)
-}
-
 // ServeHealth answers the fabric readiness probe. A worker that can
 // run this handler can serve shard traffic, so the answer is
 // unconditionally 200 — warmth is a performance property, not a
@@ -143,10 +136,10 @@ func (wk *Worker) ServeHealth(w http.ResponseWriter, r *http.Request) {
 // ServeSnapshot answers GET
 // /v1/fabric/snapshot?owner=<url>&fleet=<url>&fleet=<url>...: the
 // worker's suite-cache entries whose machine fingerprints owner wins
-// over the full fleet (exclusions ignored), in the core snapshot wire
-// format. Without parameters the full cache is returned. The body is
-// deterministic for a given cache state (entries sort by canonical
-// key), so two peers holding the same entries ship identical bytes.
+// over the full fleet (exclusions ignored), in core's snapshot layout.
+// Without parameters the full cache is returned. The body is
+// deterministic for a given cache state (entries sort by their encoded
+// bytes), so two peers holding the same entries ship identical bytes.
 func (wk *Worker) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)

@@ -75,10 +75,10 @@ type Options struct {
 	// at boot); an invalid list surfaces as an error on every campaign
 	// request.
 	Coordinate []string
-	// Replicas dispatches each campaign shard to this many
-	// ring-successor workers and byte-compares their frames, emitting
-	// on quorum and quarantining divergent workers (<=1 disables
-	// replication). Only meaningful with Coordinate.
+	// Replicas dispatches each campaign shard to this many workers,
+	// the top scorers under rendezvous hashing, and byte-compares their
+	// frames, emitting on quorum and quarantining divergent workers
+	// (<=1 disables replication). Only meaningful with Coordinate.
 	Replicas int
 }
 
