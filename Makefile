@@ -91,9 +91,9 @@ doccheck:
 	$(GO) run ./cmd/doccheck
 
 # Byte-diff the CLI's serial and parallel outputs for the full
-# experiment set and for a multi-axis campaign — the determinism
-# contract (docs/ARCHITECTURE.md), enforced end to end through the real
-# binary.
+# experiment set, both example campaigns and a core-count sweep (text
+# and CSV) — the determinism contract (docs/ARCHITECTURE.md), enforced
+# end to end through the real binary.
 determinism:
 	@mkdir -p bin
 	$(GO) build -o bin/sg2042sim ./cmd/sg2042sim
@@ -106,7 +106,13 @@ determinism:
 	./bin/sg2042sim -campaign examples/scaling/campaign.json -parallel 1 > bin/det-scaling-serial.txt
 	./bin/sg2042sim -campaign examples/scaling/campaign.json -parallel 8 > bin/det-scaling-parallel.txt
 	cmp bin/det-scaling-serial.txt bin/det-scaling-parallel.txt
-	@echo "determinism OK: serial == parallel for -exp all and both campaigns (incl. multi-socket)"
+	./bin/sg2042sim -sweep cores=8,16,32,64 -parallel 1 > bin/det-sweep-serial.txt
+	./bin/sg2042sim -sweep cores=8,16,32,64 -parallel 8 > bin/det-sweep-parallel.txt
+	cmp bin/det-sweep-serial.txt bin/det-sweep-parallel.txt
+	./bin/sg2042sim -sweep cores=8,16,32,64 -csv -parallel 1 > bin/det-sweep-serial.csv
+	./bin/sg2042sim -sweep cores=8,16,32,64 -csv -parallel 8 > bin/det-sweep-parallel.csv
+	cmp bin/det-sweep-serial.csv bin/det-sweep-parallel.csv
+	@echo "determinism OK: serial == parallel for -exp all, both campaigns (incl. multi-socket) and a core sweep (text and CSV)"
 
 # The distributed face of the determinism contract, in two layers.
 # First the fault-injection suite under the race detector: seeded

@@ -347,9 +347,8 @@ func BenchmarkCampaignFirstPointCold(b *testing.B) {
 }
 
 // BenchmarkCampaignBaseFingerprint: one full-parameter fingerprint of
-// the SG2042 preset. A campaign's plan compile hashes every derived
-// machine and its derivation memo re-hashes the parent once per
-// derivation.
+// the SG2042 preset. A campaign hashes every base for its plan key and,
+// when it compiles, every distinct derived machine once.
 func BenchmarkCampaignBaseFingerprint(b *testing.B) {
 	m := SG2042()
 	b.ReportAllocs()
@@ -574,7 +573,7 @@ func pad2(n int) string {
 // the encoding step.
 func benchAllTables(b *testing.B) []WireTable {
 	b.Helper()
-	tables, err := binaryEach(core.NewStudy(), ExperimentNames, 8)
+	tables, err := fanOut(core.NewStudy(), ExperimentNames, 8, experimentTable)
 	if err != nil {
 		b.Fatal(err)
 	}

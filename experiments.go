@@ -157,7 +157,7 @@ func (e *Engine) RunManyFormat(names []string, csv bool) (string, error) {
 // inputs.
 func (e *Engine) RunEach(names []string, csv bool) (expanded []string, outs []string, err error) {
 	expanded = expandExperiments(names)
-	outs, err = runEach(e.st, expanded, csv, e.opts.workers())
+	outs, err = renderEach(e.st, expanded, csv, e.opts.workers())
 	return expanded, outs, err
 }
 
@@ -211,27 +211,18 @@ func expandExperiments(names []string) []string {
 	return out
 }
 
-// runEach fans the named experiments out against one shared study;
-// outs[i] keeps the caller's ordering stable regardless of completion
-// order. workers is a global bound: it is split between the
-// experiment-level pool and the per-experiment fan-out (outer *
-// inner <= workers), so -parallel 8 never runs 8x8 goroutines.
-func runEach(st *Study, names []string, csv bool, workers int) ([]string, error) {
-	outer := workers
-	if outer > len(names) {
-		outer = len(names)
-	}
-	if outer < 1 {
-		outer = 1
-	}
-	inner := workers / outer
-	if inner < 1 {
-		inner = 1
-	}
-	view := st.WithWorkers(inner)
-	outs := make([]string, len(names))
+// fanOut evaluates each named experiment through do against one shared
+// study over a bounded pool; outs[i] keeps the caller's ordering stable
+// regardless of completion order. workers is a global bound: it is
+// split between the experiment-level pool and the per-experiment
+// fan-out (outer * inner <= workers), so -parallel 8 never runs 8x8
+// goroutines. Text, CSV and binary renderings all fan out through it.
+func fanOut[T any](st *Study, names []string, workers int, do func(*Study, string) (T, error)) ([]T, error) {
+	outer := max(min(workers, len(names)), 1)
+	view := st.WithWorkers(max(workers/outer, 1))
+	outs := make([]T, len(names))
 	err := par.ForEach(len(names), outer, func(i int) error {
-		out, err := renderExperiment(view, names[i], csv)
+		out, err := do(view, names[i])
 		if err != nil {
 			return err
 		}
@@ -244,10 +235,17 @@ func runEach(st *Study, names []string, csv bool, workers int) ([]string, error)
 	return outs, nil
 }
 
-// runMany is runEach concatenated: each experiment followed by a blank
+// renderEach is fanOut over renderExperiment in one output form.
+func renderEach(st *Study, names []string, csv bool, workers int) ([]string, error) {
+	return fanOut(st, names, workers, func(view *Study, name string) (string, error) {
+		return renderExperiment(view, name, csv)
+	})
+}
+
+// runMany is renderEach concatenated: each experiment followed by a blank
 // separator line, in the order the names were given.
 func runMany(st *Study, names []string, csv bool, workers int) (string, error) {
-	outs, err := runEach(st, names, csv, workers)
+	outs, err := renderEach(st, names, csv, workers)
 	if err != nil {
 		return "", err
 	}

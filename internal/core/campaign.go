@@ -239,15 +239,12 @@ type CampaignResult struct {
 	Pareto []int
 }
 
-// campaignConfig is the software configuration of one grid point — the
-// machine's default compiler in VLS mode, exactly like sweepConfig, so
-// equivalent points share cache entries with sweeps.
+// campaignConfig is the software configuration of one grid point (and
+// so of one sweep point): the machine's default compiler in VLS mode,
+// like every machine comparison in the paper's experiments.
 func campaignConfig(m *machine.Machine, threads int, pol placement.Policy, p prec.Precision) perfmodel.Config {
-	if threads <= 0 || threads > m.Cores {
-		threads = m.Cores
-	}
 	return perfmodel.Config{
-		Machine: m, Threads: threads, Placement: pol,
+		Machine: m, Threads: resolveThreads(threads, m.Cores), Placement: pol,
 		Prec: p, Compiler: perfmodel.DefaultCompilerFor(m), Mode: autovec.VLS,
 	}
 }
@@ -396,7 +393,8 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 	return st.evaluate(plan, indices, emit)
 }
 
-// evaluate is the one campaign evaluation loop. Requested points that
+// evaluate is the one evaluation loop of campaigns, shard-scoped point
+// requests and sweeps (one-axis campaigns). Requested points that
 // collide on one deduplicated evaluation unit (same derived machine,
 // same clamped threads against variant and base, same placement and
 // precision) share one evaluation: the units evaluate in

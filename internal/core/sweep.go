@@ -10,19 +10,20 @@ package core
 // as a ratio against the unmodified base machine — so the existing
 // text/CSV renderers and the determinism contract apply unchanged, and
 // every point's suite evaluation lands in the same config-keyed cache
-// the paper experiments use.
+// the paper experiments use. Execution is the campaign's: a sweep
+// compiles to the one-axis campaign it is (campaign.go, plan.go) and
+// only its checks, title and Figure shape are its own.
 
 import (
 	"fmt"
 	"math"
 	"strings"
 
-	"repro/internal/autovec"
+	"repro/internal/kernels"
 	"repro/internal/machine"
-	"repro/internal/par"
-	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/prec"
+	"repro/internal/stats"
 )
 
 // SweepAxis names the hardware axis a sweep varies.
@@ -81,18 +82,19 @@ type SweepSpec struct {
 
 // Validate checks the spec and runs every derivation, so a bad request
 // fails before any suite evaluation: nil base, unknown axis, empty or
-// oversized value lists, non-integral counts, and derivations the base
-// cannot support (widening a machine with no vector unit, splitting
-// controllers unevenly across NUMA regions).
+// oversized value lists, non-integral counts, unknown placements or
+// precisions, and derivations the base cannot support (widening a
+// machine with no vector unit, splitting controllers unevenly across
+// NUMA regions).
 func (s SweepSpec) Validate() error {
-	_, err := s.variants()
+	_, err := s.plan()
 	return err
 }
 
-// variants validates the spec and derives the variant machine for
-// every value — the single path Validate and MachineSweep share, so
-// derivations are never run twice within one sweep.
-func (s SweepSpec) variants() ([]*machine.Machine, error) {
+// plan runs the sweep's own checks, then compiles the sweep as the
+// one-axis campaign it is. The plan is memoized, so validating and then
+// evaluating a spec derives its machines once.
+func (s SweepSpec) plan() (*campaignPlan, error) {
 	if s.Base == nil {
 		return nil, fmt.Errorf("core: sweep has no base machine")
 	}
@@ -114,15 +116,13 @@ func (s SweepSpec) variants() ([]*machine.Machine, error) {
 	if s.Threads < 0 {
 		return nil, fmt.Errorf("core: sweep threads %d < 0", s.Threads)
 	}
-	out := make([]*machine.Machine, len(s.Values))
-	for i, v := range s.Values {
-		m, err := s.derive(v)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
+	return planFor(CampaignSpec{
+		Bases:      []*machine.Machine{s.Base},
+		Axes:       []AxisValues{{Axis: s.Axis, Values: s.Values}},
+		Threads:    []int{s.Threads},
+		Placements: []placement.Policy{s.Placement},
+		Precs:      []prec.Precision{s.Prec},
+	})
 }
 
 func joinAxes() string {
@@ -133,15 +133,8 @@ func joinAxes() string {
 	return strings.Join(names, ", ")
 }
 
-// derive builds the variant machine for one axis value.
-func (s SweepSpec) derive(v float64) (*machine.Machine, error) {
-	return deriveAxis(s.Base, s.Axis, v)
-}
-
-// deriveAxis applies one axis value to a machine — the single derivation
-// path sweeps and campaigns share, so a campaign grid point over one
-// axis produces the exact machine (label, fingerprint, cache key) the
-// equivalent single-axis sweep does.
+// deriveAxis applies one axis value to a machine — the one derivation
+// path of the campaign planner, and so of sweeps too.
 func deriveAxis(m *machine.Machine, axis SweepAxis, v float64) (*machine.Machine, error) {
 	switch axis {
 	case SweepClock:
@@ -170,25 +163,6 @@ func deriveAxis(m *machine.Machine, axis SweepAxis, v float64) (*machine.Machine
 	return nil, fmt.Errorf("core: unknown sweep axis %q (want one of %s)", axis, joinAxes())
 }
 
-// sweepThreads resolves the spec's thread rule for one machine: full
-// occupancy when Threads is 0, otherwise clamped to the core count.
-func (s SweepSpec) sweepThreads(m *machine.Machine) int {
-	if s.Threads <= 0 || s.Threads > m.Cores {
-		return m.Cores
-	}
-	return s.Threads
-}
-
-// sweepConfig is the fixed software configuration of a sweep point:
-// the machine's default compiler in VLS mode, like every machine
-// comparison in the paper's experiments.
-func (s SweepSpec) sweepConfig(m *machine.Machine) perfmodel.Config {
-	return perfmodel.Config{
-		Machine: m, Threads: s.sweepThreads(m), Placement: s.Placement,
-		Prec: s.Prec, Compiler: perfmodel.DefaultCompilerFor(m), Mode: autovec.VLS,
-	}
-}
-
 // threadsPhrase renders a thread count for headings ("1 thread",
 // "64 threads").
 func threadsPhrase(n int) string {
@@ -215,47 +189,32 @@ func (s SweepSpec) Title() string {
 
 // MachineSweep evaluates a what-if sweep: the full suite on the base
 // machine and on each derived variant, each point's per-kernel ratios
-// against the base summarised per class. Points fan out over the
-// study's worker pool; every evaluation is memoized under its full
-// machine fingerprint, so serial, parallel and cached runs are
+// against the base summarised per class. The sweep runs as a one-axis
+// campaign through the campaign evaluation loop, so points fan out over
+// the study's worker pool and every evaluation is memoized under its
+// full machine fingerprint: serial, parallel and cached runs are
 // bit-identical and repeated sweeps over warm configurations cost no
 // model time.
 func (st *Study) MachineSweep(spec SweepSpec) (Figure, error) {
-	variants, err := spec.variants()
+	plan, err := spec.plan()
 	if err != nil {
 		return Figure{}, err
 	}
-
-	// One fan-out covers the base and every variant — slot 0 is the
-	// base — so the most expensive evaluation never serialises ahead of
-	// the pool. Ratio and summary derivation is cheap plain code and
-	// runs after the barrier, in caller order.
-	machines := append([]*machine.Machine{spec.Base}, variants...)
-	suites := make([][]Measurement, len(machines))
-	err = par.ForEach(len(machines), st.Workers, func(i int) error {
-		ms, err := st.RunSuite(spec.sweepConfig(machines[i]))
-		if err != nil {
-			return err
+	fig := Figure{
+		Title:    spec.Title(),
+		Baseline: spec.Base.Label + ", " + threadsPhrase(resolveThreads(spec.Threads, spec.Base.Cores)),
+		Series:   make([]Series, 0, plan.n),
+	}
+	err = st.evaluate(plan, gridOrder(plan.n), func(p CampaignPoint) error {
+		byClass := make(map[kernels.Class]stats.Summary, len(p.ByClass))
+		for c, cell := range p.ByClass {
+			byClass[c] = cell.Ratio
 		}
-		suites[i] = ms
+		fig.Series = append(fig.Series, Series{Label: p.Machine, ByClass: byClass})
 		return nil
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-
-	fig := Figure{
-		Title:    spec.Title(),
-		Baseline: spec.Base.Label + ", " + threadsPhrase(spec.sweepThreads(spec.Base)),
-	}
-	base := suites[0]
-	fig.Series = make([]Series, len(variants))
-	for i, v := range variants {
-		ratios, err := Ratios(base, suites[i+1])
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Series[i] = Series{Label: v.Label, ByClass: ClassSummaries(ratios)}
 	}
 	return fig, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Error-path coverage for SweepSpec validation: every rejection branch
-// of variants()/deriveAxis(), checked through the public Validate and
+// of plan()/deriveAxis(), checked through the public Validate and
 // once through MachineSweep to prove a bad spec fails before any suite
 // evaluation.
 
@@ -63,6 +63,9 @@ func TestSweepSpecValidateErrors(t *testing.T) {
 		// A bad value after good ones still rejects the whole spec: the
 		// mid-grid derivation failure path.
 		{"mid-grid failure", func(s *SweepSpec) { s.Values = []float64{32, 64, 2.5} }, "positive integer"},
+		// The compiled one-axis campaign checks the software config too.
+		{"unknown placement", func(s *SweepSpec) { s.Placement = 9 }, "unknown campaign placement"},
+		{"unknown precision", func(s *SweepSpec) { s.Prec = 9 }, "unknown campaign precision"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -94,7 +97,8 @@ func TestMachineSweepRejectsBeforeEvaluation(t *testing.T) {
 }
 
 // TestSweepThreadClamp: the thread rule boundaries — full occupancy at
-// 0 and clamping above the variant's core count — via spec resolution.
+// 0 and clamping above the variant's core count — via resolveThreads,
+// the rule every sweep and campaign point runs under.
 func TestSweepThreadClamp(t *testing.T) {
 	m := machine.SG2042()
 	for _, c := range []struct {
@@ -105,9 +109,8 @@ func TestSweepThreadClamp(t *testing.T) {
 		{m.Cores, m.Cores},     // exactly the core count
 		{m.Cores + 1, m.Cores}, // clamped
 	} {
-		s := SweepSpec{Base: m, Axis: SweepCores, Values: []float64{1}, Threads: c.threads}
-		if got := s.sweepThreads(m); got != c.want {
-			t.Errorf("Threads=%d: sweepThreads = %d, want %d", c.threads, got, c.want)
+		if got := resolveThreads(c.threads, m.Cores); got != c.want {
+			t.Errorf("Threads=%d: resolveThreads = %d, want %d", c.threads, got, c.want)
 		}
 	}
 }

@@ -8,7 +8,9 @@ package machine
 // receiver, changes one axis, rebuilds whatever topology depends on it,
 // revalidates, and marks the variant's label with a suffix
 // ("SG2042/v256") so reports — and the study engine's config-keyed
-// cache — distinguish it from the stock machine.
+// cache — distinguish it from the stock machine. Every call returns a
+// new machine the caller owns outright; nothing is memoized here (the
+// campaign planner derives each variant once per compiled plan).
 
 import (
 	"fmt"
@@ -35,23 +37,18 @@ func (m *Machine) WithCores(n int) (*Machine, error) {
 		return nil, fmt.Errorf("machine %s: %d cores do not divide across %d packages (derive sockets or nodes instead)",
 			m.Label, n, pk)
 	}
-	return derived(m, opCores, uint64(n), func() (*Machine, error) {
-		v := m.Clone()
-		v.Cores = n
-		if n < m.NUMARegions {
-			v.NUMARegions = 1
-			v.MemCtrlPerNUMA = m.MemCtrlPerNUMA * m.NUMARegions
-		}
-		v.NUMARegionOf = make([]int, n)
-		for c := range v.NUMARegionOf {
-			v.NUMARegionOf[c] = c * v.NUMARegions / n
-		}
-		v.Label = fmt.Sprintf("%s/c%d", m.Label, n)
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	})
+	v := m.Clone()
+	v.Cores = n
+	if n < m.NUMARegions {
+		v.NUMARegions = 1
+		v.MemCtrlPerNUMA = m.MemCtrlPerNUMA * m.NUMARegions
+	}
+	v.NUMARegionOf = make([]int, n)
+	for c := range v.NUMARegionOf {
+		v.NUMARegionOf[c] = c * v.NUMARegions / n
+	}
+	v.Label = fmt.Sprintf("%s/c%d", m.Label, n)
+	return validated(v)
 }
 
 // WithClock returns a copy of m clocked at hz. Bandwidths are left
@@ -62,15 +59,10 @@ func (m *Machine) WithClock(hz float64) (*Machine, error) {
 	if hz <= 0 || math.IsNaN(hz) || math.IsInf(hz, 0) {
 		return nil, fmt.Errorf("machine %s: cannot derive variant clocked at %v Hz", m.Label, hz)
 	}
-	return derived(m, opClock, math.Float64bits(hz), func() (*Machine, error) {
-		v := m.Clone()
-		v.ClockHz = hz
-		v.Label = fmt.Sprintf("%s/%gGHz", m.Label, hz/1e9)
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	})
+	v := m.Clone()
+	v.ClockHz = hz
+	v.Label = fmt.Sprintf("%s/%gGHz", m.Label, hz/1e9)
+	return validated(v)
 }
 
 // WithVectorBits returns a copy of m with the vector register width set
@@ -85,15 +77,10 @@ func (m *Machine) WithVectorBits(bits int) (*Machine, error) {
 	if bits < 8 {
 		return nil, fmt.Errorf("machine %s: cannot derive %d-bit vector variant", m.Label, bits)
 	}
-	return derived(m, opVector, uint64(bits), func() (*Machine, error) {
-		v := m.Clone()
-		v.Vector.WidthBits = bits
-		v.Label = fmt.Sprintf("%s/v%d", m.Label, bits)
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	})
+	v := m.Clone()
+	v.Vector.WidthBits = bits
+	v.Label = fmt.Sprintf("%s/v%d", m.Label, bits)
+	return validated(v)
 }
 
 // WithNUMARegions returns a copy of m with n NUMA regions. The total
@@ -117,20 +104,15 @@ func (m *Machine) WithNUMARegions(n int) (*Machine, error) {
 		return nil, fmt.Errorf("machine %s: %d NUMA regions do not divide across %d packages",
 			m.Label, n, pk)
 	}
-	return derived(m, opNUMA, uint64(n), func() (*Machine, error) {
-		v := m.Clone()
-		v.NUMARegions = n
-		v.MemCtrlPerNUMA = total / n
-		v.NUMARegionOf = make([]int, m.Cores)
-		for c := range v.NUMARegionOf {
-			v.NUMARegionOf[c] = c * n / m.Cores
-		}
-		v.Label = fmt.Sprintf("%s/n%d", m.Label, n)
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-		return v, nil
-	})
+	v := m.Clone()
+	v.NUMARegions = n
+	v.MemCtrlPerNUMA = total / n
+	v.NUMARegionOf = make([]int, m.Cores)
+	for c := range v.NUMARegionOf {
+		v.NUMARegionOf[c] = c * n / m.Cores
+	}
+	v.Label = fmt.Sprintf("%s/n%d", m.Label, n)
+	return validated(v)
 }
 
 // Default inter-socket and inter-node link parameters, applied when a
@@ -161,26 +143,21 @@ func (m *Machine) WithSockets(n int) (*Machine, error) {
 		return nil, fmt.Errorf("machine %s: %d sockets of %d cores exceed %d cores",
 			m.Label, n, cp, MaxCores)
 	}
-	return derived(m, opSockets, uint64(n), func() (*Machine, error) {
-		v := m.Clone()
-		v.Sockets = n
-		v.Cores = cp * n * m.NodeCount()
-		v.NUMARegions = rp * n * m.NodeCount()
-		v.NUMARegionOf = replicatePackages(m.NUMARegionOf[:cp], rp, v.Cores)
-		if n > 1 {
-			if v.XSocketBW == 0 {
-				v.XSocketBW = 0.5 * float64(m.MemCtrlPerNUMA) * m.CtrlBW * float64(rp)
-			}
-			if v.XSocketLatencyNs == 0 {
-				v.XSocketLatencyNs = 1.5 * m.MemLatencyNs
-			}
+	v := m.Clone()
+	v.Sockets = n
+	v.Cores = cp * n * m.NodeCount()
+	v.NUMARegions = rp * n * m.NodeCount()
+	v.NUMARegionOf = replicatePackages(m.NUMARegionOf[:cp], rp, v.Cores)
+	if n > 1 {
+		if v.XSocketBW == 0 {
+			v.XSocketBW = 0.5 * float64(m.MemCtrlPerNUMA) * m.CtrlBW * float64(rp)
 		}
-		v.Label = fmt.Sprintf("%s/s%d", m.Label, n)
-		if err := v.Validate(); err != nil {
-			return nil, err
+		if v.XSocketLatencyNs == 0 {
+			v.XSocketLatencyNs = 1.5 * m.MemLatencyNs
 		}
-		return v, nil
-	})
+	}
+	v.Label = fmt.Sprintf("%s/s%d", m.Label, n)
+	return validated(v)
 }
 
 // WithNodes returns a copy of m fused across n nodes: the base's
@@ -198,26 +175,29 @@ func (m *Machine) WithNodes(n int) (*Machine, error) {
 		return nil, fmt.Errorf("machine %s: %d nodes of %d cores exceed %d cores",
 			m.Label, n, cpn, MaxCores)
 	}
-	return derived(m, opNodes, uint64(n), func() (*Machine, error) {
-		v := m.Clone()
-		v.Nodes = n
-		v.Cores = cpn * n
-		v.NUMARegions = rpn * n
-		v.NUMARegionOf = replicatePackages(m.NUMARegionOf[:cpn], rpn, v.Cores)
-		if n > 1 {
-			if v.NodeBW == 0 {
-				v.NodeBW = defaultNodeBW
-			}
-			if v.NodeLatencyNs == 0 {
-				v.NodeLatencyNs = defaultNodeLatencyNs
-			}
+	v := m.Clone()
+	v.Nodes = n
+	v.Cores = cpn * n
+	v.NUMARegions = rpn * n
+	v.NUMARegionOf = replicatePackages(m.NUMARegionOf[:cpn], rpn, v.Cores)
+	if n > 1 {
+		if v.NodeBW == 0 {
+			v.NodeBW = defaultNodeBW
 		}
-		v.Label = fmt.Sprintf("%s/node%d", m.Label, n)
-		if err := v.Validate(); err != nil {
-			return nil, err
+		if v.NodeLatencyNs == 0 {
+			v.NodeLatencyNs = defaultNodeLatencyNs
 		}
-		return v, nil
-	})
+	}
+	v.Label = fmt.Sprintf("%s/node%d", m.Label, n)
+	return validated(v)
+}
+
+// validated returns a derived variant once it passes Validate.
+func validated(v *Machine) (*Machine, error) {
+	if err := v.Validate(); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // replicatePackages tiles one package's region pattern (regions spanning

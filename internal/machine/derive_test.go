@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -168,5 +169,51 @@ func TestWithCoresBounded(t *testing.T) {
 	}
 	if _, err := SG2042().WithCores(1 << 30); err == nil {
 		t.Error("WithCores(1<<30) accepted")
+	}
+}
+
+// TestDerivationOwnership: every What-if helper returns a new machine
+// the caller owns outright. Scribbling over one derivation's NUMA map
+// and cache list leaves the receiver and a second derivation of the
+// same variant untouched.
+func TestDerivationOwnership(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		derive func(*Machine) (*Machine, error)
+	}{
+		{"WithCores", func(m *Machine) (*Machine, error) { return m.WithCores(32) }},
+		{"WithClock", func(m *Machine) (*Machine, error) { return m.WithClock(2.5e9) }},
+		{"WithVectorBits", func(m *Machine) (*Machine, error) { return m.WithVectorBits(256) }},
+		{"WithNUMARegions", func(m *Machine) (*Machine, error) { return m.WithNUMARegions(2) }},
+		{"WithSockets", func(m *Machine) (*Machine, error) { return m.WithSockets(2) }},
+		{"WithNodes", func(m *Machine) (*Machine, error) { return m.WithNodes(2) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := SG2042()
+			a, err := c.derive(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := c.derive(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a == base || b == base || a == b {
+				t.Fatal("derivation returned a shared pointer")
+			}
+			a.NUMARegionOf[0] = 99
+			a.Caches[0].Name = "scribbled"
+			a.Caches[0].SizeBytes = -1
+			if !reflect.DeepEqual(base, SG2042()) {
+				t.Error("mutating a derivation changed the receiver")
+			}
+			fresh, err := c.derive(SG2042())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(b, fresh) {
+				t.Error("mutating a derivation changed a second derivation")
+			}
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/wire"
 )
@@ -103,42 +102,11 @@ func (e *Engine) RunBinary(name string) ([]byte, error) {
 	if name == "all" {
 		names = ExperimentNames
 	}
-	tables, err := binaryEach(e.st, names, e.opts.workers())
+	tables, err := fanOut(e.st, names, e.opts.workers(), experimentTable)
 	if err != nil {
 		return nil, err
 	}
 	return wire.Encode(tables...)
-}
-
-// binaryEach evaluates the named experiments' tables over a bounded
-// pool, results aligned with the name order (the binary twin of
-// runEach).
-func binaryEach(st *Study, names []string, workers int) ([]WireTable, error) {
-	outer := workers
-	if outer > len(names) {
-		outer = len(names)
-	}
-	if outer < 1 {
-		outer = 1
-	}
-	inner := workers / outer
-	if inner < 1 {
-		inner = 1
-	}
-	view := st.WithWorkers(inner)
-	tables := make([]WireTable, len(names))
-	err := par.ForEach(len(names), outer, func(i int) error {
-		t, err := experimentTable(view, names[i])
-		if err != nil {
-			return err
-		}
-		tables[i] = t
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tables, nil
 }
 
 // SweepBinary runs a what-if sweep and encodes its figure as one binary
