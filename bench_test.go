@@ -601,6 +601,23 @@ func BenchmarkEncodeBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeWire measures decoding the full experiment set's
+// binary body: the check sg2042load runs on every binary response.
+func BenchmarkDecodeWire(b *testing.B) {
+	body, err := NewEngine(Options{}).RunBinary("all")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(len(body)), "body_bytes")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeWire(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEncodeJSON encodes the same tables the way the server's JSON
 // path does (indented encoding/json), the baseline BenchmarkEncodeBinary
 // divides against.

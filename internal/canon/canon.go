@@ -1,6 +1,7 @@
 // Package canon holds the cursor and append helpers behind the
-// repository's fixed-layout binary encodings: the fabric's point frames
-// and the suite-cache snapshot. Integers are minimal uvarints (signed
+// repository's binary encodings: the wire frames of binary responses
+// (internal/wire), the fabric's point frames and the suite-cache
+// snapshot. Integers are minimal uvarints (signed
 // ones zigzag-encoded first, as encoding/binary's AppendVarint does),
 // strings a uvarint byte length then the bytes, floats and fixed
 // 64-bit words 8 bytes little-endian, so a float decodes to exactly

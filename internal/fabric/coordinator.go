@@ -169,25 +169,6 @@ func (c *Coordinator) StopProber() {
 	}
 }
 
-// AddWorker joins a new worker to a running fleet: the ring is rebuilt
-// (only keys the newcomer now wins move, all of them to it), the prober
-// starts watching it, and a warm-join shipment warms it for the keys it
-// just took over. Campaigns dispatched after the join route to it;
-// in-flight campaigns finish on their existing assignments.
-func (c *Coordinator) AddWorker(target string) error {
-	if err := c.mem.Add(target); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	p := c.prober
-	c.mu.Unlock()
-	if p != nil {
-		p.Watch(target)
-	}
-	go c.shipWarm(target)
-	return nil
-}
-
 // onProbeTransition is the prober's callback: bookkeeping on death,
 // bookkeeping plus async snapshot shipping on revival.
 func (c *Coordinator) onProbeTransition(target string, live bool) {

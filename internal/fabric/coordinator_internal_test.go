@@ -223,7 +223,7 @@ func TestLateDivergentVoteQuarantined(t *testing.T) {
 		t.Fatalf("emitted %+v, want the quorum's point once", emitted)
 	}
 	lateTarget := r.queued[2].target
-	if reason := coord.Membership().Reason(lateTarget); !strings.Contains(reason, "replica mismatch") {
+	if reason := reasonOf(coord.Membership(), lateTarget); !strings.Contains(reason, "replica mismatch") {
 		t.Fatalf("late voter %s reason %q, want a replica mismatch quarantine", lateTarget, reason)
 	}
 	for _, m := range coord.Membership().Status() {

@@ -55,11 +55,9 @@ type Prober struct {
 	// goroutine; implementations must be concurrency-safe.
 	onTransition func(target string, live bool)
 
-	mu      sync.Mutex
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	watched map[string]bool
+	mu     sync.Mutex
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // NewProber builds a prober over a membership. nil client means a
@@ -74,32 +72,20 @@ func NewProber(mem *Membership, cfg ProbeConfig, client *http.Client, onTransiti
 		client:       client,
 		cfg:          cfg,
 		onTransition: onTransition,
-		watched:      make(map[string]bool),
 	}
 }
 
-// Start launches one probe loop per current member and returns. The
-// loops stop when ctx is cancelled; Wait blocks until they have.
+// Start launches one probe loop per member and returns. The loops
+// stop when ctx is cancelled or Stop is called.
 func (p *Prober) Start(ctx context.Context) {
+	ctx, cancel := context.WithCancel(ctx)
 	p.mu.Lock()
-	p.ctx, p.cancel = context.WithCancel(ctx)
+	p.cancel = cancel
 	p.mu.Unlock()
 	for _, t := range p.mem.Targets() {
-		p.Watch(t)
+		p.wg.Add(1)
+		go p.loop(ctx, t)
 	}
-}
-
-// Watch adds a probe loop for one target (idempotent). AddWorker calls
-// it so a worker joined mid-flight is probed like any founding member.
-func (p *Prober) Watch(target string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ctx == nil || p.watched[target] {
-		return
-	}
-	p.watched[target] = true
-	p.wg.Add(1)
-	go p.loop(p.ctx, target)
 }
 
 // Stop cancels the probe loops and waits for them to exit.

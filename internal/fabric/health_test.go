@@ -146,14 +146,6 @@ func TestProberRespectsQuarantine(t *testing.T) {
 	if !mem.DeadSet()[srv.URL] {
 		t.Fatal("quarantined worker left DeadSet under a healthy probe")
 	}
-
-	// Reinstating hands the worker back to the prober, which revives it
-	// on the next healthy probe.
-	mem.Reinstate(srv.URL)
-	waitFor(t, "post-reinstate revival", func() bool { return revived.Load() == 1 })
-	if mem.DeadSet()[srv.URL] {
-		t.Fatal("reinstated worker still dead under a healthy probe")
-	}
 }
 
 // TestProberStopTerminates: Stop returns promptly with loops in the

@@ -1,22 +1,20 @@
 package fabric
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
 
 // Membership is the fleet's dynamic view: which workers exist (the
-// ring) and which of them are currently believed live. The ring itself
-// changes only when a worker is added — death and recovery are
-// exclusion-set transitions, so a bounced worker takes back exactly the
-// keys it lost (its peers keep theirs, and their warm caches with
-// them). One Membership is shared by every
-// campaign a coordinator runs and by its health prober; all methods
-// are safe for concurrent use.
+// ring, fixed when the Membership is built) and which of them are
+// currently believed live. Death and recovery are exclusion-set
+// transitions, so a bounced worker takes back exactly the keys it lost
+// (its peers keep theirs, and their warm caches with them). One
+// Membership is shared by every campaign a coordinator runs and by its
+// health prober; all methods are safe for concurrent use.
 type Membership struct {
+	ring  *Ring // its targets are the members, in listed order
 	mu    sync.Mutex
-	ring  *Ring // its targets are the members, in join order
 	state map[string]*memberState
 }
 
@@ -54,18 +52,11 @@ func NewMembership(targets []string) (*Membership, error) {
 	return m, nil
 }
 
-// Ring returns the current ring. The ring is immutable; Add swaps in a
-// new one, so callers may hold the returned pointer across calls.
-func (m *Membership) Ring() *Ring {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ring
-}
+// Ring returns the fleet's ring, which never changes.
+func (m *Membership) Ring() *Ring { return m.ring }
 
-// Targets returns every member, live or dead, in join order.
+// Targets returns every member, live or dead, in listed order.
 func (m *Membership) Targets() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]string(nil), m.ring.targets...)
 }
 
@@ -83,7 +74,7 @@ func (m *Membership) DeadSet() map[string]bool {
 	return dead
 }
 
-// Live returns the live targets in join order.
+// Live returns the live targets in listed order.
 func (m *Membership) Live() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -112,9 +103,9 @@ func (m *Membership) MarkDead(target, reason string) bool {
 
 // MarkLive records a worker as live, returning true exactly on a
 // dead→live transition — the rejoin edge snapshot shipping hangs off.
-// Quarantined workers stay dead: a worker that serves wrong bytes
-// passes health probes, so revival from quarantine is never automatic
-// (Reinstate is the explicit override).
+// Quarantined workers stay dead until the coordinator restarts: a
+// worker that serves wrong bytes passes health probes, so revival from
+// quarantine is never automatic.
 func (m *Membership) MarkLive(target string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -157,53 +148,6 @@ func (m *Membership) Quarantine(target, reason string) bool {
 	st.quarantined = true
 	st.reason = reason
 	return true
-}
-
-// Reinstate lifts a quarantine (operator override after the worker is
-// fixed). The worker comes back dead-but-probeable; the next
-// successful health probe revives it through the ordinary rejoin path.
-func (m *Membership) Reinstate(target string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.state[target]
-	if !ok || !st.quarantined {
-		return false
-	}
-	st.quarantined = false
-	st.reason = "reinstated, awaiting health probe"
-	return true
-}
-
-// Reason returns why a dead target was excluded ("" when live or
-// unknown).
-func (m *Membership) Reason(target string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if st, ok := m.state[target]; ok {
-		return st.reason
-	}
-	return ""
-}
-
-// Add joins a new worker to the fleet, rebuilding the ring over the
-// grown target list. A key's owner depends only on the set of targets,
-// so ownership after an Add is identical to a ring built over the full
-// list at once — only keys the new worker wins move, all of them to it
-// (the rebalancing property ring_test.go pins). The new member starts live; the prober
-// corrects it if it is not.
-func (m *Membership) Add(target string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.state[target]; ok {
-		return fmt.Errorf("fabric: worker %q already a member", target)
-	}
-	ring, err := NewRing(append(append([]string(nil), m.ring.targets...), target))
-	if err != nil {
-		return err
-	}
-	m.ring = ring
-	m.state[target] = &memberState{live: true}
-	return nil
 }
 
 // Status reports every member's state, sorted by target for stable

@@ -14,6 +14,16 @@ func newTestMembership(t *testing.T, n int) *Membership {
 	return m
 }
 
+// reasonOf reads a member's exclusion reason from Status.
+func reasonOf(m *Membership, target string) string {
+	for _, st := range m.Status() {
+		if st.Target == target {
+			return st.Reason
+		}
+	}
+	return ""
+}
+
 func TestMembershipTransitions(t *testing.T) {
 	m := newTestMembership(t, 3)
 	w := ringTargets(3)[1]
@@ -27,7 +37,7 @@ func TestMembershipTransitions(t *testing.T) {
 	if m.MarkDead(w, "again") {
 		t.Fatal("second MarkDead reported a transition")
 	}
-	if got := m.Reason(w); got != "connection refused" {
+	if got := reasonOf(m, w); got != "connection refused" {
 		t.Fatalf("Reason = %q (repeat MarkDead must not overwrite)", got)
 	}
 	if dead := m.DeadSet(); len(dead) != 1 || !dead[w] {
@@ -39,7 +49,7 @@ func TestMembershipTransitions(t *testing.T) {
 	if m.MarkLive(w) {
 		t.Fatal("MarkLive on a live worker reported a transition")
 	}
-	if got := m.Reason(w); got != "" {
+	if got := reasonOf(m, w); got != "" {
 		t.Fatalf("Reason after revival = %q, want empty", got)
 	}
 	if len(m.DeadSet()) != 0 {
@@ -96,51 +106,5 @@ func TestMembershipQuarantineIsSticky(t *testing.T) {
 	}
 	if !strings.Contains(st.Reason, "replica mismatch") {
 		t.Fatalf("quarantine reason %q lost the mismatch detail", st.Reason)
-	}
-
-	// Reinstate lifts the stickiness but not the deadness: the worker
-	// must still earn its way back through a health probe.
-	if !m.Reinstate(w) {
-		t.Fatal("Reinstate did not report a transition")
-	}
-	if m.Reinstate(w) {
-		t.Fatal("repeat Reinstate reported a transition")
-	}
-	if !m.DeadSet()[w] {
-		t.Fatal("reinstated worker is live without a probe")
-	}
-	if !m.MarkLive(w) {
-		t.Fatal("MarkLive after Reinstate did not revive")
-	}
-	if m.Epoch(w) != 1 {
-		t.Fatalf("epoch after quarantine round trip = %d, want 1", m.Epoch(w))
-	}
-}
-
-func TestMembershipAdd(t *testing.T) {
-	m := newTestMembership(t, 2)
-	joiner := "http://w9:8042"
-	if err := m.Add(joiner); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add(joiner); err == nil {
-		t.Fatal("duplicate Add accepted")
-	}
-	if got := len(m.Targets()); got != 3 {
-		t.Fatalf("Targets after Add = %d, want 3", got)
-	}
-	// The new ring must route to the joiner for at least some keys.
-	found := false
-	for _, k := range sampleKeys(512) {
-		if ownerOf(t, m.Ring(), k, nil) == joiner {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("joiner %s owns nothing after Add", joiner)
-	}
-	if m.Epoch(joiner) != 0 {
-		t.Fatalf("joiner epoch = %d, want 0", m.Epoch(joiner))
 	}
 }

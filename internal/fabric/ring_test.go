@@ -126,43 +126,21 @@ func TestRingRevivalRestoresExactOwnership(t *testing.T) {
 	}
 }
 
-// TestMembershipIncrementalEqualsBatch: a fleet grown one Add at a time
-// owns exactly what a fleet built all at once owns — join order never
-// leaks into the assignment.
-func TestMembershipIncrementalEqualsBatch(t *testing.T) {
-	keys := sampleKeys(2048)
+// TestRingListOrderNeverLeaks: a fleet listed in any order owns exactly
+// what the same fleet listed in ring order owns.
+func TestRingListOrderNeverLeaks(t *testing.T) {
 	targets := ringTargets(5)
-
 	batch, err := NewRing(targets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := NewMembership(targets[:1])
+	shuffled, err := NewRing([]string{targets[3], targets[1], targets[4], targets[0], targets[2]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tgt := range targets[1:] {
-		if err := grown.Add(tgt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A different join order must land on the same ring too.
-	shuffled, err := NewMembership([]string{targets[3]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tgt := range []string{targets[1], targets[4], targets[0], targets[2]} {
-		if err := shuffled.Add(tgt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range keys {
-		want := ownerOf(t, batch, k, nil)
-		if got := ownerOf(t, grown.Ring(), k, nil); got != want {
-			t.Fatalf("key %016x: incremental owner %s, batch owner %s", k, got, want)
-		}
-		if got := ownerOf(t, shuffled.Ring(), k, nil); got != want {
-			t.Fatalf("key %016x: shuffled-join owner %s, batch owner %s", k, got, want)
+	for _, k := range sampleKeys(2048) {
+		if got, want := ownerOf(t, shuffled, k, nil), ownerOf(t, batch, k, nil); got != want {
+			t.Fatalf("key %016x: shuffled-list owner %s, ring-order owner %s", k, got, want)
 		}
 	}
 }

@@ -210,7 +210,7 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 			}
 			fmt.Fprintf(&b, "sg2042d_fabric_worker_up{target=%q} %d\n", ms.Target, up)
 		}
-		b.WriteString("# HELP sg2042d_fabric_worker_quarantined Whether each fabric worker is quarantined (sticky-dead until reinstated).\n")
+		b.WriteString("# HELP sg2042d_fabric_worker_quarantined Whether each fabric worker is quarantined (sticky-dead until the coordinator restarts).\n")
 		b.WriteString("# TYPE sg2042d_fabric_worker_quarantined gauge\n")
 		for _, ms := range fs.Members {
 			q := 0

@@ -6,9 +6,10 @@
 // data. Every variable-length field carries its own length prefix, so a
 // decoder never scans for delimiters, and every value is written in a
 // fixed canonical form, so encoding is deterministic: one Table has
-// exactly one byte representation, and Encode∘Decode is the identity on
-// encoded bytes (the determinism contract of docs/ARCHITECTURE.md
-// extends to binary responses).
+// exactly one byte representation, and Encode∘DecodeAll is the identity
+// on encoded bytes (the determinism contract of docs/ARCHITECTURE.md
+// extends to binary responses). Frames are read through
+// internal/canon's Reader, which accepts only that canonical form.
 //
 // Frame layout (integers little-endian, lengths unsigned varints):
 //
@@ -38,7 +39,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+
+	"repro/internal/canon"
 )
 
 // Magic opens every frame.
@@ -184,23 +186,23 @@ func Append(dst []byte, t *Table) ([]byte, error) {
 	}
 	dst = append(dst, Magic...)
 	dst = append(dst, Version)
-	dst = appendString(dst, t.Kind)
-	dst = appendString(dst, t.Title)
+	dst = canon.AppendString(dst, t.Kind)
+	dst = canon.AppendString(dst, t.Title)
 	rows := t.NumRows()
 	dst = binary.AppendUvarint(dst, uint64(rows))
 	dst = binary.AppendUvarint(dst, uint64(len(t.Columns)))
 	for i := range t.Columns {
 		c := &t.Columns[i]
-		dst = appendString(dst, c.Name)
+		dst = canon.AppendString(dst, c.Name)
 		dst = append(dst, byte(c.Type))
 		switch c.Type {
 		case String:
 			for _, s := range c.Strings {
-				dst = appendString(dst, s)
+				dst = canon.AppendString(dst, s)
 			}
 		case Float64:
 			for _, v := range c.Floats {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+				dst = canon.AppendFloat(dst, v)
 			}
 		case Int64:
 			for _, v := range c.Ints {
@@ -227,178 +229,73 @@ func Encode(tables ...Table) ([]byte, error) {
 	return out, nil
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// reader is a bounds-checked cursor over an encoded frame. Every length
-// it reads is validated against the bytes actually remaining before any
-// allocation is sized from it, so corrupt or adversarial input fails
-// with an error — never a panic or an attacker-sized allocation.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.buf) - r.off }
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("wire: truncated frame: need %d bytes at offset %d, have %d", n, r.off, r.remaining())
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: bad varint at offset %d", r.off)
-	}
-	// Reject non-minimal encodings (0x80 0x00 for zero, say): the frame
-	// format is canonical, so any bytes the decoder accepts must be the
-	// bytes Encode would produce for the decoded value.
-	if n != uvarintLen(v) {
-		return 0, fmt.Errorf("wire: non-minimal varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// length reads a uvarint that prefixes variable-length data and checks
-// it fits the remaining bytes.
-func (r *reader) length() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(r.remaining()) {
-		return 0, fmt.Errorf("wire: length %d exceeds %d remaining bytes at offset %d", v, r.remaining(), r.off)
-	}
-	return int(v), nil
-}
-
-func (r *reader) string() (string, error) {
-	n, err := r.length()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// Decode decodes one frame from the front of data, returning the table
-// and the remaining bytes (the next frame, or empty).
-func Decode(data []byte) (Table, []byte, error) {
-	var t Table
-	r := &reader{buf: data}
-	magic, err := r.bytes(len(Magic))
-	if err != nil {
-		return t, nil, err
-	}
-	if string(magic) != Magic {
-		return t, nil, fmt.Errorf("wire: bad magic %q (want %q)", magic, Magic)
-	}
-	ver, err := r.bytes(1)
-	if err != nil {
-		return t, nil, err
-	}
-	if ver[0] != Version {
-		return t, nil, fmt.Errorf("wire: unsupported version %d (decoder speaks %d)", ver[0], Version)
-	}
-	if t.Kind, err = r.string(); err != nil {
-		return t, nil, err
-	}
-	if t.Title, err = r.string(); err != nil {
-		return t, nil, err
-	}
-	nrows, err := r.uvarint()
-	if err != nil {
-		return t, nil, err
-	}
-	ncols, err := r.uvarint()
-	if err != nil {
-		return t, nil, err
-	}
-	// Every row of every column costs at least one encoded byte (8 for
-	// numerics, >=1 for a string length prefix), as does every column
-	// header — cheap a-priori bounds that reject absurd counts before
-	// any slice is sized from them. The division form cannot overflow.
-	rem := uint64(r.remaining())
-	if ncols > rem || (ncols > 0 && nrows > rem/ncols) {
-		return t, nil, fmt.Errorf("wire: frame declares %d cols x %d rows but only %d bytes remain",
-			ncols, nrows, r.remaining())
-	}
-	// A columnless table has no rows (NumRows derives the count from the
-	// columns, so Encode always writes 0 here) — anything else is not a
-	// frame Encode could have produced.
-	if ncols == 0 && nrows != 0 {
-		return t, nil, fmt.Errorf("wire: frame declares %d rows with no columns", nrows)
-	}
-	t.Columns = make([]Column, ncols)
-	for i := range t.Columns {
-		c := &t.Columns[i]
-		if c.Name, err = r.string(); err != nil {
-			return t, nil, err
-		}
-		tb, err := r.bytes(1)
-		if err != nil {
-			return t, nil, err
-		}
-		c.Type = ColType(tb[0])
-		switch c.Type {
-		case String:
-			c.Strings = make([]string, nrows)
-			for j := range c.Strings {
-				if c.Strings[j], err = r.string(); err != nil {
-					return t, nil, err
-				}
-			}
-		case Float64:
-			c.Floats = make([]float64, nrows)
-			for j := range c.Floats {
-				b, err := r.bytes(8)
-				if err != nil {
-					return t, nil, err
-				}
-				c.Floats[j] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			}
-		case Int64:
-			c.Ints = make([]int64, nrows)
-			for j := range c.Ints {
-				b, err := r.bytes(8)
-				if err != nil {
-					return t, nil, err
-				}
-				c.Ints[j] = int64(binary.LittleEndian.Uint64(b))
-			}
-		default:
-			return t, nil, fmt.Errorf("wire: column %q has unknown type %d", c.Name, c.Type)
-		}
-	}
-	return t, r.buf[r.off:], nil
-}
-
 // DecodeAll decodes a concatenation of frames ("all experiments") into
 // its tables. At least one frame must be present.
 func DecodeAll(data []byte) ([]Table, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("wire: empty input")
 	}
+	r := canon.NewReader(data)
 	var tables []Table
-	rest := data
-	for len(rest) > 0 {
-		t, next, err := Decode(rest)
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-		rest = next
+	for r.Len() > 0 {
+		tables = append(tables, decodeFrame(&r))
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return tables, nil
+}
+
+// decodeFrame reads one frame from the front of r. A failure stays on
+// r and drops the bytes left, which ends DecodeAll's loop.
+func decodeFrame(r *canon.Reader) Table {
+	r.Magic(Magic)
+	// The version and the column types are read as uvarints and compared
+	// in full: a minimal uvarint below 0x80 is the one byte Append wrote,
+	// and anything longer must not truncate onto a known value.
+	if v := r.Uvarint(); v != Version {
+		r.Fail("unsupported version %d (decoder speaks %d)", v, Version)
+	}
+	t := Table{Kind: r.Str(), Title: r.Str()}
+	nrows := r.Uvarint()
+	// Every column header and every value costs at least one encoded
+	// byte (8 for numerics, >=1 for a string length prefix): cheap
+	// a-priori bounds that reject absurd counts before any slice is
+	// sized from them. The division form cannot overflow.
+	ncols := r.Count(1)
+	switch {
+	case ncols == 0 && nrows != 0:
+		// NumRows derives the count from the columns, so Append always
+		// writes 0 rows for a columnless table.
+		r.Fail("frame declares %d rows with no columns", nrows)
+	case ncols > 0 && nrows > uint64(r.Len()/ncols):
+		r.Fail("frame declares %d cols x %d rows but only %d bytes remain", ncols, nrows, r.Len())
+	}
+	t.Columns = make([]Column, ncols)
+	for i := range t.Columns {
+		c := &t.Columns[i]
+		c.Name = r.Str()
+		typ := r.Uvarint()
+		c.Type = ColType(typ)
+		switch typ {
+		case uint64(String):
+			c.Strings = make([]string, nrows)
+			for j := range c.Strings {
+				c.Strings[j] = r.Str()
+			}
+		case uint64(Float64):
+			c.Floats = make([]float64, nrows)
+			for j := range c.Floats {
+				c.Floats[j] = r.Float()
+			}
+		case uint64(Int64):
+			c.Ints = make([]int64, nrows)
+			for j := range c.Ints {
+				c.Ints[j] = int64(r.Uint64())
+			}
+		default:
+			r.Fail("column %q has unknown type %d", c.Name, typ)
+		}
+	}
+	return t
 }

@@ -29,15 +29,15 @@ func TestRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(enc, []byte(Magic)) || enc[len(Magic)] != Version {
 		t.Fatalf("frame header wrong: % x", enc[:8])
 	}
-	got, rest, err := Decode(enc)
+	got, err := DecodeAll(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 {
-		t.Errorf("%d trailing bytes after a single frame", len(rest))
+	if len(got) != 1 {
+		t.Fatalf("one frame decoded as %d tables", len(got))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got[0], want) {
+		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got[0], want)
 	}
 }
 
@@ -48,11 +48,11 @@ func TestEncodeIsCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decode(enc)
+	got, err := DecodeAll(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := Encode(got)
+	enc2, err := Encode(got...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +121,9 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := DecodeAll(oneColumn(byte(String))); err != nil {
+		t.Fatalf("oneColumn with a one-byte type: %v", err)
+	}
 	cases := map[string][]byte{
 		"empty":       {},
 		"bad magic":   append([]byte("NOPE"), good[4:]...),
@@ -132,19 +135,36 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 			1, 'k', 1, 't', // kind "k", title "t"
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, // nrows = 2^63-ish
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), // ncols likewise
+		// The version and a column type are one byte each: a multi-byte
+		// varint whose value or low byte is a known tag must not pass.
+		"non-minimal version 1":  append([]byte(Magic), append([]byte{0x81, 0x00}, good[5:]...)...),
+		"multi-byte version 257": append([]byte(Magic), append([]byte{0x81, 0x02}, good[5:]...)...),
+		"multi-byte type 257":    oneColumn(0x81, 0x02),
+		"non-minimal type 1":     oneColumn(0x81, 0x00),
 	}
 	for name, data := range cases {
-		if _, _, err := Decode(data); err == nil {
-			t.Errorf("%s: Decode accepted corrupt input", name)
+		if _, err := DecodeAll(data); err == nil {
+			t.Errorf("%s: DecodeAll accepted corrupt input", name)
 		}
 	}
 	// Every prefix of a valid frame fails cleanly (no panics, no
 	// partial-success): the decoder is total.
 	for i := 0; i < len(good); i++ {
-		if _, _, err := Decode(good[:i]); err == nil {
+		if _, err := DecodeAll(good[:i]); err == nil {
 			t.Errorf("prefix of %d bytes decoded without error", i)
 		}
 	}
+}
+
+// oneColumn is a one-row frame whose single string column has the
+// given type bytes in place of its type tag.
+func oneColumn(typ ...byte) []byte {
+	frame := append([]byte(Magic), Version,
+		1, 'k', 1, 't', // kind "k", title "t"
+		1, 1, // one row, one column
+		1, 'c') // column name "c"
+	frame = append(frame, typ...)
+	return append(frame, 1, 'v') // the string "v"
 }
 
 func TestColTypeString(t *testing.T) {
