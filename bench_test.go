@@ -151,7 +151,7 @@ func BenchmarkAllExperimentsUncachedSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := core.NewStudy()
 		st.NoCache = true
-		if _, err := runExperimentWith(st, "all"); err != nil {
+		if _, err := runMany(st, ExperimentNames, false, st.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -573,7 +573,7 @@ func pad2(n int) string {
 // the encoding step.
 func benchAllTables(b *testing.B) []WireTable {
 	b.Helper()
-	tables, err := fanOut(core.NewStudy(), ExperimentNames, 8, experimentTable)
+	tables, err := renderEach(core.NewStudy(), ExperimentNames, 8, renderTable)
 	if err != nil {
 		b.Fatal(err)
 	}

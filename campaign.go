@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/report"
 )
 
 // Multi-axis what-if campaigns: several base machines x several swept
@@ -77,10 +76,7 @@ func (e *Engine) CampaignFormat(spec CampaignSpec, csv bool) (string, error) {
 // from worker shards; because the points are bit-identical to a local
 // evaluation, so is the rendering.
 func FormatCampaignResult(res CampaignResult, csv bool) string {
-	if csv {
-		return report.CampaignCSV(res)
-	}
-	return report.CampaignText(res)
+	return renderText(res, csv)
 }
 
 // CampaignPoints evaluates only the selected grid points of spec (by

@@ -132,7 +132,11 @@ func (e *Engine) RunFormat(name string, csv bool) (string, error) {
 	if name == "all" {
 		return e.RunManyFormat(ExperimentNames, csv)
 	}
-	return renderExperiment(e.st, name, csv)
+	v, err := evalExperiment(e.st, name)
+	if err != nil {
+		return "", err
+	}
+	return renderText(v, csv), nil
 }
 
 // RunMany regenerates the named experiments ("all" expands in place)
@@ -157,7 +161,7 @@ func (e *Engine) RunManyFormat(names []string, csv bool) (string, error) {
 // inputs.
 func (e *Engine) RunEach(names []string, csv bool) (expanded []string, outs []string, err error) {
 	expanded = expandExperiments(names)
-	outs, err = renderEach(e.st, expanded, csv, e.opts.workers())
+	outs, err = renderEach(e.st, expanded, e.opts.workers(), textRenderer(csv))
 	return expanded, outs, err
 }
 
@@ -170,8 +174,7 @@ func (e *Engine) CacheStats() (hits, misses uint64) { return e.st.CacheStats() }
 // ExperimentNames; "all" concatenates every experiment. Evaluation is
 // serial; use RunExperiments for the concurrent engine.
 func RunExperiment(name string) (string, error) {
-	st := NewStudy()
-	return runExperimentWith(st, canonExperiment(name))
+	return NewEngine(Options{Parallel: 1}).Run(name)
 }
 
 // RunExperiments regenerates the named experiments ("all" expands to
@@ -185,12 +188,7 @@ func RunExperiments(names []string, opts Options) (string, error) {
 // RunExperimentCSV is RunExperiment with CSV output (Table 4 has no CSV
 // form and renders as text); "all" concatenates every experiment's CSV.
 func RunExperimentCSV(name string) (string, error) {
-	st := NewStudy()
-	name = canonExperiment(name)
-	if name == "all" {
-		return runMany(st, ExperimentNames, true, st.Workers)
-	}
-	return renderExperiment(st, name, true)
+	return NewEngine(Options{Parallel: 1, CSV: true}).Run(name)
 }
 
 func canonExperiment(name string) string {
@@ -211,22 +209,23 @@ func expandExperiments(names []string) []string {
 	return out
 }
 
-// fanOut evaluates each named experiment through do against one shared
-// study over a bounded pool; outs[i] keeps the caller's ordering stable
-// regardless of completion order. workers is a global bound: it is
-// split between the experiment-level pool and the per-experiment
-// fan-out (outer * inner <= workers), so -parallel 8 never runs 8x8
-// goroutines. Text, CSV and binary renderings all fan out through it.
-func fanOut[T any](st *Study, names []string, workers int, do func(*Study, string) (T, error)) ([]T, error) {
+// renderEach evaluates each named experiment against one shared study
+// over a bounded pool and renders it through render; outs[i] keeps the
+// caller's ordering stable regardless of completion order. workers is a
+// global bound: it is split between the experiment-level pool and the
+// per-experiment fan-out (outer * inner <= workers), so -parallel 8
+// never runs 8x8 goroutines. Text, CSV and binary renderings all fan
+// out through it.
+func renderEach[T any](st *Study, names []string, workers int, render func(any) T) ([]T, error) {
 	outer := max(min(workers, len(names)), 1)
 	view := st.WithWorkers(max(workers/outer, 1))
 	outs := make([]T, len(names))
 	err := par.ForEach(len(names), outer, func(i int) error {
-		out, err := do(view, names[i])
+		v, err := evalExperiment(view, names[i])
 		if err != nil {
 			return err
 		}
-		outs[i] = out
+		outs[i] = render(v)
 		return nil
 	})
 	if err != nil {
@@ -235,17 +234,15 @@ func fanOut[T any](st *Study, names []string, workers int, do func(*Study, strin
 	return outs, nil
 }
 
-// renderEach is fanOut over renderExperiment in one output form.
-func renderEach(st *Study, names []string, csv bool, workers int) ([]string, error) {
-	return fanOut(st, names, workers, func(view *Study, name string) (string, error) {
-		return renderExperiment(view, name, csv)
-	})
+// textRenderer is renderText fixed to one output form.
+func textRenderer(csv bool) func(any) string {
+	return func(v any) string { return renderText(v, csv) }
 }
 
 // runMany is renderEach concatenated: each experiment followed by a blank
 // separator line, in the order the names were given.
 func runMany(st *Study, names []string, csv bool, workers int) (string, error) {
-	outs, err := renderEach(st, names, csv, workers)
+	outs, err := renderEach(st, names, workers, textRenderer(csv))
 	if err != nil {
 		return "", err
 	}
@@ -257,90 +254,86 @@ func runMany(st *Study, names []string, csv bool, workers int) (string, error) {
 	return b.String(), nil
 }
 
-func runExperimentWith(st *Study, name string) (string, error) {
-	if name == "all" {
-		return runMany(st, ExperimentNames, false, st.Workers)
-	}
-	return renderExperiment(st, name, false)
-}
-
-// renderExperiment evaluates one experiment against st and renders it
-// as text or CSV — the single switch both RunExperiment flavours and
-// the engine share.
-func renderExperiment(st *Study, name string, csv bool) (string, error) {
+// evalExperiment evaluates one experiment against st — the one switch
+// from an experiment name to the study call behind it. What comes back
+// is rendered afterwards: renderText for text and CSV, renderTable for
+// the binary wire form.
+func evalExperiment(st *Study, name string) (any, error) {
 	switch name {
 	case "figure1":
-		fig, err := st.Figure1()
-		if err != nil {
-			return "", err
-		}
-		return figureOut(fig, csv), nil
-	case "table1", "table2", "table3":
-		tab, err := st.ScalingTable(tablePolicy(name))
-		if err != nil {
-			return "", err
-		}
-		if csv {
-			return report.ScalingTableCSV(tab), nil
-		}
-		return report.ScalingTableText(tab), nil
-	case "figure2":
-		fig, err := st.Figure2()
-		if err != nil {
-			return "", err
-		}
-		return figureOut(fig, csv), nil
-	case "figure3":
-		kb, err := st.Figure3()
-		if err != nil {
-			return "", err
-		}
-		if csv {
-			return report.KernelBarsCSV(kb), nil
-		}
-		return report.KernelBarsText(kb), nil
-	case "table4":
-		return report.Table4Text(core.Table4()), nil
-	case "figure4", "figure5", "figure6", "figure7":
-		fig, err := xFigure(st, name)
-		if err != nil {
-			return "", err
-		}
-		return figureOut(fig, csv), nil
-	}
-	return "", fmt.Errorf("repro: unknown experiment %q (want one of %s, or all)",
-		name, strings.Join(ExperimentNames, ", "))
-}
-
-func figureOut(fig Figure, csv bool) string {
-	if csv {
-		return report.FigureCSV(fig)
-	}
-	return report.FigureText(fig)
-}
-
-func tablePolicy(name string) placement.Policy {
-	switch name {
+		return st.Figure1()
 	case "table1":
-		return placement.Block
+		return st.ScalingTable(placement.Block)
 	case "table2":
-		return placement.CyclicNUMA
-	default:
-		return placement.ClusterCyclic
-	}
-}
-
-func xFigure(st *Study, name string) (Figure, error) {
-	switch name {
+		return st.ScalingTable(placement.CyclicNUMA)
+	case "table3":
+		return st.ScalingTable(placement.ClusterCyclic)
+	case "figure2":
+		return st.Figure2()
+	case "figure3":
+		return st.Figure3()
+	case "table4":
+		return core.Table4(), nil
 	case "figure4":
 		return st.XCompare(prec.F64, false)
 	case "figure5":
 		return st.XCompare(prec.F32, false)
 	case "figure6":
 		return st.XCompare(prec.F64, true)
-	default:
+	case "figure7":
 		return st.XCompare(prec.F32, true)
 	}
+	return nil, fmt.Errorf("repro: unknown experiment %q (want one of %s, or all)",
+		name, strings.Join(ExperimentNames, ", "))
+}
+
+// renderText renders an evaluated result — an experiment's, a sweep's
+// Figure or a CampaignResult — as text, or as CSV when csv is set.
+// Table 4 has no CSV form and renders as text either way.
+func renderText(v any, csv bool) string {
+	switch v := v.(type) {
+	case Figure:
+		if csv {
+			return report.FigureCSV(v)
+		}
+		return report.FigureText(v)
+	case ScalingTable:
+		if csv {
+			return report.ScalingTableCSV(v)
+		}
+		return report.ScalingTableText(v)
+	case KernelBars:
+		if csv {
+			return report.KernelBarsCSV(v)
+		}
+		return report.KernelBarsText(v)
+	case CampaignResult:
+		if csv {
+			return report.CampaignCSV(v)
+		}
+		return report.CampaignText(v)
+	case []core.Table4Row:
+		return report.Table4Text(v)
+	}
+	panic(fmt.Sprintf("repro: no text rendering for %T", v))
+}
+
+// renderTable shapes an evaluated result as a binary wire table — the
+// structured twin of renderText.
+func renderTable(v any) WireTable {
+	switch v := v.(type) {
+	case Figure:
+		return report.FigureTable(v)
+	case ScalingTable:
+		return report.ScalingTableWire(v)
+	case KernelBars:
+		return report.KernelBarsTable(v)
+	case CampaignResult:
+		return report.CampaignTable(v)
+	case []core.Table4Row:
+		return report.Table4Wire(v)
+	}
+	panic(fmt.Sprintf("repro: no wire rendering for %T", v))
 }
 
 // HeadlineSummary computes the headline comparisons from the paper's

@@ -124,11 +124,14 @@ func resolveThreads(threads, cores int) int {
 	return threads
 }
 
-// planKeyFor canonicalizes a spec into the plan-cache key: every base's
-// label and full fingerprint, the exact bit patterns of the axis
-// values, and the software-config lists. Built with byte appends — the
-// key is computed on every campaign surface call, hit or miss.
-func planKeyFor(s CampaignSpec) string {
+// Key canonicalizes the spec into its content key: every base's label
+// and full fingerprint, the exact bit patterns of the axis values, and
+// the software-config lists (defaults filled in). Two specs share a key
+// only when they evaluate and render identical inputs, so the plan
+// cache and the HTTP render cache both key on it. Built with byte
+// appends — the key is computed on every campaign surface call, hit or
+// miss.
+func (s CampaignSpec) Key() string {
 	s = s.normalized()
 	b := make([]byte, 0, 192)
 	for _, base := range s.Bases {
@@ -179,7 +182,7 @@ const maxPlans = 128
 // planFor returns the compiled plan for spec, building and memoizing it
 // on first use.
 func planFor(s CampaignSpec) (*campaignPlan, error) {
-	plan, _, err := planCache.Get(planKeyFor(s), func() (*campaignPlan, error) {
+	plan, _, err := planCache.Get(s.Key(), func() (*campaignPlan, error) {
 		return buildPlan(s)
 	})
 	return plan, err

@@ -116,14 +116,24 @@ func (s SweepSpec) plan() (*campaignPlan, error) {
 	if s.Threads < 0 {
 		return nil, fmt.Errorf("core: sweep threads %d < 0", s.Threads)
 	}
-	return planFor(CampaignSpec{
+	return planFor(s.campaign())
+}
+
+// campaign is the one-axis campaign the sweep compiles to.
+func (s SweepSpec) campaign() CampaignSpec {
+	return CampaignSpec{
 		Bases:      []*machine.Machine{s.Base},
 		Axes:       []AxisValues{{Axis: s.Axis, Values: s.Values}},
 		Threads:    []int{s.Threads},
 		Placements: []placement.Policy{s.Placement},
 		Precs:      []prec.Precision{s.Prec},
-	})
+	}
 }
+
+// Key is the content key of the one-axis campaign the sweep compiles
+// to (CampaignSpec.Key): it covers every field of the spec, so two
+// sweeps share it only when they render identical bytes.
+func (s SweepSpec) Key() string { return s.campaign().Key() }
 
 func joinAxes() string {
 	names := make([]string, len(SweepAxes))

@@ -83,10 +83,10 @@ type FabricStats struct {
 	Members       []MemberStatus
 }
 
-// Coordinator shards campaigns over a dynamic fleet of workers. Fleet
+// Coordinator shards campaigns over a fixed fleet of workers. Fleet
 // state lives in a Membership shared with the health prober, so a
-// worker that dies mid-campaign is excluded, and one that recovers —
-// or is added — takes its keys back without a coordinator restart.
+// worker that dies mid-campaign is excluded, and one that recovers
+// takes its keys back without a coordinator restart.
 // Campaign state itself stays per-Run: each Run re-expands the grid,
 // assigns points by rendezvous hash on the machine fingerprint, and
 // holds its own exactly-once bookkeeping.

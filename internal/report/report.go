@@ -7,7 +7,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -167,28 +166,6 @@ func Table4Text(rows []core.Table4Row) string {
 	fmt.Fprintf(&b, "%-20s %-14s %-9s %-6s %s\n", "CPU", "Part", "Clock", "Cores", "Vector")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-20s %-14s %-9s %-6d %s\n", r.CPU, r.Part, r.Clock, r.Cores, r.Vector)
-	}
-	return b.String()
-}
-
-// MeasurementsText renders a raw measurement list sorted by class then
-// name (cmd/rajaperf and the harness verbose mode use it).
-func MeasurementsText(ms []core.Measurement, unit string) string {
-	sorted := append([]core.Measurement(nil), ms...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Class != sorted[j].Class {
-			return sorted[i].Class < sorted[j].Class
-		}
-		return sorted[i].Kernel < sorted[j].Kernel
-	})
-	var b strings.Builder
-	prev := kernels.Class(-1)
-	for _, m := range sorted {
-		if m.Class != prev {
-			fmt.Fprintf(&b, "%s:\n", m.Class)
-			prev = m.Class
-		}
-		fmt.Fprintf(&b, "  %-24s %12.6f %s\n", m.Kernel, m.Seconds, unit)
 	}
 	return b.String()
 }

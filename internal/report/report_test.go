@@ -131,23 +131,6 @@ func TestTable4Text(t *testing.T) {
 	}
 }
 
-func TestMeasurementsText(t *testing.T) {
-	ms := []core.Measurement{
-		{Kernel: "TRIAD", Class: kernels.Stream, Seconds: 0.5},
-		{Kernel: "MEMSET", Class: kernels.Algorithm, Seconds: 0.25},
-	}
-	out := MeasurementsText(ms, "s")
-	// Algorithm sorts before Stream.
-	ai := strings.Index(out, "Algorithm")
-	si := strings.Index(out, "Stream")
-	if ai < 0 || si < 0 || ai > si {
-		t.Errorf("class ordering wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "MEMSET") || !strings.Contains(out, "0.250000") {
-		t.Errorf("measurement row missing:\n%s", out)
-	}
-}
-
 func TestEndToEndRenderSmoke(t *testing.T) {
 	// Render every real experiment to make sure nothing panics and the
 	// output carries the paper's structure.

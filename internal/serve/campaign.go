@@ -4,17 +4,18 @@ package serve
 // request body is the JSON campaign spec (repro.CampaignSpecFromJSON;
 // schema in docs/EXPERIMENTS.md): registry labels and/or inline machine
 // specs, swept axes, and software-config lists. Responses negotiate
-// like the sweep endpoint — text, CSV, or a JSON envelope — plus a
-// streaming NDJSON form (?format=ndjson or Accept:
+// like the sweep endpoint — text, CSV, binary or a JSON envelope —
+// plus a streaming NDJSON form (?format=ndjson or Accept:
 // application/x-ndjson) that emits one line per grid point, in grid
 // order, as soon as the point and its predecessors finish, then a
 // terminal summary line.
 //
-// Determinism makes all four forms cacheable: the full rendered body —
+// Determinism makes all five forms cacheable: the full rendered body —
 // the NDJSON form included, since grid order is fixed — is stored in
-// the render cache under the bases' fingerprints and the exact bit
-// patterns of every axis value, so a repeat campaign costs no model
-// time and serves byte-identical responses. Errors split the usual way:
+// the render cache under the spec's content key (CampaignSpec.Key: the
+// bases' fingerprints, the exact bit patterns of every axis value, the
+// software lists), so a repeat campaign costs no model time and serves
+// byte-identical responses. Errors split the usual way:
 // a malformed or invalid spec is a 400, an unknown registry label a
 // 404, and both are decided before any evaluation.
 
@@ -26,7 +27,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strings"
 
 	"repro"
 	"repro/internal/fabric"
@@ -153,28 +153,17 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		s.campaignNDJSON(w, r, spec, data, points)
 		return
 	}
-	ent, err := s.rc.get(campaignRenderKey(spec, format), func() ([]byte, string, error) {
+	ent, err := s.rc.get(campaignKey(spec, format), func() ([]byte, string, error) {
 		res, err := s.runCampaign(r, spec, data, nil)
 		if err != nil {
 			return nil, "", err
 		}
-		if format == formatBinary {
-			body, err := repro.CampaignResultWire(res)
-			return body, wireContentType, err
-		}
-		out := repro.FormatCampaignResult(res, format == formatCSV)
-		switch format {
-		case formatJSON:
-			body, err := marshalJSONBody(campaignJSON{
-				Title: spec.Title(), Points: points,
-				Format: "text", Output: out,
+		return renderBody(format,
+			func(csv bool) (string, error) { return repro.FormatCampaignResult(res, csv), nil },
+			func() ([]byte, error) { return repro.CampaignResultWire(res) },
+			func(out string) any {
+				return campaignJSON{Title: spec.Title(), Points: points, Format: "text", Output: out}
 			})
-			return body, "application/json", err
-		case formatCSV:
-			return []byte(out), "text/csv; charset=utf-8", nil
-		default:
-			return []byte(out), "text/plain; charset=utf-8", nil
-		}
 	})
 	if err != nil {
 		s.writeCampaignError(w, err)
@@ -248,7 +237,7 @@ const fleetDownRetryAfter = "5"
 // stream.
 func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte, points int) {
 	streamed := false
-	ent, err := s.rc.get(campaignRenderKey(spec, formatNDJSON), func() ([]byte, string, error) {
+	ent, err := s.rc.get(campaignKey(spec, formatNDJSON), func() ([]byte, string, error) {
 		streamed = true
 		body, err := s.streamCampaign(w, r, spec, raw)
 		return body, "application/x-ndjson", err
@@ -334,26 +323,10 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec rep
 	return buf.Bytes(), nil
 }
 
-// campaignRenderKey canonicalizes a validated campaign spec into a
-// render cache key: every base's full fingerprint (an inline spec with
-// one tweaked field must miss) and the exact bit patterns of every axis
-// value, plus the software-config lists.
-func campaignRenderKey(spec repro.CampaignSpec, f format) renderKey {
-	var name, v strings.Builder
-	for i, b := range spec.Bases {
-		if i > 0 {
-			name.WriteString(",")
-		}
-		name.WriteString(b.Label)
-		fmt.Fprintf(&v, "fp=%016x ", b.Fingerprint())
-	}
-	for _, ax := range spec.Axes {
-		fmt.Fprintf(&v, "axis=%s:", ax.Axis)
-		for _, x := range ax.Values {
-			fmt.Fprintf(&v, "%x,", x)
-		}
-		v.WriteString(" ")
-	}
-	fmt.Fprintf(&v, "threads=%v pols=%v precs=%v", spec.Threads, spec.Placements, spec.Precs)
-	return renderKey{kind: "campaign", name: name.String(), variant: v.String(), format: f}
+// campaignKey is a campaign's render-cache key: the spec's content key
+// (every base's full fingerprint, so an inline spec with one tweaked
+// field misses, and the exact bit patterns of every axis value) in one
+// format.
+func campaignKey(spec repro.CampaignSpec, f format) renderKey {
+	return renderKey{kind: "campaign", variant: spec.Key(), format: f}
 }

@@ -54,7 +54,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 	label := r.PathValue("name")
 	m, ok := s.reg.Get(label)
 	if !ok {
-		writeError(w, http.StatusNotFound, s.unknownMachine(label))
+		writeError(w, http.StatusNotFound, &repro.UnknownMachineError{Label: label, Known: s.reg.Labels()})
 		return
 	}
 	data, err := repro.MachineJSON(m)
@@ -62,13 +62,8 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.Write(data)
-}
-
-func (s *Server) unknownMachine(label string) error {
-	return fmt.Errorf("unknown machine %q (want one of %s)",
-		label, strings.Join(s.reg.Labels(), ", "))
 }
 
 // sweepRequest is the body of POST /v1/sweep. Exactly one of Machine
@@ -107,7 +102,7 @@ type sweepJSON struct {
 // handleSweep serves POST /v1/sweep: a what-if hardware sweep of one
 // axis of a base machine, fanned out over the engine's worker pool.
 // The response format is negotiated like the experiment endpoints
-// (?format=text|csv|json or the Accept header); text and CSV bodies
+// (?format=text|csv|json|binary or the Accept header); text and CSV bodies
 // are byte-identical to cmd/sg2042sim -sweep output for the same
 // request. Bad parameters are 400s, an unknown machine label is a 404,
 // and every point's suite evaluation coalesces on the engine's shared
@@ -135,7 +130,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case req.Machine != "":
 		m, ok := s.reg.Get(req.Machine)
 		if !ok {
-			writeError(w, http.StatusNotFound, s.unknownMachine(req.Machine))
+			writeError(w, http.StatusNotFound, &repro.UnknownMachineError{Label: req.Machine, Known: s.reg.Labels()})
 			return
 		}
 		base = m
@@ -152,12 +147,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p, err := parsePrec(req.Prec)
+	p, err := repro.ParsePrecision(req.Prec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pol, err := parsePlacement(req.Placement)
+	pol, err := repro.ParsePlacement(req.Placement)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -174,55 +169,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Sweeps are deterministic in their canonicalized spec, so the
-	// rendered body is cacheable like any GET: the key folds in the
-	// base machine's full fingerprint (an inline custom spec with one
-	// tweaked field must miss) and the exact bit patterns of the axis
-	// values.
-	ent, err := s.rc.get(sweepRenderKey(spec, format), func() ([]byte, string, error) {
-		if format == formatBinary {
-			body, err := s.eng.SweepBinary(spec)
-			return body, wireContentType, err
-		}
-		out, err := s.eng.SweepFormat(spec, format == formatCSV)
-		if err != nil {
-			return nil, "", err
-		}
-		switch format {
-		case formatJSON:
-			body, err := marshalJSONBody(sweepJSON{
-				Machine: base.Label, Axis: string(spec.Axis), Title: spec.Title(),
-				Format: "text", Output: out,
+	// rendered body is cacheable like any GET: the spec's content key
+	// folds in the base machine's full fingerprint (an inline custom
+	// spec with one tweaked field must miss) and the exact bit patterns
+	// of the axis values.
+	ent, err := s.rc.get(renderKey{kind: "sweep", variant: spec.Key(), format: format}, func() ([]byte, string, error) {
+		return renderBody(format,
+			func(csv bool) (string, error) { return s.eng.SweepFormat(spec, csv) },
+			func() ([]byte, error) { return s.eng.SweepBinary(spec) },
+			func(out string) any {
+				return sweepJSON{Machine: base.Label, Axis: string(spec.Axis), Title: spec.Title(), Format: "text", Output: out}
 			})
-			return body, "application/json", err
-		case formatCSV:
-			return []byte(out), "text/csv; charset=utf-8", nil
-		default:
-			return []byte(out), "text/plain; charset=utf-8", nil
-		}
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	serveRendered(w, r, ent)
-}
-
-// sweepRenderKey canonicalizes a validated sweep spec into a render
-// cache key. Float axis values are encoded as exact hex bit patterns,
-// so two sweeps hit the same entry only when every evaluated input is
-// identical.
-func sweepRenderKey(spec repro.SweepSpec, f format) renderKey {
-	var v strings.Builder
-	fmt.Fprintf(&v, "fp=%016x axis=%s threads=%d pol=%v prec=%v vals=",
-		spec.Base.Fingerprint(), spec.Axis, spec.Threads, spec.Placement, spec.Prec)
-	for _, x := range spec.Values {
-		fmt.Fprintf(&v, "%x,", x)
-	}
-	return renderKey{kind: "sweep", name: spec.Base.Label, variant: v.String(), format: f}
-}
-
-// parsePlacement maps a placement token onto a policy; empty means the
-// sweep default, block.
-func parsePlacement(s string) (repro.Policy, error) {
-	return repro.ParsePlacement(s)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"repro"
 )
 
 // format is a negotiated response rendering.
@@ -73,4 +75,38 @@ func negotiateStream(r *http.Request) (format, error) {
 		}
 	}
 	return negotiate(r)
+}
+
+// Content-Types of the rendered formats; the wire media type is
+// aliased so the negotiation table stays a constant switch.
+const (
+	textContentType = "text/plain; charset=utf-8"
+	csvContentType  = "text/csv; charset=utf-8"
+	jsonContentType = "application/json"
+	wireContentType = repro.WireContentType
+)
+
+// renderBody is the one format table from an evaluated result to
+// response bytes: binary serves the wire frames, every other format the
+// text rendering — the CSV form when CSV was negotiated, wrapped in the
+// endpoint's JSON envelope when JSON was. Experiments, sweeps,
+// campaigns and reports all answer through it; endpoints without a CSV
+// form fold CSV onto text before they key and render.
+func renderBody(f format, text func(csv bool) (string, error), binary func() ([]byte, error), envelope func(out string) any) ([]byte, string, error) {
+	if f == formatBinary {
+		body, err := binary()
+		return body, wireContentType, err
+	}
+	out, err := text(f == formatCSV)
+	if err != nil {
+		return nil, "", err
+	}
+	switch f {
+	case formatJSON:
+		body, err := marshalJSONBody(envelope(out))
+		return body, jsonContentType, err
+	case formatCSV:
+		return []byte(out), csvContentType, nil
+	}
+	return []byte(out), textContentType, nil
 }

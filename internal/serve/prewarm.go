@@ -20,79 +20,39 @@ import (
 	"repro"
 )
 
-// prewarmEntry is one corpus rendering: the cache key a live request
-// would use and the fill that computes it.
-type prewarmEntry struct {
-	key  renderKey
-	fill func() ([]byte, string, error)
-}
-
 // prewarmCorpus enumerates the full GET corpus in a fixed order:
 // experiments (the paper's order, then "all") across text, CSV, JSON
 // and binary; then per registry machine the roofline report at both
 // precisions and the cluster report at its default parameters, each in
-// text, JSON and binary. The keys are exactly the ones the handlers
-// build, so a prewarmed entry is a guaranteed hit for the matching
-// request.
-func (s *Server) prewarmCorpus() []prewarmEntry {
-	var entries []prewarmEntry
-	expFormats := []format{formatText, formatCSV, formatJSON, formatBinary}
-	names := append(append([]string(nil), repro.ExperimentNames...), "all")
-	for _, name := range names {
-		for _, f := range expFormats {
-			name, f := name, f
-			entries = append(entries, prewarmEntry{
-				key:  renderKey{kind: "experiment", name: name, format: f},
-				fill: func() ([]byte, string, error) { return s.renderExperiment(name, f) },
-			})
+// text, JSON and binary. Every entry comes from the job constructor its
+// handler calls, so a prewarmed entry is a guaranteed hit for the
+// matching request.
+func (s *Server) prewarmCorpus() []renderJob {
+	var jobs []renderJob
+	add := func(key renderKey, fill renderFill) { jobs = append(jobs, renderJob{key, fill}) }
+	for _, name := range append(append([]string(nil), repro.ExperimentNames...), "all") {
+		for _, f := range []format{formatText, formatCSV, formatJSON, formatBinary} {
+			add(s.experimentJob(name, f))
 		}
 	}
 	repFormats := []format{formatText, formatJSON, formatBinary}
-	precs := []repro.Precision{repro.F64, repro.F32}
+	defaults, _ := parseClusterParams(nil)
 	for _, label := range s.reg.Labels() {
-		label := label
-		for _, p := range precs {
-			for _, f := range repFormats {
-				p, f := p, f
-				if repro.MachineByLabel(label) == nil {
-					// The roofline endpoint resolves against the paper's
-					// presets, not the registry; registry-only machines
-					// (SG2044, derived multi-socket presets) 404 there
-					// and have nothing to warm.
-					continue
+		// The roofline endpoint resolves against the paper's presets,
+		// not the registry; registry-only machines (SG2044, derived
+		// multi-socket presets) 404 there and have nothing to warm.
+		if repro.MachineByLabel(label) != nil {
+			for _, p := range []repro.Precision{repro.F64, repro.F32} {
+				for _, f := range repFormats {
+					add(rooflineJob(label, p, f))
 				}
-				entries = append(entries, prewarmEntry{
-					key: renderKey{kind: "roofline", name: label,
-						variant: fmt.Sprintf("prec=%v", p), format: reportFormat(f)},
-					fill: func() ([]byte, string, error) {
-						out, err := repro.RooflineReport(label, p)
-						if err != nil {
-							return nil, "", err
-						}
-						return renderReport(f, reportJSON{Machine: label, Report: "roofline", Output: out})
-					},
-				})
 			}
 		}
 		for _, f := range repFormats {
-			f := f
-			// The cluster defaults mirror handleCluster's: net=ib,
-			// grid=512, f64, the report's own node sweep, preset sockets.
-			entries = append(entries, prewarmEntry{
-				key: renderKey{kind: "cluster", name: label,
-					variant: fmt.Sprintf("net=%s grid=%d prec=%v nodes=%v sockets=%d", "ib", 512, repro.F64, []int(nil), 0),
-					format:  reportFormat(f)},
-				fill: func() ([]byte, string, error) {
-					out, err := repro.ClusterScalingReport(label, "ib", 512, repro.F64, nil, 0)
-					if err != nil {
-						return nil, "", err
-					}
-					return renderReport(f, reportJSON{Machine: label, Report: "cluster", Output: out})
-				},
-			})
+			add(clusterJob(label, defaults, f))
 		}
 	}
-	return entries
+	return jobs
 }
 
 // Prewarm renders the full GET corpus into the render cache, then marks

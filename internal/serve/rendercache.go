@@ -31,18 +31,34 @@ import (
 
 // renderKey identifies one cacheable rendering.
 type renderKey struct {
-	// kind is the endpoint family: "experiment", "roofline", "cluster"
-	// or "sweep".
+	// kind is the endpoint family: "experiment", "roofline", "cluster",
+	// "sweep" or "campaign".
 	kind string
 	// name is the experiment name or machine label, verbatim (it can
 	// appear in the rendered body, so no canonicalization here beyond
-	// what the handler itself does).
+	// what the handler itself does); empty for sweeps and campaigns.
 	name string
-	// variant canonicalizes the remaining parameters (precision,
-	// network, grid, node list, sweep axis/values/threads/placement and
-	// the base machine's fingerprint).
+	// variant canonicalizes the remaining parameters: precision,
+	// network, grid, node list and sockets for reports; for sweeps and
+	// campaigns the spec's content key (SweepSpec.Key, CampaignSpec.Key),
+	// which covers base labels and fingerprints, axis values and the
+	// software configuration.
 	variant string
 	format  format
+}
+
+// renderFill renders one cache entry's body and Content-Type on a miss.
+type renderFill func() (body []byte, ctype string, err error)
+
+// renderJob is one cacheable rendering: the key a request looks up and
+// the fill that renders it on a miss. A cacheable GET's handler and the
+// prewarm corpus take key and fill from one constructor (experimentJob,
+// rooflineJob, clusterJob), so they cannot drift apart. The
+// constructors return the pair unwrapped, which keeps the handlers'
+// fill closures off the heap.
+type renderJob struct {
+	key  renderKey
+	fill renderFill
 }
 
 // renderEntry is one cached rendering. Its identity form is immutable;
@@ -85,7 +101,7 @@ func newRenderCache() *renderCache {
 
 // get returns the cached rendering for k, rendering it via fill on the
 // first request.
-func (c *renderCache) get(k renderKey, fill func() (body []byte, ctype string, err error)) (*renderEntry, error) {
+func (c *renderCache) get(k renderKey, fill renderFill) (*renderEntry, error) {
 	ent, _, err := c.Get(k, func() (*renderEntry, error) {
 		body, ctype, err := fill()
 		if err != nil {

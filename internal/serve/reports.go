@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -23,26 +24,17 @@ type reportJSON struct {
 // f64, matching the CLI); ?format=json wraps the text in a JSON
 // envelope. Renderings are served from the response cache.
 func (s *Server) handleRoofline(w http.ResponseWriter, r *http.Request) {
-	label := r.PathValue("machine")
 	f, err := negotiate(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := parsePrec(r.URL.Query().Get("prec"))
+	p, err := repro.ParsePrecision(r.URL.Query().Get("prec"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := renderKey{kind: "roofline", name: label,
-		variant: fmt.Sprintf("prec=%v", p), format: reportFormat(f)}
-	ent, err := s.rc.get(key, func() ([]byte, string, error) {
-		out, err := repro.RooflineReport(label, p)
-		if err != nil {
-			return nil, "", err
-		}
-		return renderReport(f, reportJSON{Machine: label, Report: "roofline", Output: out})
-	})
+	ent, err := s.rc.get(rooflineJob(r.PathValue("machine"), p, f))
 	if err != nil {
 		// The precision was validated above, so what remains is an
 		// unknown machine label.
@@ -52,59 +44,74 @@ func (s *Server) handleRoofline(w http.ResponseWriter, r *http.Request) {
 	serveRendered(w, r, ent)
 }
 
+// rooflineJob is the render-cache job for one roofline report — the
+// key and fill handleRoofline and the prewarm corpus share.
+func rooflineJob(label string, p repro.Precision, f format) (renderKey, renderFill) {
+	f = reportFormat(f)
+	return renderKey{kind: "roofline", name: label, variant: p.String(), format: f}, func() ([]byte, string, error) {
+		out, err := repro.RooflineReport(label, p)
+		return reportBody(f, "roofline", label, out, err)
+	}
+}
+
+// clusterParams are the cluster report's query parameters, parsed and
+// canonicalized; the zero query yields the CLI's defaults.
+type clusterParams struct {
+	network string // "ib" or "eth"
+	grid    int
+	prec    repro.Precision
+	nodes   []int
+	sockets int
+	// variant is the parameters' render-key variant.
+	variant string
+}
+
+// parseClusterParams reads the cluster report's query: ?net=ib|eth
+// (default ib), ?grid=N (default 512), ?nodes=1,2,4 to override the
+// swept node counts, ?sockets=N to derive a sockets-per-node variant of
+// the preset, and ?prec=f32|f64.
+func parseClusterParams(q url.Values) (clusterParams, error) {
+	network, err := parseNetwork(q.Get("net"))
+	if err != nil {
+		return clusterParams{}, err
+	}
+	p, err := repro.ParsePrecision(q.Get("prec"))
+	if err != nil {
+		return clusterParams{}, err
+	}
+	grid, err := atoiDefault(q.Get("grid"), 512)
+	if err != nil || grid <= 0 {
+		return clusterParams{}, fmt.Errorf("bad grid %q (want a positive integer)", q.Get("grid"))
+	}
+	nodes, err := parseNodes(q.Get("nodes"))
+	if err != nil {
+		return clusterParams{}, err
+	}
+	sockets, err := atoiDefault(q.Get("sockets"), 0)
+	if err != nil || sockets < 0 {
+		return clusterParams{}, fmt.Errorf("bad sockets %q (want a non-negative integer)", q.Get("sockets"))
+	}
+	return clusterParams{network: network, grid: grid, prec: p, nodes: nodes, sockets: sockets,
+		variant: fmt.Sprintf("net=%s grid=%d prec=%v nodes=%v sockets=%d", network, grid, p, nodes, sockets)}, nil
+}
+
 // handleCluster serves GET /v1/cluster/{machine}: the MPI scaling model
-// of the paper's further-work section. Query parameters mirror the
-// CLI: ?net=ib|eth (default ib), ?grid=N (default 512), plus
-// ?nodes=1,2,4 to override the swept node counts, ?sockets=N to derive
-// a sockets-per-node variant of the preset, and ?prec=f32|f64. An
-// unknown machine label is 404; every validation failure (bad socket
-// count included) is 400, classified by the library's typed
-// *repro.UnknownMachineError rather than error wording.
+// of the paper's further-work section, with the query parameters of
+// parseClusterParams. An unknown machine label is 404; every validation
+// failure (bad socket count included) is 400, classified by the
+// library's typed *repro.UnknownMachineError rather than error wording.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	label := r.PathValue("machine")
 	f, err := negotiate(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	q := r.URL.Query()
-	network, err := parseNetwork(q.Get("net"))
+	cp, err := parseClusterParams(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := parsePrec(q.Get("prec"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	grid, err := atoiDefault(q.Get("grid"), 512)
-	if err != nil || grid <= 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("bad grid %q (want a positive integer)", q.Get("grid")))
-		return
-	}
-	nodes, err := parseNodes(q.Get("nodes"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sockets, err := atoiDefault(q.Get("sockets"), 0)
-	if err != nil || sockets < 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("bad sockets %q (want a non-negative integer)", q.Get("sockets")))
-		return
-	}
-	key := renderKey{kind: "cluster", name: label,
-		variant: fmt.Sprintf("net=%s grid=%d prec=%v nodes=%v sockets=%d", network, grid, p, nodes, sockets),
-		format:  reportFormat(f)}
-	ent, err := s.rc.get(key, func() ([]byte, string, error) {
-		out, err := repro.ClusterScalingReport(label, network, grid, p, nodes, sockets)
-		if err != nil {
-			return nil, "", err
-		}
-		return renderReport(f, reportJSON{Machine: label, Report: "cluster", Output: out})
-	})
+	ent, err := s.rc.get(clusterJob(r.PathValue("machine"), cp, f))
 	if err != nil {
 		var unknown *repro.UnknownMachineError
 		if errors.As(err, &unknown) {
@@ -119,8 +126,18 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	serveRendered(w, r, ent)
 }
 
-// reportFormat collapses CSV onto text for the report endpoints, which
-// have no CSV form — one cache entry, not two, for the same bytes.
+// clusterJob is the render-cache job for one cluster report — the key
+// and fill handleCluster and the prewarm corpus share.
+func clusterJob(label string, cp clusterParams, f format) (renderKey, renderFill) {
+	f = reportFormat(f)
+	return renderKey{kind: "cluster", name: label, variant: cp.variant, format: f}, func() ([]byte, string, error) {
+		out, err := repro.ClusterScalingReport(label, cp.network, cp.grid, cp.prec, cp.nodes, cp.sockets)
+		return reportBody(f, "cluster", label, out, err)
+	}
+}
+
+// reportFormat folds CSV onto text for the report endpoints, which have
+// no CSV form — one cache entry, not two, for the same bytes.
 func reportFormat(f format) format {
 	if f == formatCSV {
 		return formatText
@@ -128,40 +145,31 @@ func reportFormat(f format) format {
 	return f
 }
 
-// renderReport produces a report body as text, as its JSON envelope
-// when the request negotiated JSON, or as a one-row binary wire frame
-// when it negotiated binary (CSV is not a report format and falls back
-// to text).
-func renderReport(f format, rep reportJSON) ([]byte, string, error) {
-	switch f {
-	case formatJSON:
-		body, err := marshalJSONBody(rep)
-		return body, "application/json", err
-	case formatBinary:
-		body, err := repro.ReportWire(rep.Machine, rep.Report, rep.Output)
-		return body, wireContentType, err
+// reportBody serves a rendered report (or its rendering error) as text,
+// as its JSON envelope, or as a one-row binary wire frame.
+func reportBody(f format, kind, label, out string, err error) ([]byte, string, error) {
+	if err != nil {
+		return nil, "", err
 	}
-	return []byte(rep.Output), "text/plain; charset=utf-8", nil
+	return renderBody(f,
+		func(bool) (string, error) { return out, nil },
+		func() ([]byte, error) { return repro.ReportWire(label, kind, out) },
+		func(out string) any { return reportJSON{Machine: label, Report: kind, Output: out} })
 }
 
 // parseNetwork validates the ?net parameter against the interconnects
-// ClusterScalingReport accepts; empty means the CLI's default ib.
-// Validating here keeps the 400-vs-404 decision independent of the
-// library's error wording.
+// ClusterScalingReport accepts and canonicalizes it to "ib" or "eth",
+// so every spelling of one interconnect shares a render-cache entry;
+// empty means the CLI's default ib. Validating here keeps the
+// 400-vs-404 decision independent of the library's error wording.
 func parseNetwork(s string) (string, error) {
 	switch strings.ToLower(s) {
-	case "":
+	case "", "ib", "infiniband":
 		return "ib", nil
-	case "ib", "infiniband", "eth", "ethernet":
-		return s, nil
+	case "eth", "ethernet":
+		return "eth", nil
 	}
 	return "", fmt.Errorf("unknown network %q (want ib or eth)", s)
-}
-
-// parsePrec maps a query value onto a precision; empty means the CLI's
-// default FP64.
-func parsePrec(s string) (repro.Precision, error) {
-	return repro.ParsePrecision(s)
 }
 
 // parseNodes parses a comma-separated node-count list; empty keeps the

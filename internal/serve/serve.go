@@ -8,14 +8,14 @@
 // Routes (see docs/ARCHITECTURE.md and the README for examples):
 //
 //	GET  /v1/experiments            list experiment metadata (JSON)
-//	GET  /v1/experiments/{name}     one experiment; text, CSV or JSON
+//	GET  /v1/experiments/{name}     one experiment; text, CSV, JSON or binary
 //	POST /v1/experiments:batch      many experiments in one request
 //	GET  /v1/machines               list the machine registry (JSON)
 //	GET  /v1/machines/{name}        one machine's full JSON spec
-//	POST /v1/sweep                  what-if hardware sweep; text, CSV or JSON
-//	POST /v1/campaign               multi-axis campaign; text, CSV, JSON or streaming NDJSON
-//	GET  /v1/roofline/{machine}     roofline report for a machine
-//	GET  /v1/cluster/{machine}      MPI scaling model for a machine
+//	POST /v1/sweep                  what-if hardware sweep; text, CSV, JSON or binary
+//	POST /v1/campaign               multi-axis campaign; text, CSV, JSON, binary or streaming NDJSON
+//	GET  /v1/roofline/{machine}     roofline report for a machine; text, JSON or binary
+//	GET  /v1/cluster/{machine}      MPI scaling model for a machine; text, JSON or binary
 //	GET  /metrics                   Prometheus-style text metrics
 //	GET  /healthz                   readiness probe (503 until prewarm completes)
 //	GET  /livez                     liveness probe (200 from the first request)
@@ -32,7 +32,9 @@
 // The text and CSV bodies are byte-identical to cmd/sg2042sim's stdout
 // for the same experiment and options — the HTTP layer is purely
 // transport, never rendering. Binary bodies (?format=binary) are the
-// internal/wire frames, under the same determinism contract.
+// internal/wire frames, under the same determinism contract. One format
+// table (renderBody) maps a negotiated format onto a body and its
+// Content-Type for every rendering endpoint.
 package serve
 
 import (
@@ -47,10 +49,6 @@ import (
 	"repro"
 	"repro/internal/fabric"
 )
-
-// wireContentType is the binary wire format's media type, aliased so
-// the negotiation table stays a constant switch.
-const wireContentType = repro.WireContentType
 
 // Options configures a Server.
 type Options struct {
@@ -178,7 +176,7 @@ func (s *Server) routes() {
 // It never gates on prewarm, so orchestrators can tell a booting daemon
 // from a dead one.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Type", textContentType)
 	fmt.Fprintln(w, "ok")
 }
 
@@ -188,7 +186,7 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 // prewarm the server is ready from the first request, so existing
 // health checks keep working unchanged.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Type", textContentType)
 	if !s.ready.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "warming")
@@ -231,8 +229,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExperiment serves GET /v1/experiments/{name} with content
-// negotiation: ?format=text|csv|json wins, else the Accept header
-// decides, else text. "all" is accepted and concatenates every
+// negotiation: ?format=text|csv|json|binary wins, else the Accept
+// header decides, else text. "all" is accepted and concatenates every
 // experiment, exactly like cmd/sg2042sim -exp all. Renderings are
 // served from the response cache: the body bytes, ETag and gzip form
 // are computed once per (name, format) and repeat requests — or 304s
@@ -248,8 +246,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	ent, err := s.rc.get(renderKey{kind: "experiment", name: name, format: format},
-		func() ([]byte, string, error) { return s.renderExperiment(name, format) })
+	ent, err := s.rc.get(s.experimentJob(name, format))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -257,38 +254,24 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	serveRendered(w, r, ent)
 }
 
-// renderExperiment produces the exact bytes handleExperiment used to
-// stream per request — the cache fill path.
-func (s *Server) renderExperiment(name string, format format) ([]byte, string, error) {
-	if format == formatBinary {
-		body, err := s.eng.RunBinary(name)
-		return body, wireContentType, err
-	}
-	out, err := s.eng.RunFormat(name, format == formatCSV)
-	if err != nil {
-		return nil, "", err
-	}
-	switch format {
-	case formatJSON:
-		title := ""
-		if info, ok := repro.ExperimentByName(name); ok {
-			title = info.Title
+// experimentJob is the render-cache job for one experiment (or "all")
+// in one format — the key and fill handleExperiment and the prewarm
+// corpus share.
+func (s *Server) experimentJob(name string, f format) (renderKey, renderFill) {
+	return renderKey{kind: "experiment", name: name, format: f}, func() ([]byte, string, error) {
+		info, known := repro.ExperimentByName(name) // "all" is not an experiment
+		body, ctype, err := renderBody(f,
+			func(csv bool) (string, error) { return s.eng.RunFormat(name, csv) },
+			func() ([]byte, error) { return s.eng.RunBinary(name) },
+			func(out string) any {
+				return experimentJSON{Name: name, Title: info.Title, Format: "text", Output: out}
+			})
+		if f == formatCSV && known && !info.CSV {
+			// Table 4 has no CSV form and renders as text; label the body
+			// by what it actually is ("all" concatenations stay text/csv).
+			ctype = textContentType
 		}
-		body, err := marshalJSONBody(experimentJSON{
-			Name: name, Title: title,
-			Format: "text", Output: out,
-		})
-		return body, "application/json", err
-	case formatCSV:
-		// Table 4 has no CSV form and renders as text; label the body
-		// by what it actually is ("all" concatenations stay text/csv).
-		ctype := "text/csv; charset=utf-8"
-		if info, ok := repro.ExperimentByName(name); ok && !info.CSV {
-			ctype = "text/plain; charset=utf-8"
-		}
-		return []byte(out), ctype, nil
-	default:
-		return []byte(out), "text/plain; charset=utf-8", nil
+		return body, ctype, err
 	}
 }
 
@@ -394,7 +377,7 @@ func validExperiment(name string) error {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

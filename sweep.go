@@ -1,9 +1,6 @@
 package repro
 
-import (
-	"repro/internal/core"
-	"repro/internal/report"
-)
+import "repro/internal/core"
 
 // What-if hardware sweeps: hold the software configuration fixed and
 // vary one hardware axis of a base machine — core count, clock, vector
@@ -63,10 +60,7 @@ func (e *Engine) SweepFormat(spec SweepSpec, csv bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if csv {
-		return report.FigureCSV(fig), nil
-	}
-	return report.FigureText(fig), nil
+	return renderText(fig, csv), nil
 }
 
 // RunSweep is the one-shot form of Engine.SweepFormat: a fresh engine,

@@ -1,10 +1,6 @@
 package repro
 
 import (
-	"fmt"
-	"strings"
-
-	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/wire"
 )
@@ -49,48 +45,6 @@ func EncodeWire(tables ...WireTable) ([]byte, error) { return wire.Encode(tables
 // re-encodes (EncodeWire) to byte-identical frames.
 func DecodeWire(data []byte) ([]WireTable, error) { return wire.DecodeAll(data) }
 
-// experimentTable evaluates one experiment and shapes it as a wire
-// table — the structured twin of renderExperiment, sharing the same
-// memoized study evaluations.
-func experimentTable(st *Study, name string) (WireTable, error) {
-	switch name {
-	case "figure1":
-		fig, err := st.Figure1()
-		if err != nil {
-			return WireTable{}, err
-		}
-		return report.FigureTable(fig), nil
-	case "table1", "table2", "table3":
-		tab, err := st.ScalingTable(tablePolicy(name))
-		if err != nil {
-			return WireTable{}, err
-		}
-		return report.ScalingTableWire(tab), nil
-	case "figure2":
-		fig, err := st.Figure2()
-		if err != nil {
-			return WireTable{}, err
-		}
-		return report.FigureTable(fig), nil
-	case "figure3":
-		kb, err := st.Figure3()
-		if err != nil {
-			return WireTable{}, err
-		}
-		return report.KernelBarsTable(kb), nil
-	case "table4":
-		return report.Table4Wire(core.Table4()), nil
-	case "figure4", "figure5", "figure6", "figure7":
-		fig, err := xFigure(st, name)
-		if err != nil {
-			return WireTable{}, err
-		}
-		return report.FigureTable(fig), nil
-	}
-	return WireTable{}, fmt.Errorf("repro: unknown experiment %q (want one of %s, or all)",
-		name, strings.Join(ExperimentNames, ", "))
-}
-
 // RunBinary regenerates one experiment by name and encodes it as binary
 // wire frames; "all" concatenates every experiment's frame in the
 // paper's order. Evaluation fans out over the engine's worker pool and
@@ -102,7 +56,7 @@ func (e *Engine) RunBinary(name string) ([]byte, error) {
 	if name == "all" {
 		names = ExperimentNames
 	}
-	tables, err := fanOut(e.st, names, e.opts.workers(), experimentTable)
+	tables, err := renderEach(e.st, names, e.opts.workers(), renderTable)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +70,7 @@ func (e *Engine) SweepBinary(spec SweepSpec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := report.FigureTable(fig)
-	return wire.Encode(t)
+	return wire.Encode(renderTable(fig))
 }
 
 // CampaignBinary runs a campaign and encodes its result as one binary
@@ -134,13 +87,11 @@ func (e *Engine) CampaignBinary(spec CampaignSpec) ([]byte, error) {
 // binary frame — the bytes CampaignBinary produces. The distributed
 // coordinator uses it to serve ?format=binary from an assembled result.
 func CampaignResultWire(res CampaignResult) ([]byte, error) {
-	t := report.CampaignTable(res)
-	return wire.Encode(t)
+	return wire.Encode(renderTable(res))
 }
 
 // ReportWire wraps a rendered report (roofline, cluster) as a one-row
 // binary frame, the binary twin of the JSON report envelope.
 func ReportWire(machine, kind, output string) ([]byte, error) {
-	t := report.ReportTable(machine, kind, output)
-	return wire.Encode(t)
+	return wire.Encode(report.ReportTable(machine, kind, output))
 }
