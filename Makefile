@@ -4,7 +4,7 @@ SERVE_ADDR ?= 127.0.0.1:18042
 # B/op beyond it fail, ns/op only warns (CI timing is noise).
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build vet test race cross bench bench-json bench-compare bench-http bench-http-json profile verify serve doccheck determinism determinism-dist determinism-chaos fuzz-smoke ci
+.PHONY: build vet test perfbench race cross bench bench-json bench-compare bench-http bench-http-json profile verify serve doccheck determinism determinism-dist determinism-chaos fuzz-smoke ci
 
 # Per-fuzzer budget for the fuzz-smoke gate.
 FUZZTIME ?= 10s
@@ -84,6 +84,12 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space bin/repro-profile.test bin/campaign-heap.pprof
 
 verify: build vet test
+
+# perfbench is its own module, so the root go test ./... never compiles
+# it; vet and test it so a slip in the API it drives shows before the
+# benchmark runs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Fail on dangling doc references: Go files or markdown citing a
 # docs/*.md that does not exist, and broken relative markdown links.
@@ -261,5 +267,5 @@ serve:
 # distributed, and the self-healing chaos phases), the daemon smoke
 # test, the fuzzer smoke pass and both regression gates (engine
 # benchmarks and the serving SLO).
-ci: verify doccheck race cross determinism determinism-dist determinism-chaos serve fuzz-smoke bench-compare bench-http
+ci: verify doccheck perfbench race cross determinism determinism-dist determinism-chaos serve fuzz-smoke bench-compare bench-http
 	@echo "ci OK"

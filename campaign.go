@@ -104,20 +104,6 @@ func RunCampaign(spec CampaignSpec, opts Options) (string, error) {
 	return NewEngine(opts).CampaignFormat(spec, opts.CSV)
 }
 
-// UnknownMachineError reports a campaign spec naming a machine the
-// registry does not hold. The HTTP layer distinguishes it from other
-// (400-class) spec errors to answer 404.
-type UnknownMachineError struct {
-	Label string
-	// Known lists the labels the registry does hold, for the message.
-	Known []string
-}
-
-func (e *UnknownMachineError) Error() string {
-	return fmt.Sprintf("unknown machine %q (want one of %s)",
-		e.Label, strings.Join(e.Known, ", "))
-}
-
 // ParsePrecision maps a token onto a precision: "f32"/"fp32" or
 // "f64"/"fp64", case-insensitively; empty means the CLI/HTTP default,
 // FP64.
@@ -189,9 +175,9 @@ func CampaignSpecFromJSON(data []byte, reg *MachineRegistry) (CampaignSpec, erro
 		return CampaignSpec{}, fmt.Errorf(`campaign needs base machines: pass "machines" (registry labels) and/or "specs" (inline machines)`)
 	}
 	for _, label := range raw.Machines {
-		m, ok := reg.Get(label)
-		if !ok {
-			return CampaignSpec{}, &UnknownMachineError{Label: label, Known: reg.Labels()}
+		m, err := reg.Resolve(label)
+		if err != nil {
+			return CampaignSpec{}, err
 		}
 		spec.Bases = append(spec.Bases, m)
 	}

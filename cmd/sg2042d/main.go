@@ -35,10 +35,10 @@
 //	GET  /livez                     liveness probe
 //
 // With -prewarm the daemon renders the full preset corpus (every
-// experiment x format, the preset rooflines and cluster reports) into
-// the response cache at boot; /healthz answers 503 until the pass
-// completes, so a load balancer only routes to a warm instance. The
-// listener is up throughout, and /livez answers 200.
+// experiment x format, and every registry machine's roofline and
+// cluster reports) into the response cache at boot; /healthz answers
+// 503 until the pass completes, so a load balancer only routes to a
+// warm instance. The listener is up throughout, and /livez answers 200.
 //
 // Distributed campaigns: -worker additionally mounts the fabric's
 // shard-scoped endpoints (points, healthz, snapshot, warm); -coordinate

@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "worker pool size for the study engine (0 = GOMAXPROCS, 1 = serial); output is identical for every setting")
 	headline := fs.Bool("headline", false, "print the headline comparison factors")
 	list := fs.Bool("list", false, "list available experiments")
-	roofline := fs.String("roofline", "", "print the roofline of a machine (label, e.g. SG2042)")
+	roofline := fs.String("roofline", "", "print the roofline of a registry machine (label, e.g. SG2042 or SG2044; see -machines)")
 	clusterNode := fs.String("cluster", "", "model MPI scaling of a machine (label, e.g. SG2042) — the paper's further work")
 	network := fs.String("net", "ib", "interconnect for -cluster: ib or eth")
 	sockets := fs.Int("sockets", 0, "sockets per node for -cluster (0 = the preset's own topology)")
@@ -108,9 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if label == "" {
 			label = "SG2042"
 		}
-		base, ok := repro.DefaultMachineRegistry().Get(label)
-		if !ok {
-			return fail(fmt.Errorf("unknown machine %q (try -machines)", label))
+		base, err := repro.DefaultMachineRegistry().Resolve(label)
+		if err != nil {
+			return fail(err)
 		}
 		eng := repro.NewEngine(repro.Options{Parallel: *parallel})
 		out, err := eng.SweepFormat(repro.SweepSpec{
@@ -123,9 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, out)
 		return 0
 	case *machineLabel != "":
-		m, ok := repro.DefaultMachineRegistry().Get(*machineLabel)
-		if !ok {
-			return fail(fmt.Errorf("unknown machine %q (try -machines)", *machineLabel))
+		m, err := repro.DefaultMachineRegistry().Resolve(*machineLabel)
+		if err != nil {
+			return fail(err)
 		}
 		spec, err := repro.MachineJSON(m)
 		if err != nil {

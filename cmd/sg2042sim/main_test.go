@@ -125,8 +125,14 @@ func TestRooflineAndClusterFlags(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "SG2042") {
 		t.Errorf("-roofline SG2042: exit %d, out %.60q", code, out)
 	}
+	// Every registry machine has a roofline, in any spelling.
+	for _, label := range []string{"SG2044", "SG2042x2", "sg2042"} {
+		if code, out, errOut := exec("-roofline", label); code != 0 || out == "" {
+			t.Errorf("-roofline %s: exit %d, stderr %q", label, code, errOut)
+		}
+	}
 	code, _, errOut := exec("-roofline", "NotAMachine")
-	if code != 1 || !strings.Contains(errOut, "NotAMachine") {
+	if code != 1 || !strings.Contains(errOut, `unknown machine "NotAMachine" (want one of V1,`) {
 		t.Errorf("-roofline with unknown machine: exit %d, stderr %q", code, errOut)
 	}
 	code, _, errOut = exec("-cluster", "SG2042", "-net", "carrier-pigeon")
@@ -162,7 +168,7 @@ func TestMachineFlagPrintsSpec(t *testing.T) {
 		t.Errorf("decoded label %q", m.Label)
 	}
 	code, _, errOut = exec("-machine", "SG9999")
-	if code != 1 || !strings.Contains(errOut, "SG9999") {
+	if code != 1 || !strings.Contains(errOut, `unknown machine "SG9999" (want one of V1,`) {
 		t.Errorf("unknown -machine: exit %d, stderr %q", code, errOut)
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	// 1. The machine registry: the paper's presets plus the SG2044.
+	// 1. The machine registry: the paper's presets plus the SG2044 and SG2042x2.
 	reg := repro.DefaultMachineRegistry()
 	fmt.Println("Registered machines:")
 	for _, m := range reg.Machines() {

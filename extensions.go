@@ -11,24 +11,27 @@ import (
 )
 
 // RooflineReport renders the roofline model of a machine at a precision
-// with all 64 kernels placed on it. Machine labels are those of
-// MachineByLabel ("SG2042", "V1", "V2", "Rome", "Broadwell", "Icelake",
-// "Sandybridge").
+// with all 64 kernels placed on it. The label resolves through the
+// default machine registry, case-insensitively, so every registry
+// machine has a roofline (the paper's seven CPUs, the SG2044 and the
+// dual-socket SG2042x2); an unresolvable label yields an
+// *UnknownMachineError.
 func RooflineReport(label string, p Precision) (string, error) {
-	m := MachineByLabel(label)
-	if m == nil {
-		return "", fmt.Errorf("repro: unknown machine %q", label)
+	m, err := DefaultMachineRegistry().Resolve(label)
+	if err != nil {
+		return "", err
 	}
 	return roofline.Text(m, p, suite.All()), nil
 }
 
 // MemoryBoundShare returns the fraction of the suite that is
 // memory-bound on a machine at a precision — the roofline quantity that
-// explains the structure of the paper's results.
+// explains the structure of the paper's results. Labels resolve as in
+// RooflineReport.
 func MemoryBoundShare(label string, p Precision) (float64, error) {
-	m := MachineByLabel(label)
-	if m == nil {
-		return 0, fmt.Errorf("repro: unknown machine %q", label)
+	m, err := DefaultMachineRegistry().Resolve(label)
+	if err != nil {
+		return 0, err
 	}
 	return roofline.MemoryBoundShare(m, p, suite.All()), nil
 }
@@ -47,16 +50,14 @@ func MemoryBoundShare(label string, p Precision) (float64, error) {
 // inter-socket link inside every point, composing node-level MPI with
 // socket-level NUMA.
 func ClusterScalingReport(nodeLabel, network string, grid int, p Precision, nodes []int, sockets int) (string, error) {
-	reg := DefaultMachineRegistry()
-	m, ok := reg.Get(nodeLabel)
-	if !ok {
-		return "", &UnknownMachineError{Label: nodeLabel, Known: reg.Labels()}
+	m, err := DefaultMachineRegistry().Resolve(nodeLabel)
+	if err != nil {
+		return "", err
 	}
 	if sockets < 0 {
 		return "", fmt.Errorf("repro: %d sockets per node", sockets)
 	}
 	if sockets > 0 {
-		var err error
 		if m, err = m.WithSockets(sockets); err != nil {
 			return "", err
 		}

@@ -8,28 +8,22 @@ import (
 
 // ExampleRegistry shows the named-machine surface the HTTP API and the
 // CLI share: the default registry serves the paper's presets plus the
-// SG2044 and dual-socket SG2042x2, lookups are case-insensitive, and
-// custom hardware registers alongside them.
+// SG2044 and dual-socket SG2042x2, lookups are case-insensitive and
+// answer under the canonical label, and an unknown label is a typed
+// error that lists the known ones.
 func ExampleRegistry() {
 	reg := machine.DefaultRegistry()
-	fmt.Println(reg.Len(), "machines")
+	fmt.Println(len(reg.Labels()), "machines")
 
-	sg, _ := reg.Get("sg2042")
-	fmt.Println(sg)
+	sg, _ := reg.Resolve("sg2042")
+	fmt.Println(sg.Label, "-", sg)
 
-	custom, err := sg.WithVectorBits(256)
-	if err != nil {
-		panic(err)
-	}
-	if err := reg.Register(custom); err != nil {
-		panic(err)
-	}
-	wide, _ := reg.Get("SG2042/v256")
-	fmt.Println(wide.Vector.WidthBits, "bits")
+	_, err := reg.Resolve("SG9999")
+	fmt.Println(err)
 	// Output:
 	// 9 machines
-	// Sophon SG2042 (XuanTie C920): 64 cores @ 2.00 GHz, 4 NUMA regions, RVV v0.7.1 128-bit
-	// 256 bits
+	// SG2042 - Sophon SG2042 (XuanTie C920): 64 cores @ 2.00 GHz, 4 NUMA regions, RVV v0.7.1 128-bit
+	// unknown machine "SG9999" (want one of V1, V2, SG2042, Rome, Broadwell, Icelake, Sandybridge, SG2044, SG2042x2)
 }
 
 // ExampleFromJSON shows the JSON machine spec round trip: encode a

@@ -316,21 +316,6 @@ func (m *Machine) Cache(name string) *CacheLevel {
 	return nil
 }
 
-// SharersOf returns how many cores share one instance of the level.
-// A per-socket level has one instance per package, so its sharers are
-// the package's cores (all of them on a single-socket machine).
-func (m *Machine) SharersOf(l *CacheLevel) int {
-	switch l.Shared {
-	case PerCore:
-		return 1
-	case PerCluster:
-		return m.ClusterSize
-	case PerSocket:
-		return m.CoresPerSocket()
-	}
-	return 1
-}
-
 // PeakVectorFlops returns one core's peak vector flops/second at the
 // precision (falls back to scalar peak without a vector unit).
 func (m *Machine) PeakVectorFlops(p prec.Precision) float64 {

@@ -191,15 +191,6 @@ func TestPeakFlopsOrdering(t *testing.T) {
 	}
 }
 
-func TestByLabel(t *testing.T) {
-	if m := ByLabel("SG2042"); m == nil || m.Cores != 64 {
-		t.Error("ByLabel(SG2042) failed")
-	}
-	if m := ByLabel("nope"); m != nil {
-		t.Error("ByLabel should return nil for unknown labels")
-	}
-}
-
 func TestValidateRejectsBroken(t *testing.T) {
 	m := SG2042()
 	m.NUMARegionOf[3] = 99
@@ -237,19 +228,6 @@ func TestBandwidthHelpers(t *testing.T) {
 	r := EPYC7742()
 	if r.TotalMemBandwidth() <= m.TotalMemBandwidth() {
 		t.Error("Rome should out-bandwidth the SG2042")
-	}
-}
-
-func TestSharersOf(t *testing.T) {
-	m := SG2042()
-	if got := m.SharersOf(m.Cache("L1D")); got != 1 {
-		t.Errorf("L1 sharers = %d", got)
-	}
-	if got := m.SharersOf(m.Cache("L2")); got != 4 {
-		t.Errorf("L2 sharers = %d", got)
-	}
-	if got := m.SharersOf(m.Cache("L3")); got != 64 {
-		t.Errorf("L3 sharers = %d", got)
 	}
 }
 

@@ -424,13 +424,3 @@ func All() []*Machine {
 func X86() []*Machine {
 	return []*Machine{EPYC7742(), XeonE52695(), Xeon6330(), XeonE52609()}
 }
-
-// ByLabel returns the preset with the given short label, or nil.
-func ByLabel(label string) *Machine {
-	for _, m := range All() {
-		if m.Label == label {
-			return m
-		}
-	}
-	return nil
-}

@@ -6,65 +6,84 @@ import (
 	"sync"
 )
 
-// Registry is a named collection of machines: the presets the paper
-// evaluates plus whatever custom hardware a client registers. Lookups
-// are by short label, case-insensitive, and every machine that goes in
-// or comes out is deep-copied, so no caller can mutate a registered
-// description in place. A Registry is safe for concurrent use.
+// Registry is the named set of machines every label lookup resolves
+// against: the seven CPUs the paper evaluates (All) plus the SG2044 and
+// dual-socket SG2042x2 what-if presets, in that order. Lookups are by
+// short label, case-insensitive, and every machine that comes out is a
+// deep copy, so no caller can mutate a preset in place. A Registry
+// never changes after it is built, so it is safe for concurrent use.
 type Registry struct {
-	mu      sync.RWMutex
 	byLabel map[string]*Machine // key: canonicalized label
-	order   []string            // registration order of canonical keys
+	order   []*Machine
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byLabel: make(map[string]*Machine)}
-}
+// DefaultRegistry returns the one shared registry of presets, built and
+// validated on first use.
+func DefaultRegistry() *Registry { return defaultRegistry() }
 
-// DefaultRegistry returns a registry pre-registered with every preset:
-// the seven CPUs the paper evaluates (All) plus the SG2044 and
-// dual-socket SG2042x2 what-if presets, in that order.
-func DefaultRegistry() *Registry {
-	r := NewRegistry()
-	for _, m := range append(All(), SG2044(), SG2042x2()) {
-		if err := r.Register(m); err != nil {
-			panic(err) // presets are validated by tests; unreachable
-		}
+var defaultRegistry = sync.OnceValue(func() *Registry {
+	r, err := newRegistry(append(All(), SG2044(), SG2042x2())...)
+	if err != nil {
+		panic(err) // presets are validated by tests; unreachable
 	}
 	return r
+})
+
+// newRegistry validates ms and indexes them by label, keeping their
+// order; it takes ownership of ms. Labels are unique
+// (case-insensitively): a second "SG2042" is an error, never a silent
+// overwrite.
+func newRegistry(ms ...*Machine) (*Registry, error) {
+	r := &Registry{byLabel: make(map[string]*Machine, len(ms))}
+	for _, m := range ms {
+		if m == nil {
+			return nil, fmt.Errorf("machine: registering nil machine")
+		}
+		if err := m.Validate(); err != nil {
+			return nil, err
+		}
+		key := canonLabel(m.Label)
+		if prev, ok := r.byLabel[key]; ok {
+			return nil, fmt.Errorf("machine: label %q already registered (as %s)", m.Label, prev.Name)
+		}
+		r.byLabel[key] = m
+		r.order = append(r.order, m)
+	}
+	return r, nil
 }
 
 func canonLabel(label string) string {
 	return strings.ToLower(strings.TrimSpace(label))
 }
 
-// Register validates m and adds a deep copy under its label. Labels
-// are unique (case-insensitively): registering a second "SG2042" is an
-// error, never a silent overwrite.
-func (r *Registry) Register(m *Machine) error {
-	if m == nil {
-		return fmt.Errorf("machine: registering nil machine")
+// UnknownMachineError reports a label the registry does not hold.
+// Callers distinguish it from other errors, e.g. the HTTP layer
+// answers it with 404 rather than 400.
+type UnknownMachineError struct {
+	Label string
+	// Known lists the labels the registry does hold, for the message.
+	Known []string
+}
+
+func (e *UnknownMachineError) Error() string {
+	return fmt.Sprintf("unknown machine %q (want one of %s)",
+		e.Label, strings.Join(e.Known, ", "))
+}
+
+// Resolve returns a deep copy of the machine with the given label
+// (case-insensitive), whose Label is the canonical spelling, or an
+// *UnknownMachineError.
+func (r *Registry) Resolve(label string) (*Machine, error) {
+	m, ok := r.Get(label)
+	if !ok {
+		return nil, &UnknownMachineError{Label: label, Known: r.Labels()}
 	}
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	key := canonLabel(m.Label)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prev, ok := r.byLabel[key]; ok {
-		return fmt.Errorf("machine: label %q already registered (as %s)", m.Label, prev.Name)
-	}
-	r.byLabel[key] = m.Clone()
-	r.order = append(r.order, key)
-	return nil
+	return m, nil
 }
 
 // Get returns a deep copy of the machine with the given label
 // (case-insensitive), or false.
 func (r *Registry) Get(label string) (*Machine, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	m, ok := r.byLabel[canonLabel(label)]
 	if !ok {
 		return nil, false
@@ -75,11 +94,9 @@ func (r *Registry) Get(label string) (*Machine, bool) {
 // Labels returns the registered labels (in their original casing), in
 // registration order.
 func (r *Registry) Labels() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.order))
-	for _, key := range r.order {
-		out = append(out, r.byLabel[key].Label)
+	out := make([]string, len(r.order))
+	for i, m := range r.order {
+		out[i] = m.Label
 	}
 	return out
 }
@@ -87,18 +104,9 @@ func (r *Registry) Labels() []string {
 // Machines returns deep copies of every registered machine, in
 // registration order.
 func (r *Registry) Machines() []*Machine {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Machine, 0, len(r.order))
-	for _, key := range r.order {
-		out = append(out, r.byLabel[key].Clone())
+	out := make([]*Machine, len(r.order))
+	for i, m := range r.order {
+		out[i] = m.Clone()
 	}
 	return out
-}
-
-// Len returns the number of registered machines.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.order)
 }

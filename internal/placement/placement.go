@@ -19,7 +19,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/machine"
 )
@@ -260,26 +259,5 @@ func Describe(cores []int) string {
 		}
 		out += fmt.Sprint(c)
 	}
-	return out
-}
-
-// Unique reports whether no core is used twice (every valid mapping on
-// physical cores must be a partial permutation).
-func Unique(cores []int) bool {
-	seen := make(map[int]bool, len(cores))
-	for _, c := range cores {
-		if seen[c] {
-			return false
-		}
-		seen[c] = true
-	}
-	return true
-}
-
-// SortedCopy returns the mapping's cores in ascending order (test helper
-// for set comparisons).
-func SortedCopy(cores []int) []int {
-	out := append([]int(nil), cores...)
-	sort.Ints(out)
 	return out
 }

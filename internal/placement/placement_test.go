@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -214,4 +215,25 @@ func TestPolicyString(t *testing.T) {
 			t.Error("empty policy name")
 		}
 	}
+}
+
+// Unique reports whether no core is used twice (every valid mapping on
+// physical cores must be a partial permutation).
+func Unique(cores []int) bool {
+	seen := make(map[int]bool, len(cores))
+	for _, c := range cores {
+		if seen[c] {
+			return false
+		}
+		seen[c] = true
+	}
+	return true
+}
+
+// SortedCopy returns the mapping's cores in ascending order, for set
+// comparisons.
+func SortedCopy(cores []int) []int {
+	out := append([]int(nil), cores...)
+	sort.Ints(out)
+	return out
 }

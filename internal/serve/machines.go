@@ -51,10 +51,9 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 // JSON spec — the exact form POST /v1/sweep's "spec" field and
 // repro.MachineFromJSON accept, so Get-modify-sweep round trips.
 func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
-	label := r.PathValue("name")
-	m, ok := s.reg.Get(label)
-	if !ok {
-		writeError(w, http.StatusNotFound, &repro.UnknownMachineError{Label: label, Known: s.reg.Labels()})
+	m, err := s.reg.Resolve(r.PathValue("name"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
 		return
 	}
 	data, err := repro.MachineJSON(m)
@@ -128,9 +127,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf(`pass "machine" (a registry label) or "spec" (an inline machine), not both`))
 		return
 	case req.Machine != "":
-		m, ok := s.reg.Get(req.Machine)
-		if !ok {
-			writeError(w, http.StatusNotFound, &repro.UnknownMachineError{Label: req.Machine, Known: s.reg.Labels()})
+		m, err := s.reg.Resolve(req.Machine)
+		if err != nil {
+			writeError(w, http.StatusNotFound, err)
 			return
 		}
 		base = m

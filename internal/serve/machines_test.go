@@ -35,6 +35,28 @@ func postSweep(t *testing.T, ts *httptest.Server, query, body, accept string) (i
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(out)
 }
 
+// TestEveryListedMachineServes: every label /v1/machines lists answers
+// 200 on every GET endpoint that takes a machine label, so the
+// endpoints cannot drift apart on which machines exist.
+func TestEveryListedMachineServes(t *testing.T) {
+	s := New(Options{Parallel: 2})
+	var list struct {
+		Machines []struct {
+			Label string `json:"label"`
+		} `json:"machines"`
+	}
+	if err := json.Unmarshal(doGet(t, s, "/v1/machines", nil).Body.Bytes(), &list); err != nil || len(list.Machines) == 0 {
+		t.Fatalf("/v1/machines: %d machines, %v", len(list.Machines), err)
+	}
+	for _, m := range list.Machines {
+		for _, endpoint := range []string{"/v1/machines/", "/v1/roofline/", "/v1/cluster/"} {
+			if w := doGet(t, s, endpoint+m.Label, nil); w.Code != http.StatusOK {
+				t.Errorf("%s%s: status %d: %s", endpoint, m.Label, w.Code, w.Body)
+			}
+		}
+	}
+}
+
 func TestMachinesList(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Parallel: 2}))
 	defer ts.Close()

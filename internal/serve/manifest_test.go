@@ -38,8 +38,8 @@ type manifestRequest struct {
 
 // prewarmGETs lists, independently of prewarmCorpus, every GET the
 // prewarm pass promises to have rendered: each experiment and "all" in
-// four formats, each paper preset's roofline at both precisions and
-// each registry machine's cluster report, in three formats each.
+// four formats, and each registry machine's roofline at both
+// precisions and cluster report, in three formats each.
 func prewarmGETs() []manifestRequest {
 	var reqs []manifestRequest
 	add := func(path string) { reqs = append(reqs, manifestRequest{method: http.MethodGet, path: path}) }
@@ -49,11 +49,9 @@ func prewarmGETs() []manifestRequest {
 		}
 	}
 	for _, label := range repro.DefaultMachineRegistry().Labels() {
-		if repro.MachineByLabel(label) != nil {
-			for _, p := range []string{"f64", "f32"} {
-				for _, f := range []string{"text", "json", "binary"} {
-					add("/v1/roofline/" + label + "?prec=" + p + "&format=" + f)
-				}
+		for _, p := range []string{"f64", "f32"} {
+			for _, f := range []string{"text", "json", "binary"} {
+				add("/v1/roofline/" + label + "?prec=" + p + "&format=" + f)
 			}
 		}
 		for _, f := range []string{"text", "json", "binary"} {

@@ -38,14 +38,9 @@ func (s *Server) prewarmCorpus() []renderJob {
 	repFormats := []format{formatText, formatJSON, formatBinary}
 	defaults, _ := parseClusterParams(nil)
 	for _, label := range s.reg.Labels() {
-		// The roofline endpoint resolves against the paper's presets,
-		// not the registry; registry-only machines (SG2044, derived
-		// multi-socket presets) 404 there and have nothing to warm.
-		if repro.MachineByLabel(label) != nil {
-			for _, p := range []repro.Precision{repro.F64, repro.F32} {
-				for _, f := range repFormats {
-					add(rooflineJob(label, p, f))
-				}
+		for _, p := range []repro.Precision{repro.F64, repro.F32} {
+			for _, f := range repFormats {
+				add(rooflineJob(label, p, f))
 			}
 		}
 		for _, f := range repFormats {

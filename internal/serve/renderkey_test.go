@@ -88,28 +88,85 @@ func TestSweepAndCampaignRenderKeysDistinct(t *testing.T) {
 	}
 }
 
-// TestClusterNetworkSpellingsShareEntry: ?net= is canonicalized before
-// keying, so every spelling of one interconnect is a hit on the entry
-// the first one rendered, with the same ETag.
-func TestClusterNetworkSpellingsShareEntry(t *testing.T) {
-	s := New(Options{Parallel: 1})
-	first := doGet(t, s, "/v1/cluster/SG2042?net=ib", nil)
-	if first.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", first.Code, first.Body)
+// TestSpellingsShareEntry: the cluster report's ?net= and the report
+// endpoints' machine label are canonicalized before keying, so every
+// spelling is a hit on the entry the canonical request rendered, with
+// the same ETag, and a JSON envelope names the canonical label.
+func TestSpellingsShareEntry(t *testing.T) {
+	cases := []struct {
+		name, canonical string
+		spellings       []string
+	}{
+		// The default network is ib too.
+		{"cluster/net", "/v1/cluster/SG2042?net=ib",
+			[]string{"/v1/cluster/SG2042?net=IB", "/v1/cluster/SG2042?net=infiniband", "/v1/cluster/SG2042"}},
+		{"cluster/label", "/v1/cluster/SG2042",
+			[]string{"/v1/cluster/sg2042", "/v1/cluster/Sg2042"}},
+		{"cluster/label-json", "/v1/cluster/SG2042?format=json",
+			[]string{"/v1/cluster/sg2042?format=json"}},
+		{"roofline/label", "/v1/roofline/SG2042",
+			[]string{"/v1/roofline/sg2042", "/v1/roofline/Sg2042"}},
+		{"roofline/label-json", "/v1/roofline/SG2042?format=json",
+			[]string{"/v1/roofline/sg2042?format=json"}},
+		{"roofline/follow-up-json", "/v1/roofline/SG2042x2?format=json",
+			[]string{"/v1/roofline/sg2042X2?format=json"}},
 	}
-	hits, misses := s.rc.Stats()
-	for _, net := range []string{"IB", "infiniband"} {
-		w := doGet(t, s, "/v1/cluster/SG2042?net="+net, nil)
-		if w.Code != http.StatusOK || w.Header().Get("ETag") != first.Header().Get("ETag") {
-			t.Errorf("net=%s: status %d, ETag %q, want 200 and %q",
-				net, w.Code, w.Header().Get("ETag"), first.Header().Get("ETag"))
+	s := New(Options{Parallel: 1})
+	for _, c := range cases {
+		first := doGet(t, s, c.canonical, nil)
+		if first.Code != http.StatusOK {
+			t.Errorf("%s: %s: status %d: %s", c.name, c.canonical, first.Code, first.Body)
+			continue
+		}
+		// "/v1/{report}/{label}?..." -> label
+		label := strings.Split(strings.SplitN(c.canonical, "?", 2)[0], "/")[3]
+		hits, misses := s.rc.Stats()
+		for _, path := range c.spellings {
+			w := doGet(t, s, path, nil)
+			if w.Code != http.StatusOK || w.Header().Get("ETag") != first.Header().Get("ETag") {
+				t.Errorf("%s: %s: status %d, ETag %q, want 200 and %q",
+					c.name, path, w.Code, w.Header().Get("ETag"), first.Header().Get("ETag"))
+			}
+			var env reportJSON
+			if strings.Contains(path, "format=json") {
+				if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Machine != label {
+					t.Errorf("%s: %s: envelope machine %q (%v), want %q", c.name, path, env.Machine, err, label)
+				}
+			}
+		}
+		if h, m := s.rc.Stats(); h != hits+uint64(len(c.spellings)) || m != misses {
+			t.Errorf("%s: spellings after %s: %d hits, %d misses, want %d hits, 0 misses",
+				c.name, c.canonical, h-hits, m-misses, len(c.spellings))
 		}
 	}
-	if h, m := s.rc.Stats(); h != hits+2 || m != misses {
-		t.Errorf("IB and infiniband after ib: %d hits, %d misses, want 2 hits, 0 misses", h-hits, m-misses)
+}
+
+// TestUnknownMachineFillsNothing: the report endpoints resolve the
+// machine label before they touch the render cache, so an unknown label
+// is a 404 carrying the typed unknown-machine message and adds no
+// render-cache miss.
+func TestUnknownMachineFillsNothing(t *testing.T) {
+	_, unknown := repro.DefaultMachineRegistry().Resolve("NotAMachine")
+	if unknown == nil {
+		t.Fatal("NotAMachine resolved")
 	}
-	// The default is ib too.
-	if w := doGet(t, s, "/v1/cluster/SG2042", nil); w.Header().Get("ETag") != first.Header().Get("ETag") {
-		t.Error("the default network renders different bytes from net=ib")
+	s := New(Options{Parallel: 1})
+	for _, path := range []string{
+		"/v1/roofline/NotAMachine",
+		"/v1/roofline/NotAMachine?prec=f32&format=json",
+		"/v1/cluster/NotAMachine",
+		"/v1/cluster/NotAMachine?sockets=2&format=binary",
+	} {
+		_, misses := s.rc.Stats()
+		w := doGet(t, s, path, nil)
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || w.Code != http.StatusNotFound || body.Error != unknown.Error() {
+			t.Errorf("%s: status %d, body %s, want 404 and %q", path, w.Code, w.Body, unknown)
+		}
+		if _, m := s.rc.Stats(); m != misses {
+			t.Errorf("%s: %d render-cache misses, want 0", path, m-misses)
+		}
 	}
 }

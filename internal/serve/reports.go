@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -22,7 +21,8 @@ type reportJSON struct {
 // roofline with all 64 kernels placed on it, as cmd/sg2042sim
 // -roofline prints it. ?prec=f32|f64 selects the precision (default
 // f64, matching the CLI); ?format=json wraps the text in a JSON
-// envelope. Renderings are served from the response cache.
+// envelope. An unknown machine label is 404. Renderings are served from
+// the response cache.
 func (s *Server) handleRoofline(w http.ResponseWriter, r *http.Request) {
 	f, err := negotiate(r)
 	if err != nil {
@@ -34,18 +34,23 @@ func (s *Server) handleRoofline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ent, err := s.rc.get(rooflineJob(r.PathValue("machine"), p, f))
+	m, err := s.reg.Resolve(r.PathValue("machine"))
 	if err != nil {
-		// The precision was validated above, so what remains is an
-		// unknown machine label.
 		writeError(w, http.StatusNotFound, err)
+		return
+	}
+	ent, err := s.rc.get(rooflineJob(m.Label, p, f))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	serveRendered(w, r, ent)
 }
 
 // rooflineJob is the render-cache job for one roofline report — the
-// key and fill handleRoofline and the prewarm corpus share.
+// key and fill handleRoofline and the prewarm corpus share. label is
+// the registry's canonical spelling, so every spelling of one machine
+// shares an entry.
 func rooflineJob(label string, p repro.Precision, f format) (renderKey, renderFill) {
 	f = reportFormat(f)
 	return renderKey{kind: "roofline", name: label, variant: p.String(), format: f}, func() ([]byte, string, error) {
@@ -98,8 +103,7 @@ func parseClusterParams(q url.Values) (clusterParams, error) {
 // handleCluster serves GET /v1/cluster/{machine}: the MPI scaling model
 // of the paper's further-work section, with the query parameters of
 // parseClusterParams. An unknown machine label is 404; every validation
-// failure (bad socket count included) is 400, classified by the
-// library's typed *repro.UnknownMachineError rather than error wording.
+// failure (bad socket count included) is 400.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	f, err := negotiate(r)
 	if err != nil {
@@ -111,13 +115,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ent, err := s.rc.get(clusterJob(r.PathValue("machine"), cp, f))
+	m, err := s.reg.Resolve(r.PathValue("machine"))
 	if err != nil {
-		var unknown *repro.UnknownMachineError
-		if errors.As(err, &unknown) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
+		writeError(w, http.StatusNotFound, err)
+		return
+	}
+	ent, err := s.rc.get(clusterJob(m.Label, cp, f))
+	if err != nil {
 		// The label resolved; what remains is a derivation the machine
 		// cannot support (an over-size socket count, say).
 		writeError(w, http.StatusBadRequest, err)
@@ -127,7 +131,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // clusterJob is the render-cache job for one cluster report — the key
-// and fill handleCluster and the prewarm corpus share.
+// and fill handleCluster and the prewarm corpus share. label is the
+// registry's canonical spelling, as for rooflineJob.
 func clusterJob(label string, cp clusterParams, f format) (renderKey, renderFill) {
 	f = reportFormat(f)
 	return renderKey{kind: "cluster", name: label, variant: cp.variant, format: f}, func() ([]byte, string, error) {

@@ -31,8 +31,8 @@
 // Experiments() lists the available experiments with their metadata.
 //
 // Beyond the paper's fixed experiments the study is machine-parametric:
-// DefaultMachineRegistry serves the presets (plus the SG2044 follow-up
-// preset) by name, MachineFromJSON/MachineJSON round-trip custom
+// DefaultMachineRegistry serves the presets (plus the SG2044 and
+// SG2042x2 follow-up presets) by name, MachineFromJSON/MachineJSON round-trip custom
 // hardware as JSON specs, and Engine.Sweep runs what-if hardware
 // sweeps — one axis (cores, clock, vector width, NUMA layout, sockets
 // per node, fused node count) varied across a range, every point's
@@ -150,22 +150,22 @@ func Machines() []*Machine { return machine.All() }
 // X86Machines returns the four x86 comparators of Table 4.
 func X86Machines() []*Machine { return machine.X86() }
 
-// MachineByLabel finds a paper preset by its short label ("SG2042",
-// "Rome", ...), or nil. The registry (DefaultMachineRegistry) is the
-// wider surface that also serves the SG2044 and custom machines.
-func MachineByLabel(label string) *Machine { return machine.ByLabel(label) }
-
-// MachineRegistry is a named, concurrency-safe collection of machines;
-// lookups are case-insensitive and everything in or out is deep-copied.
+// MachineRegistry is the immutable, concurrency-safe set of named
+// machines; lookups are case-insensitive and everything out is
+// deep-copied.
 type MachineRegistry = machine.Registry
 
-// NewMachineRegistry returns an empty registry.
-func NewMachineRegistry() *MachineRegistry { return machine.NewRegistry() }
-
-// DefaultMachineRegistry returns a registry pre-registered with the
-// paper's seven presets plus the SG2044 — the machine surface the HTTP
-// API (GET /v1/machines) and sg2042sim -machines list.
+// DefaultMachineRegistry returns the one shared registry: the paper's
+// seven presets plus the SG2044 and dual-socket SG2042x2 — the machine
+// surface the HTTP API (GET /v1/machines) and sg2042sim -machines
+// list, and the one every label lookup resolves against
+// (MachineRegistry.Resolve).
 func DefaultMachineRegistry() *MachineRegistry { return machine.DefaultRegistry() }
+
+// UnknownMachineError reports a label the registry does not hold, as
+// MachineRegistry.Resolve returns it. The HTTP layer distinguishes it
+// from other (400-class) errors to answer 404.
+type UnknownMachineError = machine.UnknownMachineError
 
 // MachineFromJSON decodes and validates a JSON machine spec — the form
 // POST /v1/sweep accepts for custom hardware. Unknown fields and

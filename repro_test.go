@@ -106,8 +106,8 @@ func TestPublicMachineAccess(t *testing.T) {
 	if len(X86Machines()) != 4 {
 		t.Error("X86Machines() should return 4 CPUs")
 	}
-	if m := MachineByLabel("SG2042"); m == nil || m.Cores != 64 {
-		t.Error("MachineByLabel(SG2042) broken")
+	if m, err := DefaultMachineRegistry().Resolve("SG2042"); err != nil || m.Cores != 64 {
+		t.Errorf("Resolve(SG2042) = %v, %v", m, err)
 	}
 	if DefaultCompilerFor(SG2042()) != GCCXuanTie {
 		t.Error("SG2042 should default to the XuanTie GCC")
