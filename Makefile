@@ -12,11 +12,13 @@ FUZZTIME ?= 10s
 build:
 	$(GO) build ./...
 
-# vet also fails on any tracked Go file gofmt would rewrite.
+# vet also fails on any tracked Go file gofmt would rewrite, and on any
+# declaration that no non-test code uses (perfbench/ counts as a caller).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l flags:"; echo "$$unformatted"; exit 1; fi
+	$(GO) run ./cmd/deadcheck . perfbench
 
 test:
 	$(GO) test ./...

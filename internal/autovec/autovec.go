@@ -277,28 +277,3 @@ func AnalyzeKernel(c Compiler, l ir.Loop, requested Mode) Decision {
 	}
 	return d
 }
-
-// Census summarises decisions across a set of loops.
-type Census struct {
-	Total         int
-	Vectorized    int
-	RuntimeScalar int
-	// PerKernel maps name -> decision for detailed reports.
-	PerKernel map[string]Decision
-}
-
-// Survey analyses every loop and tallies the counts the paper quotes.
-func Survey(c Compiler, loops []ir.Loop, requested Mode) Census {
-	cs := Census{Total: len(loops), PerKernel: make(map[string]Decision, len(loops))}
-	for _, l := range loops {
-		d := AnalyzeKernel(c, l, requested)
-		cs.PerKernel[l.Kernel] = d
-		if d.Vectorized {
-			cs.Vectorized++
-			if d.RuntimeScalar {
-				cs.RuntimeScalar++
-			}
-		}
-	}
-	return cs
-}

@@ -17,12 +17,37 @@ func allLoops(t *testing.T) []ir.Loop {
 	return loops
 }
 
+// census tallies AnalyzeKernel's decisions across a set of loops.
+type census struct {
+	Total         int
+	Vectorized    int
+	RuntimeScalar int
+	// PerKernel maps name -> decision for detailed reports.
+	PerKernel map[string]Decision
+}
+
+// survey analyses every loop and tallies the counts the paper quotes.
+func survey(c Compiler, loops []ir.Loop, requested Mode) census {
+	cs := census{Total: len(loops), PerKernel: make(map[string]Decision, len(loops))}
+	for _, l := range loops {
+		d := AnalyzeKernel(c, l, requested)
+		cs.PerKernel[l.Kernel] = d
+		if d.Vectorized {
+			cs.Vectorized++
+			if d.RuntimeScalar {
+				cs.RuntimeScalar++
+			}
+		}
+	}
+	return cs
+}
+
 func TestGCCXuanTieCounts(t *testing.T) {
 	// The paper (citing [11]): "out of the 64 kernels in the RAJAPerf
 	// benchmark suite only 30 were auto-vectorised by GCC and out of
 	// those 30 the scalar code path was executed for 7 of these at
 	// runtime".
-	cs := Survey(GCCXuanTie, allLoops(t), VLS)
+	cs := survey(GCCXuanTie, allLoops(t), VLS)
 	if cs.Total != 64 {
 		t.Fatalf("total = %d, want 64", cs.Total)
 	}
@@ -39,7 +64,7 @@ func TestGCCXuanTieCounts(t *testing.T) {
 func TestClangCounts(t *testing.T) {
 	// "Clang was able to auto-vectorise 59 kernels with only 3 of these
 	// following the scalar path at runtime."
-	cs := Survey(Clang16, allLoops(t), VLA)
+	cs := survey(Clang16, allLoops(t), VLA)
 	if cs.Vectorized != 59 {
 		t.Errorf("Clang vectorised %d kernels, want 59; not vectorised: %v",
 			cs.Vectorized, notVectorizedNames(cs))
@@ -51,7 +76,7 @@ func TestClangCounts(t *testing.T) {
 }
 
 func TestPaperNamedGCCCases(t *testing.T) {
-	cs := Survey(GCCXuanTie, allLoops(t), VLS)
+	cs := survey(GCCXuanTie, allLoops(t), VLS)
 	// "GCC is unable to auto-vectorise the Warshall and Heat3D kernels".
 	for _, name := range []string{"FLOYD_WARSHALL", "HEAT_3D"} {
 		if cs.PerKernel[name].Vectorized {
@@ -83,7 +108,7 @@ func TestPaperNamedGCCCases(t *testing.T) {
 }
 
 func TestPaperNamedClangCases(t *testing.T) {
-	cs := Survey(Clang16, allLoops(t), VLS)
+	cs := survey(Clang16, allLoops(t), VLS)
 	// "Clang is able to vectorise all the kernels but the 2MM, 3MM and
 	// GEMM kernels execute in scalar mode only" (Figure 3 kernels).
 	for _, name := range []string{"2MM", "3MM", "GEMM"} {
@@ -109,8 +134,8 @@ func TestPaperNamedClangCases(t *testing.T) {
 
 func TestClangModeRequest(t *testing.T) {
 	loops := allLoops(t)
-	vla := Survey(Clang16, loops, VLA)
-	vls := Survey(Clang16, loops, VLS)
+	vla := survey(Clang16, loops, VLA)
+	vls := survey(Clang16, loops, VLS)
 	for name, d := range vla.PerKernel {
 		if d.Vectorized && d.Mode != VLA {
 			t.Errorf("%s: requested VLA, got %v", name, d.Mode)
@@ -130,13 +155,13 @@ func TestClangModeRequest(t *testing.T) {
 
 func TestGCCx86MoreCapableThanRVVFork(t *testing.T) {
 	loops := allLoops(t)
-	riscv := Survey(GCCXuanTie, loops, VLS)
-	x86 := Survey(GCCx86, loops, VLS)
+	riscv := survey(GCCXuanTie, loops, VLS)
+	x86 := survey(GCCx86, loops, VLS)
 	if x86.Vectorized <= riscv.Vectorized {
 		t.Errorf("x86 GCC vectorised %d <= RVV fork %d; the mature backend must do better",
 			x86.Vectorized, riscv.Vectorized)
 	}
-	if x86.Vectorized >= Survey(Clang16, loops, VLA).Vectorized {
+	if x86.Vectorized >= survey(Clang16, loops, VLA).Vectorized {
 		t.Errorf("x86 GCC should still trail Clang")
 	}
 	// x86 alias checks succeed: no runtime-scalar Jacobi.
@@ -147,7 +172,7 @@ func TestGCCx86MoreCapableThanRVVFork(t *testing.T) {
 
 func TestEfficiencyBounds(t *testing.T) {
 	for _, c := range []Compiler{GCCXuanTie, Clang16, GCCx86} {
-		cs := Survey(c, allLoops(t), VLA)
+		cs := survey(c, allLoops(t), VLA)
 		for name, d := range cs.PerKernel {
 			if d.Efficiency <= 0 || d.Efficiency > 1 {
 				t.Errorf("%v %s: efficiency %v out of (0,1]", c, name, d.Efficiency)
@@ -175,7 +200,7 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func vectorizedNames(cs Census) []string {
+func vectorizedNames(cs census) []string {
 	var out []string
 	for name, d := range cs.PerKernel {
 		if d.Vectorized {
@@ -185,7 +210,7 @@ func vectorizedNames(cs Census) []string {
 	return out
 }
 
-func notVectorizedNames(cs Census) []string {
+func notVectorizedNames(cs census) []string {
 	var out []string
 	for name, d := range cs.PerKernel {
 		if !d.Vectorized {
@@ -195,7 +220,7 @@ func notVectorizedNames(cs Census) []string {
 	return out
 }
 
-func runtimeScalarNames(cs Census) []string {
+func runtimeScalarNames(cs census) []string {
 	var out []string
 	for name, d := range cs.PerKernel {
 		if d.RuntimeScalar {

@@ -7,13 +7,9 @@
 //
 // The model composes the single-node performance model
 // (internal/perfmodel) with a network model (per-message latency plus
-// bandwidth, the standard alpha-beta cost), and evaluates the two
-// archetypal MPI workloads:
-//
-//   - a 3D halo-exchange stencil (nearest-neighbour communication,
-//     surface-to-volume scaling), and
-//   - an allreduce-dominated iteration (CG-style dot products,
-//     logarithmic tree latency).
+// bandwidth, the standard alpha-beta cost), and evaluates the archetypal
+// MPI workload: a 3D halo-exchange stencil (nearest-neighbour
+// communication, surface-to-volume scaling).
 //
 // Strong and weak scaling sweeps report speedup and parallel efficiency
 // in the same form as the paper's Tables 1-3, extended across nodes.
@@ -29,7 +25,6 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/prec"
-	"repro/internal/stats"
 	"repro/internal/suite"
 )
 
@@ -199,61 +194,6 @@ func (c *Cluster) WeakScaleStencil(n int, p prec.Precision, nodeCounts []int) ([
 	return out, nil
 }
 
-// AllreducePoint is one row of an allreduce-dominated sweep.
-type AllreducePoint struct {
-	Nodes      int
-	ComputeSec float64
-	CommSec    float64
-	TotalSec   float64
-	Efficiency float64
-}
-
-// StrongScaleAllreduce evaluates a CG-style iteration: a DOT kernel of
-// n elements decomposed across nodes plus a tree allreduce of one
-// scalar per iteration.
-func (c *Cluster) StrongScaleAllreduce(n int, p prec.Precision, nodeCounts []int) ([]AllreducePoint, error) {
-	spec, err := suite.ByName("DOT")
-	if err != nil {
-		return nil, err
-	}
-	var out []AllreducePoint
-	var t1 float64
-	for _, nodes := range nodeCounts {
-		local := n / nodes
-		if local < 1 {
-			local = 1
-		}
-		b, err := c.Model.KernelTime(spec, c.nodeConfig(p, local))
-		if err != nil {
-			return nil, err
-		}
-		compute := b.PerRep
-		comm := 0.0
-		if nodes > 1 {
-			// Binomial-tree allreduce: 2*log2(nodes) latency-bound hops
-			// for an 8-byte scalar.
-			hops := 2 * math.Ceil(math.Log2(float64(nodes)))
-			comm = hops * c.Net.MsgTime(8)
-		}
-		// The reduction tree starts inside the node: the sockets combine
-		// their partial sums over the coherent link before (and after)
-		// anything touches the network.
-		if link, ok := SocketLink(c.Node); ok {
-			hops := 2 * math.Ceil(math.Log2(float64(c.Node.SocketCount())))
-			comm += hops * link.MsgTime(8)
-		}
-		total := compute + comm
-		if nodes == nodeCounts[0] {
-			t1 = total * float64(nodes)
-		}
-		out = append(out, AllreducePoint{
-			Nodes: nodes, ComputeSec: compute, CommSec: comm, TotalSec: total,
-			Efficiency: t1 / total / float64(nodes) / float64(nodeCounts[0]),
-		})
-	}
-	return out, nil
-}
-
 // Text renders a stencil sweep like the paper's scaling tables.
 func Text(title string, pts []StencilPoint) string {
 	var b strings.Builder
@@ -266,21 +206,4 @@ func Text(title string, pts []StencilPoint) string {
 			pt.Speedup, pt.Efficiency)
 	}
 	return b.String()
-}
-
-// CommFraction is the communication share of a point's total time.
-func (p StencilPoint) CommFraction() float64 {
-	if p.TotalSec == 0 {
-		return 0
-	}
-	return p.CommSec / p.TotalSec
-}
-
-// Summary aggregates a sweep's parallel efficiency.
-func Summary(pts []StencilPoint) stats.Summary {
-	effs := make([]float64, len(pts))
-	for i, p := range pts {
-		effs[i] = p.Efficiency
-	}
-	return stats.Summarize(effs)
 }

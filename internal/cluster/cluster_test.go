@@ -58,7 +58,8 @@ func TestStrongScalingStencil(t *testing.T) {
 		t.Errorf("efficiency %.2f implausibly superlinear", pts[len(pts)-1].Efficiency)
 	}
 	// Communication share grows with node count.
-	if pts[len(pts)-1].CommFraction() < pts[1].CommFraction() {
+	last := pts[len(pts)-1]
+	if last.CommSec/last.TotalSec < pts[1].CommSec/pts[1].TotalSec {
 		t.Error("comm fraction should grow in strong scaling")
 	}
 	if pts[0].CommSec != 0 {
@@ -109,24 +110,6 @@ func TestNetworkQualityMatters(t *testing.T) {
 	}
 }
 
-func TestAllreduceLatencyBound(t *testing.T) {
-	c := New(machine.SG2042(), Ethernet25G())
-	pts, err := c.StrongScaleAllreduce(1<<22, prec.F64, nodeCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allreduce comm grows with log(nodes), so comm at 16 nodes exceeds
-	// comm at 2 nodes.
-	if pts[len(pts)-1].CommSec <= pts[1].CommSec {
-		t.Error("allreduce cost should grow with node count")
-	}
-	// The communication tax is visible: total exceeds pure compute.
-	last := pts[len(pts)-1]
-	if last.TotalSec <= last.ComputeSec {
-		t.Error("16-node allreduce should pay a communication tax")
-	}
-}
-
 func TestX86ClusterComparable(t *testing.T) {
 	// The model composes with any node type: a Rome cluster must be
 	// valid and faster per node than the SG2042 cluster.
@@ -163,10 +146,6 @@ func TestTextRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-	sum := Summary(pts)
-	if sum.N != len(pts) {
-		t.Error("summary count wrong")
 	}
 }
 
@@ -206,13 +185,6 @@ func TestDualSocketNodePaysIntraNodeComm(t *testing.T) {
 	}
 	if weak[0].CommSec <= 0 {
 		t.Error("weak scaling on a dual-socket node has no intra-node comm")
-	}
-	red, err := x2.StrongScaleAllreduce(1<<20, prec.F64, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red[0].CommSec <= 0 {
-		t.Error("allreduce on a dual-socket node skips the intra-node reduction")
 	}
 }
 

@@ -477,30 +477,11 @@ func (st *Study) Figure3() (KernelBars, error) {
 // for the SG2042's best configuration: "for the SG2042 it was
 // demonstrated in Section 3.2 that for some benchmark classes 32
 // threads provided better performance compared to 64 threads".
-// BestSGThreads and XCompare's multithreaded baseline share them, so
-// the per-kernel and batched paths cannot diverge.
+// XCompare's multithreaded baseline takes each kernel's fastest
+// candidate.
 var bestSGCandidates = []int{32, 64}
 
 const bestSGPolicy = placement.CyclicNUMA
-
-// BestSGThreads reports the most performant SG2042 thread count for a
-// kernel at a precision under NUMA-cyclic placement (the Section 3.3
-// setup; see bestSGCandidates).
-func (st *Study) BestSGThreads(spec kernels.Spec, p prec.Precision) (int, placement.Policy, float64, error) {
-	best := -1.0
-	bestT := bestSGCandidates[len(bestSGCandidates)-1]
-	for _, threads := range bestSGCandidates {
-		b, err := st.Model.KernelTime(spec, sgConfig(threads, bestSGPolicy, p))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if best < 0 || b.Seconds < best {
-			best = b.Seconds
-			bestT = threads
-		}
-	}
-	return bestT, bestSGPolicy, best, nil
-}
 
 // XCompare reproduces Figures 4-7: x86 CPUs against the SG2042 baseline.
 // multithreaded=false gives the single-core comparison (Figures 4 and
@@ -532,8 +513,7 @@ func (st *Study) XCompare(p prec.Precision, multithreaded bool) (Figure, error) 
 	} else {
 		// Best thread count/placement per kernel, as Section 3.3 does —
 		// evaluated as one batched suite pass per candidate thread
-		// count (shared with BestSGThreads via bestSGCandidates)
-		// instead of one-shot model calls per kernel.
+		// count instead of one-shot model calls per kernel.
 		specs := suite.All()
 		times := make([][]perfmodel.Breakdown, len(bestSGCandidates))
 		err := par.ForEach(len(bestSGCandidates), st.Workers, func(i int) error {

@@ -100,21 +100,6 @@ func (p *campaignPlan) softPerCombo() int {
 	return len(s.Threads) * len(s.Placements) * len(s.Precs)
 }
 
-// caseAt decodes grid index i into its combo and software indices —
-// the odometer replacing the materialized case slice.
-func (p *campaignPlan) caseAt(i int) (combo, ti, pi, qi int) {
-	s := p.spec
-	nQ := len(s.Precs)
-	nP := len(s.Placements)
-	qi = i % nQ
-	i /= nQ
-	pi = i % nP
-	i /= nP
-	ti = i % len(s.Threads)
-	combo = i / len(s.Threads)
-	return
-}
-
 // resolveThreads clamps a requested thread count the way campaignConfig
 // does: out-of-range (or 0 = full occupancy) resolves to all cores.
 func resolveThreads(threads, cores int) int {

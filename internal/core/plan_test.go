@@ -196,6 +196,21 @@ func TestPlanCacheEvictsPastCapacity(t *testing.T) {
 	}
 }
 
+// caseAt decodes grid index i into its combo and software indices: the
+// odometer the planner walks, spelled out for the grid-order checks.
+func (p *campaignPlan) caseAt(i int) (combo, ti, pi, qi int) {
+	s := p.spec
+	nQ := len(s.Precs)
+	nP := len(s.Placements)
+	qi = i % nQ
+	i /= nQ
+	pi = i % nP
+	i /= nP
+	ti = i % len(s.Threads)
+	combo = i / len(s.Threads)
+	return
+}
+
 // FuzzCampaignGridOrder cross-checks the odometer decode against a
 // naive materialization of the same grid: for every index, caseAt must
 // name exactly the (base, axis values, thread, placement, precision)

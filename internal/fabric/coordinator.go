@@ -130,12 +130,6 @@ func NewCoordinator(targets []string, reg *repro.MachineRegistry, client *http.C
 	}, nil
 }
 
-// Targets returns the coordinator's worker list (live or not).
-func (c *Coordinator) Targets() []string { return c.mem.Targets() }
-
-// Membership exposes the fleet state (status surfaces, tests).
-func (c *Coordinator) Membership() *Membership { return c.mem }
-
 // Stats snapshots the self-healing counters and per-member state.
 func (c *Coordinator) Stats() FabricStats {
 	c.mu.Lock()
@@ -147,8 +141,7 @@ func (c *Coordinator) Stats() FabricStats {
 
 // StartProber launches health probing over the fleet: every worker is
 // probed on cfg's cadence, dying and reviving in the shared Membership,
-// with a warm-join shipment fired on every revival. Call StopProber
-// (or cancel ctx) to stop.
+// with a warm-join shipment fired on every revival. Cancel ctx to stop.
 func (c *Coordinator) StartProber(ctx context.Context, cfg ProbeConfig) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -157,16 +150,6 @@ func (c *Coordinator) StartProber(ctx context.Context, cfg ProbeConfig) {
 	}
 	c.prober = NewProber(c.mem, cfg, nil, c.onProbeTransition)
 	c.prober.Start(ctx)
-}
-
-// StopProber stops the health prober and waits for its loops to exit.
-func (c *Coordinator) StopProber() {
-	c.mu.Lock()
-	p := c.prober
-	c.mu.Unlock()
-	if p != nil {
-		p.Stop()
-	}
 }
 
 // onProbeTransition is the prober's callback: bookkeeping on death,

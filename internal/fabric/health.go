@@ -76,7 +76,7 @@ func NewProber(mem *Membership, cfg ProbeConfig, client *http.Client, onTransiti
 }
 
 // Start launches one probe loop per member and returns. The loops
-// stop when ctx is cancelled or Stop is called.
+// stop when ctx is cancelled.
 func (p *Prober) Start(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	p.mu.Lock()
@@ -86,17 +86,6 @@ func (p *Prober) Start(ctx context.Context) {
 		p.wg.Add(1)
 		go p.loop(ctx, t)
 	}
-}
-
-// Stop cancels the probe loops and waits for them to exit.
-func (p *Prober) Stop() {
-	p.mu.Lock()
-	cancel := p.cancel
-	p.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	p.wg.Wait()
 }
 
 // loop probes one target forever. Live targets are probed every

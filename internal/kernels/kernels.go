@@ -58,11 +58,6 @@ func (c Class) String() string {
 // Classes lists all classes in the paper's reporting order.
 var Classes = []Class{Algorithm, Apps, Basic, Lcals, Polybench, Stream}
 
-// ExpectedCount is the number of kernels per class the paper states.
-var ExpectedCount = map[Class]int{
-	Algorithm: 6, Apps: 13, Basic: 16, Lcals: 11, Polybench: 13, Stream: 5,
-}
-
 // Instance is one runnable materialisation of a kernel at a fixed size
 // and precision.
 type Instance interface {
@@ -156,24 +151,6 @@ func (s *Spec) Build(p prec.Precision, n int) Instance {
 	return s.Build64(n)
 }
 
-// FootprintBytes returns the working-set size in bytes at precision p.
-func (s *Spec) FootprintBytes(n int, p prec.Precision) float64 {
-	return s.FootprintElems(n) * float64(p.Bytes())
-}
-
-// TrafficBytes returns bytes moved per repetition at precision p if no
-// cache level retains the working set (streaming traffic), derived from
-// the loop IR: float elements at the precision's width plus integer
-// elements at 8 bytes.
-func (s *Spec) TrafficBytes(n int, p prec.Precision) float64 {
-	perIter := (s.Loop.LoadsPerIter()+s.Loop.StoresPerIter())*float64(p.Bytes()) +
-		(s.Loop.IntLoadsPerIter()+s.Loop.IntStoresPerIter())*8
-	return perIter * s.Iters(n)
-}
-
-// Flops returns floating-point operations per repetition.
-func (s *Spec) Flops(n int) float64 { return s.Loop.FlopsPerIter * s.Iters(n) }
-
 // --- Instance helpers -------------------------------------------------
 
 // Funcs adapts a run closure and checksum closure into an Instance.
@@ -245,11 +222,6 @@ func InitPseudo[F prec.Float](xs []F, seed uint64) {
 		s = s*2862933555777941757 + 3037000493
 		xs[i] = F(float64(s>>11) / float64(1<<53))
 	}
-}
-
-// Alloc2D carves an r x c matrix out of one backing slice.
-func Alloc2D[F prec.Float](r, c int) ([]F, func(i, j int) int) {
-	return make([]F, r*c), func(i, j int) int { return i*c + j }
 }
 
 // Sqrt is a precision-preserving square root: float32 inputs round the

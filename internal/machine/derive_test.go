@@ -28,9 +28,9 @@ func TestWithCores(t *testing.T) {
 		}
 		// Total controllers — and socket bandwidth — are conserved even
 		// when regions collapse.
-		if v.TotalMemBandwidth() != base.TotalMemBandwidth() {
+		if totalMemBW(v) != totalMemBW(base) {
 			t.Errorf("WithCores(%d): total bandwidth %v, want %v",
-				n, v.TotalMemBandwidth(), base.TotalMemBandwidth())
+				n, totalMemBW(v), totalMemBW(base))
 		}
 		if !strings.HasSuffix(v.Label, "/c"+strconv.Itoa(n)) {
 			t.Errorf("WithCores(%d): label %q", n, v.Label)
@@ -95,9 +95,9 @@ func TestWithNUMARegions(t *testing.T) {
 			t.Errorf("WithNUMARegions(%d): regions = %d", n, v.NUMARegions)
 		}
 		// Controller count is conserved: whole-socket bandwidth unchanged.
-		if v.TotalMemBandwidth() != base.TotalMemBandwidth() {
+		if totalMemBW(v) != totalMemBW(base) {
 			t.Errorf("WithNUMARegions(%d): total bandwidth %v, want %v",
-				n, v.TotalMemBandwidth(), base.TotalMemBandwidth())
+				n, totalMemBW(v), totalMemBW(base))
 		}
 	}
 	if _, err := base.WithNUMARegions(3); err == nil ||

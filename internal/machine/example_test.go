@@ -59,7 +59,7 @@ func ExampleMachine_WithNUMARegions() {
 	}
 	fmt.Println(fused.Label)
 	fmt.Println(fused.NUMARegions, "region,", fused.MemCtrlPerNUMA, "controllers")
-	fmt.Printf("%.0f GB/s total (unchanged)\n", fused.TotalMemBandwidth()/1e9)
+	fmt.Printf("%.0f GB/s total (unchanged)\n", fused.NUMABandwidth()*float64(fused.NUMARegions)/1e9)
 	// Output:
 	// SG2042/n1
 	// 1 region, 4 controllers

@@ -301,11 +301,6 @@ func (m *Machine) NUMABandwidth() float64 {
 	return float64(m.MemCtrlPerNUMA) * m.CtrlBW
 }
 
-// TotalMemBandwidth is the whole-socket DRAM bandwidth.
-func (m *Machine) TotalMemBandwidth() float64 {
-	return m.NUMABandwidth() * float64(m.NUMARegions)
-}
-
 // Cache returns the cache level with the given name, or nil.
 func (m *Machine) Cache(name string) *CacheLevel {
 	for i := range m.Caches {

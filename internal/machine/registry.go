@@ -70,14 +70,26 @@ func (e *UnknownMachineError) Error() string {
 		e.Label, strings.Join(e.Known, ", "))
 }
 
+// Label returns the canonical spelling of label (case-insensitive), or
+// an *UnknownMachineError. It copies no machine, so callers that only
+// key on the label use it in place of Resolve.
+func (r *Registry) Label(label string) (string, error) {
+	m, ok := r.byLabel[canonLabel(label)]
+	if !ok {
+		return "", &UnknownMachineError{Label: label, Known: r.Labels()}
+	}
+	return m.Label, nil
+}
+
 // Resolve returns a deep copy of the machine with the given label
 // (case-insensitive), whose Label is the canonical spelling, or an
 // *UnknownMachineError.
 func (r *Registry) Resolve(label string) (*Machine, error) {
-	m, ok := r.Get(label)
-	if !ok {
-		return nil, &UnknownMachineError{Label: label, Known: r.Labels()}
+	canon, err := r.Label(label)
+	if err != nil {
+		return nil, err
 	}
+	m, _ := r.Get(canon)
 	return m, nil
 }
 

@@ -55,6 +55,9 @@ func TestRegistryResolve(t *testing.T) {
 		if err != nil || m.Label != c.want {
 			t.Errorf("Resolve(%q) = %v, %v, want %s", c.label, m, err, c.want)
 		}
+		if label, err := r.Label(c.label); err != nil || label != c.want {
+			t.Errorf("Label(%q) = %q, %v, want %s", c.label, label, err, c.want)
+		}
 	}
 	m, err := r.Resolve("nope")
 	var unknown *UnknownMachineError
@@ -64,6 +67,9 @@ func TestRegistryResolve(t *testing.T) {
 	const want = `unknown machine "nope" (want one of V1, V2, SG2042, Rome, Broadwell, Icelake, Sandybridge, SG2044, SG2042x2)`
 	if err.Error() != want {
 		t.Errorf("error = %q, want %q", err, want)
+	}
+	if label, lerr := r.Label("nope"); label != "" || lerr == nil || lerr.Error() != want {
+		t.Errorf("Label(nope) = %q, %v, want the Resolve error", label, lerr)
 	}
 }
 
@@ -135,7 +141,7 @@ func TestSG2044Preset(t *testing.T) {
 	if m.ClockHz <= sg.ClockHz {
 		t.Error("SG2044 should clock above the SG2042")
 	}
-	if m.TotalMemBandwidth() <= sg.TotalMemBandwidth() {
+	if totalMemBW(m) <= totalMemBW(sg) {
 		t.Error("SG2044's DDR5 system should out-bandwidth the SG2042's DDR4")
 	}
 }

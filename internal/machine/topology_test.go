@@ -80,7 +80,7 @@ func TestSG2042x2Preset(t *testing.T) {
 		t.Error("dual-socket preset must carry an inter-socket link")
 	}
 	// Twice the sockets, twice the controllers, twice the DRAM bandwidth.
-	if got, want := m.TotalMemBandwidth(), 2*sg.TotalMemBandwidth(); got != want {
+	if got, want := totalMemBW(m), 2*totalMemBW(sg); got != want {
 		t.Errorf("total bandwidth = %v, want %v", got, want)
 	}
 	if s := m.String(); !strings.Contains(s, "2 sockets") {
@@ -104,8 +104,8 @@ func TestWithSockets(t *testing.T) {
 		t.Errorf("got %d cores, %d regions, %d sockets", v.Cores, v.NUMARegions, v.SocketCount())
 	}
 	// Default link: half one socket's DRAM bandwidth, 1.5x its latency.
-	if v.XSocketBW != 0.5*base.TotalMemBandwidth() {
-		t.Errorf("default XSocketBW = %v, want %v", v.XSocketBW, 0.5*base.TotalMemBandwidth())
+	if v.XSocketBW != 0.5*totalMemBW(base) {
+		t.Errorf("default XSocketBW = %v, want %v", v.XSocketBW, 0.5*totalMemBW(base))
 	}
 	if v.XSocketLatencyNs != 1.5*base.MemLatencyNs {
 		t.Errorf("default XSocketLatencyNs = %v", v.XSocketLatencyNs)

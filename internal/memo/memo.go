@@ -16,8 +16,11 @@
 //     entries evicts an arbitrary one. A caller already holding an
 //     evicted entry still gets its result; the key just fills again on
 //     its next Get.
-//   - Counters count successful lookups only: a hit found the key's
-//     entry (completed or in flight), a miss ran the fill.
+//   - Counters: a miss is a lookup that ran the fill and got its
+//     return, a value or an error; a hit is a lookup that got its value
+//     from the key's existing entry (completed or in flight). A waiter
+//     handed a failed fill's error, and a panicking fill, count as
+//     neither.
 //
 // The lock guards only map operations; fills run outside it.
 package memo
@@ -66,16 +69,15 @@ func (c *Map[K, V]) Get(k K, fill func() (V, error)) (v V, hit bool, err error) 
 	c.mu.Unlock()
 	if hit {
 		e.wg.Wait()
+		if e.err == nil {
+			c.hits.Add(1)
+		}
 	} else {
 		c.fill(k, e, fill)
+		c.misses.Add(1) // a panicking fill never gets here
 	}
 	if e.err != nil {
 		return v, hit, e.err
-	}
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
 	}
 	return e.v, hit, nil
 }
@@ -143,8 +145,8 @@ func (c *Map[K, V]) Range(f func(K, V)) {
 	}
 }
 
-// Stats reports successful lookups so far: hits served from an existing
-// entry and misses that ran the fill.
+// Stats reports lookups so far: hits served from an existing entry, and
+// misses that ran the fill, fills that returned an error included.
 func (c *Map[K, V]) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }

@@ -50,7 +50,7 @@ func TestGetSingleflight(t *testing.T) {
 }
 
 // A fill error reaches the caller, is not kept, and the next Get fills
-// again; failed lookups count as neither hit nor miss.
+// again; each Get that ran the fill counts a miss, failed or not.
 func TestGetErrorIsRetried(t *testing.T) {
 	var c Map[string, int]
 	boom := errors.New("boom")
@@ -63,6 +63,40 @@ func TestGetErrorIsRetried(t *testing.T) {
 	v, hit, err := c.Get("k", func() (int, error) { return 3, nil })
 	if err != nil || v != 3 || hit {
 		t.Fatalf("retry = (%d, %v, %v), want (3, false, nil)", v, hit, err)
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+		t.Errorf("stats = %d/%d, want 0 hits / 2 misses", hits, misses)
+	}
+}
+
+// A waiter sharing a failed fill gets its error and counts as neither
+// hit nor miss; the caller that ran the fill counts the one miss.
+func TestGetErrorWaiterCountsNothing(t *testing.T) {
+	var c Map[string, int]
+	boom := errors.New("boom")
+	started, release := make(chan struct{}), make(chan struct{})
+	filler := make(chan error, 1)
+	go func() {
+		_, _, err := c.Get("k", func() (int, error) {
+			close(started)
+			<-release
+			return 0, boom
+		})
+		filler <- err
+	}()
+	<-started
+	// Let the waiter join the in-flight fill before it fails.
+	time.AfterFunc(20*time.Millisecond, func() { close(release) })
+	filled := false
+	_, hit, err := c.Get("k", func() (int, error) { filled = true; return 1, nil })
+	if ferr := <-filler; ferr != boom {
+		t.Fatalf("filler err = %v, want boom", ferr)
+	}
+	if filled {
+		t.Skip("the waiter arrived after the failed fill was dropped")
+	}
+	if !hit || err != boom {
+		t.Errorf("waiter = (hit %v, %v), want (true, boom)", hit, err)
 	}
 	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("stats = %d/%d, want 0 hits / 1 miss", hits, misses)

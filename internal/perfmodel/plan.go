@@ -181,9 +181,6 @@ func (m *Model) SuitePlan(specs []kernels.Spec, cfg Config) (*SuitePlan, error) 
 	return p, nil
 }
 
-// Len returns the number of kernels the plan evaluates.
-func (p *SuitePlan) Len() int { return len(p.specs) }
-
 // At evaluates the plan's i-th kernel. It is bit-identical to the
 // one-shot KernelTime on that spec.
 func (p *SuitePlan) At(i int) Breakdown {

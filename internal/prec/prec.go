@@ -64,14 +64,3 @@ var Both = []Precision{F32, F64}
 type Float interface {
 	~float32 | ~float64
 }
-
-// Of returns the Precision corresponding to the type parameter F.
-func Of[F Float]() Precision {
-	var f F
-	switch any(f).(type) {
-	case float32:
-		return F32
-	default:
-		return F64
-	}
-}

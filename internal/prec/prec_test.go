@@ -48,15 +48,6 @@ func TestBoth(t *testing.T) {
 	}
 }
 
-func TestOf(t *testing.T) {
-	if Of[float32]() != F32 {
-		t.Error("Of[float32] wrong")
-	}
-	if Of[float64]() != F64 {
-		t.Error("Of[float64] wrong")
-	}
-}
-
 func TestBytesPanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,6 +2,119 @@ package rvv
 
 import "testing"
 
+// A cycle-cost model over executed instruction streams, kept as the
+// test oracle behind the performance model: it assigns each retired
+// instruction a C920-like cycle cost and totals a program's
+// execution. This grounds the performance model's VLS-vs-VLA constant
+// (perfmodel's Calibration.VLAFactor) in something executable: the same
+// kernel generated both ways runs on the VM, and the dynamic
+// instruction streams are costed to show where VLA's overhead comes
+// from (per-strip vsetvli plus weaker unrolling).
+
+// CostModel assigns cycle costs per instruction category.
+type CostModel struct {
+	// Scalar ALU / branch cost.
+	ScalarCycles float64
+	// Scalar load/store cost (L1 hit).
+	ScalarMemCycles float64
+	// Vsetvli cost: vtype/vl renegotiation stalls the vector pipe.
+	VsetvliCycles float64
+	// Vector arithmetic cost per instruction at LMUL=1 (one pass
+	// through the 128-bit pipe).
+	VectorALUCycles float64
+	// Vector load/store cost (L1 hit, full width).
+	VectorMemCycles float64
+}
+
+// vectorMemOps lists vector load/store opcodes.
+var vectorMemOps = map[Opcode]bool{
+	OpVLE32: true, OpVLE64: true, OpVSE32: true, OpVSE64: true,
+	OpVLW: true, OpVSW: true, OpVLE: true, OpVSE: true,
+	OpVL1R: true, OpVS1R: true,
+}
+
+// scalarMemOps lists scalar float load/store opcodes.
+var scalarMemOps = map[Opcode]bool{
+	OpFLW: true, OpFLD: true, OpFSW: true, OpFSD: true,
+}
+
+// Cycles totals the cost of the dynamic instruction mix a VM retired.
+func (c CostModel) Cycles(vm *VM) float64 {
+	total := 0.0
+	for op, n := range vm.OpCounts {
+		fn := float64(n)
+		switch {
+		case op == OpVSETVLI:
+			total += fn * c.VsetvliCycles
+		case vectorMemOps[op]:
+			total += fn * c.VectorMemCycles
+		case scalarMemOps[op]:
+			total += fn * c.ScalarMemCycles
+		case op >= OpVADDVV: // remaining vector arithmetic opcodes
+			total += fn * c.VectorALUCycles
+		default:
+			total += fn * c.ScalarCycles
+		}
+	}
+	return total
+}
+
+// DefaultC920Cost returns costs approximating the XuanTie C920: dual
+// scalar issue folded into ~1-cycle scalar ops, 2-cycle L1 loads, a
+// 3-cycle vsetvli bubble, single 128-bit vector pipe.
+func DefaultC920Cost() CostModel {
+	return CostModel{
+		ScalarCycles:    1,
+		ScalarMemCycles: 2,
+		VsetvliCycles:   3,
+		VectorALUCycles: 2,
+		VectorMemCycles: 3,
+	}
+}
+
+// MeasureKernelCycles generates the kernel in the given mode, executes
+// it over n elements on a fresh VM, and returns the costed cycle total.
+// Memory layout and inputs match the test harness conventions.
+func MeasureKernelCycles(k GenKernel, cfg GenConfig, n int, cost CostModel) (float64, *VM, error) {
+	_, prog, err := Generate(k, cfg)
+	if err != nil {
+		return 0, nil, err
+	}
+	vlen := cfg.VLEN
+	if vlen == 0 {
+		vlen = 128
+	}
+	const (
+		dstAddr  = 0x1000
+		src1Addr = 0x40000
+		src2Addr = 0x80000
+		outAddr  = 0xC0000
+		memSize  = 0xD0000
+	)
+	vm, err := NewVM(cfg.Dialect, vlen, memSize)
+	if err != nil {
+		return 0, nil, err
+	}
+	esz := cfg.SEW / 8
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i%9) * 0.25
+	}
+	if err := vm.WriteFloats(src1Addr, xs, esz); err != nil {
+		return 0, nil, err
+	}
+	if err := vm.WriteFloats(src2Addr, xs, esz); err != nil {
+		return 0, nil, err
+	}
+	vm.X[10], vm.X[11], vm.X[12], vm.X[13], vm.X[14] =
+		int64(n), dstAddr, src1Addr, src2Addr, outAddr
+	vm.F[10] = 1.5
+	if err := vm.Run(prog, 100_000_000); err != nil {
+		return 0, nil, err
+	}
+	return cost.Cycles(vm), vm, nil
+}
+
 func TestVLSOutperformsVLAOnCycles(t *testing.T) {
 	// The executable grounding of the paper's "VLS tends to outperform
 	// VLA" and of the perfmodel's VLAFactor: for sizes divisible by the

@@ -34,7 +34,7 @@ type VM struct {
 
 	Stats Stats
 	// OpCounts tallies retired instructions per opcode; the cycle-cost
-	// model (cost.go) consumes it.
+	// model (cost_test.go) consumes it.
 	OpCounts map[Opcode]uint64
 }
 
@@ -63,12 +63,6 @@ func (vm *VM) VLMax() int {
 	}
 	return base / -vm.lmul
 }
-
-// VL returns the current vector length.
-func (vm *VM) VL() int { return vm.vl }
-
-// SEW returns the current element width in bits.
-func (vm *VM) SEW() int { return vm.sew }
 
 func (vm *VM) checkMem(addr int64, n int) error {
 	if addr < 0 || addr+int64(n) > int64(len(vm.Mem)) {

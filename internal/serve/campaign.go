@@ -42,29 +42,6 @@ type campaignJSON struct {
 	Output string `json:"output"`
 }
 
-// campaignClassJSON is one per-class cell of an NDJSON point line.
-type campaignClassJSON struct {
-	Class   string  `json:"class"`
-	Seconds float64 `json:"seconds"`
-	Ratio   float64 `json:"ratio_vs_base"`
-}
-
-// campaignPointJSON is one NDJSON line: a grid point with its per-class
-// cells in the paper's class order (never a map, so the bytes are
-// deterministic).
-type campaignPointJSON struct {
-	Point        int                 `json:"point"`
-	Base         string              `json:"base"`
-	Machine      string              `json:"machine"`
-	Threads      int                 `json:"threads"`
-	Placement    string              `json:"placement"`
-	Prec         string              `json:"prec"`
-	Cores        int                 `json:"cores"`
-	TotalSeconds float64             `json:"total_seconds"`
-	MeanRatio    float64             `json:"mean_ratio_vs_base"`
-	Classes      []campaignClassJSON `json:"classes"`
-}
-
 // campaignSummaryJSON is the terminal NDJSON line.
 type campaignSummaryJSON struct {
 	Summary struct {
@@ -79,25 +56,6 @@ type campaignSummaryJSON struct {
 type campaignBest struct {
 	Class string `json:"class"`
 	Point int    `json:"point"`
-}
-
-func campaignPointLine(p repro.CampaignPoint) campaignPointJSON {
-	out := campaignPointJSON{
-		Point: p.Index, Base: p.Base, Machine: p.Machine,
-		Threads: p.Threads, Placement: p.Placement.String(),
-		Prec: p.Prec.String(), Cores: p.Cores,
-		TotalSeconds: p.TotalSeconds, MeanRatio: p.MeanRatio,
-	}
-	for _, class := range repro.Classes() {
-		cell, ok := p.ByClass[class]
-		if !ok {
-			continue
-		}
-		out.Classes = append(out.Classes, campaignClassJSON{
-			Class: class.String(), Seconds: cell.Seconds, Ratio: cell.Ratio.Mean,
-		})
-	}
-	return out
 }
 
 func campaignSummaryLine(res repro.CampaignResult) campaignSummaryJSON {

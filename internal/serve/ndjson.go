@@ -123,8 +123,8 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 }
 
 // appendCampaignPoint appends one NDJSON point line (newline included)
-// for p — byte-identical to
-// json.Encoder.Encode(campaignPointLine(p)).
+// for p — byte-identical to json.Encoder.Encode(campaignPointLine(p)),
+// the encoding/json oracle the tests hold it to.
 func appendCampaignPoint(b []byte, p repro.CampaignPoint) ([]byte, error) {
 	var err error
 	b = append(b, `{"point":`...)

@@ -34,12 +34,12 @@ func (s *Server) handleRoofline(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	m, err := s.reg.Resolve(r.PathValue("machine"))
+	label, err := s.reg.Label(r.PathValue("machine"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	ent, err := s.rc.get(rooflineJob(m.Label, p, f))
+	ent, err := s.rc.get(rooflineJob(label, p, f))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -115,12 +115,12 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	m, err := s.reg.Resolve(r.PathValue("machine"))
+	label, err := s.reg.Label(r.PathValue("machine"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	ent, err := s.rc.get(clusterJob(m.Label, cp, f))
+	ent, err := s.rc.get(clusterJob(label, cp, f))
 	if err != nil {
 		// The label resolved; what remains is a derivation the machine
 		// cannot support (an over-size socket count, say).

@@ -133,11 +133,6 @@ func New(opts Options) *Server {
 // observe cache statistics).
 func (s *Server) Engine() *repro.Engine { return s.eng }
 
-// Coordinator returns the fabric coordinator, or nil when the server
-// is not coordinating (status surfaces and tests reach fleet state
-// through it).
-func (s *Server) Coordinator() *fabric.Coordinator { return s.coord }
-
 // StartFabricProber begins coordinator-side health probing: workers
 // die and rejoin the ring as their /v1/fabric/healthz answers change,
 // with snapshot shipping on every rejoin. No-op unless the server

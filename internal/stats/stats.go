@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the study uses:
-// arithmetic and geometric means, min/max summaries, parallel efficiency,
+// arithmetic means, min/max summaries, parallel efficiency,
 // and the signed-ratio transform the paper's figures are plotted in
 // ("zero means the same performance, +N means N times faster, -N means
 // N times slower").
@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -21,24 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All inputs must be positive;
-// non-positive values are skipped (matching how benchmark summaries treat
-// failed runs). Returns 0 for an empty or all-skipped slice.
-func GeoMean(xs []float64) float64 {
-	s, n := 0.0, 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		s += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(s / float64(n))
 }
 
 // Min returns the smallest element of xs, or +Inf for an empty slice.
@@ -63,34 +44,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Median returns the median of xs, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// StdDev returns the sample standard deviation of xs (0 when len < 2).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // SignedRatio converts a performance ratio r (baseline time / test time,
 // so r > 1 means the test configuration is faster) into the signed scale
 // used by the paper's figures:
@@ -108,14 +61,6 @@ func SignedRatio(r float64) float64 {
 		return r - 1
 	}
 	return 1 - 1/r
-}
-
-// RatioFromSigned inverts SignedRatio.
-func RatioFromSigned(v float64) float64 {
-	if v >= 0 {
-		return v + 1
-	}
-	return 1 / (1 - v)
 }
 
 // Speedup returns t1/tn, the paper's definition of speed up (execution

@@ -2,12 +2,12 @@
 // packages into one registry, in the paper's class order, and provides
 // lookup helpers the harness, compiler model and performance model use.
 //
-// The registry is assembled once at package init and is immutable from
-// then on: All, ByClass and Names return shared slices by reference —
-// a suite evaluation on the serving hot path costs zero registry
-// allocations — so callers must treat the results as read-only and
-// copy before mutating (the public repro API does exactly that at its
-// boundary).
+// The registry is assembled, and every spec validated, once at package
+// init, and it is immutable from then on: All, ByClass and Names return
+// shared slices by reference — a suite evaluation on the serving hot
+// path costs zero registry allocations — so callers must treat the
+// results as read-only and copy before mutating (the public repro API
+// does exactly that at its boundary).
 package suite
 
 import (
@@ -57,6 +57,11 @@ func init() {
 	names = make([]string, len(all))
 	classBounds = make(map[kernels.Class][2]int)
 	for i := range all {
+		// A malformed spec is a bug in its class package: fail at start
+		// rather than model it.
+		if err := all[i].Validate(); err != nil {
+			panic(err)
+		}
 		indexByName[all[i].Name] = i
 		names[i] = all[i].Name
 		b, ok := classBounds[all[i].Class]
@@ -98,33 +103,4 @@ func ByName(name string) (kernels.Spec, error) {
 // is shared: treat it as read-only.
 func Names() []string {
 	return names
-}
-
-// Validate checks the registry matches the paper's structure: 64
-// kernels, six classes with the documented counts, no duplicate names,
-// and every Spec internally consistent.
-func Validate() error {
-	specs := All()
-	if len(specs) != 64 {
-		return fmt.Errorf("suite: %d kernels, want 64", len(specs))
-	}
-	seen := make(map[string]bool)
-	counts := make(map[kernels.Class]int)
-	for i := range specs {
-		s := &specs[i]
-		if err := s.Validate(); err != nil {
-			return err
-		}
-		if seen[s.Name] {
-			return fmt.Errorf("suite: duplicate kernel %q", s.Name)
-		}
-		seen[s.Name] = true
-		counts[s.Class]++
-	}
-	for c, want := range kernels.ExpectedCount {
-		if counts[c] != want {
-			return fmt.Errorf("suite: class %v has %d kernels, want %d", c, counts[c], want)
-		}
-	}
-	return nil
 }

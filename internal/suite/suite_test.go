@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -25,9 +26,44 @@ func testSize(s kernels.Spec) int {
 	return 1600
 }
 
+// expectedCount is the number of kernels per class the paper states.
+var expectedCount = map[kernels.Class]int{
+	kernels.Algorithm: 6, kernels.Apps: 13, kernels.Basic: 16,
+	kernels.Lcals: 11, kernels.Polybench: 13, kernels.Stream: 5,
+}
+
+// validate checks the registry matches the paper's structure: 64
+// kernels, six classes with the documented counts, no duplicate names,
+// and every Spec internally consistent.
+func validate() error {
+	specs := All()
+	if len(specs) != 64 {
+		return fmt.Errorf("suite: %d kernels, want 64", len(specs))
+	}
+	seen := make(map[string]bool)
+	counts := make(map[kernels.Class]int)
+	for i := range specs {
+		s := &specs[i]
+		if err := s.Validate(); err != nil {
+			return err
+		}
+		if seen[s.Name] {
+			return fmt.Errorf("suite: duplicate kernel %q", s.Name)
+		}
+		seen[s.Name] = true
+		counts[s.Class]++
+	}
+	for c, want := range expectedCount {
+		if counts[c] != want {
+			return fmt.Errorf("suite: class %v has %d kernels, want %d", c, counts[c], want)
+		}
+	}
+	return nil
+}
+
 func TestRegistryStructure(t *testing.T) {
 	t.Parallel()
-	if err := Validate(); err != nil {
+	if err := validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,7 +88,7 @@ func TestPaperKernelInventory(t *testing.T) {
 
 func TestByClassCounts(t *testing.T) {
 	t.Parallel()
-	for c, want := range kernels.ExpectedCount {
+	for c, want := range expectedCount {
 		if got := len(ByClass(c)); got != want {
 			t.Errorf("class %v: %d kernels, want %d", c, got, want)
 		}
@@ -171,28 +207,6 @@ func TestChecksumsNonTrivial(t *testing.T) {
 	}
 }
 
-func TestSpecDerivedQuantities(t *testing.T) {
-	t.Parallel()
-	for _, s := range All() {
-		if s.Flops(s.DefaultN) < 0 {
-			t.Errorf("%s: negative flops", s.Name)
-		}
-		for _, p := range prec.Both {
-			if s.TrafficBytes(s.DefaultN, p) < 0 {
-				t.Errorf("%s: negative traffic", s.Name)
-			}
-			if s.FootprintBytes(s.DefaultN, p) <= 0 {
-				t.Errorf("%s: non-positive footprint", s.Name)
-			}
-		}
-		// FP64 footprint must be exactly double FP32.
-		r := s.FootprintBytes(s.DefaultN, prec.F64) / s.FootprintBytes(s.DefaultN, prec.F32)
-		if math.Abs(r-2) > 1e-9 {
-			t.Errorf("%s: footprint FP64/FP32 ratio %v, want 2", s.Name, r)
-		}
-	}
-}
-
 func TestStreamClassSignatures(t *testing.T) {
 	t.Parallel()
 	// STREAM TRIAD: 2 flops, 2 loads + 1 store per iteration.
@@ -205,10 +219,6 @@ func TestStreamClassSignatures(t *testing.T) {
 	}
 	if s.Loop.LoadsPerIter() != 2 || s.Loop.StoresPerIter() != 1 {
 		t.Errorf("TRIAD loads/stores = %v/%v", s.Loop.LoadsPerIter(), s.Loop.StoresPerIter())
-	}
-	// Traffic at FP64 is 24 bytes/element.
-	if got := s.TrafficBytes(1000, prec.F64); got != 24000 {
-		t.Errorf("TRIAD FP64 traffic = %v, want 24000", got)
 	}
 }
 

@@ -2,7 +2,7 @@
 // The RAJAPerf kernels in internal/kernels use it to run their parallel
 // variants on the host, mirroring how the paper runs the C++ suite with
 // OpenMP: a fixed team of workers, static loop partitioning, and
-// fork-join semantics per parallel region (each ParallelFor call is one
+// fork-join semantics per parallel region (each For call is one
 // region, like one `#pragma omp parallel for`).
 //
 // Workers are persistent: a Team spins up its goroutines once and
@@ -53,9 +53,6 @@ func (t *Team) worker(tid int) {
 	}
 }
 
-// Size returns the number of workers.
-func (t *Team) Size() int { return t.n }
-
 // Close shuts the workers down. Idempotent.
 func (t *Team) Close() {
 	t.closeMu.Lock()
@@ -97,91 +94,6 @@ func Bounds(n, nthreads, tid int) (lo, hi int) {
 	return lo, hi
 }
 
-// ParallelFor runs body(tid, lo, hi) over a static partition of [0,n):
-// the `#pragma omp parallel for schedule(static)` region.
-func (t *Team) ParallelFor(n int, body func(tid, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	t.Run(func(tid int) {
-		lo, hi := Bounds(n, t.n, tid)
-		if lo < hi {
-			body(tid, lo, hi)
-		}
-	})
-}
-
-// ReduceSum runs body over a static partition and sums the per-thread
-// partial results deterministically (in thread order, so floating-point
-// results are reproducible run to run).
-func ReduceSum[T ~int64 | ~float32 | ~float64](t *Team, n int, body func(tid, lo, hi int) T) T {
-	partial := make([]T, t.n)
-	t.ParallelFor(n, func(tid, lo, hi int) {
-		partial[tid] = body(tid, lo, hi)
-	})
-	var sum T
-	for _, p := range partial {
-		sum += p
-	}
-	return sum
-}
-
-// MinLoc is a minimum-with-location reduction result.
-type MinLoc[T ~float32 | ~float64] struct {
-	Val T
-	Loc int
-}
-
-// ReduceMinLoc runs body over a static partition; each thread returns
-// its local minimum and location, and the team combines them with
-// first-occurrence semantics (lowest index wins ties), matching the
-// FIRST_MIN kernel's definition.
-func ReduceMinLoc[T ~float32 | ~float64](t *Team, n int, body func(tid, lo, hi int) MinLoc[T]) MinLoc[T] {
-	partial := make([]MinLoc[T], t.n)
-	t.ParallelFor(n, func(tid, lo, hi int) {
-		partial[tid] = body(tid, lo, hi)
-	})
-	best := partial[0]
-	for _, p := range partial[1:] {
-		if p.Val < best.Val || (p.Val == best.Val && p.Loc < best.Loc) {
-			best = p
-		}
-	}
-	return best
-}
-
-// ReduceMax runs body over a static partition and combines per-thread
-// maxima.
-func ReduceMax[T ~int64 | ~float32 | ~float64](t *Team, n int, body func(tid, lo, hi int) T) T {
-	partial := make([]T, t.n)
-	t.ParallelFor(n, func(tid, lo, hi int) {
-		partial[tid] = body(tid, lo, hi)
-	})
-	best := partial[0]
-	for _, p := range partial[1:] {
-		if p > best {
-			best = p
-		}
-	}
-	return best
-}
-
-// ReduceMin runs body over a static partition and combines per-thread
-// minima.
-func ReduceMin[T ~int64 | ~float32 | ~float64](t *Team, n int, body func(tid, lo, hi int) T) T {
-	partial := make([]T, t.n)
-	t.ParallelFor(n, func(tid, lo, hi int) {
-		partial[tid] = body(tid, lo, hi)
-	})
-	best := partial[0]
-	for _, p := range partial[1:] {
-		if p < best {
-			best = p
-		}
-	}
-	return best
-}
-
 // Sequential is a 1-thread team that runs regions inline, so kernel code
 // can use one code path for both sequential and parallel execution
 // without goroutine overhead in the sequential case.
@@ -207,7 +119,8 @@ func (Sequential) NThreads() int { return 1 }
 // Region implements Runner.
 func (Sequential) Region(f func(tid int)) { f(0) }
 
-// For runs body over a static partition of [0,n) on any Runner.
+// For runs body(tid, lo, hi) over a static partition of [0,n) on any
+// Runner: the `#pragma omp parallel for schedule(static)` region.
 func For(r Runner, n int, body func(tid, lo, hi int)) {
 	if n <= 0 {
 		return

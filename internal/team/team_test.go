@@ -61,7 +61,7 @@ func TestParallelForCoversAll(t *testing.T) {
 	defer tm.Close()
 	const n = 10_000
 	marks := make([]int32, n)
-	tm.ParallelFor(n, func(tid, lo, hi int) {
+	For(tm, n, func(tid, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&marks[i], 1)
 		}
@@ -77,7 +77,7 @@ func TestParallelForEmpty(t *testing.T) {
 	tm := New(2)
 	defer tm.Close()
 	called := false
-	tm.ParallelFor(0, func(tid, lo, hi int) { called = true })
+	For(tm, 0, func(tid, lo, hi int) { called = true })
 	if called {
 		t.Error("body called for empty range")
 	}
@@ -103,9 +103,9 @@ func TestRunExecutesEveryThread(t *testing.T) {
 }
 
 func TestReduceSumMatchesSequential(t *testing.T) {
-	// Property: parallel sum equals sequential fold exactly (partials
-	// are combined deterministically in thread order over the same
-	// static partition, so even float addition is reproducible).
+	// Property: ForSum on a team equals a sequential fold exactly
+	// (partials are combined deterministically in thread order over the
+	// same static partition, so even float addition is reproducible).
 	tm := New(3)
 	defer tm.Close()
 	f := func(seed int64, rawN uint16) bool {
@@ -115,7 +115,7 @@ func TestReduceSumMatchesSequential(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.Float64() - 0.5
 		}
-		par := ReduceSum(tm, n, func(tid, lo, hi int) float64 {
+		par := ForSum(tm, n, func(tid, lo, hi int) float64 {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += xs[i]
@@ -124,8 +124,8 @@ func TestReduceSumMatchesSequential(t *testing.T) {
 		})
 		// Reference: same partition order, sequential.
 		ref := 0.0
-		for tid := 0; tid < tm.Size(); tid++ {
-			lo, hi := Bounds(n, tm.Size(), tid)
+		for tid := 0; tid < tm.NThreads(); tid++ {
+			lo, hi := Bounds(n, tm.NThreads(), tid)
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				s += xs[i]
@@ -137,54 +137,6 @@ func TestReduceSumMatchesSequential(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReduceMinLocFirstOccurrence(t *testing.T) {
-	tm := New(4)
-	defer tm.Close()
-	xs := []float64{5, 3, 9, 3, 7, 3, 8, 10}
-	got := ReduceMinLoc(tm, len(xs), func(tid, lo, hi int) MinLoc[float64] {
-		best := MinLoc[float64]{Val: xs[lo], Loc: lo}
-		for i := lo + 1; i < hi; i++ {
-			if xs[i] < best.Val {
-				best = MinLoc[float64]{Val: xs[i], Loc: i}
-			}
-		}
-		return best
-	})
-	if got.Val != 3 || got.Loc != 1 {
-		t.Errorf("ReduceMinLoc = %+v, want {3 1} (first occurrence)", got)
-	}
-}
-
-func TestReduceMinMax(t *testing.T) {
-	tm := New(4)
-	defer tm.Close()
-	xs := make([]int64, 100)
-	for i := range xs {
-		xs[i] = int64((i*37)%100 - 50)
-	}
-	gotMax := ReduceMax(tm, len(xs), func(tid, lo, hi int) int64 {
-		best := xs[lo]
-		for i := lo + 1; i < hi; i++ {
-			if xs[i] > best {
-				best = xs[i]
-			}
-		}
-		return best
-	})
-	gotMin := ReduceMin(tm, len(xs), func(tid, lo, hi int) int64 {
-		best := xs[lo]
-		for i := lo + 1; i < hi; i++ {
-			if xs[i] < best {
-				best = xs[i]
-			}
-		}
-		return best
-	})
-	if gotMax != 49 || gotMin != -50 {
-		t.Errorf("min/max = %d/%d, want -50/49", gotMin, gotMax)
 	}
 }
 
@@ -240,7 +192,7 @@ func TestManyRegions(t *testing.T) {
 	defer tm.Close()
 	var total int64
 	for r := 0; r < 500; r++ {
-		tm.ParallelFor(64, func(tid, lo, hi int) {
+		For(tm, 64, func(tid, lo, hi int) {
 			atomic.AddInt64(&total, int64(hi-lo))
 		})
 	}
