@@ -148,16 +148,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		Coordinate: targets,
 		Replicas:   *replicas,
 	})
-	if len(targets) > 0 {
-		// Health probing makes the fleet self-healing: a worker that dies
-		// leaves the ring, one that recovers rejoins it (snapshot-warmed
-		// from its peers) — all without a coordinator restart.
-		s.StartFabricProber(ctx, fabric.ProbeConfig{
-			Interval: *probeInterval,
-			Timeout:  *probeTimeout,
-			Backoff:  *probeBackoff,
-		})
-	}
+	// Health probing makes a coordinator's fleet self-healing: a worker
+	// that dies leaves the ring, one that recovers rejoins it
+	// (snapshot-warmed from its peers) — all without a coordinator
+	// restart. Every return below stops the prober and waits for its
+	// loops, so the daemon never exits with a probe in flight.
+	probeCtx, stopProbing := context.WithCancel(ctx)
+	waitProbing := s.StartFabricProber(probeCtx, fabric.ProbeConfig{
+		Interval: *probeInterval,
+		Timeout:  *probeTimeout,
+		Backoff:  *probeBackoff,
+	})
+	defer func() {
+		stopProbing()
+		waitProbing()
+	}()
 	if *restorePath != "" {
 		data, err := os.ReadFile(*restorePath)
 		if err != nil {

@@ -104,9 +104,8 @@ type Coordinator struct {
 	// quorum (N/2+1); a worker whose bytes diverge is quarantined.
 	Replicas int
 
-	mu     sync.Mutex
-	prober *Prober
-	stats  FabricStats // Members filled in by Stats()
+	mu    sync.Mutex
+	stats FabricStats // Members filled in by Stats()
 }
 
 // NewCoordinator builds a coordinator over worker base URLs
@@ -141,15 +140,10 @@ func (c *Coordinator) Stats() FabricStats {
 
 // StartProber launches health probing over the fleet: every worker is
 // probed on cfg's cadence, dying and reviving in the shared Membership,
-// with a warm-join shipment fired on every revival. Cancel ctx to stop.
-func (c *Coordinator) StartProber(ctx context.Context, cfg ProbeConfig) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.prober != nil {
-		return
-	}
-	c.prober = NewProber(c.mem, cfg, nil, c.onProbeTransition)
-	c.prober.Start(ctx)
+// with a warm-join shipment fired on every revival. Cancel ctx to stop
+// it; the returned wait blocks until its probe loops have exited.
+func (c *Coordinator) StartProber(ctx context.Context, cfg ProbeConfig) (wait func()) {
+	return NewProber(c.mem, cfg, nil, c.onProbeTransition).Start(ctx)
 }
 
 // onProbeTransition is the prober's callback: bookkeeping on death,

@@ -54,10 +54,6 @@ type Prober struct {
 	// prober causes: live reports the new state. Called off the probe
 	// goroutine; implementations must be concurrency-safe.
 	onTransition func(target string, live bool)
-
-	mu     sync.Mutex
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
 }
 
 // NewProber builds a prober over a membership. nil client means a
@@ -75,24 +71,25 @@ func NewProber(mem *Membership, cfg ProbeConfig, client *http.Client, onTransiti
 	}
 }
 
-// Start launches one probe loop per member and returns. The loops
-// stop when ctx is cancelled.
-func (p *Prober) Start(ctx context.Context) {
-	ctx, cancel := context.WithCancel(ctx)
-	p.mu.Lock()
-	p.cancel = cancel
-	p.mu.Unlock()
+// Start launches one probe loop per member. The loops stop when ctx is
+// cancelled; the returned wait blocks until every one has exited, so a
+// probe in flight has finished by the time wait returns.
+func (p *Prober) Start(ctx context.Context) (wait func()) {
+	var wg sync.WaitGroup
 	for _, t := range p.mem.Targets() {
-		p.wg.Add(1)
-		go p.loop(ctx, t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.loop(ctx, t)
+		}()
 	}
+	return wg.Wait
 }
 
 // loop probes one target forever. Live targets are probed every
 // Interval; after a death the delay doubles per failed probe up to
 // Backoff, and snaps back to Interval on recovery.
 func (p *Prober) loop(ctx context.Context, target string) {
-	defer p.wg.Done()
 	delay := p.cfg.Interval
 	timer := time.NewTimer(delay)
 	defer timer.Stop()

@@ -67,9 +67,11 @@ func TestProberDrivesMembership(t *testing.T) {
 		mu.Unlock()
 	})
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.Start(ctx)
-	defer p.Stop()
+	wait := p.Start(ctx)
+	defer func() {
+		cancel()
+		wait()
+	}()
 
 	edgeCount := func() int {
 		mu.Lock()
@@ -135,9 +137,11 @@ func TestProberRespectsQuarantine(t *testing.T) {
 		}
 	})
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.Start(ctx)
-	defer p.Stop()
+	wait := p.Start(ctx)
+	defer func() {
+		cancel()
+		wait()
+	}()
 
 	time.Sleep(5 * fastProbe.Interval)
 	if n := revived.Load(); n != 0 {
@@ -148,8 +152,9 @@ func TestProberRespectsQuarantine(t *testing.T) {
 	}
 }
 
-// TestProberStopTerminates: Stop returns promptly with loops in the
-// backoff state (a dead target), not just the happy path.
+// TestProberStopTerminates: after ctx is cancelled, wait returns
+// promptly with loops in the backoff state (a dead target), not just
+// the happy path.
 func TestProberStopTerminates(t *testing.T) {
 	mem, err := NewMembership([]string{"http://127.0.0.1:1"}) // nothing listens
 	if err != nil {
@@ -157,15 +162,18 @@ func TestProberStopTerminates(t *testing.T) {
 	}
 	p := NewProber(mem, fastProbe, nil, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	p.Start(ctx)
+	wait := p.Start(ctx)
 	waitFor(t, "unreachable target to die", func() bool { return mem.DeadSet()["http://127.0.0.1:1"] })
 
 	done := make(chan struct{})
-	go func() { p.Stop(); close(done) }()
+	go func() {
+		cancel()
+		wait()
+		close(done)
+	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Prober.Stop did not return")
+		t.Fatal("the prober's wait did not return after cancel")
 	}
 }

@@ -121,12 +121,16 @@ func TestWorkerRestartRejoins(t *testing.T) {
 	cluster := faulttest.NewCluster(3)
 	defer cluster.Close()
 	coord := newCoord(t, cluster)
-	coord.StartProber(context.Background(), fabric.ProbeConfig{
+	ctx, cancel := context.WithCancel(context.Background())
+	wait := coord.StartProber(ctx, fabric.ProbeConfig{
 		Interval: 20 * time.Millisecond,
 		Timeout:  2 * time.Second,
 		Backoff:  100 * time.Millisecond,
 	})
-	defer coord.StopProber()
+	defer func() {
+		cancel()
+		wait()
+	}()
 
 	// Phase 1: full fleet.
 	assertIdentical(t, want, runCoord(t, coord, wideSpecJSON))

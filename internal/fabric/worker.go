@@ -25,6 +25,16 @@ type pointsRequest struct {
 	Points []int           `json:"points"`
 }
 
+// Request body bounds. A points request carries the client's spec,
+// which the coordinator accepts up to 1 MiB, plus an index list of at
+// most repro.MaxCampaignPoints entries (about 50 KB); a warm request
+// names a few URLs. Both handlers sit on the daemon's public listener,
+// so neither may read an unbounded body into memory.
+const (
+	maxPointsBody = 2 << 20
+	maxWarmBody   = 1 << 20
+)
+
 // Worker serves the shard-scoped campaign API. It wraps the same
 // engine the node's ordinary serving surface uses, so shard points
 // memoize into — and warm-restart from — the one suite cache.
@@ -70,7 +80,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req pointsRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPointsBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding points request: %w", err))
@@ -217,7 +227,7 @@ func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req warmRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWarmBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding warm request: %w", err))

@@ -157,3 +157,30 @@ func TestWarmRejectsBadBody(t *testing.T) {
 		t.Errorf("arc-era warm body: status %d, want 400 (%s)", code, msg)
 	}
 }
+
+// TestWorkerBodiesBounded: a points or warm body past its bound answers
+// 400 before anything is evaluated or installed, even when the bytes
+// would decode to a valid request. The padding is whitespace inside the
+// JSON object, which an unbounded decoder would read through.
+func TestWorkerBodiesBounded(t *testing.T) {
+	eng := repro.NewEngine(repro.Options{})
+	wk := NewWorker(eng, nil)
+	pad := strings.Repeat(" ", maxPointsBody)
+	for _, c := range []struct {
+		path string
+		body string
+		h    http.HandlerFunc
+	}{
+		{PointsPath, `{"spec": ` + string(clockSpecJSON) + `, "points": [0]` + pad + `}`, wk.ServeHTTP},
+		{WarmPath, `{"peers": []` + pad + `}`, wk.ServeWarm},
+	} {
+		rec := httptest.NewRecorder()
+		c.h(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+			t.Errorf("%s with a %d B body: status %d: %s", c.path, len(c.body), rec.Code, rec.Body)
+		}
+	}
+	if hits, misses := eng.CacheStats(); hits+misses != 0 {
+		t.Errorf("oversized bodies reached the engine: hits=%d misses=%d", hits, misses)
+	}
+}

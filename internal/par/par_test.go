@@ -99,58 +99,27 @@ func TestForEachEveryIndexExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestGroupBoundsConcurrency(t *testing.T) {
+// TestForEachBoundsConcurrency: no more than workers calls run at once
+// (the engine's render fan-out relies on this bound).
+func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
-	g := NewGroup(workers)
 	var cur, peak atomic.Int32
-	for i := 0; i < 30; i++ {
-		g.Go(func() error {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
+	err := ForEach(30, workers, func(int) error {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
 			}
-			cur.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+		}
+		cur.Add(-1)
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
 		t.Errorf("peak concurrency %d exceeds limit %d", p, workers)
-	}
-}
-
-func TestGroupDropsAfterFailure(t *testing.T) {
-	g := NewGroup(1)
-	g.Go(func() error { return errors.New("first") })
-	if err := g.Wait(); err == nil {
-		t.Fatal("expected error")
-	}
-	ran := false
-	g.Go(func() error { ran = true; return nil })
-	if err := g.Wait(); err == nil || err.Error() != "first" {
-		t.Fatalf("Wait = %v, want first error", err)
-	}
-	if ran {
-		t.Error("task ran after group failure")
-	}
-}
-
-func TestGroupUnbounded(t *testing.T) {
-	g := NewGroup(0)
-	var sum atomic.Int64
-	for i := 1; i <= 10; i++ {
-		g.Go(func() error { sum.Add(1); return nil })
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 10 {
-		t.Errorf("ran %d tasks, want 10", sum.Load())
 	}
 }
 
@@ -167,20 +136,6 @@ func mustPanicError(t *testing.T, err error, value any) {
 	}
 	if !strings.Contains(string(pe.Stack), "par_test.go") {
 		t.Fatalf("PanicError.Stack does not reach the panicking task:\n%s", pe.Stack)
-	}
-}
-
-// TestGroupRecoversPanic: a panicking task fails the group with a
-// *PanicError, the process survives, and later tasks are dropped.
-func TestGroupRecoversPanic(t *testing.T) {
-	g := NewGroup(2)
-	g.Go(func() error { panic("task blew up") })
-	mustPanicError(t, g.Wait(), "task blew up")
-	ran := false
-	g.Go(func() error { ran = true; return nil })
-	mustPanicError(t, g.Wait(), "task blew up")
-	if ran {
-		t.Error("task ran after a panicking task failed the group")
 	}
 }
 

@@ -38,11 +38,12 @@ var scalarMemOps = map[Opcode]bool{
 	OpFLW: true, OpFLD: true, OpFSW: true, OpFSD: true,
 }
 
-// Cycles totals the cost of the dynamic instruction mix a VM retired.
+// Cycles totals the cost of the dynamic instruction mix a VM retired,
+// summed in opcode order so the total is the same on every run.
 func (c CostModel) Cycles(vm *VM) float64 {
 	total := 0.0
-	for op, n := range vm.OpCounts {
-		fn := float64(n)
+	for i, n := range vm.OpCounts {
+		op, fn := Opcode(i), float64(n)
 		switch {
 		case op == OpVSETVLI:
 			total += fn * c.VsetvliCycles

@@ -104,6 +104,8 @@ const (
 	OpVL1R  // vl1r.v vd, (xs1)
 	OpVS1R  // vs1r.v vs, (xs1)
 	OpVMV1R // vmv1r.v vd, vs
+
+	numOpcodes // sentinel: the opcode count, sizing VM.OpCounts
 )
 
 // Inst is one decoded instruction.
@@ -143,6 +145,9 @@ var vectorOnlyV071 = map[Opcode]bool{
 
 // ValidFor reports whether the instruction is legal in the dialect.
 func (in Inst) ValidFor(d Dialect) error {
+	if in.Op < 0 || in.Op >= numOpcodes {
+		return fmt.Errorf("rvv: unknown opcode %s", opName(in.Op))
+	}
 	if d == V071 {
 		if vectorOnlyV10[in.Op] {
 			return fmt.Errorf("rvv: %s is not part of RVV v0.7.1", opName(in.Op))

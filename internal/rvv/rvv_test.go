@@ -195,6 +195,16 @@ func TestDialectMismatchRejected(t *testing.T) {
 	}
 }
 
+// An opcode outside the ISA is rejected before the VM retires it: the
+// VM's per-opcode counters have no slot for it.
+func TestUnknownOpcodeRejected(t *testing.T) {
+	vm, _ := NewVM(V10, 128, memSize)
+	p := &Program{Dialect: V10, Insts: []Inst{{Op: numOpcodes}}}
+	if err := vm.Run(p, 10); err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+		t.Errorf("Run = %v, want an unknown-opcode error", err)
+	}
+}
+
 func TestV10OnlyInstructionsRejectedInV071(t *testing.T) {
 	cases := []string{
 		"\tvle32.v v1, (a1)\n\thalt",

@@ -33,9 +33,9 @@ type VM struct {
 	ta   bool
 
 	Stats Stats
-	// OpCounts tallies retired instructions per opcode; the cycle-cost
-	// model (cost_test.go) consumes it.
-	OpCounts map[Opcode]uint64
+	// OpCounts tallies retired instructions, indexed by opcode; the
+	// cycle-cost model (cost_test.go) consumes it.
+	OpCounts [numOpcodes]uint64
 }
 
 // NewVM creates a VM with the given dialect, VLEN bits and memory size.
@@ -46,8 +46,7 @@ func NewVM(d Dialect, vlenBits, memBytes int) (*VM, error) {
 	if memBytes <= 0 {
 		return nil, fmt.Errorf("rvv: memory size %d", memBytes)
 	}
-	vm := &VM{Dialect: d, VLEN: vlenBits, Mem: make([]byte, memBytes),
-		OpCounts: make(map[Opcode]uint64)}
+	vm := &VM{Dialect: d, VLEN: vlenBits, Mem: make([]byte, memBytes)}
 	for i := range vm.V {
 		vm.V[i] = make([]byte, vlenBits/8)
 	}

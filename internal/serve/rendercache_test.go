@@ -2,13 +2,10 @@ package serve
 
 import (
 	"compress/gzip"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -128,60 +125,28 @@ func TestGzipFromRenderCache(t *testing.T) {
 	}
 }
 
-// gzipGolden pins response bytes and ETags as the eager-gzip render
-// cache produced them: status, ETag, Content-Encoding and the SHA-256
-// of the body, with and without Accept-Encoding: gzip.
-var gzipGolden = []struct {
-	method, path string
-	gzip         bool
-	code         int
-	etag, enc    string
-	bodySHA256   string
-}{
-	{"GET", "/v1/experiments/figure1", true, 200, `"c5a96c3cc2d2fd086fe2ea5e10242282-gzip"`, "gzip", "8a951e1d495f13baa517340a2d3f5d059bdfdca7f49511fa4fbb77168e5617b1"},
-	{"GET", "/v1/experiments/figure1", false, 200, `"c5a96c3cc2d2fd086fe2ea5e10242282"`, "", "c5a96c3cc2d2fd086fe2ea5e10242282ec7a53ff5798f59b21d8479669b6920f"},
-	{"GET", "/v1/experiments/all?format=json", true, 200, `"9747c9763b18bd72c5dd4ea647842f11-gzip"`, "gzip", "85aaf2b0d18d3bc352bd91a35d128147e3460a5bcd552e449c7cd366b6848c01"},
-	{"GET", "/v1/experiments/all?format=json", false, 200, `"9747c9763b18bd72c5dd4ea647842f11"`, "", "9747c9763b18bd72c5dd4ea647842f111a49a1e73f2ef0bd58d33245c461e4a9"},
-	{"GET", "/v1/experiments/table4?format=csv", true, 200, `"641f1796efa1f2df2ac873926623499e"`, "", "641f1796efa1f2df2ac873926623499e6c839636df0a0b59c8ac42717f7640a4"},
-	{"GET", "/v1/experiments/table4?format=csv", false, 200, `"641f1796efa1f2df2ac873926623499e"`, "", "641f1796efa1f2df2ac873926623499e6c839636df0a0b59c8ac42717f7640a4"},
-	{"GET", "/v1/roofline/SG2042", true, 200, `"2851a8940bf5c9ed3337f1e600c78760-gzip"`, "gzip", "bfbf2c06788e426e3a92f7875007ec3f425329d7ed93806e364300103c438ec8"},
-	{"GET", "/v1/roofline/SG2042", false, 200, `"2851a8940bf5c9ed3337f1e600c78760"`, "", "2851a8940bf5c9ed3337f1e600c78760346002fe295af22e9826dbdc716c587e"},
-	{"GET", "/v1/cluster/SG2042?format=json", true, 200, `"e076ab12bd0cf247cc3fe86cb36e7a25-gzip"`, "gzip", "310c9530b2dbd4a51f7cd6485017f8b4e611af11156652d0bc4c87528426fd16"},
-	{"GET", "/v1/cluster/SG2042?format=json", false, 200, `"e076ab12bd0cf247cc3fe86cb36e7a25"`, "", "e076ab12bd0cf247cc3fe86cb36e7a251fb8ce9f6ccd627d3a0fe57c431a24be"},
-	{"POST", "/v1/campaign", true, 200, `"b31bb16f52b8b1ba35e73bbff3b49eaa-gzip"`, "gzip", "551a8aedafdcd1f568f343ded99a99395df94ed0d8d80356e2deca92d3b2f72a"},
-	{"POST", "/v1/campaign", false, 200, `"b31bb16f52b8b1ba35e73bbff3b49eaa"`, "", "b31bb16f52b8b1ba35e73bbff3b49eaac6f36423b981d04f245aaa2aa9bdf540"},
-}
-
-// Lazy compression must serve the golden bytes and ETags whichever
-// representation a fresh server is asked for first.
+// Lazy compression must answer every gzip row of the byte manifest,
+// and the identity row of the same request, whichever representation a
+// fresh server is asked for first.
 func TestGzipMatchesGolden(t *testing.T) {
-	spec, err := os.ReadFile("../../examples/campaign/spec.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(s *Server, i int) {
-		t.Helper()
-		g := gzipGolden[i]
-		req := httptest.NewRequest(g.method, g.path, strings.NewReader(string(spec)))
-		if g.gzip {
-			req.Header.Set("Accept-Encoding", "gzip")
+	lines, pinned := pinnedManifest(t)
+	bodies := manifestBodies(t)
+	for _, line := range lines {
+		gz := requestOf(line)
+		if !gz.gzip {
+			continue
 		}
-		w := httptest.NewRecorder()
-		s.ServeHTTP(w, req)
-		sum := sha256.Sum256(w.Body.Bytes())
-		if w.Code != g.code || w.Header().Get("ETag") != g.etag ||
-			w.Header().Get("Content-Encoding") != g.enc || hex.EncodeToString(sum[:]) != g.bodySHA256 {
-			t.Errorf("%s %s gzip=%v: got %d %s %q body %x, want %d %s %q body %s", g.method, g.path, g.gzip,
-				w.Code, w.Header().Get("ETag"), w.Header().Get("Content-Encoding"), sum,
-				g.code, g.etag, g.enc, g.bodySHA256)
-		}
-	}
-	for i := 0; i < len(gzipGolden); i += 2 {
+		identity := gz
+		identity.gzip = false
 		gzipFirst, identityFirst := New(Options{Parallel: 1}), New(Options{Parallel: 1})
-		check(gzipFirst, i)
-		check(gzipFirst, i+1)
-		check(identityFirst, i+1)
-		check(identityFirst, i)
+		for _, c := range []struct {
+			s   *Server
+			req manifestRequest
+		}{{gzipFirst, gz}, {gzipFirst, identity}, {identityFirst, identity}, {identityFirst, gz}} {
+			if got := manifestLine(t, c.s, c.req, bodies); got != pinned[c.req] {
+				t.Errorf("got  %s\nwant %s", got, pinned[c.req])
+			}
+		}
 	}
 }
 
@@ -189,7 +154,8 @@ func TestGzipMatchesGolden(t *testing.T) {
 // still compress, find the -gzip ETag matching, and answer 304 — on a
 // fresh server and on an entry so far served only as identity.
 func TestGzipConditionalFirstRequest(t *testing.T) {
-	const path, gzTag = "/v1/experiments/figure1", `"c5a96c3cc2d2fd086fe2ea5e10242282-gzip"`
+	const path = "/v1/experiments/figure1"
+	gzTag := doGet(t, New(Options{Parallel: 1}), path, map[string]string{"Accept-Encoding": "gzip"}).Header().Get("ETag")
 	hdr := map[string]string{"Accept-Encoding": "gzip", "If-None-Match": gzTag}
 	if w := doGet(t, New(Options{Parallel: 1}), path, hdr); w.Code != http.StatusNotModified {
 		t.Errorf("first request revalidating the gzip ETag: status %d, want 304", w.Code)
@@ -222,7 +188,7 @@ func TestGzipCompressesOnce(t *testing.T) {
 	}
 
 	s := New(Options{Parallel: 1})
-	doGet(t, s, "/v1/experiments/figure1", nil)
+	gzTag := strings.TrimSuffix(doGet(t, s, "/v1/experiments/figure1", nil).Header().Get("ETag"), `"`) + `-gzip"`
 	codes := make([]int, workers)
 	etags := make([]string, workers)
 	for i := range codes {
@@ -235,7 +201,7 @@ func TestGzipCompressesOnce(t *testing.T) {
 	}
 	wg.Wait()
 	for i := range codes {
-		if codes[i] != http.StatusOK || etags[i] != gzipGolden[0].etag {
+		if codes[i] != http.StatusOK || etags[i] != gzTag {
 			t.Errorf("concurrent gzip request %d: %d %s", i, codes[i], etags[i])
 		}
 	}

@@ -136,11 +136,13 @@ func (s *Server) Engine() *repro.Engine { return s.eng }
 // StartFabricProber begins coordinator-side health probing: workers
 // die and rejoin the ring as their /v1/fabric/healthz answers change,
 // with snapshot shipping on every rejoin. No-op unless the server
-// coordinates. The prober stops when ctx is cancelled.
-func (s *Server) StartFabricProber(ctx context.Context, cfg fabric.ProbeConfig) {
-	if s.coord != nil {
-		s.coord.StartProber(ctx, cfg)
+// coordinates. The prober stops when ctx is cancelled; the returned
+// wait blocks until its probe loops have exited.
+func (s *Server) StartFabricProber(ctx context.Context, cfg fabric.ProbeConfig) (wait func()) {
+	if s.coord == nil {
+		return func() {}
 	}
+	return s.coord.StartProber(ctx, cfg)
 }
 
 func (s *Server) routes() {

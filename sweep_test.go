@@ -273,3 +273,40 @@ func TestSweepCustomMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepGoldenErrors: every sweep rejection reads exactly as
+// pinned, and none of them touches the suite cache.
+func TestSweepGoldenErrors(t *testing.T) {
+	broken := *SG2042()
+	broken.Cores = 0
+	cases := []struct {
+		name string
+		spec SweepSpec
+		want string
+	}{
+		{"nil base", SweepSpec{Axis: SweepCores, Values: []float64{4}}, "core: sweep has no base machine"},
+		{"invalid base", SweepSpec{Base: &broken, Axis: SweepCores, Values: []float64{4}}, "machine Sophon SG2042 (XuanTie C920): 0 cores"},
+		{"unknown axis", SweepSpec{Base: SG2042(), Axis: "dies", Values: []float64{2}}, `core: unknown sweep axis "dies" (want one of cores, clock, vector, numa, sockets, nodes)`},
+		{"no values", SweepSpec{Base: SG2042(), Axis: SweepCores}, "core: sweep over cores has no values"},
+		{"too many values", SweepSpec{Base: SG2042(), Axis: SweepClock, Values: make([]float64, 65)}, "core: sweep has 65 points, max 64"},
+		{"negative threads", SweepSpec{Base: SG2042(), Axis: SweepCores, Values: []float64{4}, Threads: -2}, "core: sweep threads -2 < 0"},
+		{"fractional cores", SweepSpec{Base: SG2042(), Axis: SweepCores, Values: []float64{32, 2.5}}, "core: sweep axis cores needs positive integer values, got 2.5"},
+		{"vectorless widen", SweepSpec{Base: VisionFiveV2(), Axis: SweepVector, Values: []float64{256}}, "machine V2: no vector unit to widen"},
+		{"uneven NUMA", SweepSpec{Base: SG2042(), Axis: SweepNUMA, Values: []float64{3}}, "machine SG2042: 4 memory controllers do not divide across 3 NUMA regions"},
+		{"zero clock", SweepSpec{Base: SG2042(), Axis: SweepClock, Values: []float64{2, 0}}, "core: sweep axis clock needs positive finite GHz values, got 0"},
+	}
+	eng := NewEngine(Options{Parallel: 2})
+	for _, c := range cases {
+		_, err := eng.Sweep(c.spec)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+	if hits, misses := eng.CacheStats(); hits+misses != 0 {
+		t.Errorf("rejected sweeps touched the cache: hits=%d misses=%d", hits, misses)
+	}
+}
