@@ -1,15 +1,26 @@
-// Command deadcheck fails the build on declarations only tests use. It
-// type-checks the non-test code of the modules in the given directories
-// and reports each package-level func, method, type, var or const that
-// no non-test code references outside its own declaration: exported
-// ones under an internal/ directory, unexported ones anywhere. Every
-// directory's code calls into every other's (perfbench/ drives the root
-// module's internal packages), and a method also counts as used when its
-// receiver implements an interface with that method that the code
-// mentions or imports (error, fmt.Stringer, ...).
+// Command deadcheck fails the build on declarations only tests use, and
+// on standard-library API newer than a module's go.mod allows. It
+// type-checks the modules in the given directories, tests included,
+// and reports
+//
+//   - each package-level func, method, type, var or const that no
+//     non-test code references outside its own declaration: exported
+//     ones under an internal/ directory, unexported ones anywhere.
+//     Every directory's code calls into every other's (perfbench/
+//     drives the root module's internal packages), and a method also
+//     counts as used when its receiver implements an interface with
+//     that method that the code mentions or imports (error,
+//     fmt.Stringer, ...);
+//   - each use, in any file, test files too, of a standard-library
+//     func, method, type, field, var or const that
+//     $(go env GOROOT)/api/go1.N.txt lists for a Go release newer than
+//     the `go` line of the module's go.mod. A newer toolchain compiles
+//     such a call, so only this check or a build on the older release
+//     catches it.
 //
 // Usage: deadcheck dir... (default .). Exit status 0 when nothing is
-// dead, 1 with one `file:line name` line per finding otherwise.
+// found, 1 with one `file:line name` line per dead declaration and one
+// `file:line name needs go1.N` line per API use otherwise.
 package main
 
 import (
@@ -20,9 +31,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -44,16 +57,21 @@ func main() {
 	if len(dirs) == 0 {
 		dirs = []string{"."}
 	}
-	findings, err := check(dirs)
+	dead, newer, err := check(dirs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcheck:", err)
 		os.Exit(1)
 	}
-	for _, f := range findings {
+	for _, f := range append(dead, newer...) {
 		fmt.Println(f)
 	}
-	if len(findings) > 0 {
-		fmt.Printf("deadcheck: %d declaration(s) nothing outside tests uses\n", len(findings))
+	if len(dead) > 0 {
+		fmt.Printf("deadcheck: %d declaration(s) nothing outside tests uses\n", len(dead))
+	}
+	if len(newer) > 0 {
+		fmt.Printf("deadcheck: %d use(s) of API newer than go.mod's go version\n", len(newer))
+	}
+	if len(dead)+len(newer) > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("deadcheck: ok")
@@ -61,11 +79,11 @@ func main() {
 
 // listedPackage is the part of `go list -json` output deadcheck reads.
 type listedPackage struct {
-	ImportPath, Dir string
-	Standard        bool
-	GoFiles         []string
-	ImportMap       map[string]string
-	Module          *struct{ Path string }
+	ImportPath, Dir, ForTest string
+	Standard                 bool
+	GoFiles                  []string
+	ImportMap                map[string]string
+	Module                   *struct{ Path, GoVersion string }
 }
 
 // decl is one package-level declaration under judgement.
@@ -77,34 +95,35 @@ type decl struct {
 	used     bool
 }
 
-// check type-checks every package the modules at dirs build, standard
-// library included (its bodies skipped), and returns the sorted
-// findings, with file paths relative to the working directory.
-func check(dirs []string) ([]string, error) {
+// check type-checks every package the modules at dirs build, their
+// test variants and standard library included (its bodies skipped), and
+// returns the sorted dead declarations and newer-API uses, with file
+// paths relative to the working directory.
+func check(dirs []string) (dead, newer []string, err error) {
 	// go list -deps prints dependencies before their importers, so
 	// checking the lists in order, skipping what is already checked,
 	// finds every import checked.
 	var pkgs []*listedPackage
 	for _, dir := range dirs {
-		var err error
 		if pkgs, err = goList(dir, pkgs); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	fset := token.NewFileSet()
 	checked := map[string]*types.Package{"unsafe": types.Unsafe}
 	var decls []*decl
-	var infos []*types.Info
+	var infos []*types.Info // non-test code: the uses that keep a declaration
+	var uses []moduleUses   // every file: the uses held to the API level
 	ifaces := map[*types.Interface]bool{}
 	for _, p := range pkgs {
-		if checked[p.ImportPath] != nil {
-			continue
+		if checked[p.ImportPath] != nil || strings.HasSuffix(p.ImportPath, ".test") {
+			continue // checked already, or a generated test main
 		}
 		var files []*ast.File
-		for _, name := range p.GoFiles {
+		for _, name := range p.GoFiles { // a test variant's list its tests too
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			files = append(files, f)
 		}
@@ -124,16 +143,17 @@ func check(dirs []string) ([]string, error) {
 				Defs:  map[*ast.Ident]types.Object{},
 				Uses:  map[*ast.Ident]types.Object{},
 			}
-			infos = append(infos, info)
+			uses = append(uses, moduleUses{info, p.Module.GoVersion})
 		}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		checked[p.ImportPath] = pkg
-		if p.Standard {
+		if p.Standard || p.ForTest != "" {
 			continue
 		}
+		infos = append(infos, info)
 		// Every interface the package can name counts: its own and
 		// those of the packages it imports.
 		for _, scope := range append([]*types.Package{pkg}, pkg.Imports()...) {
@@ -172,19 +192,129 @@ func check(dirs []string) ([]string, error) {
 
 	wd, err := os.Getwd()
 	if err != nil {
+		return nil, nil, err
+	}
+	at := func(pos token.Pos) string {
+		p := fset.Position(pos)
+		file, _ := filepath.Rel(wd, p.Filename)
+		return fmt.Sprintf("%s:%d", filepath.ToSlash(file), p.Line)
+	}
+	for _, d := range decls {
+		if !d.used && (d.recv == nil || !satisfies(d, ifaces)) {
+			dead = append(dead, at(d.obj.Pos())+" "+d.name)
+		}
+	}
+	sort.Strings(dead)
+
+	oldest := math.MaxInt
+	for _, u := range uses {
+		oldest = min(oldest, goMinor(u.goVersion))
+	}
+	api, err := apiSince(checked, oldest)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, u := range uses {
+		for id, obj := range u.info.Uses {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+			}
+			if a, ok := api[obj]; ok && a.minor > goMinor(u.goVersion) {
+				newer = append(newer, fmt.Sprintf("%s %s needs go1.%d", at(id.Pos()), a.name, a.minor))
+			}
+		}
+	}
+	// A package's own files are checked again in its test variant.
+	sort.Strings(newer)
+	return dead, slices.Compact(newer), nil
+}
+
+// moduleUses is one type-checked package's uses and the go version its
+// module's go.mod declares.
+type moduleUses struct {
+	info      *types.Info
+	goVersion string
+}
+
+// goMinor returns the minor release of a go.mod version ("1.22" is 22).
+func goMinor(v string) int {
+	var minor int
+	fmt.Sscanf(strings.TrimPrefix(v, "1."), "%d", &minor)
+	return minor
+}
+
+// apiEntry names a standard-library object and the minor Go release
+// that added it.
+type apiEntry struct {
+	name  string
+	minor int
+}
+
+// apiLine matches one line of $GOROOT/api/go1.N.txt: the package, an
+// optional GOOS-GOARCH qualifier, and the declaration, which the others
+// read as a struct field or interface method, a method, or a
+// package-level name.
+var (
+	apiLine   = regexp.MustCompile(`^pkg ([^ ,]+)(?: \([^)]*\))?, (.*)$`)
+	apiMember = regexp.MustCompile(`^type (\w+).*? (?:struct|interface), (\w+)`)
+	apiMethod = regexp.MustCompile(`^method \(\*?(\w+)[^)]*\) (\w+)`)
+	apiDecl   = regexp.MustCompile(`^(?:func|type|const|var) (\w+)`)
+)
+
+// apiSince maps every standard-library object in checked that
+// $GOROOT/api/go1.N.txt lists for N > since to its name and N. Objects
+// of packages nothing imports are not loaded, so nothing can use them.
+func apiSince(checked map[string]*types.Package, since int) (map[types.Object]apiEntry, error) {
+	out, err := exec.Command("go", "env", "GOROOT").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go env GOROOT: %v", err)
+	}
+	files, err := filepath.Glob(filepath.Join(strings.TrimSpace(string(out)), "api", "go1.*.txt"))
+	if err != nil {
 		return nil, err
 	}
-	var findings []string
-	for _, d := range decls {
-		if d.used || (d.recv != nil && satisfies(d, ifaces)) {
+	api := map[types.Object]apiEntry{}
+	for _, file := range files {
+		minor := goMinor(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(file), "go"), ".txt"))
+		if minor <= since {
 			continue
 		}
-		pos := fset.Position(d.obj.Pos())
-		file, _ := filepath.Rel(wd, pos.Filename)
-		findings = append(findings, fmt.Sprintf("%s:%d %s", filepath.ToSlash(file), pos.Line, d.name))
+		data, err := os.ReadFile(file)
+		if err != nil {
+			return nil, err
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			m := apiLine.FindStringSubmatch(line)
+			if m == nil || checked[m[1]] == nil {
+				continue
+			}
+			pkg, decl := checked[m[1]], m[2]
+			lookup := func(typ, member string) (types.Object, string) {
+				tn, _ := pkg.Scope().Lookup(typ).(*types.TypeName)
+				if tn == nil {
+					return nil, ""
+				}
+				obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, member)
+				return obj, typ + "." + member
+			}
+			var obj types.Object
+			var name string
+			if mm := apiMember.FindStringSubmatch(decl); mm != nil {
+				obj, name = lookup(mm[1], mm[2])
+			} else if mm := apiMethod.FindStringSubmatch(decl); mm != nil {
+				obj, name = lookup(mm[1], mm[2])
+			} else if mm := apiDecl.FindStringSubmatch(decl); mm != nil {
+				obj, name = pkg.Scope().Lookup(mm[1]), mm[1]
+			}
+			if obj != nil {
+				api[obj] = apiEntry{name: pkg.Path() + "." + name, minor: minor}
+			}
+		}
 	}
-	sort.Strings(findings)
-	return findings, nil
+	return api, nil
 }
 
 // declsOf returns the file's package-level declarations deadcheck
@@ -259,11 +389,12 @@ type importer func(path string) (*types.Package, error)
 
 func (f importer) Import(path string) (*types.Package, error) { return f(path) }
 
-// goList appends the packages `go list -deps -json ./...` lists in dir.
-// Cgo is off, so the standard library's pure-Go files are the ones
-// listed and checked.
+// goList appends the packages `go list -deps -test -json ./...` lists
+// in dir: each package, its test variants and their dependencies, in
+// dependency order. Cgo is off, so the standard library's pure-Go files
+// are the ones listed and checked.
 func goList(dir string, pkgs []*listedPackage) ([]*listedPackage, error) {
-	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd := exec.Command("go", "list", "-deps", "-test", "-json", "./...")
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0", "GOWORK=off")
 	cmd.Stderr = os.Stderr

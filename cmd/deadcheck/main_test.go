@@ -20,9 +20,12 @@ const (
 // after holding every finding to the `file:line name` form.
 func findings(t *testing.T, dirs ...string) map[string]bool {
 	t.Helper()
-	found, err := check(dirs)
+	found, newer, err := check(dirs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(newer) > 0 {
+		t.Errorf("newer-API findings in a go 1.22 fixture that uses none: %v", newer)
 	}
 	names := map[string]bool{}
 	for _, f := range found {
@@ -69,5 +72,30 @@ func TestFlagged(t *testing.T) {
 func TestSecondModuleCounts(t *testing.T) {
 	if got := findings(t, modDir); !got["lib.ForCaller"] {
 		t.Errorf("lib.ForCaller not flagged without its caller module; findings: %v", got)
+	}
+}
+
+// TestNewerAPIFlagged: the api fixture's go.mod says go 1.22; every
+// call into go1.23 or go1.24 API is named with its file, line and
+// release, test files included, and older API is not.
+func TestNewerAPIFlagged(t *testing.T) {
+	const dir = "testdata/api"
+	dead, newer, err := check([]string{dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dead) > 0 {
+		t.Errorf("dead declarations in the api fixture: %v", dead)
+	}
+	want := []string{
+		dir + "/api.go:14 slices.AppendSeq needs go1.23",
+		dir + "/api.go:14 maps.Keys needs go1.23",
+		dir + "/api.go:21 net/http.Server.Protocols needs go1.24",
+		dir + "/api.go:21 net/http.Protocols needs go1.24",
+		dir + "/api_test.go:6 testing.B.Loop needs go1.24",
+	}
+	slices.Sort(want)
+	if !slices.Equal(newer, want) {
+		t.Errorf("newer-API findings:\n got %q\nwant %q", newer, want)
 	}
 }

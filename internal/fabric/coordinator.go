@@ -141,23 +141,30 @@ func (c *Coordinator) Stats() FabricStats {
 // StartProber launches health probing over the fleet: every worker is
 // probed on cfg's cadence, dying and reviving in the shared Membership,
 // with a warm-join shipment fired on every revival. Cancel ctx to stop
-// it; the returned wait blocks until its probe loops have exited.
+// both: the probes and any shipment's POST and retry sleep. The
+// returned wait blocks until the probe loops and every shipment have
+// exited.
 func (c *Coordinator) StartProber(ctx context.Context, cfg ProbeConfig) (wait func()) {
-	return NewProber(c.mem, cfg, nil, c.onProbeTransition).Start(ctx)
-}
-
-// onProbeTransition is the prober's callback: bookkeeping on death,
-// bookkeeping plus async snapshot shipping on revival.
-func (c *Coordinator) onProbeTransition(target string, live bool) {
-	c.mu.Lock()
-	if live {
-		c.stats.ProbeRevivals++
-	} else {
-		c.stats.ProbeDeaths++
-	}
-	c.mu.Unlock()
-	if live {
-		go c.shipWarm(target)
+	var ships sync.WaitGroup
+	probes := NewProber(c.mem, cfg, nil, func(target string, live bool) {
+		c.mu.Lock()
+		if live {
+			c.stats.ProbeRevivals++
+		} else {
+			c.stats.ProbeDeaths++
+		}
+		c.mu.Unlock()
+		if live {
+			ships.Add(1)
+			go func() {
+				defer ships.Done()
+				c.shipWarm(ctx, target)
+			}()
+		}
+	}).Start(ctx)
+	return func() {
+		probes() // no probe loop is left to start a shipment
+		ships.Wait()
 	}
 }
 
@@ -177,8 +184,8 @@ const warmAttempts = 3
 // that could not warm serves its shard cold, bit-identically, just
 // slower — but every failed shipment and every per-peer pull failure
 // the worker reports is counted in WarmErrors so degraded warmth is
-// observable.
-func (c *Coordinator) shipWarm(target string) {
+// observable. Cancelling ctx abandons the shipment uncounted.
+func (c *Coordinator) shipWarm(ctx context.Context, target string) {
 	var peers []string
 	for _, t := range c.mem.Live() {
 		if t != target {
@@ -191,9 +198,16 @@ func (c *Coordinator) shipWarm(target string) {
 	wreq := warmRequest{Peers: peers, Fleet: c.mem.Targets(), Owner: target}
 	for attempt := 0; attempt < warmAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(warmRetryDelay)
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(warmRetryDelay):
+			}
 		}
-		wr, err := c.postWarm(target, wreq)
+		wr, err := c.postWarm(ctx, target, wreq)
+		if ctx.Err() != nil {
+			return
+		}
 		c.mu.Lock()
 		if err != nil {
 			c.stats.WarmErrors++
@@ -215,13 +229,13 @@ func (c *Coordinator) shipWarm(target string) {
 }
 
 // postWarm performs one warm-join POST and decodes the worker's report.
-func (c *Coordinator) postWarm(target string, wreq warmRequest) (warmResponse, error) {
+func (c *Coordinator) postWarm(ctx context.Context, target string, wreq warmRequest) (warmResponse, error) {
 	var wr warmResponse
 	body, err := json.Marshal(wreq)
 	if err != nil {
 		return wr, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), warmTimeout)
+	ctx, cancel := context.WithTimeout(ctx, warmTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+WarmPath, bytes.NewReader(body))
 	if err != nil {
@@ -351,6 +365,8 @@ type run struct {
 	queued    []*shardRequest // dispatched, not yet launched
 	nextReq   int
 
+	// assigned and votes are allocated per index on first write; at
+	// quorum 1 the one vote decides on arrival, so votes stays nil.
 	assigned []map[string]bool // index -> targets asked to vote
 	votes    []map[string]replicaVote
 	points   []repro.CampaignPoint
@@ -361,7 +377,7 @@ type run struct {
 func (c *Coordinator) newRun(fps []uint64, emit func(repro.CampaignPoint) error) *run {
 	n := len(fps)
 	replicas := max(c.Replicas, 1)
-	r := &run{
+	return &run{
 		c: c, fps: fps, emit: emit,
 		replicas:  replicas,
 		quorum:    replicas/2 + 1,
@@ -373,11 +389,14 @@ func (c *Coordinator) newRun(fps []uint64, emit func(repro.CampaignPoint) error)
 		points:    make([]repro.CampaignPoint, n),
 		decided:   make([][]byte, n),
 	}
-	for i := range r.assigned {
+}
+
+// ask records that target was asked to vote on index i.
+func (r *run) ask(i int, target string) {
+	if r.assigned[i] == nil {
 		r.assigned[i] = map[string]bool{}
-		r.votes[i] = map[string]replicaVote{}
 	}
-	return r
+	r.assigned[i][target] = true
 }
 
 // exclusion merges the fleet's dead set with this run's local
@@ -425,7 +444,7 @@ func (r *run) assign(indices []int) error {
 			if r.assigned[i][o] {
 				continue
 			}
-			r.assigned[i][o] = true
+			r.ask(i, o)
 			byTarget[o] = append(byTarget[o], i)
 		}
 	}
@@ -477,7 +496,14 @@ func (r *run) onPoint(m workerMsg) error {
 		}
 		return nil
 	}
-	r.votes[i][m.target] = replicaVote{frame: m.frame, point: m.point}
+	v := replicaVote{frame: m.frame, point: m.point}
+	if r.quorum == 1 {
+		return r.decide(i, v) // the one vote is the quorum
+	}
+	if r.votes[i] == nil {
+		r.votes[i] = map[string]replicaVote{}
+	}
+	r.votes[i][m.target] = v
 	return r.tally(i)
 }
 
@@ -516,14 +542,28 @@ func (r *run) tally(i int) error {
 	if r.decided[i] != nil || len(r.votes[i]) == 0 {
 		return nil
 	}
-	counts := map[string]int{}
-	for _, v := range r.votes[i] {
-		counts[string(v.frame)]++
+	// Distinct frames and their votes: a handful of voters, so a
+	// linear scan.
+	type frameCount struct {
+		vote replicaVote
+		n    int
 	}
-	winner, best := "", 0
-	for f, cnt := range counts {
-		if cnt > best || (cnt == best && f < winner) {
-			winner, best = f, cnt
+	var counts []frameCount
+	for _, v := range r.votes[i] {
+		k := 0
+		for k < len(counts) && !bytes.Equal(counts[k].vote.frame, v.frame) {
+			k++
+		}
+		if k == len(counts) {
+			counts = append(counts, frameCount{vote: v})
+		}
+		counts[k].n++
+	}
+	var winner replicaVote
+	best := 0
+	for _, fc := range counts {
+		if fc.n > best || (fc.n == best && bytes.Compare(fc.vote.frame, winner.frame) < 0) {
+			winner, best = fc.vote, fc.n
 		}
 	}
 	if best >= r.quorum {
@@ -553,24 +593,22 @@ func (r *run) tally(i int) error {
 		}
 		return e
 	}
-	r.assigned[i][extra[0]] = true
+	r.ask(i, extra[0])
 	r.dispatch(extra[0], []int{i})
 	return nil
 }
 
-// decide commits index i to the winning frame, emits any newly
+// decide commits index i to the winning vote, emits any newly
 // in-order prefix, and quarantines voters that disagreed with the
 // winner.
-func (r *run) decide(i int, winner string) error {
+func (r *run) decide(i int, winner replicaVote) error {
 	var losers []string
 	for t, v := range r.votes[i] {
-		if string(v.frame) == winner {
-			r.points[i] = v.point
-		} else {
+		if !bytes.Equal(v.frame, winner.frame) {
 			losers = append(losers, t)
 		}
 	}
-	r.decided[i] = []byte(winner)
+	r.points[i], r.decided[i] = winner.point, winner.frame
 	for r.nextEmit < len(r.fps) && r.decided[r.nextEmit] != nil {
 		if r.emit != nil {
 			if err := r.emit(r.points[r.nextEmit]); err != nil {

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -175,5 +176,87 @@ func TestProberStopTerminates(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the prober's wait did not return after cancel")
+	}
+}
+
+// countingTransport counts the round trips in flight. A failed round
+// trip stays in flight a little longer, so a wait that returned without
+// waiting for it finds it still counted.
+type countingTransport struct {
+	inflight atomic.Int32
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil {
+		time.Sleep(100 * time.Millisecond)
+	}
+	return resp, err
+}
+
+// TestProberWaitStopsWarmShipments: a warm shipment in flight stops
+// with the prober. A worker dies and revives; its warm handler blocks
+// until its request ends. After cancel, the prober's wait returns
+// within a fixed bound with no shipment left in flight, and the handler
+// has seen its request cancelled.
+func TestProberWaitStopsWarmShipments(t *testing.T) {
+	var sick atomic.Bool
+	sick.Store(true)
+	entered, cancelled := make(chan struct{}), make(chan struct{})
+	var enter, seen sync.Once
+	revived := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == WarmPath:
+			// Like ServeWarm, read the request, then block as a pull
+			// from a hung peer would. Until the body is read, net/http
+			// does not watch the connection for the client going away.
+			io.Copy(io.Discard, r.Body)
+			enter.Do(func() { close(entered) })
+			<-r.Context().Done()
+			seen.Do(func() { close(cancelled) })
+		case sick.Load():
+			http.Error(w, "sick", http.StatusInternalServerError)
+		}
+	}))
+	defer revived.Close()
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer peer.Close()
+
+	transport := &countingTransport{}
+	coord, err := NewCoordinator([]string{revived.URL, peer.URL}, nil, &http.Client{Transport: transport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wait := coord.StartProber(ctx, fastProbe)
+	waitFor(t, "the sick worker to die", func() bool { return coord.mem.DeadSet()[revived.URL] })
+	sick.Store(false)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no warm shipment reached the revived worker")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		cancel()
+		wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the prober's wait did not return after cancel with a warm shipment in flight")
+	}
+	if n := transport.inflight.Load(); n != 0 {
+		t.Errorf("wait returned with %d warm shipments in flight", n)
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the warm handler never saw its request cancelled")
 	}
 }

@@ -35,6 +35,14 @@ const (
 	maxWarmBody   = 1 << 20
 )
 
+// maxSnapshotBody bounds the snapshot a warm-join reads from one peer:
+// 64 MiB, about 122,000 suite-cache entries at about 546 B each (64
+// seconds values, a label, a fingerprint and the key fields). The peer
+// URLs come from the warm request's body, so a peer's answer is read no
+// further than this; a peer that sends more is a per-peer warm error
+// and nothing of its answer is installed.
+const maxSnapshotBody = 64 << 20
+
 // Worker serves the shard-scoped campaign API. It wraps the same
 // engine the node's ordinary serving surface uses, so shard points
 // memoize into — and warm-restart from — the one suite cache.
@@ -44,6 +52,9 @@ type Worker struct {
 	// client performs warm-join snapshot pulls from peers
 	// (ServeWarm); tests may swap it.
 	client *http.Client
+	// maxSnapshot is the per-peer snapshot bound, maxSnapshotBody
+	// unless a test shrinks it.
+	maxSnapshot int64
 }
 
 // NewWorker wraps an engine and registry (nil reg means the default
@@ -58,7 +69,8 @@ func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
 		// A snapshot costs about 550 B per cache entry (210 KB for a
 		// 384-configuration sweep); a bounded client keeps a hung peer
 		// from wedging a warm-join.
-		client: &http.Client{Timeout: 30 * time.Second},
+		client:      &http.Client{Timeout: 30 * time.Second},
+		maxSnapshot: maxSnapshotBody,
 	}
 }
 
@@ -251,8 +263,8 @@ func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// pullSnapshot fetches one peer's owner-filtered snapshot and installs
-// it.
+// pullSnapshot fetches one peer's owner-filtered snapshot, at most
+// maxSnapshot bytes of it, and installs it.
 func (wk *Worker) pullSnapshot(ctx context.Context, peer, owner string, fleet []string) (int, error) {
 	u := peer + SnapshotPath
 	if owner != "" {
@@ -271,9 +283,12 @@ func (wk *Worker) pullSnapshot(ctx context.Context, peer, owner string, fleet []
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, fmt.Errorf("peer answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, wk.maxSnapshot+1))
 	if err != nil {
 		return 0, err
+	}
+	if int64(len(data)) > wk.maxSnapshot {
+		return 0, fmt.Errorf("peer snapshot exceeds %d bytes", wk.maxSnapshot)
 	}
 	return wk.eng.RestoreCache(data)
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -183,4 +184,50 @@ func TestWorkerBodiesBounded(t *testing.T) {
 	if hits, misses := eng.CacheStats(); hits+misses != 0 {
 		t.Errorf("oversized bodies reached the engine: hits=%d misses=%d", hits, misses)
 	}
+}
+
+// TestWarmRejectsOversizeSnapshot: a peer whose valid snapshot runs
+// one byte past the bound is a per-peer error in the warm response, and
+// none of its entries are installed. The peer streams its answer in two
+// chunks, without a Content-Length, so only the read bound can stop it.
+func TestWarmRejectsOversizeSnapshot(t *testing.T) {
+	snap := mustSnapshot(t, warmedWorker(t).eng)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", SnapshotContentType)
+		for _, part := range [][]byte{snap[:len(snap)/2], snap[len(snap)/2:]} {
+			w.Write(part)
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer peer.Close()
+
+	eng := repro.NewEngine(repro.Options{})
+	wk := NewWorker(eng, nil)
+	wk.maxSnapshot = int64(len(snap) - 1)
+	body := `{"peers": ["` + peer.URL + `"], "fleet": ["http://a"], "owner": "http://a"}`
+	rec := httptest.NewRecorder()
+	wk.ServeWarm(rec, httptest.NewRequest(http.MethodPost, WarmPath, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	var wr warmResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &wr); err != nil {
+		t.Fatal(err)
+	}
+	if wr.Installed != 0 || wr.Peers != 0 || len(wr.Errors) != 1 || !strings.Contains(wr.Errors[0], "exceeds") {
+		t.Errorf("warm response %+v, want one per-peer size error and nothing installed", wr)
+	}
+	if !bytes.Equal(mustSnapshot(t, eng), mustSnapshot(t, repro.NewEngine(repro.Options{}))) {
+		t.Error("an oversize snapshot left entries in the cache")
+	}
+}
+
+// mustSnapshot returns eng's full snapshot.
+func mustSnapshot(t *testing.T, eng *repro.Engine) []byte {
+	t.Helper()
+	snap, err := eng.SnapshotCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }

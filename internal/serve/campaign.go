@@ -20,7 +20,6 @@ package serve
 // 404, and both are decided before any evaluation.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,7 +196,7 @@ func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec rep
 	streamed := false
 	ent, err := s.rc.get(campaignKey(spec, formatNDJSON), func() ([]byte, string, error) {
 		streamed = true
-		body, err := s.streamCampaign(w, r, spec, raw)
+		body, err := s.streamCampaign(w, r, spec, raw, points)
 		return body, "application/x-ndjson", err
 	})
 	if streamed {
@@ -222,41 +221,16 @@ func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec rep
 // body for the render cache. Under Options.Coordinate the points come
 // off the fabric — evaluated across the fleet, emitted here in grid
 // order — and the lines are byte-identical to the local stream. Point
-// lines go through the pooled append encoder (ndjson.go) — byte-for-byte
-// what json.Encoder produced, without a reflection walk and interface
-// boxing per line — while the one-off summary line stays on
-// encoding/json.
-//
-// The first point line is flushed as soon as it is written, so a client
-// sees the head of the grid without waiting for net/http's buffers to
-// fill; later lines leave in transport-sized batches. The flush goes
-// through http.NewResponseController, which unwraps the metrics
-// statusWriter. Flushing every line measured slower on the fabric tier
-// (docs/PERFORMANCE.md, "Time to first point").
-func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte) ([]byte, error) {
+// lines go through the append encoder (ndjson.go) — byte-for-byte what
+// json.Encoder produced, without a reflection walk and interface boxing
+// per line — while the one-off summary line stays on encoding/json.
+// campaignStream decides when the bytes leave.
+func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte, points int) ([]byte, error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	var buf bytes.Buffer
-	line := lineBufPool.Get().(*[]byte)
-	defer func() { *line = (*line)[:0]; lineBufPool.Put(line) }()
-	res, err := s.runCampaign(r, spec, raw, func(p repro.CampaignPoint) error {
-		b, err := appendCampaignPoint((*line)[:0], p)
-		if err != nil {
-			return err
-		}
-		*line = b[:0]
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-		if buf.Len() == 0 {
-			// The stream is underway either way; a writer that cannot
-			// flush (ErrNotSupported) just batches the head too.
-			_ = http.NewResponseController(w).Flush()
-		}
-		buf.Write(b)
-		return nil
-	})
+	c := &campaignStream{w: w, body: make([]byte, 0, 2048), points: points}
+	res, err := s.runCampaign(r, spec, raw, c.point)
 	if err != nil {
-		if buf.Len() == 0 {
+		if c.sent == 0 {
 			// Nothing has streamed, so the status line is still ours:
 			// answer a real error (502 for a dead fleet) instead of an
 			// empty 200 stream.
@@ -264,21 +238,97 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec rep
 			return nil, err
 		}
 		// The stream is already underway with a 200 status; a terminal
-		// error line is the only way left to tell the client the grid
-		// is truncated. The body is not cached (the fill error path).
+		// error line after the unsent points is the only way left to
+		// tell the client the grid is truncated. The body is not cached
+		// (the fill error path).
 		msg := err
 		if s.recordPanic(err) {
 			msg = errInternal
 		}
-		json.NewEncoder(w).Encode(struct {
-			Error string `json:"error"`
-		}{msg.Error()})
+		c.body = append(appendJSONString(append(c.body, `{"error":`...), msg.Error()), '}', '\n')
+		c.end()
 		return nil, err
 	}
-	if err := json.NewEncoder(io.MultiWriter(w, &buf)).Encode(campaignSummaryLine(res)); err != nil {
+	summary, err := json.Marshal(campaignSummaryLine(res))
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	c.body = append(append(c.body, summary...), '\n')
+	return c.end()
+}
+
+// campaignBatch is the smallest write a live NDJSON stream makes after
+// its first line. Of 16, 32 and 64 KiB, 32 KiB measured best on a cold
+// 256-point campaign (docs/PERFORMANCE.md, "One buffer per campaign
+// stream").
+const campaignBatch = 32 << 10
+
+// campaignStream is one live NDJSON stream. Every line is appended
+// once, into the body the render cache keeps. The first point line is
+// written and flushed at once, through http.NewResponseController
+// (which unwraps the metrics statusWriter), so a client sees the head
+// of the grid without waiting for a batch; later lines leave in writes
+// of at least campaignBatch bytes cut from the same slice. A client
+// that hangs up is therefore noticed at the next batch boundary, up to
+// about 50 points later. Flushing every line measured slower on the
+// fabric tier (docs/PERFORMANCE.md, "Time to first point").
+type campaignStream struct {
+	w      http.ResponseWriter
+	body   []byte
+	sent   int // body[:sent] has been written
+	points int // point lines the grid has
+	size   int // the body's estimated size, set after the first line
+}
+
+// point appends p's line and writes what is due.
+func (c *campaignStream) point(p repro.CampaignPoint) error {
+	b, err := appendCampaignPoint(c.body, p)
+	if err != nil {
+		return err
+	}
+	c.body = b
+	switch {
+	case c.sent == 0:
+		_, err = c.w.Write(c.body)
+		c.sent = len(c.body)
+		// The stream is underway either way; a writer that cannot
+		// flush (ErrNotSupported) just batches the head too.
+		_ = http.NewResponseController(c.w).Flush()
+		// The head is out: estimate the body as every line the first
+		// one's length, plus a sixteenth. A body of more than two
+		// batches gets room for one now and the rest at the first.
+		c.size = len(c.body) * c.points * 17 / 16
+		if c.size > 2*campaignBatch {
+			c.grow(campaignBatch + campaignBatch/4)
+		} else {
+			c.grow(c.size)
+		}
+	case len(c.body)-c.sent >= campaignBatch:
+		c.grow(c.size)
+		_, err = c.w.Write(c.body[c.sent:])
+		c.sent = len(c.body)
+	}
+	return err
+}
+
+// grow moves the body into a slice of capacity n, unless it has that
+// much already.
+func (c *campaignStream) grow(n int) {
+	if cap(c.body) < n {
+		c.body = append(make([]byte, 0, n), c.body...)
+	}
+}
+
+// end writes whatever of the body is unsent, the last line included,
+// and returns the body at exact size.
+func (c *campaignStream) end() ([]byte, error) {
+	if _, err := c.w.Write(c.body[c.sent:]); err != nil {
+		return nil, err
+	}
+	if cap(c.body) == len(c.body) {
+		return c.body, nil
+	}
+	return append(make([]byte, 0, len(c.body)), c.body...), nil
 }
 
 // campaignKey is a campaign's render-cache key: the spec's content key

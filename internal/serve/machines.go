@@ -23,12 +23,18 @@ type machineSummary struct {
 	Nodes       int     `json:"nodes,omitempty"`
 }
 
-// handleMachines serves GET /v1/machines: every registered machine —
-// the paper's seven presets plus the SG2044 and the dual-socket
-// SG2042x2 — summarised, in registration order.
-func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
-	ms := s.reg.Machines()
+// machineBodies are the registry's JSON renderings: the listing and
+// every machine's spec, keyed by canonical label. The registry is
+// immutable, so they are rendered once, on first request.
+type machineBodies struct {
+	list  []byte
+	specs map[string][]byte
+}
+
+func renderMachines(reg *repro.MachineRegistry) (machineBodies, error) {
+	ms := reg.Machines()
 	out := make([]machineSummary, len(ms))
+	b := machineBodies{specs: make(map[string][]byte, len(ms))}
 	for i, m := range ms {
 		out[i] = machineSummary{
 			Label:       m.Label,
@@ -41,28 +47,48 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 			Sockets:     m.Sockets,
 			Nodes:       m.Nodes,
 		}
+		spec, err := repro.MachineJSON(m)
+		if err != nil {
+			return b, err
+		}
+		b.specs[m.Label] = spec
 	}
-	writeJSON(w, http.StatusOK, struct {
+	var err error
+	b.list, err = marshalJSONBody(struct {
 		Machines []machineSummary `json:"machines"`
 	}{out})
+	return b, err
+}
+
+// handleMachines serves GET /v1/machines: every registered machine —
+// the paper's seven presets plus the SG2044 and the dual-socket
+// SG2042x2 — summarised, in registration order.
+func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
+	b, err := s.machines()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", jsonContentType)
+	w.Write(b.list)
 }
 
 // handleMachine serves GET /v1/machines/{name}: the machine's full
 // JSON spec — the exact form POST /v1/sweep's "spec" field and
 // repro.MachineFromJSON accept, so Get-modify-sweep round trips.
 func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
-	m, err := s.reg.Resolve(r.PathValue("name"))
+	label, err := s.reg.Label(r.PathValue("name"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	data, err := repro.MachineJSON(m)
+	b, err := s.machines()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", jsonContentType)
-	w.Write(data)
+	w.Write(b.specs[label])
 }
 
 // sweepRequest is the body of POST /v1/sweep. Exactly one of Machine

@@ -205,9 +205,19 @@ func manifestLine(t *testing.T, s *Server, req manifestRequest, bodies map[strin
 	return strings.Join(fields, "\t")
 }
 
+// machineGETs lists the registry listing, every machine's spec by its
+// canonical label, and one spec by a lower-case spelling of its label.
+func machineGETs() []manifestRequest {
+	reqs := []manifestRequest{{method: http.MethodGet, path: "/v1/machines"}}
+	for _, label := range append(repro.DefaultMachineRegistry().Labels(), "sg2042") {
+		reqs = append(reqs, manifestRequest{method: http.MethodGet, path: "/v1/machines/" + label})
+	}
+	return reqs
+}
+
 // walkManifest prewarms s and serves the corpus in manifest order: the
 // GETs (which must all hit the render cache), the suite-cache snapshot
-// at exactly the prewarm corpus, then the POSTs.
+// at exactly the prewarm corpus, the POSTs, then the machine registry.
 func walkManifest(t *testing.T, s *Server, bodies map[string]string) []string {
 	t.Helper()
 	if _, err := s.Prewarm(context.Background()); err != nil {
@@ -227,6 +237,7 @@ func walkManifest(t *testing.T, s *Server, bodies map[string]string) []string {
 	}
 	serve(manifestRequest{method: http.MethodGet, path: fabric.SnapshotPath})
 	serve(postRequests()...)
+	serve(machineGETs()...)
 	return lines
 }
 

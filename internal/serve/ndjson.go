@@ -5,8 +5,9 @@ package serve
 // reflection walk, an interface box per field, and map-ordered
 // bookkeeping for every line. A campaign at the raised point cap emits
 // thousands of lines per request, so the point line — a small, fixed
-// struct — is encoded by appending into a pooled buffer instead:
-// zero allocations per line beyond the buffer itself.
+// struct — is encoded by appending straight into the stream's body,
+// the slice the render cache keeps (streamCampaign): no allocation per
+// line beyond the body's own growth.
 //
 // Byte compatibility is a hard contract, not an aspiration: the
 // rendered stream is cached and replayed, diffed by the determinism
@@ -22,16 +23,10 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
 	"repro"
 )
-
-// lineBufPool recycles NDJSON line buffers across points and requests.
-var lineBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 2048); return &b },
-}
 
 // ndjsonClasses caches the paper's class order once: repro.Classes()
 // returns a defensive copy per call, which would be one allocation per

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro"
@@ -92,6 +93,8 @@ type Server struct {
 	// deterministic, so a repeat request for the same rendering never
 	// re-renders — see rendercache.go.
 	rc *renderCache
+	// machines renders the registry's listing and specs once.
+	machines func() (machineBodies, error)
 	// ready gates /healthz: false from New until the prewarm pass
 	// completes (immediately true when Options.Prewarm is unset).
 	ready atomic.Bool
@@ -115,6 +118,7 @@ func New(opts Options) *Server {
 		mux: http.NewServeMux(),
 		rc:  newRenderCache(),
 	}
+	s.machines = sync.OnceValues(func() (machineBodies, error) { return renderMachines(s.reg) })
 	s.ready.Store(!opts.Prewarm)
 	if opts.Worker {
 		s.wk = fabric.NewWorker(s.eng, s.reg)

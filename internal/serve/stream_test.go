@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -145,4 +147,157 @@ func TestCampaignNDJSONFirstLineReachesClient(t *testing.T) {
 	if n := strings.Count(first+rest.String(), "\n"); n != 16+1 {
 		t.Errorf("%d lines after release, want 16 points + 1 summary", n)
 	}
+}
+
+// coldCampaignBody is a 256-point grid (2 bases x 16 clocks x 2 threads
+// x 2 placements x 2 precisions) whose clock values start at clock0 and
+// step by 1e-4 GHz, so grids from distinct clock0 values share no
+// derived machine.
+func coldCampaignBody(clock0 float64) string {
+	clocks := make([]string, 16)
+	for i := range clocks {
+		clocks[i] = strconv.FormatFloat(clock0+float64(i)*1e-4, 'f', -1, 64)
+	}
+	return `{"machines": ["SG2042", "SG2044"],
+		"axes": [{"axis": "clock", "values": [` + strings.Join(clocks, ", ") + `]}],
+		"threads": [0, 32], "placements": ["block", "cyclic"], "precisions": ["f64", "f32"]}`
+}
+
+// writeLog is a ResponseWriter that keeps every Write separately.
+type writeLog struct {
+	header http.Header
+	writes [][]byte
+}
+
+func (l *writeLog) Header() http.Header { return l.header }
+func (l *writeLog) WriteHeader(int)     {}
+func (l *writeLog) Write(b []byte) (int, error) {
+	l.writes = append(l.writes, bytes.Clone(b))
+	return len(b), nil
+}
+
+// TestCampaignNDJSONBatchedWrites: a cold 256-point stream reaches the
+// ResponseWriter as the first point line alone, then writes of at least
+// 32 KiB, all but the last; the render cache keeps exactly the streamed
+// bytes, with no spare capacity.
+func TestCampaignNDJSONBatchedWrites(t *testing.T) {
+	s := New(Options{Parallel: 2})
+	log := &writeLog{header: http.Header{}}
+	s.Handler().ServeHTTP(log, httptest.NewRequest(http.MethodPost, "/v1/campaign?format=ndjson",
+		strings.NewReader(coldCampaignBody(1.5))))
+	streamed := bytes.Join(log.writes, nil)
+	if n := bytes.Count(streamed, []byte("\n")); n != 256+1 {
+		t.Fatalf("%d lines, want 256 points + 1 summary:\n%s", n, streamed)
+	}
+	if first := streamed[:bytes.IndexByte(streamed, '\n')+1]; !bytes.Equal(log.writes[0], first) {
+		t.Errorf("first write is %d bytes, want the first point line alone (%d bytes)", len(log.writes[0]), len(first))
+	}
+	if len(log.writes) < 3 {
+		t.Errorf("%d writes, want the first line, at least one batch and the tail", len(log.writes))
+	}
+	for i, w := range log.writes[1 : len(log.writes)-1] {
+		if len(w) < 32<<10 {
+			t.Errorf("write %d is %d bytes, want at least 32 KiB", i+1, len(w))
+		}
+	}
+	var bodies [][]byte
+	s.rc.Range(func(_ renderKey, e *renderEntry) { bodies = append(bodies, e.body) })
+	if len(bodies) != 1 {
+		t.Fatalf("render cache holds %d bodies, want the one stream", len(bodies))
+	}
+	body := bodies[0]
+	if !bytes.Equal(body, streamed) {
+		t.Error("cached body differs from the streamed bytes")
+	}
+	if cap(body) != len(body) {
+		t.Errorf("cached body has cap %d for len %d, want no spare capacity", cap(body), len(body))
+	}
+}
+
+// tornWriter passes a fabric worker's first writes through, flushes
+// them, then fails every later write, so the worker tears its stream
+// after a fixed number of whole frames.
+type tornWriter struct {
+	http.ResponseWriter
+	writes int // Writes left; a frame is a length prefix and a body
+}
+
+func (w *tornWriter) Write(b []byte) (int, error) {
+	if w.writes == 0 {
+		http.NewResponseController(w.ResponseWriter).Flush()
+		return 0, errors.New("stream torn")
+	}
+	w.writes--
+	return w.ResponseWriter.Write(b)
+}
+
+// TestCampaignNDJSONMidStreamFailure: when the only worker of a fleet
+// tears its stream after 200 of 256 points, the coordinated NDJSON
+// stream delivers those 200 lines, byte-identical to a local stream,
+// then a terminal error line, and caches nothing.
+func TestCampaignNDJSONMidStreamFailure(t *testing.T) {
+	const frames = 200
+	spec := coldCampaignBody(2.5)
+	rec := httptest.NewRecorder()
+	New(Options{Parallel: 2}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaign?format=ndjson", strings.NewReader(spec)))
+	want := strings.SplitAfter(rec.Body.String(), "\n")[:frames]
+
+	wk := New(Options{Worker: true}).Handler()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wk.ServeHTTP(&tornWriter{ResponseWriter: w, writes: 2 * frames}, r)
+	}))
+	defer worker.Close()
+	coord := New(Options{Coordinate: []string{worker.URL}})
+	rec = httptest.NewRecorder()
+	coord.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaign?format=ndjson", strings.NewReader(spec)))
+
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want the 200 the stream started with", rec.Code)
+	}
+	got := strings.SplitAfter(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	if len(got) != frames+1 {
+		t.Fatalf("%d lines, want %d points and an error line", len(got), frames)
+	}
+	if strings.Join(got[:frames], "") != strings.Join(want, "") {
+		t.Error("the delivered points differ from the local stream's")
+	}
+	if last := got[frames]; !strings.HasPrefix(last, `{"error":"fabric: all workers down`) {
+		t.Errorf("last line %q, want the terminal error line", last)
+	}
+	coord.rc.Range(func(k renderKey, _ *renderEntry) {
+		t.Errorf("a failed stream left a render-cache entry: %+v", k)
+	})
+}
+
+// discardWriter is a ResponseWriter that counts its writes.
+type discardWriter struct {
+	header http.Header
+	writes int
+}
+
+func (d *discardWriter) Header() http.Header { return d.header }
+func (d *discardWriter) WriteHeader(int)     {}
+func (d *discardWriter) Write(b []byte) (int, error) {
+	d.writes++
+	return len(b), nil
+}
+
+// BenchmarkCampaignNDJSONCold streams a cold 256-point campaign through
+// the daemon's handler per iteration — clock values never repeat, so
+// every point misses every cache — and reports the ResponseWriter
+// writes each stream makes.
+func BenchmarkCampaignNDJSONCold(b *testing.B) {
+	h := New(Options{Parallel: 2}).Handler()
+	bodies := make([]string, b.N)
+	for i := range bodies {
+		bodies[i] = coldCampaignBody(1.0 + float64(i)*16e-4)
+	}
+	w := &discardWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		clear(w.header)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/campaign?format=ndjson", strings.NewReader(body)))
+	}
+	b.ReportMetric(float64(w.writes)/float64(b.N), "writes/op")
 }
