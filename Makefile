@@ -30,9 +30,18 @@ race:
 	$(GO) test -race -count=50 -run 'Panic' ./internal/par
 
 # Cross-compile for the paper's actual target: the reproduction must
-# keep building for riscv64 even though the model runs anywhere.
+# keep building for riscv64 even though the model runs anywhere. The
+# model must also give the same bytes there: arm64 and riscv64 fuse
+# x*y + z into one multiply-add unless an explicit float64(...)
+# conversion rounds the product, so internal/perfmodel's assembly for
+# both must hold no fused instruction.
 cross:
 	GOOS=linux GOARCH=riscv64 $(GO) build ./...
+	@for arch in arm64 riscv64; do \
+	  asm=$$(GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S ./internal/perfmodel 2>&1) || { echo "$$asm"; exit 1; }; \
+	  fused=$$(echo "$$asm" | grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\s'); \
+	  if [ -n "$$fused" ]; then echo "fused multiply-add in internal/perfmodel on $$arch:"; echo "$$fused"; exit 1; fi; \
+	done
 
 # The study-engine benchmarks (uncached serial vs cold vs serving
 # engine) plus everything else; -benchtime keeps the full sweep quick.

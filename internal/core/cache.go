@@ -58,6 +58,15 @@ func machineFingerprint(m *machine.Machine) uint64 {
 	return m.Fingerprint()
 }
 
+// uncoreFingerprint is m's uncore fingerprint, 0 for a nil machine
+// (which the model rejects before it reads the fingerprint).
+func uncoreFingerprint(m *machine.Machine) uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.UncoreFingerprint()
+}
+
 // suiteKeyFor canonicalizes cfg (Runs clamps at 1 like the evaluation
 // does).
 func (st *Study) suiteKeyFor(cfg perfmodel.Config) suiteKey {

@@ -40,7 +40,7 @@ func TestRunSuiteUncachedAllocs(t *testing.T) {
 	cfg := sgConfig(32, placement.CyclicNUMA, prec.F32)
 	var buf [64]float64
 	eval := testing.AllocsPerRun(100, func() {
-		if _, err := st.runSuiteUncached(cfg, buf[:0]); err != nil {
+		if _, err := st.runSuiteUncached(cfg, cfg.Machine.UncoreFingerprint(), buf[:0]); err != nil {
 			t.Fatal(err)
 		}
 	})

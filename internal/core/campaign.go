@@ -264,12 +264,12 @@ func campaignConfig(m *machine.Machine, threads int, pol placement.Policy, p pre
 func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error) {
 	pc, bc := &u.cfg, &u.base
 	cfg := campaignConfig(pc.m, pc.threads, pc.pol, pc.p)
-	secs, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp))
+	secs, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp), pc.ufp)
 	if err != nil {
 		return CampaignPoint{}, err
 	}
 	bcfg := campaignConfig(bc.m, bc.threads, bc.pol, bc.p)
-	base, err := st.runSuiteShared(bcfg, st.suiteKeyFP(bcfg, bc.fp))
+	base, err := st.runSuiteShared(bcfg, st.suiteKeyFP(bcfg, bc.fp), bc.ufp)
 	if err != nil {
 		return CampaignPoint{}, err
 	}

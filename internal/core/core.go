@@ -97,9 +97,12 @@ func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
 		// suite below, so they stay in a stack buffer and this path
 		// allocates just the result.
 		var buf [64]float64
-		secs, err = st.runSuiteUncached(cfg, buf[:0])
+		secs, err = st.runSuiteUncached(cfg, uncoreFingerprint(cfg.Machine), buf[:0])
 	} else {
-		secs, err = st.runSuiteShared(cfg, st.suiteKeyFor(cfg))
+		// The uncore fingerprint is hashed only on a miss.
+		secs, _, err = st.cache.Get(st.suiteKeyFor(cfg), func() ([]float64, error) {
+			return st.runSuiteUncached(cfg, uncoreFingerprint(cfg.Machine), nil)
+		})
 	}
 	if err != nil {
 		return nil, err
@@ -115,28 +118,30 @@ func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
 // runSuiteShared returns cfg's per-kernel seconds in suite order. With
 // the cache on, the slice is the cache entry's own and the caller must
 // treat it as read-only; the campaign planner reads it positionally.
-// key must be st.suiteKeyFor(cfg) (or suiteKeyFP with the machine's
-// fingerprint).
-func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey) ([]float64, error) {
+// key must be suiteKeyFP with the machine's fingerprint, and ufp the
+// machine's uncore fingerprint.
+func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey, ufp uint64) ([]float64, error) {
 	if st.NoCache || st.cache == nil {
-		return st.runSuiteUncached(cfg, nil)
+		return st.runSuiteUncached(cfg, ufp, nil)
 	}
 	secs, _, err := st.cache.Get(key, func() ([]float64, error) {
-		return st.runSuiteUncached(cfg, nil)
+		return st.runSuiteUncached(cfg, ufp, nil)
 	})
 	return secs, err
 }
 
 // runSuiteUncached evaluates cfg and returns each kernel's averaged
 // seconds in suite.All() order, written into dst when it has the
-// capacity (pass nil to allocate).
-func (st *Study) runSuiteUncached(cfg perfmodel.Config, dst []float64) ([]float64, error) {
+// capacity (pass nil to allocate). ufp is cfg.Machine's uncore
+// fingerprint.
+func (st *Study) runSuiteUncached(cfg perfmodel.Config, ufp uint64, dst []float64) ([]float64, error) {
 	specs := suite.All()
 	// Compiled evaluation: one plan per configuration, so the
-	// placement/sharing analysis and the per-spec invariants are
-	// resolved once instead of once per kernel. The planned path is
-	// bit-identical to per-kernel KernelTime.
-	plan, err := st.Model.SuitePlan(specs, cfg)
+	// placement analysis and the memory-system half of every kernel
+	// come from the model's uncore memo and only the clock-dependent
+	// terms are evaluated here. The planned path is bit-identical to
+	// per-kernel KernelTime.
+	plan, err := st.Model.SuitePlanFP(specs, cfg, ufp)
 	if err != nil {
 		label := "<nil machine>"
 		if cfg.Machine != nil {
@@ -155,7 +160,7 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config, dst []float64) ([]float6
 	}
 	noise := seededNoise(st.Seed ^ configSeed(cfg))
 	for i := range specs {
-		secs := plan.At(i).Seconds
+		secs := plan.Seconds(i)
 		sum := 0.0
 		for r := 0; r < runs; r++ {
 			sum += secs * (1 + st.Noise*noise.rng.NormFloat64())

@@ -53,16 +53,18 @@ import (
 type planCombo struct {
 	m      *machine.Machine
 	fp     uint64    // m.Fingerprint(), hashed once
+	ufp    uint64    // m.UncoreFingerprint(), inherited along clock and vector axes
 	values []float64 // axis values applied, aligned with spec.Axes
 	canon  int32     // first combo with the same machine (dup axis values)
 }
 
 // planConfig is one suite configuration a campaign evaluates — a grid
 // point's own config or a base-machine reference config — with its
-// fingerprint precomputed for suite-cache keying.
+// fingerprints precomputed for suite-cache and uncore-memo keying.
 type planConfig struct {
 	m       *machine.Machine
 	fp      uint64
+	ufp     uint64
 	threads int // resolved (clamped to m.Cores; 0 means full occupancy)
 	pol     placement.Policy
 	p       prec.Precision
@@ -87,6 +89,7 @@ type campaignPlan struct {
 	combos     []planCombo
 	axisCombos int
 	baseFPs    []uint64 // per-base fingerprints, hashed once
+	baseUFPs   []uint64 // per-base uncore fingerprints, hashed once
 	n          int
 
 	uniqOnce  sync.Once
@@ -245,41 +248,56 @@ func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 	}
 	// The derivation cache: one build+validate per unique (parent, axis,
 	// value); duplicate values within an axis share the derived machine
-	// by pointer, which is what makes downstream dedup exact.
+	// by pointer, which is what makes downstream dedup exact. It also
+	// carries each variant's uncore fingerprint: a clock or vector
+	// derivation changes only fields the uncore hash leaves out, so its
+	// variant inherits the parent's value, and only the other axes hash
+	// again. Planning precedes the first point, and each hash walks
+	// every machine field.
 	type dkey struct {
 		parent *machine.Machine
 		axis   SweepAxis
 		bits   uint64
 	}
-	dcache := make(map[dkey]*machine.Machine)
+	type derived struct {
+		m   *machine.Machine
+		ufp uint64
+	}
+	dcache := make(map[dkey]derived)
 	values := make([]float64, len(s.Axes))
-	for _, base := range s.Bases {
-		var walk func(i int, m *machine.Machine) error
-		walk = func(i int, m *machine.Machine) error {
+	plan.baseUFPs = make([]uint64, len(s.Bases))
+	for bi, base := range s.Bases {
+		var walk func(i int, m *machine.Machine, ufp uint64) error
+		walk = func(i int, m *machine.Machine, ufp uint64) error {
 			if i == len(s.Axes) {
 				applied := append([]float64(nil), values...)
-				plan.combos = append(plan.combos, planCombo{m: m, values: applied})
+				plan.combos = append(plan.combos, planCombo{m: m, ufp: ufp, values: applied})
 				return nil
 			}
+			axis := s.Axes[i].Axis
 			for _, v := range s.Axes[i].Values {
-				k := dkey{m, s.Axes[i].Axis, math.Float64bits(v)}
-				variant, ok := dcache[k]
+				k := dkey{m, axis, math.Float64bits(v)}
+				d, ok := dcache[k]
 				if !ok {
-					var err error
-					variant, err = deriveAxis(m, s.Axes[i].Axis, v)
+					variant, err := deriveAxis(m, axis, v)
 					if err != nil {
 						return err
 					}
-					dcache[k] = variant
+					d = derived{variant, ufp}
+					if axis != SweepClock && axis != SweepVector {
+						d.ufp = variant.UncoreFingerprint()
+					}
+					dcache[k] = d
 				}
 				values[i] = v
-				if err := walk(i+1, variant); err != nil {
+				if err := walk(i+1, d.m, d.ufp); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		if err := walk(0, base); err != nil {
+		plan.baseUFPs[bi] = base.UncoreFingerprint()
+		if err := walk(0, base, plan.baseUFPs[bi]); err != nil {
 			return nil, err
 		}
 	}
@@ -357,9 +375,9 @@ func (p *campaignPlan) dedup() {
 							p.pointUniq[at] = int32(len(p.uniqs))
 							p.uniqs = append(p.uniqs, planUniq{
 								combo: canon,
-								cfg: planConfig{m: cb.m, fp: cb.fp,
+								cfg: planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp,
 									threads: resolveThreads(t, cb.m.Cores), pol: pol, p: pr},
-								base: planConfig{m: base, fp: p.baseFPs[bi],
+								base: planConfig{m: base, fp: p.baseFPs[bi], ufp: p.baseUFPs[bi],
 									threads: resolveThreads(t, base.Cores), pol: pol, p: pr},
 							})
 						}

@@ -325,8 +325,9 @@ func dedupByMap(p *campaignPlan) (uniqs []planUniq, pointUniq []int32) {
 			seen[k] = u
 			uniqs = append(uniqs, planUniq{
 				combo: p.combos[ci].canon,
-				cfg:   planConfig{m: cb.m, fp: cb.fp, threads: k.pt, pol: k.pol, p: k.pr},
-				base:  planConfig{m: base, fp: p.baseFPs[bi], threads: k.bt, pol: k.pol, p: k.pr},
+				cfg:   planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp, threads: k.pt, pol: k.pol, p: k.pr},
+				base: planConfig{m: base, fp: p.baseFPs[bi], ufp: p.baseUFPs[bi],
+					threads: k.bt, pol: k.pol, p: k.pr},
 			})
 		}
 		pointUniq = append(pointUniq, u)
@@ -374,6 +375,58 @@ func TestDedupMatchesMapReference(t *testing.T) {
 		}
 		if len(p.uniqs) == p.n {
 			t.Errorf("spec %d: no point collided; the spec tests nothing", i)
+		}
+	}
+}
+
+// The planner hashes only the derivations that can change a machine's
+// uncore fingerprint and hands clock and vector variants their
+// parent's; every combo and base must still carry exactly its own
+// machine's value, on grids that mix every axis.
+func TestPlanUncoreFingerprints(t *testing.T) {
+	specs := []CampaignSpec{
+		{
+			Bases: []*machine.Machine{machine.SG2042(), machine.SG2044()},
+			Axes: []AxisValues{
+				{Axis: SweepClock, Values: []float64{1.5, 2.5, 1.5}},
+				{Axis: SweepCores, Values: []float64{16, 64}},
+				{Axis: SweepVector, Values: []float64{256, 128}},
+				{Axis: SweepNUMA, Values: []float64{1, 4}},
+			},
+		},
+		{Bases: []*machine.Machine{machine.SG2042x2()}, Axes: []AxisValues{
+			{Axis: SweepVector, Values: []float64{512}},
+			{Axis: SweepSockets, Values: []float64{1, 2}},
+			{Axis: SweepNodes, Values: []float64{2}},
+			{Axis: SweepClock, Values: []float64{3}},
+		}},
+		{Bases: []*machine.Machine{machine.SG2042()}},
+	}
+	// Each axis alone ahead of a clock axis, so no later axis re-hashes.
+	for _, ax := range []AxisValues{
+		{Axis: SweepCores, Values: []float64{16, 32}},
+		{Axis: SweepVector, Values: []float64{256}},
+		{Axis: SweepNUMA, Values: []float64{1, 2}},
+		{Axis: SweepSockets, Values: []float64{2}},
+		{Axis: SweepNodes, Values: []float64{2}},
+	} {
+		specs = append(specs, CampaignSpec{Bases: []*machine.Machine{machine.SG2042()},
+			Axes: []AxisValues{ax, {Axis: SweepClock, Values: []float64{2.5}}}})
+	}
+	for i, spec := range specs {
+		p, err := buildPlan(spec)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		for _, cb := range p.combos {
+			if want := cb.m.UncoreFingerprint(); cb.ufp != want {
+				t.Errorf("spec %d, %s: planned uncore fingerprint %#x, want %#x", i, cb.m.Label, cb.ufp, want)
+			}
+		}
+		for bi, base := range p.spec.Bases {
+			if want := base.UncoreFingerprint(); p.baseUFPs[bi] != want {
+				t.Errorf("spec %d, base %s: planned uncore fingerprint %#x, want %#x", i, base.Label, p.baseUFPs[bi], want)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -365,9 +366,12 @@ type run struct {
 	queued    []*shardRequest // dispatched, not yet launched
 	nextReq   int
 
-	// assigned and votes are allocated per index on first write; at
-	// quorum 1 the one vote decides on arrival, so votes stays nil.
-	assigned []map[string]bool // index -> targets asked to vote
+	// assigned holds each index's targets asked to vote, in windows of
+	// one shared array with room for the replica set, so asking the
+	// usual owners allocates nothing per index. votes is allocated per
+	// index on first write; at quorum 1 the one vote decides on
+	// arrival, so votes stays nil.
+	assigned [][]string
 	votes    []map[string]replicaVote
 	points   []repro.CampaignPoint
 	decided  [][]byte // winning frame bytes once decided (nil before)
@@ -377,6 +381,11 @@ type run struct {
 func (c *Coordinator) newRun(fps []uint64, emit func(repro.CampaignPoint) error) *run {
 	n := len(fps)
 	replicas := max(c.Replicas, 1)
+	slots := make([]string, n*replicas)
+	assigned := make([][]string, n)
+	for i := range assigned {
+		assigned[i] = slots[i*replicas : i*replicas : (i+1)*replicas]
+	}
 	return &run{
 		c: c, fps: fps, emit: emit,
 		replicas:  replicas,
@@ -384,7 +393,7 @@ func (c *Coordinator) newRun(fps []uint64, emit func(repro.CampaignPoint) error)
 		runFailed: map[string]int{},
 		failures:  map[string]string{},
 		inflight:  map[int]*shardRequest{},
-		assigned:  make([]map[string]bool, n),
+		assigned:  assigned,
 		votes:     make([]map[string]replicaVote, n),
 		points:    make([]repro.CampaignPoint, n),
 		decided:   make([][]byte, n),
@@ -393,10 +402,18 @@ func (c *Coordinator) newRun(fps []uint64, emit func(repro.CampaignPoint) error)
 
 // ask records that target was asked to vote on index i.
 func (r *run) ask(i int, target string) {
-	if r.assigned[i] == nil {
-		r.assigned[i] = map[string]bool{}
+	if !slices.Contains(r.assigned[i], target) {
+		r.assigned[i] = append(r.assigned[i], target)
 	}
-	r.assigned[i][target] = true
+}
+
+// unask forgets that target was asked to vote on index i.
+func (r *run) unask(i int, target string) {
+	a := r.assigned[i]
+	if j := slices.Index(a, target); j >= 0 {
+		a[j] = a[len(a)-1]
+		r.assigned[i] = a[:len(a)-1]
+	}
 }
 
 // exclusion merges the fleet's dead set with this run's local
@@ -441,7 +458,7 @@ func (r *run) assign(indices []int) error {
 			return &AllWorkersDownError{Failures: r.failures}
 		}
 		for _, o := range owners {
-			if r.assigned[i][o] {
+			if slices.Contains(r.assigned[i], o) {
 				continue
 			}
 			r.ask(i, o)
@@ -528,7 +545,7 @@ func (r *run) onEnd(m workerMsg) error {
 	}
 	missing := make([]int, 0, len(q.owed))
 	for i := range q.owed {
-		delete(r.assigned[i], m.target)
+		r.unask(i, m.target)
 		missing = append(missing, i)
 	}
 	return r.reassign(missing)
@@ -570,14 +587,14 @@ func (r *run) tally(i int) error {
 		return r.decide(i, winner)
 	}
 	exc := r.exclusion()
-	for t := range r.assigned[i] {
+	for _, t := range r.assigned[i] {
 		if _, voted := r.votes[i][t]; !voted && !exc[t] {
 			return nil // a live voter still owes its frame
 		}
 	}
 	// Every asked worker has answered or died. Look for one more voter
 	// beyond the current assignment.
-	for t := range r.assigned[i] {
+	for _, t := range r.assigned[i] {
 		exc[t] = true
 	}
 	extra := r.c.mem.Ring().Owners(r.fps[i], 1, exc)
@@ -644,14 +661,14 @@ func (r *run) quarantine(target, reason string) error {
 		}
 		delete(r.inflight, id)
 		for i := range q.owed {
-			delete(r.assigned[i], target)
+			r.unask(i, target)
 			affected = append(affected, i)
 		}
 	}
 	for i := range r.votes {
 		if _, ok := r.votes[i][target]; ok && r.decided[i] == nil {
 			delete(r.votes[i], target)
-			delete(r.assigned[i], target)
+			r.unask(i, target)
 			affected = append(affected, i)
 		}
 	}

@@ -17,11 +17,24 @@ import (
 // embeds) must be folded in here; fingerprint_test.go pins the field
 // counts with reflection so adding a field without extending the hash
 // fails the build's tests rather than silently weakening the key.
-func (m *Machine) Fingerprint() uint64 {
+func (m *Machine) Fingerprint() uint64 { return m.fingerprint(true) }
+
+// UncoreFingerprint is Fingerprint's field walk without Name, Label,
+// ClockHz and Vector.WidthBits: it hashes everything the performance
+// model's clock-independent half reads, so every clock and vector-width
+// variant of a machine shares its base's value. perfmodel keys its
+// uncore memo on it.
+func (m *Machine) UncoreFingerprint() uint64 { return m.fingerprint(false) }
+
+// fingerprint walks the fields in one fixed order; full adds the four
+// the uncore walk leaves out, at their places in that order.
+func (m *Machine) fingerprint(full bool) uint64 {
 	h := newFieldHasher()
-	h.str(m.Name)
-	h.str(m.Label)
-	h.f64(m.ClockHz)
+	if full {
+		h.str(m.Name)
+		h.str(m.Label)
+		h.f64(m.ClockHz)
+	}
 	h.int(m.Cores)
 	h.int(m.ClusterSize)
 	h.int(len(m.NUMARegionOf))
@@ -47,7 +60,9 @@ func (m *Machine) Fingerprint() uint64 {
 		h.f64(c.LatencyNs)
 	}
 	h.int(int(m.Vector.ISA))
-	h.int(m.Vector.WidthBits)
+	if full {
+		h.int(m.Vector.WidthBits)
+	}
 	h.bool(m.Vector.FMA)
 	h.int(m.Vector.Pipes)
 	h.f64(m.ScalarFlopsPerCycle)
@@ -64,25 +79,6 @@ func (m *Machine) Fingerprint() uint64 {
 	h.f64(m.XSocketLatencyNs)
 	h.f64(m.NodeBW)
 	h.f64(m.NodeLatencyNs)
-	return h.sum()
-}
-
-// TopologyFingerprint hashes only the fields thread placement reads —
-// core count, cluster size, the NUMA map and the socket and node counts
-// — so machines differing elsewhere (clock, caches, bandwidths, label)
-// share one placement analysis. Fingerprint stays the full-parameter
-// key; this one is for memos of topology-only computations.
-func (m *Machine) TopologyFingerprint() uint64 {
-	h := newFieldHasher()
-	h.int(m.Cores)
-	h.int(m.ClusterSize)
-	h.int(len(m.NUMARegionOf))
-	for _, r := range m.NUMARegionOf {
-		h.int(r)
-	}
-	h.int(m.NUMARegions)
-	h.int(m.Sockets)
-	h.int(m.Nodes)
 	return h.sum()
 }
 

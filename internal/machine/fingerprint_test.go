@@ -91,22 +91,43 @@ func TestFingerprintDistinguishesFields(t *testing.T) {
 	}
 }
 
-// TopologyFingerprint must change with every field placement reads and
-// with no other, so clock and cache variants share placement memos.
-func TestTopologyFingerprintCoversOnlyTopology(t *testing.T) {
-	topology := map[string]bool{"Cores": true, "ClusterSize": true, "NUMARegionOf": true,
-		"NUMARegions": true, "Sockets": true, "Nodes": true}
-	base := SG2042().TopologyFingerprint()
+// UncoreFingerprint must change with every field except the four the
+// model's clock half alone reads (or that only name the machine), so
+// clock and vector-width variants share their base's uncore memo
+// entries and nothing else does. The field list comes from reflection,
+// so a new Machine, CacheLevel or Vector field without a tweak here
+// fails.
+func TestUncoreFingerprintExcludesOnlyClockAndNames(t *testing.T) {
+	excluded := map[string]bool{"Name": true, "Label": true, "ClockHz": true, "Vector.WidthBits": true}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Machine{})) {
+		switch f.Name {
+		case "Caches", "Vector":
+			inner := f.Type
+			if inner.Kind() == reflect.Slice {
+				inner = inner.Elem()
+			}
+			for i := 0; i < inner.NumField(); i++ {
+				fields = append(fields, f.Name+"."+inner.Field(i).Name)
+			}
+		default:
+			fields = append(fields, f.Name)
+		}
+	}
+	for _, field := range fields {
+		if fieldTweaks[field] == nil {
+			t.Errorf("no tweak for field %s", field)
+		}
+	}
+	if len(fields) != len(fieldTweaks) {
+		t.Errorf("%d fields, %d tweaks", len(fields), len(fieldTweaks))
+	}
+	base := SG2042().UncoreFingerprint()
 	for field, tweak := range fieldTweaks {
 		m := SG2042()
 		tweak(m)
-		if changed := m.TopologyFingerprint() != base; changed != topology[field] {
-			t.Errorf("tweaking %s: topology fingerprint changed = %v, want %v", field, changed, topology[field])
-		}
-	}
-	for field := range topology {
-		if fieldTweaks[field] == nil {
-			t.Errorf("no tweak for topology field %s", field)
+		if changed := m.UncoreFingerprint() != base; changed == excluded[field] {
+			t.Errorf("tweaking %s: uncore fingerprint changed = %v, want %v", field, changed, !excluded[field])
 		}
 	}
 }
@@ -131,22 +152,23 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 // Suite-cache snapshot keys and the fabric's ring placement are built
 // from these values, so a hasher change that moves any of them breaks
 // every persisted snapshot and reshuffles every fleet. Pinned for each
-// registry preset and one derived clock variant.
+// registry preset and one derived clock variant, which shares its
+// base's uncore fingerprint.
 func TestFingerprintGolden(t *testing.T) {
 	golden := []struct {
-		label          string
-		full, topology uint64
+		label        string
+		full, uncore uint64
 	}{
-		{"V1", 0xc2fc619a4bc32592, 0x5116122a6c442825},
-		{"V2", 0x633ddd01169c212f, 0xe84fdd625581e7a5},
-		{"SG2042", 0xbd99dee0dada700d, 0x11c50e498097d065},
-		{"Rome", 0x7ac5a764bb082f6c, 0x5c86dab9c988d065},
-		{"Broadwell", 0x06e3d87be5e03fe0, 0x554942b86fe63425},
-		{"Icelake", 0x14fc83427dcda3fa, 0x38788542d540f9a5},
-		{"Sandybridge", 0x0adf8a9857ebd4de, 0xe84fdd625581e7a5},
-		{"SG2044", 0x94198596a3e94825, 0xd812d1b4eebbda80},
-		{"SG2042x2", 0xca754f2e2e6e8a59, 0x93f5a6aef72e74eb},
-		{"SG2042/2.6GHz", 0xfd6b60094b861d7a, 0x11c50e498097d065},
+		{"V1", 0xc2fc619a4bc32592, 0xd8349e79703e81fe},
+		{"V2", 0x633ddd01169c212f, 0xee68a9ab25ffbbc6},
+		{"SG2042", 0xbd99dee0dada700d, 0xaabfb7cc220c727f},
+		{"Rome", 0x7ac5a764bb082f6c, 0x177e598cf8e04e84},
+		{"Broadwell", 0x06e3d87be5e03fe0, 0xc586c8f0fad3e980},
+		{"Icelake", 0x14fc83427dcda3fa, 0xa3473add63e13030},
+		{"Sandybridge", 0x0adf8a9857ebd4de, 0xb0710d8c157a2d8b},
+		{"SG2044", 0x94198596a3e94825, 0xa60609d59e141e9b},
+		{"SG2042x2", 0xca754f2e2e6e8a59, 0x258ec3a68fb2a155},
+		{"SG2042/2.6GHz", 0xfd6b60094b861d7a, 0xaabfb7cc220c727f},
 	}
 	ms := DefaultRegistry().Machines()
 	v, err := SG2042().WithClock(2.6e9)
@@ -166,8 +188,8 @@ func TestFingerprintGolden(t *testing.T) {
 		if got := m.Fingerprint(); got != g.full {
 			t.Errorf("%s: Fingerprint = %#016x, want %#016x", m.Label, got, g.full)
 		}
-		if got := m.TopologyFingerprint(); got != g.topology {
-			t.Errorf("%s: TopologyFingerprint = %#016x, want %#016x", m.Label, got, g.topology)
+		if got := m.UncoreFingerprint(); got != g.uncore {
+			t.Errorf("%s: UncoreFingerprint = %#016x, want %#016x", m.Label, got, g.uncore)
 		}
 	}
 }
@@ -213,6 +235,32 @@ func TestFieldHasherU64MatchesByteSerial(t *testing.T) {
 			if want := byteSerialU64(start, v); f.h != want {
 				t.Fatalf("u64(%#x) from %#x = %#x, byte-serial FNV-1a gives %#x", v, start, f.h, want)
 			}
+		}
+	}
+}
+
+// Clock and vector-width variants share their base's uncore memo
+// entries, and the campaign planner hands them their parent's uncore
+// fingerprint without hashing, only while those derivations change
+// nothing but the fields the uncore walk leaves out.
+func TestClockAndVectorVariantsKeepUncoreFingerprint(t *testing.T) {
+	for _, m := range DefaultRegistry().Machines() {
+		want := m.UncoreFingerprint()
+		v, err := m.WithClock(m.ClockHz * 1.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.UncoreFingerprint(); got != want {
+			t.Errorf("%s: uncore fingerprint %#x, its base's %#x", v.Label, got, want)
+		}
+		if m.Vector.ISA == NoVector {
+			continue
+		}
+		if v, err = m.WithVectorBits(m.Vector.WidthBits * 2); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.UncoreFingerprint(); got != want {
+			t.Errorf("%s: uncore fingerprint %#x, its base's %#x", v.Label, got, want)
 		}
 	}
 }

@@ -22,6 +22,8 @@ package perfmodel
 
 import (
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/autovec"
 	"repro/internal/ir"
@@ -76,24 +78,79 @@ type Breakdown struct {
 	SharedMemBW float64 // effective per-thread memory bandwidth used
 }
 
-// Model evaluates kernel times under a calibration.
+// Model evaluates kernel times under a calibration. Set Cal before
+// the first evaluation: the uncore memo keys on its content, hashed
+// once, so editing it in place afterwards is not supported (assign a
+// fresh Model instead). A Model must not be copied after first use.
 type Model struct {
 	Cal Calibration
+
+	calFP atomic.Uint64 // calKey's hash; 0 until first computed
+}
+
+// calKey identifies the calibration by content, so Models with equal
+// calibrations — every fresh engine's default one — share uncore halves
+// and a Model with another calibration never reads them. It is an
+// FNV-1a hash of every field's bits, PatternEff in pattern order;
+// TestCalKeyCoversEveryField finds the fields by reflection.
+func (m *Model) calKey() uint64 {
+	if k := m.calFP.Load(); k != 0 {
+		return k
+	}
+	c := &m.Cal
+	h := uint64(14695981039346656037)
+	put := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v & 0xff)) * 1099511628211
+			v >>= 8
+		}
+	}
+	for _, v := range [...]float64{c.LSUPerCycle, c.VLAFactor, c.CacheUsableFraction,
+		c.AtomicRMWCycles, c.AtomicContention, c.StragglerExponent, c.ScalarMemBW32,
+		c.ScalarMemBW64, c.XSocketTrafficFrac, c.XNodeTrafficFrac} {
+		put(math.Float64bits(v))
+	}
+	pats := make([]ir.Pattern, 0, len(c.PatternEff))
+	for p := range c.PatternEff {
+		pats = append(pats, p)
+	}
+	slices.Sort(pats)
+	put(uint64(len(pats)))
+	for _, p := range pats {
+		put(uint64(p))
+		put(math.Float64bits(c.PatternEff[p]))
+	}
+	k := h | 1 // never 0, the not-yet-hashed mark
+	m.calFP.Store(k)
+	return k
 }
 
 // New returns a Model with the default calibration.
 func New() *Model { return &Model{Cal: DefaultCalibration()} }
 
 // KernelTime estimates the execution time of the kernel under cfg. It
-// builds a one-shot evaluation context; a whole-suite evaluation uses
-// SuiteTimes (batch.go), which shares one context across all kernels
-// and produces bit-identical breakdowns.
+// composes the same uncore and clock halves as SuiteTimes (batch.go),
+// taking the config-level uncore inputs from the Model's uncore memo,
+// so its breakdown is bit-identical to the batched one.
 func (m *Model) KernelTime(spec kernels.Spec, cfg Config) (Breakdown, error) {
-	ctx, err := m.newEvalCtx(cfg)
+	if err := validate(cfg); err != nil {
+		return Breakdown{}, err
+	}
+	h, err := m.uncoreFor(cfg, cfg.Machine.UncoreFingerprint())
 	if err != nil {
 		return Breakdown{}, err
 	}
-	return m.kernelTime(ctx, spec), nil
+	pre := preOf(&spec, cfg.ProblemN)
+	dec := scalarBuildDecision
+	if !scalarBuild(cfg) {
+		dec = autovec.AnalyzeKernel(cfg.Compiler, spec.Loop, cfg.Mode)
+	}
+	var u uncoreTerms
+	m.uncoreTermsOf(&u, &h.ctx, &spec, &pre, &dec, m.patternEfficiency(pre.dom))
+	c := m.clockCtxFor(cfg)
+	var b Breakdown
+	m.breakdown(&b, &c, cfg.Machine, &spec, &pre, &dec, &u)
+	return b, nil
 }
 
 // trafficPerIterPre returns bytes moved per innermost iteration, from
@@ -102,9 +159,9 @@ func (m *Model) KernelTime(spec kernels.Spec, cfg Config) (Breakdown, error) {
 // don't.
 func trafficPerIterPre(pre *specPre, p prec.Precision, dramShare float64) float64 {
 	fb := float64(p.Bytes())
-	loads := pre.loadsF*fb + pre.loadsI*8
-	stores := pre.storesF*fb + pre.storesI*8
-	stores *= 1 + dramShare
+	loads := float64(pre.loadsF*fb) + float64(pre.loadsI*8)
+	stores := float64(pre.storesF*fb) + float64(pre.storesI*8)
+	stores = float64(stores * (1 + dramShare))
 	return loads + stores
 }
 
@@ -118,40 +175,39 @@ func (m *Model) patternEfficiency(p ir.Pattern) float64 {
 
 // latencyTerm charges latency-bound access streams (indirect/random)
 // that bandwidth numbers do not capture, divided by the core's MLP.
-func (m *Model) latencyTerm(ctx *evalCtx, dom ir.Pattern, served string,
+func latencyTerm(x *uncoreCtx, dom ir.Pattern, served string,
 	itersPerThread float64) float64 {
 	if dom != ir.Indirect && dom != ir.Random {
 		return 0
 	}
-	latNs := ctx.memLatNs
+	latNs := x.memLatNs
 	switch served {
 	case "L1D":
 		return 0
 	case "L2":
-		latNs = ctx.l2LatNs
+		latNs = x.l2LatNs
 	case "L3":
-		if ctx.hasL3 {
-			latNs = ctx.l3LatNs
+		if x.hasL3 {
+			latNs = x.l3LatNs
 		}
 	}
 	// One dependent miss per iteration of the gather stream.
 	missesPerIter := 1.0
-	return itersPerThread * missesPerIter * latNs * 1e-9 / ctx.mach.MLP
+	return itersPerThread * missesPerIter * latNs * 1e-9 / x.mlp
 }
 
 // atomicTerm serialises contended atomic updates: kernels whose atomic
 // target is a single shared location (Broadcast store) degrade with
-// threads; distributed atomics only pay the RMW cost.
-func (m *Model) atomicTerm(ctx *evalCtx, pre *specPre, threads int) float64 {
+// threads; distributed atomics only pay the RMW cost, rmw seconds each.
+func (m *Model) atomicTerm(rmw float64, pre *specPre, threads int) float64 {
 	if !pre.atomic {
 		return 0
 	}
 	iters := pre.iters
-	rmw := ctx.rmwSec
 	if pre.contended {
 		// Every update serialises on one cache line; contention adds
 		// cross-thread line bouncing that grows with sharers.
-		factor := 1 + m.Cal.AtomicContention*float64(threads-1)
+		factor := 1 + float64(m.Cal.AtomicContention*float64(threads-1))
 		return iters * rmw * factor
 	}
 	// Distributed atomics: per-thread RMW cost, occasional false sharing.
@@ -160,8 +216,8 @@ func (m *Model) atomicTerm(ctx *evalCtx, pre *specPre, threads int) float64 {
 
 // syncOverhead is the per-region fork/join plus straggler cost.
 func (m *Model) syncOverhead(mach *machine.Machine, threads int) float64 {
-	fj := mach.ForkJoinNsBase + mach.ForkJoinNsPerThread*float64(threads)
+	fj := mach.ForkJoinNsBase + float64(mach.ForkJoinNsPerThread*float64(threads))
 	occupancy := float64(threads) / float64(mach.Cores)
-	straggler := mach.StragglerNs * math.Pow(occupancy, m.Cal.StragglerExponent)
+	straggler := float64(mach.StragglerNs * math.Pow(occupancy, m.Cal.StragglerExponent))
 	return (fj + straggler) * 1e-9
 }

@@ -1,17 +1,14 @@
 package perfmodel
 
-// Compiled suite evaluation. SuiteTimes already hoists the per-config
-// state (placement, sharing, hierarchy walk parameters) out of the
-// per-kernel loop; a campaign evaluates tens of configurations over the
-// same immutable 64-kernel suite, so the per-kernel half still repays
-// the same pure per-spec work — access-count walks, dominant-pattern
-// scans, iteration and footprint closures, the compiler model's
-// vectorisation analysis — once per configuration. A SuitePlan compiles
-// a (Model, Config, specs) triple: the kernel-invariant context from
-// batch.go plus per-spec precomputed invariants and the memoized
-// autovec decisions, leaving Times as pure arithmetic. Every derived
-// quantity is computed with the same operations in the same order as
-// the un-planned path, so planned and one-shot evaluations are
+// Compiled suite evaluation. A campaign evaluates tens of
+// configurations over the same immutable 64-kernel suite, so the pure
+// per-spec work — access-count walks, dominant-pattern scans, iteration
+// and footprint closures, the compiler model's vectorisation analysis —
+// is memoized per spec, and the uncore half per configuration
+// (batch.go). A SuitePlan compiles a (Model, Config, specs) triple from
+// those tables, leaving Times as the clock half's arithmetic. Every
+// derived quantity is computed with the same operations in the same
+// order as the one-shot path, so planned and one-shot evaluations are
 // bit-identical (plan_test.go proves it field by field).
 
 import (
@@ -20,6 +17,7 @@ import (
 	"repro/internal/autovec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/machine"
 	"repro/internal/memo"
 	"repro/internal/suite"
 )
@@ -149,54 +147,66 @@ func decisionsFor(specs []kernels.Spec, c autovec.Compiler, mode autovec.Mode) [
 }
 
 // SuitePlan is a compiled (Model, Config, specs) evaluation: the
-// config-level context, the per-spec invariants and the compiler
-// decisions, resolved once. At replays one kernel as pure arithmetic,
-// so a caller that needs one field per kernel keeps no Breakdown
-// buffer; Times replays them all. A plan is only used by the goroutine
-// that built it.
+// config's clock rates, the per-spec invariants and compiler decisions,
+// and every kernel's uncore half, resolved once. For the canonical
+// suite at default sizes the decisions and uncore terms are the uncore
+// memo entry's own, so a plan on a hit allocates nothing per kernel.
+// Seconds replays one kernel's clock half as pure arithmetic, so a
+// caller that needs only the time keeps no Breakdown buffer; Times
+// replays every kernel's full Breakdown. A plan is only used by the
+// goroutine that built it.
 type SuitePlan struct {
 	m     *Model
-	ctx   *evalCtx
+	mach  *machine.Machine
+	clk   clockCtx
 	specs []kernels.Spec
 	pre   []specPre
 	dec   []autovec.Decision // nil under a scalar build
-	eff   []float64          // patternEfficiency per spec
+	terms []uncoreTerms
 }
 
 // SuitePlan compiles specs under cfg. The returned plan evaluates
 // bit-identically to calling KernelTime per spec.
 func (m *Model) SuitePlan(specs []kernels.Spec, cfg Config) (*SuitePlan, error) {
-	ctx, err := m.newEvalCtx(cfg)
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	return m.SuitePlanFP(specs, cfg, cfg.Machine.UncoreFingerprint())
+}
+
+// SuitePlanFP is SuitePlan for a caller that has already hashed
+// cfg.Machine.UncoreFingerprint() into uncoreFP: the campaign planner
+// hashes each derived machine once, not once per point.
+func (m *Model) SuitePlanFP(specs []kernels.Spec, cfg Config, uncoreFP uint64) (*SuitePlan, error) {
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	h, err := m.uncoreFor(cfg, uncoreFP)
 	if err != nil {
 		return nil, err
 	}
-	p := &SuitePlan{m: m, ctx: ctx, specs: specs, pre: preFor(specs, cfg.ProblemN)}
-	if !ctx.scalarBuild {
+	p := &SuitePlan{m: m, mach: cfg.Machine, clk: m.clockCtxFor(cfg), specs: specs}
+	if len(specs) > 0 && cfg.ProblemN == 0 && isCanonical(specs) {
+		p.pre, p.dec, p.terms = canonicalPre.pre, h.dec, h.terms
+		return p, nil
+	}
+	p.pre = preFor(specs, cfg.ProblemN)
+	if !scalarBuild(cfg) {
 		p.dec = decisionsFor(specs, cfg.Compiler, cfg.Mode)
 	}
-	p.eff = make([]float64, len(specs))
-	for i := range p.pre {
-		p.eff[i] = m.patternEfficiency(p.pre[i].dom)
+	p.terms = make([]uncoreTerms, len(specs))
+	for i := range specs {
+		m.uncoreTermsOf(&p.terms[i], &h.ctx, &specs[i], &p.pre[i], decisionAt(p.dec, i),
+			m.patternEfficiency(p.pre[i].dom))
 	}
 	return p, nil
 }
 
-// At evaluates the plan's i-th kernel. It is bit-identical to the
-// one-shot KernelTime on that spec.
-func (p *SuitePlan) At(i int) Breakdown {
-	var b Breakdown
-	p.into(&b, i)
-	return b
-}
-
-// into evaluates kernel i in place: the model writes the Breakdown
-// through b, so neither At (small enough to inline) nor Times copies it.
-func (p *SuitePlan) into(b *Breakdown, i int) {
-	dec := scalarBuildDecision
-	if p.dec != nil {
-		dec = p.dec[i]
-	}
-	p.m.kernelTimePre(b, p.ctx, &p.specs[i], &p.pre[i], dec, p.eff[i])
+// Seconds is the plan's i-th kernel's total time: the Seconds field of
+// its Breakdown, evaluated without building the Breakdown.
+func (p *SuitePlan) Seconds(i int) float64 {
+	_, _, _, _, s := p.m.clockTerms(&p.clk, &p.specs[i], &p.pre[i], decisionAt(p.dec, i), &p.terms[i])
+	return s
 }
 
 // Times evaluates every planned kernel, reusing out when it has the
@@ -209,7 +219,7 @@ func (p *SuitePlan) Times(out []Breakdown) []Breakdown {
 		out = make([]Breakdown, len(p.specs))
 	}
 	for i := range p.specs {
-		p.into(&out[i], i)
+		p.m.breakdown(&out[i], &p.clk, p.mach, &p.specs[i], &p.pre[i], decisionAt(p.dec, i), &p.terms[i])
 	}
 	return out
 }

@@ -163,9 +163,8 @@ func cyclicMap(m *machine.Machine, threads int, clusterAware bool) []int {
 type Sharing struct {
 	// ThreadsPerNUMA[r] is the number of threads bound to NUMA region r.
 	ThreadsPerNUMA []int
-	// ThreadsPerCluster maps cluster id -> thread count for clusters
-	// with at least one thread.
-	ThreadsPerCluster map[int]int
+	// ThreadsPerCluster[c] is the number of threads bound to cluster c.
+	ThreadsPerCluster []int
 	// MaxPerNUMA and MaxPerCluster are the worst-case sharer counts;
 	// the bandwidth bottleneck follows the most crowded domain.
 	MaxPerNUMA    int
@@ -199,7 +198,7 @@ type Sharing struct {
 func Analyze(m *machine.Machine, cores []int) Sharing {
 	s := Sharing{
 		ThreadsPerNUMA:    make([]int, m.NUMARegions),
-		ThreadsPerCluster: make(map[int]int),
+		ThreadsPerCluster: make([]int, m.Clusters()),
 		ThreadsPerSocket:  make([]int, m.Packages()),
 	}
 	threadsPerNode := make([]int, m.NodeCount())
@@ -221,11 +220,13 @@ func Analyze(m *machine.Machine, cores []int) Sharing {
 		}
 	}
 	for _, n := range s.ThreadsPerCluster {
+		if n > 0 {
+			s.ClustersUsed++
+		}
 		if n > s.MaxPerCluster {
 			s.MaxPerCluster = n
 		}
 	}
-	s.ClustersUsed = len(s.ThreadsPerCluster)
 	for _, n := range s.ThreadsPerSocket {
 		if n > 0 {
 			s.SocketsUsed++

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/perfmodel"
 )
 
 // metrics is the server's hand-rolled metrics registry: per-endpoint
@@ -110,9 +111,10 @@ func (m *metrics) observe(endpoint string, d time.Duration, status int) {
 }
 
 // render emits the registry in the Prometheus text format, folding in
-// the engine cache and render cache counters, the readiness gauge, and
-// — when the server coordinates a fabric — the fleet's self-healing
-// stats. Endpoints are sorted so the output is stable.
+// the engine cache and render cache counters, the model's process-wide
+// uncore memo counters, the readiness gauge, and — when the server
+// coordinates a fabric — the fleet's self-healing stats. Endpoints are
+// sorted so the output is stable.
 func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64, ready bool, fs *fabric.FabricStats) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -153,6 +155,14 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 		rate = float64(cacheHits) / float64(total)
 	}
 	fmt.Fprintf(&b, "sg2042d_engine_cache_hit_rate %.6f\n", rate)
+
+	uhits, umisses := perfmodel.UncoreStats()
+	b.WriteString("# HELP sg2042d_model_uncore_hits_total Suite evaluations whose clock-independent half came from the model's uncore memo.\n")
+	b.WriteString("# TYPE sg2042d_model_uncore_hits_total counter\n")
+	fmt.Fprintf(&b, "sg2042d_model_uncore_hits_total %d\n", uhits)
+	b.WriteString("# HELP sg2042d_model_uncore_misses_total Suite evaluations that computed the clock-independent half (placement analysis included).\n")
+	b.WriteString("# TYPE sg2042d_model_uncore_misses_total counter\n")
+	fmt.Fprintf(&b, "sg2042d_model_uncore_misses_total %d\n", umisses)
 
 	b.WriteString("# HELP sg2042d_render_cache_hits_total Responses served from the rendered-body cache.\n")
 	b.WriteString("# TYPE sg2042d_render_cache_hits_total counter\n")
