@@ -31,16 +31,20 @@ race:
 
 # Cross-compile for the paper's actual target: the reproduction must
 # keep building for riscv64 even though the model runs anywhere. The
-# model must also give the same bytes there: arm64 and riscv64 fuse
-# x*y + z into one multiply-add unless an explicit float64(...)
-# conversion rounds the product, so internal/perfmodel's assembly for
-# both must hold no fused instruction.
+# model must also give the same bytes there: arm64, riscv64, ppc64le
+# and s390x fuse x*y + z into one multiply-add unless an explicit
+# float64(...) conversion rounds the product, so the assembly of every
+# byte-producing package must hold no fused instruction on any of them.
+# internal/rvv (the RVV interpreter) and internal/kernels* (real host
+# execution) are left out.
+FMA_PKGS = . ./internal/core ./internal/perfmodel ./internal/machine ./internal/placement \
+	./internal/cluster ./internal/roofline ./internal/stats ./internal/report ./internal/serve ./internal/fabric
 cross:
 	GOOS=linux GOARCH=riscv64 $(GO) build ./...
-	@for arch in arm64 riscv64; do \
-	  asm=$$(GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S ./internal/perfmodel 2>&1) || { echo "$$asm"; exit 1; }; \
-	  fused=$$(echo "$$asm" | grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\s'); \
-	  if [ -n "$$fused" ]; then echo "fused multiply-add in internal/perfmodel on $$arch:"; echo "$$fused"; exit 1; fi; \
+	@for arch in arm64 riscv64 ppc64le s390x; do \
+	  asm=$$(GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$asm"; exit 1; }; \
+	  fused=$$(echo "$$asm" | grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADD|FMSUB|FNMADD|FNMSUB)\s'); \
+	  if [ -n "$$fused" ]; then echo "fused multiply-add on $$arch:"; echo "$$fused"; exit 1; fi; \
 	done
 
 # The study-engine benchmarks (uncached serial vs cold vs serving

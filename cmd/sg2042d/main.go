@@ -47,8 +47,9 @@
 // resilient to worker loss (README has a quickstart). The coordinator
 // health-probes every worker (-probe-interval/-probe-timeout/
 // -probe-backoff): a dead worker leaves the ring, a recovered one
-// rejoins mid-campaign and is snapshot-warmed from its peers — no
-// coordinator restart. -replicas N cross-checks each shard on N
+// rejoins mid-campaign, and the coordinator relays it each live peer's
+// snapshot of its keys (GET snapshot, POST warm) — no coordinator
+// restart. A worker only answers requests; it dials nothing. -replicas N cross-checks each shard on N
 // workers, byte-comparing frames and quarantining any worker whose
 // bytes diverge from quorum (visible in /metrics). -restore loads a
 // suite-cache snapshot at boot — a restarted worker answers its shard

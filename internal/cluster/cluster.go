@@ -46,7 +46,7 @@ func InfinibandHDR() Network {
 
 // MsgTime is the alpha-beta cost of one message of n bytes.
 func (nw Network) MsgTime(bytes float64) float64 {
-	return nw.LatencyNs*1e-9 + bytes/nw.BW
+	return float64(nw.LatencyNs*1e-9) + bytes/nw.BW
 }
 
 // SocketLink views a multi-socket node's coherent inter-socket link as

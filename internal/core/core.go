@@ -163,7 +163,7 @@ func (st *Study) runSuiteUncached(cfg perfmodel.Config, ufp uint64, dst []float6
 		secs := plan.Seconds(i)
 		sum := 0.0
 		for r := 0; r < runs; r++ {
-			sum += secs * (1 + st.Noise*noise.rng.NormFloat64())
+			sum += float64(secs * (1 + float64(st.Noise*noise.rng.NormFloat64())))
 		}
 		dst[i] = sum / float64(runs)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"strings"
@@ -24,8 +25,8 @@ import (
 // shard elsewhere.
 const DefaultPointTimeout = 60 * time.Second
 
-// warmTimeout bounds one warm-join shipment (the POST to the joining
-// worker, which in turn pulls from its peers).
+// warmTimeout bounds one warm-join relay: the GET of a peer's snapshot
+// and the POST of its bytes to the joining worker.
 const warmTimeout = 60 * time.Second
 
 // warmRetryDelay spaces retried warm shipments.
@@ -79,7 +80,7 @@ type FabricStats struct {
 	ProbeRevivals uint64 // dead→live transitions (rejoins)
 	WarmJoins     uint64 // warm-join shipments completed
 	WarmInstalled uint64 // cache entries installed across all warm-joins
-	WarmErrors    uint64 // failed shipments plus per-peer pull failures
+	WarmErrors    uint64 // failed per-peer relays (snapshot GET or warm POST)
 	Quarantines   uint64 // workers quarantined by the replica cross-check
 	Members       []MemberStatus
 }
@@ -169,23 +170,22 @@ func (c *Coordinator) StartProber(ctx context.Context, cfg ProbeConfig) (wait fu
 	}
 }
 
-// warmAttempts bounds how many times a warm shipment is retried when
-// the POST itself fails or the worker reached none of its peers; each
-// failed attempt counts in WarmErrors.
+// warmAttempts bounds how many times a warm shipment is tried when no
+// peer's relay succeeded.
 const warmAttempts = 3
 
-// shipWarm tells a (re)joined worker to pull the suite-cache entries
-// it owns from its live peers: POST /v1/fabric/warm with the peer list,
-// the full fleet and the worker itself as owner, so each peer ships
-// exactly the keys the ring routes to the worker. The shipment is
-// retried a bounded number of times if it fails outright or the worker
-// reached no peer at all (the edge fires once per revival, so a
-// transient pull failure would otherwise leave the worker cold for
-// good). Residual failure is non-fatal — a worker
-// that could not warm serves its shard cold, bit-identically, just
-// slower — but every failed shipment and every per-peer pull failure
-// the worker reports is counted in WarmErrors so degraded warmth is
-// observable. Cancelling ctx abandons the shipment uncounted.
+// shipWarm warms a (re)joined worker with the suite-cache entries it
+// owns: for each live peer, it GETs the peer's snapshot filtered to
+// the keys the ring routes to the worker (owner = the worker, fleet =
+// every target) and POSTs the bytes unchanged to the worker's warm
+// endpoint. One POST per peer, because each snapshot restores
+// all-or-nothing. The shipment is retried a bounded number of times
+// when no peer's relay succeeded (the edge fires once per revival, so a
+// transient failure would otherwise leave the worker cold for good).
+// Residual failure is non-fatal — a worker that could not warm serves
+// its shard cold, bit-identically, just slower — but every failed relay
+// counts in WarmErrors so degraded warmth is observable. Cancelling ctx
+// abandons the shipment uncounted.
 func (c *Coordinator) shipWarm(ctx context.Context, target string) {
 	var peers []string
 	for _, t := range c.mem.Live() {
@@ -196,7 +196,7 @@ func (c *Coordinator) shipWarm(ctx context.Context, target string) {
 	if len(peers) == 0 {
 		return
 	}
-	wreq := warmRequest{Peers: peers, Fleet: c.mem.Targets(), Owner: target}
+	query := "?" + url.Values{"owner": {target}, "fleet": c.mem.Targets()}.Encode()
 	for attempt := 0; attempt < warmAttempts; attempt++ {
 		if attempt > 0 {
 			select {
@@ -205,56 +205,68 @@ func (c *Coordinator) shipWarm(ctx context.Context, target string) {
 			case <-time.After(warmRetryDelay):
 			}
 		}
-		wr, err := c.postWarm(ctx, target, wreq)
-		if ctx.Err() != nil {
-			return
+		var relayed, installed, failed int
+		for _, peer := range peers {
+			n, err := c.relayWarm(ctx, peer+SnapshotPath+query, target)
+			if ctx.Err() != nil {
+				return
+			}
+			if err != nil {
+				failed++
+				continue
+			}
+			relayed++
+			installed += n
 		}
 		c.mu.Lock()
-		if err != nil {
-			c.stats.WarmErrors++
-			c.mu.Unlock()
-			continue
+		c.stats.WarmErrors += uint64(failed)
+		if relayed > 0 {
+			c.stats.WarmJoins++
+			c.stats.WarmInstalled += uint64(installed)
 		}
-		c.stats.WarmErrors += uint64(len(wr.Errors))
-		if wr.Peers == 0 {
-			// The worker answered but reached no peer — likely a
-			// transient fleet hiccup; try the whole shipment again.
-			c.mu.Unlock()
-			continue
-		}
-		c.stats.WarmJoins++
-		c.stats.WarmInstalled += uint64(wr.Installed)
 		c.mu.Unlock()
-		return
+		if relayed > 0 {
+			return
+		}
 	}
 }
 
-// postWarm performs one warm-join POST and decodes the worker's report.
-func (c *Coordinator) postWarm(ctx context.Context, target string, wreq warmRequest) (warmResponse, error) {
-	var wr warmResponse
-	body, err := json.Marshal(wreq)
-	if err != nil {
-		return wr, err
-	}
+// relayWarm streams one peer's snapshot (GET src) into target's warm
+// endpoint and returns how many entries target installed. The bytes
+// pass through unbuffered, so the bound on them is the warm handler's.
+func (c *Coordinator) relayWarm(ctx context.Context, src, target string) (int, error) {
 	ctx, cancel := context.WithTimeout(ctx, warmTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+WarmPath, bytes.NewReader(body))
+	get, err := http.NewRequestWithContext(ctx, http.MethodGet, src, nil)
 	if err != nil {
-		return wr, err
+		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
+	snap, err := c.client.Do(get)
 	if err != nil {
-		return wr, err
+		return 0, err
+	}
+	defer snap.Body.Close()
+	if snap.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("fabric: snapshot %s answered %s", src, snap.Status)
+	}
+	post, err := http.NewRequestWithContext(ctx, http.MethodPost, target+WarmPath, snap.Body)
+	if err != nil {
+		return 0, err
+	}
+	post.Header.Set("Content-Type", SnapshotContentType)
+	resp, err := c.client.Do(post)
+	if err != nil {
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return wr, fmt.Errorf("fabric: warm shipment to %s answered %s", target, resp.Status)
+		return 0, fmt.Errorf("fabric: warm relay to %s answered %s", target, resp.Status)
 	}
+	var wr warmResponse
 	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		return wr, err
+		return 0, err
 	}
-	return wr, nil
+	return wr.Installed, nil
 }
 
 // workerMsg is one event from a request goroutine: an evaluated point

@@ -240,7 +240,7 @@ func TestLateDivergentVoteQuarantined(t *testing.T) {
 // is out of range, repeats an index, or selects nothing is answered
 // 400 with a JSON error before any frame is written.
 func TestWorkerRejectsBadPoints(t *testing.T) {
-	wk := NewWorker(repro.NewEngine(repro.Options{}), nil)
+	wk := NewWorker(repro.NewEngine(repro.Options{}))
 	n := testSpec(t).Points()
 	for _, tc := range []struct {
 		name   string

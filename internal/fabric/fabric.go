@@ -25,7 +25,8 @@
 //     owns — streaming one frame per point as evaluation completes.
 //     Mounted directly it flushes each frame; mounted in the sg2042d
 //     daemon (behind the metrics wrapper, which has no Flush) its
-//     frames batch in net/http's buffers.
+//     frames batch in net/http's buffers. A worker only answers; it
+//     makes no outbound request.
 //
 //   - Coordinator (coordinator.go): expands the grid, assigns points
 //     by ring, fans requests out, and emits points in grid order
@@ -33,7 +34,9 @@
 //     worker that dies, stalls past PointTimeout, or misbehaves is
 //     excluded and its outstanding points re-dispatched to survivors;
 //     the campaign completes as long as one worker lives, and fails
-//     with *AllWorkersDownError once none do.
+//     with *AllWorkersDownError once none do. When a worker (re)joins,
+//     the coordinator relays its live peers' snapshots of its keys to
+//     it (a warm join).
 //
 // Determinism contract, extended across the network: the coordinator
 // assembles the full grid and renders through the exact code paths a
@@ -59,19 +62,19 @@ const HealthPath = "/v1/fabric/healthz"
 // ignored (core's fixed snapshot layout); no parameters means the full
 // cache.
 // An owner without a fleet, a fleet NewRing rejects, or an owner not in
-// the fleet is a 400. Peers serve a rejoining worker's warm-join pull
-// from here.
+// the fleet is a 400. On a warm-join the coordinator GETs each live
+// peer's share for the joining worker from here.
 const SnapshotPath = "/v1/fabric/snapshot"
 
-// WarmPath is the worker's warm-join trigger: POST {"peers": [...],
-// "fleet": [...], "owner": "<url>"} makes the worker pull owner's keys
-// from each peer and install the entries into its own suite cache. The
-// coordinator posts it on every rejoin/join transition. A worker built
-// before rendezvous hashing knows only the older {"peers", "arc"} body
-// and answers this one with 400, which costs the joiner its warmth (a
-// cold worker is still correct) and counts in FabricStats.WarmErrors.
-// So does a pull from a peer that ships an older SnapshotVersion: the
-// joiner's restore rejects it whole.
+// WarmPath is the worker's warm-join endpoint: POST one snapshot, as
+// SnapshotPath answers it, and the worker installs its entries into its
+// own suite cache. On every rejoin/join transition the coordinator
+// relays each live peer's owner-filtered snapshot here unchanged, one
+// POST per peer. A body that is not a whole snapshot of the current
+// SnapshotVersion (an older coordinator's JSON order included), or is
+// longer than 64 MiB, is a 400 and installs nothing: it costs the
+// joiner its warmth (a cold worker is still correct) and counts in
+// FabricStats.WarmErrors. The worker never dials out.
 const WarmPath = "/v1/fabric/warm"
 
 // ContentType is the media type of a worker's point-frame stream: a

@@ -59,7 +59,7 @@ func NewCluster(n int) *Cluster {
 // the mux serving them (kill switch on the points path only).
 func (n *Node) buildHandler() http.Handler {
 	n.Engine = repro.NewEngine(repro.Options{})
-	wk := fabric.NewWorker(n.Engine, nil)
+	wk := fabric.NewWorker(n.Engine)
 	mux := http.NewServeMux()
 	mux.Handle(fabric.PointsPath, n.ks.wrap(wk))
 	mux.HandleFunc(fabric.HealthPath, wk.ServeHealth)

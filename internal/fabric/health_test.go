@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,31 +198,46 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestProberWaitStopsWarmShipments: a warm shipment in flight stops
-// with the prober. A worker dies and revives; its warm handler blocks
-// until its request ends. After cancel, the prober's wait returns
-// within a fixed bound with no shipment left in flight, and the handler
-// has seen its request cancelled.
+// with the prober. A worker dies and revives; the coordinator's relay
+// hangs, once in the peer's snapshot GET and once in the joiner's warm
+// POST, until its request ends. After cancel, the prober's wait returns
+// within a fixed bound with no relay left in flight, and the hung
+// handler has seen its request cancelled.
 func TestProberWaitStopsWarmShipments(t *testing.T) {
+	for _, hang := range []string{SnapshotPath, WarmPath} {
+		t.Run(path.Base(hang), func(t *testing.T) { testWarmHang(t, hang) })
+	}
+}
+
+func testWarmHang(t *testing.T, hang string) {
 	var sick atomic.Bool
 	sick.Store(true)
 	entered, cancelled := make(chan struct{}), make(chan struct{})
 	var enter, seen sync.Once
+	block := func(r *http.Request) {
+		// Until the body is read, net/http does not watch the
+		// connection for the client going away.
+		io.Copy(io.Discard, r.Body)
+		enter.Do(func() { close(entered) })
+		<-r.Context().Done()
+		seen.Do(func() { close(cancelled) })
+	}
 	revived := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == WarmPath:
-			// Like ServeWarm, read the request, then block as a pull
-			// from a hung peer would. Until the body is read, net/http
-			// does not watch the connection for the client going away.
-			io.Copy(io.Discard, r.Body)
-			enter.Do(func() { close(entered) })
-			<-r.Context().Done()
-			seen.Do(func() { close(cancelled) })
+			block(r)
 		case sick.Load():
 			http.Error(w, "sick", http.StatusInternalServerError)
 		}
 	}))
 	defer revived.Close()
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	// The peer answers its snapshot with an empty body, unless the
+	// snapshot GET is where the relay hangs.
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == hang {
+			block(r)
+		}
+	}))
 	defer peer.Close()
 
 	transport := &countingTransport{}
@@ -237,7 +253,7 @@ func TestProberWaitStopsWarmShipments(t *testing.T) {
 	select {
 	case <-entered:
 	case <-time.After(10 * time.Second):
-		t.Fatal("no warm shipment reached the revived worker")
+		t.Fatalf("no warm relay reached %s", hang)
 	}
 
 	done := make(chan struct{})
@@ -252,11 +268,11 @@ func TestProberWaitStopsWarmShipments(t *testing.T) {
 		t.Fatal("the prober's wait did not return after cancel with a warm shipment in flight")
 	}
 	if n := transport.inflight.Load(); n != 0 {
-		t.Errorf("wait returned with %d warm shipments in flight", n)
+		t.Errorf("wait returned with %d warm relays in flight", n)
 	}
 	select {
 	case <-cancelled:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the warm handler never saw its request cancelled")
+		t.Fatalf("the %s handler never saw its request cancelled", hang)
 	}
 }

@@ -2,15 +2,11 @@ package fabric
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strings"
-	"time"
 
 	"repro"
 )
@@ -25,53 +21,29 @@ type pointsRequest struct {
 	Points []int           `json:"points"`
 }
 
-// Request body bounds. A points request carries the client's spec,
-// which the coordinator accepts up to 1 MiB, plus an index list of at
-// most repro.MaxCampaignPoints entries (about 50 KB); a warm request
-// names a few URLs. Both handlers sit on the daemon's public listener,
-// so neither may read an unbounded body into memory.
-const (
-	maxPointsBody = 2 << 20
-	maxWarmBody   = 1 << 20
-)
+// maxPointsBody bounds a points request: the client's spec, which the
+// coordinator accepts up to 1 MiB, plus an index list of at most
+// repro.MaxCampaignPoints entries (about 50 KB).
+const maxPointsBody = 2 << 20
 
-// maxSnapshotBody bounds the snapshot a warm-join reads from one peer:
-// 64 MiB, about 122,000 suite-cache entries at about 546 B each (64
-// seconds values, a label, a fingerprint and the key fields). The peer
-// URLs come from the warm request's body, so a peer's answer is read no
-// further than this; a peer that sends more is a per-peer warm error
-// and nothing of its answer is installed.
+// maxSnapshotBody bounds the snapshot a warm-join POST carries: 64 MiB,
+// about 122,000 suite-cache entries at about 546 B each (64 seconds
+// values, a label, a fingerprint and the key fields). A longer body is
+// a 400 and nothing of it is installed. Both handlers sit on the
+// daemon's public listener, so neither reads an unbounded body.
 const maxSnapshotBody = 64 << 20
 
 // Worker serves the shard-scoped campaign API. It wraps the same
 // engine the node's ordinary serving surface uses, so shard points
-// memoize into — and warm-restart from — the one suite cache.
+// memoize into — and warm-restart from — the one suite cache. A worker
+// only answers requests; it dials nothing.
 type Worker struct {
 	eng *repro.Engine
-	reg *repro.MachineRegistry
-	// client performs warm-join snapshot pulls from peers
-	// (ServeWarm); tests may swap it.
-	client *http.Client
-	// maxSnapshot is the per-peer snapshot bound, maxSnapshotBody
-	// unless a test shrinks it.
-	maxSnapshot int64
 }
 
-// NewWorker wraps an engine and registry (nil reg means the default
-// registry) as a shard worker.
-func NewWorker(eng *repro.Engine, reg *repro.MachineRegistry) *Worker {
-	if reg == nil {
-		reg = repro.DefaultMachineRegistry()
-	}
-	return &Worker{
-		eng: eng,
-		reg: reg,
-		// A snapshot costs about 550 B per cache entry (210 KB for a
-		// 384-configuration sweep); a bounded client keeps a hung peer
-		// from wedging a warm-join.
-		client:      &http.Client{Timeout: 30 * time.Second},
-		maxSnapshot: maxSnapshotBody,
-	}
+// NewWorker wraps an engine as a shard worker.
+func NewWorker(eng *repro.Engine) *Worker {
+	return &Worker{eng: eng}
 }
 
 // ServeHTTP answers POST /v1/fabric/points, streaming one
@@ -102,7 +74,7 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		workerError(w, http.StatusBadRequest, fmt.Errorf("points request has no spec"))
 		return
 	}
-	spec, err := repro.CampaignSpecFromJSON(req.Spec, wk.reg)
+	spec, err := repro.CampaignSpecFromJSON(req.Spec, nil)
 	if err != nil {
 		status := http.StatusBadRequest
 		var unknown *repro.UnknownMachineError
@@ -209,88 +181,36 @@ func ownerFilter(owner string, fleet []string) (func(uint64) bool, error) {
 	return func(fp uint64) bool { return ring.next(fp, nil, -1) == i }, nil
 }
 
-// warmRequest is the body of POST /v1/fabric/warm: the peers to pull
-// from, and the full fleet and owner (this worker) whose keys to warm.
-type warmRequest struct {
-	Peers []string `json:"peers"`
-	Fleet []string `json:"fleet"`
-	Owner string   `json:"owner"`
-}
-
-// warmResponse reports a warm-join pull: entries installed into the
-// cache, peers successfully pulled, and per-peer failures (best
-// effort — a dead peer costs warmth, not correctness).
+// warmResponse reports a warm-join: the entries the snapshot installed
+// into the cache (already-cached keys are skipped).
 type warmResponse struct {
-	Installed int      `json:"installed"`
-	Peers     int      `json:"peers"`
-	Errors    []string `json:"errors,omitempty"`
+	Installed int `json:"installed"`
 }
 
-// ServeWarm answers POST /v1/fabric/warm by pulling the owner's
-// snapshot from each peer and installing the entries into the
-// worker's own suite cache (already-cached keys are skipped). Failures
-// against individual peers are reported but not fatal: a warm-join is
-// an optimization, and a worker that could not warm simply evaluates
-// its shard cold, bit-identically.
+// ServeWarm answers POST /v1/fabric/warm, whose body is one peer's
+// owner-filtered snapshot as the coordinator relays it, by installing
+// its entries into the worker's own suite cache. The restore is
+// all-or-nothing: a body that does not decode, or runs past
+// maxSnapshotBody, is a 400 and installs nothing. A worker that could
+// not warm evaluates its shard cold, bit-identically.
 func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		workerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	var req warmRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWarmBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		workerError(w, http.StatusBadRequest, fmt.Errorf("decoding warm request: %w", err))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
+	if err != nil {
+		workerError(w, http.StatusBadRequest, fmt.Errorf("reading warm snapshot: %w", err))
 		return
 	}
-	if _, err := ownerFilter(req.Owner, req.Fleet); err != nil {
-		workerError(w, http.StatusBadRequest, err)
+	n, err := wk.eng.RestoreCache(data)
+	if err != nil {
+		workerError(w, http.StatusBadRequest, fmt.Errorf("restoring warm snapshot: %w", err))
 		return
-	}
-	resp := warmResponse{}
-	for _, peer := range req.Peers {
-		n, err := wk.pullSnapshot(r.Context(), peer, req.Owner, req.Fleet)
-		if err != nil {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", peer, err))
-			continue
-		}
-		resp.Peers++
-		resp.Installed += n
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// pullSnapshot fetches one peer's owner-filtered snapshot, at most
-// maxSnapshot bytes of it, and installs it.
-func (wk *Worker) pullSnapshot(ctx context.Context, peer, owner string, fleet []string) (int, error) {
-	u := peer + SnapshotPath
-	if owner != "" {
-		u += "?" + url.Values{"owner": {owner}, "fleet": fleet}.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := wk.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, fmt.Errorf("peer answered %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, wk.maxSnapshot+1))
-	if err != nil {
-		return 0, err
-	}
-	if int64(len(data)) > wk.maxSnapshot {
-		return 0, fmt.Errorf("peer snapshot exceeds %d bytes", wk.maxSnapshot)
-	}
-	return wk.eng.RestoreCache(data)
+	_ = json.NewEncoder(w).Encode(warmResponse{Installed: n})
 }
 
 // workerError answers a pre-stream failure as the same JSON error

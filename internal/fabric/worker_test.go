@@ -2,11 +2,14 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -35,7 +38,7 @@ func warmedWorker(t *testing.T) *Worker {
 	if _, err := eng.Campaign(spec); err != nil {
 		t.Fatal(err)
 	}
-	return NewWorker(eng, nil)
+	return NewWorker(eng)
 }
 
 // getSnapshot calls ServeSnapshot with the given query and returns the
@@ -108,8 +111,8 @@ func TestOwnerSnapshotsPartitionCache(t *testing.T) {
 	}
 }
 
-// badOwnerFilters are owner/fleet pairs both the snapshot endpoint and
-// the warm body must refuse.
+// badOwnerFilters are owner/fleet pairs the snapshot endpoint must
+// refuse.
 var badOwnerFilters = []struct {
 	name  string
 	owner string
@@ -135,91 +138,167 @@ func TestSnapshotRejectsBadOwnerFilter(t *testing.T) {
 	}
 }
 
-func TestWarmRejectsBadBody(t *testing.T) {
-	wk := NewWorker(repro.NewEngine(repro.Options{}), nil)
-	post := func(body string) (int, string) {
-		rec := httptest.NewRecorder()
-		wk.ServeWarm(rec, httptest.NewRequest(http.MethodPost, WarmPath, strings.NewReader(body)))
-		return rec.Code, rec.Body.String()
-	}
-	for _, c := range badOwnerFilters {
-		var fleet []string
-		for _, f := range c.fleet {
-			fleet = append(fleet, `"`+f+`"`)
-		}
-		body := `{"peers": [], "fleet": [` + strings.Join(fleet, ",") + `], "owner": "` + c.owner + `"}`
-		if code, msg := post(body); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", c.name, code, msg)
-		}
-	}
-	// The body a worker's peers sent before rendezvous hashing.
-	old := `{"peers": [], "arc": "0000000000000000-ffffffffffffffff"}`
-	if code, msg := post(old); code != http.StatusBadRequest {
-		t.Errorf("arc-era warm body: status %d, want 400 (%s)", code, msg)
-	}
-}
-
-// TestWorkerBodiesBounded: a points or warm body past its bound answers
-// 400 before anything is evaluated or installed, even when the bytes
-// would decode to a valid request. The padding is whitespace inside the
-// JSON object, which an unbounded decoder would read through.
-func TestWorkerBodiesBounded(t *testing.T) {
-	eng := repro.NewEngine(repro.Options{})
-	wk := NewWorker(eng, nil)
-	pad := strings.Repeat(" ", maxPointsBody)
-	for _, c := range []struct {
-		path string
-		body string
-		h    http.HandlerFunc
-	}{
-		{PointsPath, `{"spec": ` + string(clockSpecJSON) + `, "points": [0]` + pad + `}`, wk.ServeHTTP},
-		{WarmPath, `{"peers": []` + pad + `}`, wk.ServeWarm},
-	} {
-		rec := httptest.NewRecorder()
-		c.h(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
-		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
-			t.Errorf("%s with a %d B body: status %d: %s", c.path, len(c.body), rec.Code, rec.Body)
-		}
-	}
-	if hits, misses := eng.CacheStats(); hits+misses != 0 {
-		t.Errorf("oversized bodies reached the engine: hits=%d misses=%d", hits, misses)
-	}
-}
-
-// TestWarmRejectsOversizeSnapshot: a peer whose valid snapshot runs
-// one byte past the bound is a per-peer error in the warm response, and
-// none of its entries are installed. The peer streams its answer in two
-// chunks, without a Content-Length, so only the read bound can stop it.
-func TestWarmRejectsOversizeSnapshot(t *testing.T) {
-	snap := mustSnapshot(t, warmedWorker(t).eng)
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", SnapshotContentType)
-		for _, part := range [][]byte{snap[:len(snap)/2], snap[len(snap)/2:]} {
-			w.Write(part)
-			w.(http.Flusher).Flush()
-		}
-	}))
-	defer peer.Close()
-
-	eng := repro.NewEngine(repro.Options{})
-	wk := NewWorker(eng, nil)
-	wk.maxSnapshot = int64(len(snap) - 1)
-	body := `{"peers": ["` + peer.URL + `"], "fleet": ["http://a"], "owner": "http://a"}`
+// postWarm calls ServeWarm with body and returns the status and body.
+func postWarm(wk *Worker, body io.Reader) (int, string) {
 	rec := httptest.NewRecorder()
-	wk.ServeWarm(rec, httptest.NewRequest(http.MethodPost, WarmPath, strings.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	wk.ServeWarm(rec, httptest.NewRequest(http.MethodPost, WarmPath, body))
+	return rec.Code, rec.Body.String()
+}
+
+// TestWarmRejectsBadBody: a warm body is one snapshot, restored
+// all-or-nothing. Anything that does not decode as one — the JSON
+// orders older coordinators sent, an empty body, a cut snapshot — is a
+// 400 and installs nothing; the whole snapshot installs every entry.
+func TestWarmRejectsBadBody(t *testing.T) {
+	snap := mustSnapshot(t, warmedWorker(t).eng)
+	eng := repro.NewEngine(repro.Options{})
+	wk := NewWorker(eng)
+	for name, body := range map[string]string{
+		"peers order": `{"peers": ["http://w1:8042"], "fleet": ["http://w0:8042", "http://w1:8042"], "owner": "http://w0:8042"}`,
+		"arc order":   `{"peers": [], "arc": "0000000000000000-ffffffffffffffff"}`,
+		"empty":       "",
+		"cut":         string(snap[:len(snap)-1]),
+	} {
+		if code, msg := postWarm(wk, strings.NewReader(body)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, code, msg)
+		}
+	}
+	if !bytes.Equal(mustSnapshot(t, eng), mustSnapshot(t, repro.NewEngine(repro.Options{}))) {
+		t.Fatal("a rejected warm body left entries in the cache")
+	}
+	code, msg := postWarm(wk, bytes.NewReader(snap))
+	if code != http.StatusOK {
+		t.Fatalf("whole snapshot: status %d: %s", code, msg)
 	}
 	var wr warmResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &wr); err != nil {
+	if err := json.Unmarshal([]byte(msg), &wr); err != nil {
 		t.Fatal(err)
 	}
-	if wr.Installed != 0 || wr.Peers != 0 || len(wr.Errors) != 1 || !strings.Contains(wr.Errors[0], "exceeds") {
-		t.Errorf("warm response %+v, want one per-peer size error and nothing installed", wr)
+	if !bytes.Equal(mustSnapshot(t, eng), snap) || wr.Installed == 0 {
+		t.Errorf("whole snapshot installed %d entries, and the cache does not match it", wr.Installed)
+	}
+}
+
+// TestWarmDialsNothing: a warm body naming a host is just bytes that
+// are not a snapshot. The worker answers 400 and the host it names
+// never sees a request.
+func TestWarmDialsNothing(t *testing.T) {
+	var hits atomic.Int64
+	host := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer host.Close()
+	wk := NewWorker(repro.NewEngine(repro.Options{}))
+	for _, body := range []string{
+		`{"peers": ["` + host.URL + `"], "fleet": ["http://a"], "owner": "http://a"}`,
+		host.URL + SnapshotPath,
+	} {
+		if code, msg := postWarm(wk, strings.NewReader(body)); code != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400 (%s)", body, code, msg)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("the host a warm body named saw %d requests", n)
+	}
+}
+
+// fabricServer serves wk's snapshot and warm endpoints.
+func fabricServer(wk *Worker) *httptest.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc(SnapshotPath, wk.ServeSnapshot)
+	mux.HandleFunc(WarmPath, wk.ServeWarm)
+	return httptest.NewServer(mux)
+}
+
+// TestShipWarmRelaysPeerSnapshots: the coordinator relays each live
+// peer's snapshot, filtered to the joiner's keys, into the joiner. A
+// peer whose snapshot GET fails costs one WarmError and the rest of
+// the shipment still joins; a shipment no relay got through is tried
+// warmAttempts times, each failure counted, and joins nothing.
+func TestShipWarmRelaysPeerSnapshots(t *testing.T) {
+	peer := warmedWorker(t)
+	good := fabricServer(peer)
+	defer good.Close()
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no snapshot", http.StatusInternalServerError)
+	}))
+	defer bad.Close()
+	eng := repro.NewEngine(repro.Options{})
+	joiner := fabricServer(NewWorker(eng))
+	defer joiner.Close()
+
+	fleet := []string{joiner.URL, good.URL, bad.URL}
+	coord, err := NewCoordinator(fleet, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.shipWarm(context.Background(), joiner.URL)
+	code, owned := getSnapshot(peer, ownerQuery(joiner.URL, fleet))
+	if code != http.StatusOK {
+		t.Fatalf("joiner's share of the peer: status %d", code)
+	}
+	if !bytes.Equal(mustSnapshot(t, eng), owned) {
+		t.Error("the joiner's cache is not the peer's snapshot of the joiner's keys")
+	}
+	want, err := repro.NewEngine(repro.Options{}).RestoreCache(owned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := coord.Stats(); s.WarmJoins != 1 || s.WarmErrors != 1 || s.WarmInstalled != uint64(want) {
+		t.Errorf("stats %+v, want 1 join, 1 error, %d installed", s, want)
+	}
+
+	coord, err = NewCoordinator([]string{joiner.URL, bad.URL}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.shipWarm(context.Background(), joiner.URL)
+	if s := coord.Stats(); s.WarmJoins != 0 || s.WarmErrors != warmAttempts || s.WarmInstalled != 0 {
+		t.Errorf("stats %+v after a shipment with no good peer, want 0 joins and %d errors", s, warmAttempts)
+	}
+}
+
+// TestWorkerBodiesBounded: a points body past its bound answers 400
+// before anything is evaluated, even when the bytes would decode to a
+// valid request. The padding is whitespace inside the JSON object,
+// which an unbounded decoder would read through.
+func TestWorkerBodiesBounded(t *testing.T) {
+	eng := repro.NewEngine(repro.Options{})
+	wk := NewWorker(eng)
+	body := `{"spec": ` + string(clockSpecJSON) + `, "points": [0]` + strings.Repeat(" ", maxPointsBody) + `}`
+	rec := httptest.NewRecorder()
+	wk.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PointsPath, strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Errorf("%s with a %d B body: status %d: %s", PointsPath, len(body), rec.Code, rec.Body)
+	}
+	if hits, misses := eng.CacheStats(); hits+misses != 0 {
+		t.Errorf("an oversized body reached the engine: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestWarmRejectsOversizeSnapshot: a warm body of maxSnapshotBody+1
+// bytes — a valid snapshot, then zeros — answers "too large" and
+// installs nothing. The bytes are generated as they are read, so only
+// the read bound can stop them.
+func TestWarmRejectsOversizeSnapshot(t *testing.T) {
+	snap := mustSnapshot(t, warmedWorker(t).eng)
+	body := io.MultiReader(bytes.NewReader(snap), io.LimitReader(zeros{}, maxSnapshotBody+1-int64(len(snap))))
+	eng := repro.NewEngine(repro.Options{})
+	code, msg := postWarm(NewWorker(eng), body)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
+		t.Errorf("status %d, want 400 too large: %s", code, msg)
 	}
 	if !bytes.Equal(mustSnapshot(t, eng), mustSnapshot(t, repro.NewEngine(repro.Options{}))) {
 		t.Error("an oversize snapshot left entries in the cache")
 	}
+}
+
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // mustSnapshot returns eng's full snapshot.

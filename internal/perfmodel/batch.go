@@ -86,8 +86,7 @@ type uncoreTerms struct {
 	memSec  float64
 	latSec  float64
 	syncSec float64
-	memBW   float64 // SharedMemBW
-	level   int     // serving cache level, an index into Machine.Caches; -1 is DRAM
+	level   int // serving cache level, an index into Machine.Caches; -1 is DRAM
 }
 
 // uncoreHalf is one uncore memo entry: the config-level inputs, and the
@@ -387,7 +386,6 @@ func (m *Model) uncoreTermsOf(u *uncoreTerms, x *uncoreCtx, spec *kernels.Spec, 
 	}
 	level, bw, dramShare := servingLevel(levels, x.dramBW, pre.footElems*float64(x.prec.Bytes()), threads)
 	u.level = level
-	u.memBW = bw
 	// Scalar code on a vector-designed memory pipeline extracts less
 	// bandwidth (narrow accesses, fewer outstanding misses); the gap is
 	// wider at FP32 where each scalar access moves half the bytes. This
@@ -490,7 +488,7 @@ func (m *Model) clockTerms(c *clockCtx, spec *kernels.Spec, pre *specPre, dec *a
 func (m *Model) breakdown(b *Breakdown, c *clockCtx, mach *machine.Machine, spec *kernels.Spec,
 	pre *specPre, dec *autovec.Decision, u *uncoreTerms) {
 	*b = Breakdown{Decision: *dec, MemSec: u.memSec, LatSec: u.latSec, SyncSec: u.syncSec,
-		ServedBy: "MEM", SharedMemBW: u.memBW}
+		ServedBy: "MEM"}
 	if u.level >= 0 {
 		b.ServedBy = mach.Caches[u.level].Name
 	}

@@ -65,17 +65,16 @@ func DefaultCompilerFor(m *machine.Machine) autovec.Compiler {
 // Breakdown exposes the model's intermediate terms for reports, tests
 // and the ablation benchmarks.
 type Breakdown struct {
-	Seconds     float64 // total kernel time (all reps)
-	PerRep      float64
-	CompSec     float64 // compute-bound term per rep
-	IssueSec    float64 // instruction/LSU issue term per rep
-	MemSec      float64 // bandwidth term per rep
-	LatSec      float64 // latency term per rep
-	AtomicSec   float64 // atomic serialisation per rep
-	SyncSec     float64 // fork/join + straggler per rep
-	ServedBy    string  // cache level serving the working set
-	Decision    autovec.Decision
-	SharedMemBW float64 // effective per-thread memory bandwidth used
+	Seconds   float64 // total kernel time (all reps)
+	PerRep    float64
+	CompSec   float64 // compute-bound term per rep
+	IssueSec  float64 // instruction/LSU issue term per rep
+	MemSec    float64 // bandwidth term per rep
+	LatSec    float64 // latency term per rep
+	AtomicSec float64 // atomic serialisation per rep
+	SyncSec   float64 // fork/join + straggler per rep
+	ServedBy  string  // cache level serving the working set
+	Decision  autovec.Decision
 }
 
 // Model evaluates kernel times under a calibration. Set Cal before

@@ -273,9 +273,6 @@ func TestBreakdownConsistency(t *testing.T) {
 	if b.ServedBy == "" {
 		t.Error("ServedBy empty")
 	}
-	if b.SharedMemBW <= 0 {
-		t.Error("SharedMemBW not set")
-	}
 	if b.SyncSec <= 0 {
 		t.Error("multi-thread run should pay sync overhead")
 	}

@@ -109,8 +109,8 @@ type Point struct {
 // Intensity computes a kernel's arithmetic intensity at a precision:
 // flops per byte of per-iteration traffic.
 func Intensity(spec kernels.Spec, p prec.Precision) float64 {
-	bytes := (spec.Loop.LoadsPerIter()+spec.Loop.StoresPerIter())*float64(p.Bytes()) +
-		(spec.Loop.IntLoadsPerIter()+spec.Loop.IntStoresPerIter())*8
+	bytes := float64((spec.Loop.LoadsPerIter()+spec.Loop.StoresPerIter())*float64(p.Bytes())) +
+		float64((spec.Loop.IntLoadsPerIter()+spec.Loop.IntStoresPerIter())*8)
 	if bytes == 0 {
 		return 0
 	}

@@ -205,7 +205,7 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 		b.WriteString("# HELP sg2042d_fabric_warm_entries_total Suite-cache entries installed across all warm-joins.\n")
 		b.WriteString("# TYPE sg2042d_fabric_warm_entries_total counter\n")
 		fmt.Fprintf(&b, "sg2042d_fabric_warm_entries_total %d\n", fs.WarmInstalled)
-		b.WriteString("# HELP sg2042d_fabric_warm_errors_total Failed warm shipments plus per-peer snapshot pull failures.\n")
+		b.WriteString("# HELP sg2042d_fabric_warm_errors_total Failed warm-join relays: a peer snapshot GET or a warm POST to the joining worker that did not succeed.\n")
 		b.WriteString("# TYPE sg2042d_fabric_warm_errors_total counter\n")
 		fmt.Fprintf(&b, "sg2042d_fabric_warm_errors_total %d\n", fs.WarmErrors)
 		b.WriteString("# HELP sg2042d_fabric_quarantines_total Workers quarantined after diverging from replica quorum.\n")

@@ -121,7 +121,7 @@ func New(opts Options) *Server {
 	s.machines = sync.OnceValues(func() (machineBodies, error) { return renderMachines(s.reg) })
 	s.ready.Store(!opts.Prewarm)
 	if opts.Worker {
-		s.wk = fabric.NewWorker(s.eng, s.reg)
+		s.wk = fabric.NewWorker(s.eng)
 	}
 	if len(opts.Coordinate) > 0 {
 		s.coord, s.coordErr = fabric.NewCoordinator(opts.Coordinate, s.reg, nil)
