@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -135,9 +136,12 @@ func TestSnapshotRestoreCycle(t *testing.T) {
 	stopDaemon(t, cancel2, done2)
 }
 
-// TestWorkerServesShardEndpoint: under -worker the fabric endpoint is
-// mounted and a coordinator daemon pointed at two workers serves the
-// campaign byte-identically to a plain daemon.
+// TestWorkerServesShardEndpoint is the distributed determinism gate
+// on the daemon as shipped: two -worker daemons behind a -coordinate
+// daemon serve the example campaign byte-identically to a plain
+// daemon, and still do after one worker stops (cancelling its ctx is
+// the graceful SIGTERM) — on a second spec, so the coordinator's render
+// cache cannot replay the first answer.
 func TestWorkerServesShardEndpoint(t *testing.T) {
 	w1, cancel1, done1 := startDaemon(t, "-parallel", "2", "-worker")
 	defer cancel1()
@@ -148,22 +152,13 @@ func TestWorkerServesShardEndpoint(t *testing.T) {
 	coord, cancel4, done4 := startDaemon(t, "-coordinate", w1+","+w2)
 	defer cancel4()
 
-	status, want := postBody(t, plain, fabricCampaignBody)
-	if status != http.StatusOK {
-		t.Fatalf("plain daemon: status %d: %s", status, want)
-	}
-	status, got := postBody(t, coord, fabricCampaignBody)
-	if status != http.StatusOK {
-		t.Fatalf("coordinator daemon: status %d: %s", status, got)
-	}
-	if got != want {
-		t.Error("distributed daemon body differs from single daemon body")
-	}
+	sameCampaign(t, plain, coord, "../../examples/campaign/spec.json")
+	stopDaemon(t, cancel1, done1)
+	sameCampaign(t, plain, coord, "../../examples/scaling/campaign.json")
 
 	stopDaemon(t, cancel4, done4)
 	stopDaemon(t, cancel3, done3)
 	stopDaemon(t, cancel2, done2)
-	stopDaemon(t, cancel1, done1)
 }
 
 // TestReplicasFlagValidation: -replicas is bounded below and is a
@@ -214,33 +209,121 @@ func TestWorkerServesSelfHealingSurface(t *testing.T) {
 	}
 }
 
-// TestReplicatedFleetEndToEnd: three real worker daemons fronted by a
-// real coordinator daemon with -replicas 2 serve a campaign
-// byte-identical to a single local daemon — the full binary-level
-// replication path.
+// TestReplicatedFleetEndToEnd is the self-healing chaos gate on the
+// daemon as shipped: three -worker daemons behind a -replicas 2
+// coordinator with a fast prober, against a plain daemon. Worker 0
+// stops (the campaign stays byte-identical), restarts on its old
+// address (the prober revives it and the coordinator warm-joins it,
+// both seen in the coordinator's /metrics and in the worker's own
+// request counters), and ends as the sole survivor serving a campaign
+// alone under degraded quorum. Each phase posts a distinct spec, so the
+// coordinator's render cache never replays an earlier phase's bytes,
+// and an honest fleet is never quarantined.
 func TestReplicatedFleetEndToEnd(t *testing.T) {
 	var targets []string
+	var cancels []context.CancelFunc
+	var dones []<-chan int
 	for i := 0; i < 3; i++ {
 		url, cancel, done := startDaemon(t, "-worker", "-parallel", "2")
-		defer stopDaemon(t, cancel, done)
-		targets = append(targets, url)
+		defer cancel()
+		targets, cancels, dones = append(targets, url), append(cancels, cancel), append(dones, done)
 	}
 	coordURL, cancel, done := startDaemon(t,
 		"-coordinate", strings.Join(targets, ","), "-replicas", "2",
-		"-probe-interval", "50ms")
+		"-probe-interval", "100ms", "-probe-timeout", "1s", "-probe-backoff", "500ms")
 	defer stopDaemon(t, cancel, done)
 	localURL, cancelLocal, doneLocal := startDaemon(t, "-parallel", "4")
 	defer stopDaemon(t, cancelLocal, doneLocal)
 
-	wantStatus, want := postBody(t, localURL, fabricCampaignBody)
-	if wantStatus != http.StatusOK {
-		t.Fatalf("local daemon status %d: %s", wantStatus, want)
+	// Phase 1: the full replicated fleet.
+	sameCampaign(t, localURL, coordURL, "../../examples/campaign/spec.json")
+
+	// Phase 2: worker 0 stops.
+	stopDaemon(t, cancels[0], dones[0])
+	waitMetric(t, coordURL, "sg2042d_fabric_probe_deaths_total", 1)
+	sameCampaign(t, localURL, coordURL, "../../examples/scaling/campaign.json")
+
+	// Phase 3: worker 0 restarts, cold, on its old address.
+	w0, cancel0, done0 := startDaemon(t, "-addr", strings.TrimPrefix(targets[0], "http://"), "-worker", "-parallel", "2")
+	defer stopDaemon(t, cancel0, done0)
+	if w0 != targets[0] {
+		t.Fatalf("restarted worker serves on %s, want its old %s", w0, targets[0])
 	}
-	status, got := postBody(t, coordURL, fabricCampaignBody)
+	waitMetric(t, coordURL, "sg2042d_fabric_probe_revivals_total", 1)
+	waitMetric(t, coordURL, "sg2042d_fabric_warm_joins_total", 1)
+	sameCampaign(t, localURL, coordURL, "../../examples/chaos/rejoin.json")
+	waitMetric(t, w0, `sg2042d_requests_total{endpoint="fabric-warm"}`, 1)
+	waitMetric(t, w0, `sg2042d_requests_total{endpoint="fabric-healthz"}`, 1)
+
+	// Phase 4: the restarted worker is the sole survivor.
+	stopDaemon(t, cancels[1], dones[1])
+	stopDaemon(t, cancels[2], dones[2])
+	waitMetric(t, coordURL, "sg2042d_fabric_probe_deaths_total", 3)
+	sameCampaign(t, localURL, coordURL, "../../examples/chaos/solo.json")
+	waitMetric(t, w0, `sg2042d_requests_total{endpoint="fabric-points"}`, 1)
+	if q := metric(t, coordURL, "sg2042d_fabric_quarantines_total"); q != 0 {
+		t.Errorf("an honest fleet was quarantined %d time(s)", q)
+	}
+}
+
+// sameCampaign posts the campaign spec file to the local daemon and to
+// the fleet and requires the same 200 body from both.
+func sameCampaign(t *testing.T, local, fleet, specFile string) {
+	t.Helper()
+	spec, err := os.ReadFile(specFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, want := postBody(t, local, string(spec))
 	if status != http.StatusOK {
-		t.Fatalf("replicated fleet status %d: %s", status, got)
+		t.Fatalf("%s: local daemon status %d: %s", specFile, status, want)
+	}
+	status, got := postBody(t, fleet, string(spec))
+	if status != http.StatusOK {
+		t.Fatalf("%s: fleet status %d: %s", specFile, status, got)
 	}
 	if got != want {
-		t.Error("replicated fleet body differs from single-daemon body")
+		t.Errorf("%s: the fleet's body differs from the single daemon's", specFile)
+	}
+}
+
+// metric reads one sample from the daemon's /metrics: the value on the
+// line that starts with name, or -1 when there is none.
+func metric(t *testing.T, url, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %q is not a count", name, v)
+			}
+			return n
+		}
+	}
+	return -1
+}
+
+// waitMetric polls the daemon's /metrics until name reaches min.
+func waitMetric(t *testing.T, url, name string, min int64) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		v := metric(t, url, name)
+		if v >= min {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s >= %d on %s (last: %d)", name, min, url, v)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -71,6 +71,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -192,6 +193,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Shutdown counts a connection that has sent no request yet as
+	// active for 5 s, and a coordinator keeps such spares to its workers:
+	// on shutdown each gets 250 ms to start one (the deadline can fail
+	// only on a connection already closed).
+	var fresh sync.Map // net.Conn -> struct{}
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		if fresh.Delete(c); st == http.StateNew {
+			fresh.Store(c, struct{}{})
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		fresh.Range(func(c, _ any) bool {
+			_ = c.(net.Conn).SetReadDeadline(time.Now().Add(250 * time.Millisecond))
+			return true
+		})
+	})
 
 	fmt.Fprintf(stdout, "sg2042d: serving on http://%s\n", ln.Addr())
 	if ready != nil {

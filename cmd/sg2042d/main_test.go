@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -108,6 +109,32 @@ func TestPrewarmReadiness(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestShutdownClosesSilentConnections: a connection that has sent no
+// request (a client's spare, as a coordinator keeps to its workers)
+// does not hold a graceful shutdown to its 5 s deadline.
+func TestShutdownClosesSilentConnections(t *testing.T) {
+	url, cancel, done := startDaemon(t)
+	defer cancel()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The daemon accepts connections in order, so once a later one is
+	// served the silent one is accepted too.
+	resp, err := http.Get(url + "/livez")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	stopDaemon(t, cancel, done)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("shutdown took %s with a silent connection open", d)
 	}
 }
 

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,18 +109,78 @@ func TestHelpExitsZero(t *testing.T) {
 	}
 }
 
+// TestParallelFlagSameBytes is the CLI face of the determinism
+// contract (docs/ARCHITECTURE.md): each output below is byte-identical
+// at -parallel 1 and -parallel 8, and is the body the daemon serves for
+// the request beside it, whose SHA-256 internal/serve's byte manifest
+// pins.
 func TestParallelFlagSameBytes(t *testing.T) {
-	code, serial, _ := exec("-exp", "figure1", "-parallel", "1")
-	if code != 0 {
-		t.Fatal("serial run failed")
+	const (
+		campaign = "../../examples/campaign/spec.json"
+		scaling  = "../../examples/scaling/campaign.json"
+	)
+	type pair struct {
+		args    []string
+		request string // method, path and body name of a manifest line
 	}
-	code, par, _ := exec("-exp", "figure1", "-parallel", "8")
-	if code != 0 {
-		t.Fatal("parallel run failed")
+	pairs := []pair{
+		{[]string{"-campaign", campaign}, "POST /v1/campaign?format=text campaign-spec"},
+		{[]string{"-campaign", campaign, "-csv"}, "POST /v1/campaign?format=csv campaign-spec"},
+		{[]string{"-campaign", scaling}, "POST /v1/campaign?format=text scaling-spec"},
+		{[]string{"-campaign", scaling, "-csv"}, "POST /v1/campaign?format=csv scaling-spec"},
+		{[]string{"-sweep", "cores=8,16,32,64"}, "POST /v1/sweep?format=text sweep-label"},
+		{[]string{"-sweep", "cores=8,16,32,64", "-csv"}, "POST /v1/sweep?format=csv sweep-label"},
 	}
-	if serial != par {
-		t.Error("-parallel changed the output bytes")
+	// -exp all and every experiment alone, text and CSV (table4 has no
+	// CSV form; the daemon answers its text for ?format=csv too).
+	for _, name := range append(slices.Clone(repro.ExperimentNames), "all") {
+		pairs = append(pairs,
+			pair{[]string{"-exp", name}, "GET /v1/experiments/" + name + "?format=text -"},
+			pair{[]string{"-exp", name, "-csv"}, "GET /v1/experiments/" + name + "?format=csv -"})
 	}
+	manifest := manifestDigests(t)
+	for _, p := range pairs {
+		var outs [2]string
+		for i, parallel := range []string{"1", "8"} {
+			code, out, errOut := exec(slices.Concat(p.args, []string{"-parallel", parallel})...)
+			if code != 0 {
+				t.Fatalf("%v -parallel %s: exit %d, stderr: %s", p.args, parallel, code, errOut)
+			}
+			outs[i] = out
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%v: -parallel 8 changed the output bytes", p.args)
+		}
+		want, ok := manifest[p.request]
+		if !ok {
+			t.Fatalf("the byte manifest has no line for %q", p.request)
+		}
+		if sum := sha256.Sum256([]byte(outs[0])); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%v: output is not the body the manifest pins for %s", p.args, p.request)
+		}
+	}
+}
+
+// manifestDigests reads internal/serve's byte manifest into a map from
+// "method path body-name" to the SHA-256 of the identity-encoded body.
+func manifestDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("../../internal/serve/testdata/http_manifest.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		f := strings.Split(line, "\t")
+		if len(f) != 8 { // a ninth column is a Content-Encoding
+			continue
+		}
+		key := f[0] + " " + f[1] + " " + f[2]
+		if _, dup := digests[key]; !dup {
+			digests[key] = f[7]
+		}
+	}
+	return digests
 }
 
 func TestRooflineAndClusterFlags(t *testing.T) {

@@ -102,6 +102,21 @@ type StencilPoint struct {
 	Efficiency float64
 }
 
+const maxGrid = 1 << 21 // strong-scaling grid sides stay below it, so n³ < 2⁶³
+
+// cubeRootFloor returns the largest integer s with s³ ≤ v, for v < 2⁶³,
+// in exact integer arithmetic; math.Cbrt only seeds s.
+func cubeRootFloor(v uint64) int {
+	s := uint64(math.Cbrt(float64(v)))
+	for (s+1)*(s+1)*(s+1) <= v {
+		s++
+	}
+	for s*s*s > v {
+		s--
+	}
+	return int(s)
+}
+
 // StrongScaleStencil evaluates strong scaling of the HEAT_3D halo
 // stencil over the node counts: a fixed grid of side n is decomposed
 // into slabs; each step exchanges two faces of n*n elements with
@@ -110,6 +125,9 @@ func (c *Cluster) StrongScaleStencil(n int, p prec.Precision, nodeCounts []int) 
 	spec, err := suite.ByName("HEAT_3D")
 	if err != nil {
 		return nil, err
+	}
+	if n >= maxGrid {
+		return nil, fmt.Errorf("cluster: grid side %d too large (want below %d)", n, maxGrid)
 	}
 	var out []StencilPoint
 	var t1 float64
@@ -120,9 +138,9 @@ func (c *Cluster) StrongScaleStencil(n int, p prec.Precision, nodeCounts []int) 
 		// Local slab: n/nodes planes of n*n (grid side shrinks in one
 		// dimension only). The model's Iters/Footprint are cubic in
 		// their size parameter, so convert the slab volume to an
-		// equivalent cube side.
-		localVol := float64(n) * float64(n) * float64(n) / float64(nodes)
-		side := int(math.Cbrt(localVol))
+		// equivalent cube side: s³ ≤ n³/nodes exactly when
+		// s³ ≤ ⌊n³/nodes⌋.
+		side := cubeRootFloor(uint64(n) * uint64(n) * uint64(n) / uint64(nodes))
 		if side < 4 {
 			side = 4
 		}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -195,5 +197,55 @@ func TestSocketLink(t *testing.T) {
 	link, ok := SocketLink(machine.SG2042x2())
 	if !ok || link.BW != machine.SG2042x2().XSocketBW || link.LatencyNs != machine.SG2042x2().XSocketLatencyNs {
 		t.Errorf("SocketLink = %+v, %v", link, ok)
+	}
+}
+
+// TestCubeRootFloorMatchesCbrt: the exact slab side equals the
+// truncated math.Cbrt of the float64 slab volume it replaced over the
+// strong-scaling slabs the cluster reports reach in practice — every
+// grid up to 1024 (twice the default 512) over 1 to 256 nodes — and
+// over every slab that is a perfect cube, k³ with the grid k·m split
+// over m³ nodes, where a rounded cube root would fall one short, while
+// n³ < 2⁵³ keeps the float64 volume exact. Past that, up to maxGrid,
+// the side is checked against its definition, s³ ≤ ⌊n³/nodes⌋ < (s+1)³;
+// a grid of maxGrid or more is refused.
+func TestCubeRootFloorMatchesCbrt(t *testing.T) {
+	old := func(n, nodes int) int {
+		return int(math.Cbrt(float64(n) * float64(n) * float64(n) / float64(nodes)))
+	}
+	volume := func(n, nodes int) uint64 { return uint64(n) * uint64(n) * uint64(n) / uint64(nodes) }
+	for n := 1; n <= 1024; n++ {
+		for nodes := 1; nodes <= 256; nodes++ {
+			if got, want := cubeRootFloor(volume(n, nodes)), old(n, nodes); got != want {
+				t.Fatalf("grid %d over %d nodes: side %d, math.Cbrt gave %d", n, nodes, got, want)
+			}
+		}
+	}
+	for m := 1; m <= 16; m++ {
+		for k := 1; k*m < maxGrid; k++ {
+			n := k * m
+			if got := cubeRootFloor(volume(n, m*m*m)); got != k {
+				t.Fatalf("grid %d over %d nodes: side %d, want %d", n, m*m*m, got, k)
+			}
+			if n <= 208063 && old(n, m*m*m) != k { // 208063³ < 2⁵³
+				t.Fatalf("grid %d over %d nodes: math.Cbrt gave %d, want %d", n, m*m*m, old(n, m*m*m), k)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i <= 10000; i++ {
+		n := maxGrid - 1
+		if i > 0 {
+			n = 1 + rng.Intn(maxGrid-1)
+		}
+		v := volume(n, 1+rng.Intn(1<<16))
+		s := uint64(cubeRootFloor(v))
+		if s*s*s > v || (s+1)*(s+1)*(s+1) <= v {
+			t.Fatalf("cubeRootFloor(%d) = %d, not the largest s with s³ ≤ v", v, s)
+		}
+	}
+	c := New(machine.SG2042(), InfinibandHDR())
+	if _, err := c.StrongScaleStencil(maxGrid, prec.F64, []int{1}); err == nil {
+		t.Errorf("a %d grid was accepted", maxGrid)
 	}
 }

@@ -233,7 +233,8 @@ func (c *Coordinator) shipWarm(ctx context.Context, target string) {
 
 // relayWarm streams one peer's snapshot (GET src) into target's warm
 // endpoint and returns how many entries target installed. The bytes
-// pass through unbuffered, so the bound on them is the warm handler's.
+// and their Content-Length pass through unbuffered, so the bound on
+// them is the warm handler's.
 func (c *Coordinator) relayWarm(ctx context.Context, src, target string) (int, error) {
 	ctx, cancel := context.WithTimeout(ctx, warmTimeout)
 	defer cancel()
@@ -253,6 +254,7 @@ func (c *Coordinator) relayWarm(ctx context.Context, src, target string) (int, e
 	if err != nil {
 		return 0, err
 	}
+	post.ContentLength = snap.ContentLength
 	post.Header.Set("Content-Type", SnapshotContentType)
 	resp, err := c.client.Do(post)
 	if err != nil {

@@ -22,11 +22,9 @@
 //   - Worker (worker.go): the HTTP handler behind sg2042d -worker. It
 //     answers POST /v1/fabric/points — a shard-scoped campaign API:
 //     the client's campaign spec plus the grid indices this worker
-//     owns — streaming one frame per point as evaluation completes.
-//     Mounted directly it flushes each frame; mounted in the sg2042d
-//     daemon (behind the metrics wrapper, which has no Flush) its
-//     frames batch in net/http's buffers. A worker only answers; it
-//     makes no outbound request.
+//     owns — streaming one frame per point as evaluation completes,
+//     unflushed, so frames batch in net/http's buffers. A worker only
+//     answers; it makes no outbound request.
 //
 //   - Coordinator (coordinator.go): expands the grid, assigns points
 //     by ring, fans requests out, and emits points in grid order

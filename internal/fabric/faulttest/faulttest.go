@@ -1,15 +1,18 @@
 // Package faulttest is the fault-injection harness behind the
-// distributed determinism tests: a cluster of real fabric workers on
-// httptest servers, each wrapped in a kill switch that can tear the
-// connection, corrupt the stream, or silently tamper with a frame
-// after a chosen number of frames. Tests arm a switch at a
-// seeded-random frame, run a sharded campaign through a coordinator,
-// and assert the output is byte-identical to a single-process run.
-// Workers can also be killed and restarted on the same address — the
-// self-healing tests' stand-in for a bounced process.
+// distributed determinism tests: a cluster of fabric workers on
+// httptest servers, each serving the daemon's own handler
+// (serve.New with Options.Worker, the handler sg2042d -worker mounts)
+// behind a kill switch that can tear the connection, corrupt the
+// stream, or silently tamper with a frame after a chosen number of
+// frames. Tests arm a switch at a seeded-random frame, run a sharded
+// campaign through a coordinator, and assert the output is
+// byte-identical to a single-process run. Workers can also be killed
+// and restarted on the same address — the self-healing tests' stand-in
+// for a bounced process.
 package faulttest
 
 import (
+	"bytes"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +20,7 @@ import (
 
 	"repro"
 	"repro/internal/fabric"
+	"repro/internal/serve"
 )
 
 // Cluster is a set of fabric workers, each with its own engine (its
@@ -34,38 +38,38 @@ type Node struct {
 	Engine *repro.Engine
 	srv    *httptest.Server
 	ks     *killSwitch
-	url    string
 	addr   string
 }
 
 // NewCluster starts n workers over the default machine registry. Each
-// worker serves the full fabric surface — points, healthz, snapshot,
-// warm — with the kill switch wrapping only the points stream, so
-// health probes and snapshot shipping are never garbled by an armed
-// fault.
+// worker serves the daemon's full surface — fabric points, healthz,
+// snapshot and warm included — with the kill switch acting only on the
+// points stream, so health probes and snapshot shipping are never
+// garbled by an armed fault.
 func NewCluster(n int) *Cluster {
 	c := &Cluster{}
 	for i := 0; i < n; i++ {
 		node := &Node{ks: &killSwitch{}}
-		node.srv = httptest.NewServer(node.buildHandler())
-		node.url = node.srv.URL
-		node.addr = node.srv.Listener.Addr().String()
+		if err := node.start("127.0.0.1:0"); err != nil {
+			panic("faulttest: " + err.Error())
+		}
 		c.nodes = append(c.nodes, node)
 	}
 	return c
 }
 
-// buildHandler gives the node a fresh engine and worker and returns
-// the mux serving them (kill switch on the points path only).
-func (n *Node) buildHandler() http.Handler {
-	n.Engine = repro.NewEngine(repro.Options{})
-	wk := fabric.NewWorker(n.Engine)
-	mux := http.NewServeMux()
-	mux.Handle(fabric.PointsPath, n.ks.wrap(wk))
-	mux.HandleFunc(fabric.HealthPath, wk.ServeHealth)
-	mux.HandleFunc(fabric.SnapshotPath, wk.ServeSnapshot)
-	mux.HandleFunc(fabric.WarmPath, wk.ServeWarm)
-	return mux
+// start serves a fresh worker daemon on addr, behind the node's kill
+// switch, and records the address it got.
+func (n *Node) start(addr string) error {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	s := serve.New(serve.Options{Worker: true})
+	n.Engine, n.addr = s.Engine(), l.Addr().String()
+	n.srv = &httptest.Server{Listener: l, Config: &http.Server{Handler: n.ks.wrap(s.Handler())}}
+	n.srv.Start()
+	return nil
 }
 
 // Targets returns the workers' base URLs, in node order — the
@@ -73,7 +77,7 @@ func (n *Node) buildHandler() http.Handler {
 func (c *Cluster) Targets() []string {
 	ts := make([]string, len(c.nodes))
 	for i, n := range c.nodes {
-		ts[i] = n.url
+		ts[i] = "http://" + n.addr
 	}
 	return ts
 }
@@ -85,8 +89,8 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 func (c *Cluster) Len() int { return len(c.nodes) }
 
 // Arm makes worker i abort its connection (http.ErrAbortHandler)
-// when it flushes its frames-th frame, counted across all requests the
-// worker has served — delivering strictly fewer than `frames` complete
+// when it starts its frames-th frame, counted across all requests the
+// worker has served — delivering strictly fewer than frames complete
 // points before dying mid-stream. frames is 1-based: Arm(i, 1) kills
 // the worker at its very first frame.
 func (c *Cluster) Arm(i, frames int) { c.nodes[i].ks.arm(frames, modeAbort) }
@@ -118,24 +122,7 @@ func (c *Cluster) Kill(i int) {
 // engine (a bounced process keeps nothing in memory — warmth, if any,
 // must be shipped to it). The kill switch carries over, disarmed or
 // not, and keeps counting frames where it left off.
-func (c *Cluster) Restart(i int) error {
-	n := c.nodes[i]
-	l, err := net.Listen("tcp", n.addr)
-	if err != nil {
-		return err
-	}
-	srv := &httptest.Server{
-		Listener: l,
-		Config:   &http.Server{Handler: n.buildHandler()},
-	}
-	srv.Start()
-	n.srv = srv
-	return nil
-}
-
-// Frames reports how many frames worker i has flushed in total
-// (cumulative across restarts).
-func (c *Cluster) Frames(i int) int { return c.nodes[i].ks.frames() }
+func (c *Cluster) Restart(i int) error { return c.nodes[i].start(c.nodes[i].addr) }
 
 // Close shuts every worker down.
 func (c *Cluster) Close() {
@@ -153,14 +140,14 @@ const (
 	modeTamper         // flip a bit in the armed frame's body
 )
 
-// killSwitch wraps a worker handler, counting flushed frames across
-// requests and firing an armed fault when the count reaches the
-// trigger.
+// killSwitch sits in front of a worker daemon's handler, counting the
+// frames its points streams write across requests and firing an armed
+// fault when the count reaches the trigger.
 type killSwitch struct {
-	mu      sync.Mutex
-	flushes int
-	armAt   int // 0 = disarmed; 1-based frame number otherwise
-	mode    int
+	mu     sync.Mutex
+	frames int // frames written in full, across requests
+	armAt  int // 0 = disarmed; 1-based frame number otherwise
+	mode   int
 }
 
 func (k *killSwitch) arm(frames, mode int) {
@@ -170,76 +157,66 @@ func (k *killSwitch) arm(frames, mode int) {
 	k.mode = mode
 }
 
-func (k *killSwitch) frames() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.flushes
-}
-
+// wrap puts the switch in front of the daemon handler h, on the points
+// stream only.
 func (k *killSwitch) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(&killWriter{ResponseWriter: w, ks: k, frameStart: true}, r)
+		if r.URL.Path == fabric.PointsPath {
+			w = &killWriter{ResponseWriter: w, ks: k}
+		}
+		h.ServeHTTP(w, r)
 	})
 }
 
 // killWriter intercepts the worker's frame stream. The worker writes
-// one frame as a length-prefix Write followed by a body Write, then
-// flushes once — so the flush count is the delivered-frame count, the
-// first Write after a flush is the next frame's length prefix, and the
-// Write after that is its body.
+// each frame as a length-prefix Write followed by a body Write and
+// never flushes, so writes alternate prefix, body, prefix, ... and
+// every body Write completes a frame. While a fault is pending the
+// switch flushes each completed frame itself, so the frames before the
+// fault reach the coordinator one at a time, ahead of it; once the
+// fault has fired (or with none armed) frames batch in net/http's
+// buffer as they do in sg2042d.
 type killWriter struct {
 	http.ResponseWriter
 	ks *killSwitch
-	// frameStart marks the next Write as a frame's length prefix.
-	frameStart bool
+	// inFrame marks the next Write as a frame's body (after its prefix).
+	inFrame bool
 }
 
 func (kw *killWriter) Write(p []byte) (int, error) {
+	body := kw.inFrame
+	kw.inFrame = !body
 	k := kw.ks
 	k.mu.Lock()
-	atArmed := k.armAt > 0 && k.flushes+1 == k.armAt
-	garble := atArmed && k.mode == modeCorrupt && kw.frameStart
-	tamper := atArmed && k.mode == modeTamper && !kw.frameStart
+	pending := k.frames < k.armAt
+	armed := pending && k.frames+1 == k.armAt
+	mode := k.mode
+	if body {
+		k.frames++
+	}
 	k.mu.Unlock()
-	kw.frameStart = false
-	if garble {
+	switch {
+	case armed && mode == modeAbort:
+		// Tear the connection as the armed frame starts: the
+		// coordinator sees a dead worker mid-stream, strictly short of
+		// this frame's point.
+		panic(http.ErrAbortHandler)
+	case armed && mode == modeCorrupt && !body:
 		// An all-0xFF over-long uvarint where the frame's length prefix
 		// belongs: the coordinator's stream decoder must reject it
 		// before ever treating the following bytes as a frame.
-		bad := make([]byte, len(p))
-		for i := range bad {
-			bad[i] = 0xFF
-		}
-		return kw.ResponseWriter.Write(bad)
-	}
-	if tamper && len(p) > 0 {
+		p = bytes.Repeat([]byte{0xFF}, len(p))
+	case armed && mode == modeTamper && body && len(p) > 0:
 		// Flip the low bit of the frame's last byte — the top byte of
 		// the last class cell's Ratio.Max float, so the frame still
 		// parses and the length prefix still matches. The
 		// silent-wrong-answer fault.
-		bad := append([]byte(nil), p...)
-		bad[len(bad)-1] ^= 0x01
-		return kw.ResponseWriter.Write(bad)
+		p = append([]byte(nil), p...)
+		p[len(p)-1] ^= 0x01
 	}
-	return kw.ResponseWriter.Write(p)
-}
-
-func (kw *killWriter) Flush() {
-	k := kw.ks
-	k.mu.Lock()
-	die := k.armAt > 0 && k.mode == modeAbort && k.flushes+1 == k.armAt
-	if !die {
-		k.flushes++
+	n, err := kw.ResponseWriter.Write(p)
+	if body && pending && err == nil {
+		err = http.NewResponseController(kw.ResponseWriter).Flush()
 	}
-	k.mu.Unlock()
-	if die {
-		// Tear the connection before the armed frame leaves the
-		// server's buffer: the coordinator sees a dead worker
-		// mid-stream, strictly short of this frame's point.
-		panic(http.ErrAbortHandler)
-	}
-	if f, ok := kw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-	kw.frameStart = true
+	return n, err
 }

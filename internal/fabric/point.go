@@ -36,8 +36,8 @@ import (
 // point agree on its frame, byte for byte.
 //
 // On the stream each frame is prefixed with its uvarint byte length,
-// so the coordinator can decode points incrementally as the worker
-// flushes them, and a mid-stream kill surfaces as a truncated frame
+// so the coordinator can decode points incrementally as they arrive,
+// and a mid-stream kill surfaces as a truncated frame
 // rather than a hang.
 
 // pointMagic opens every point frame: four magic bytes, then the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"repro"
 )
@@ -49,20 +50,14 @@ func NewWorker(eng *repro.Engine) *Worker {
 // ServeHTTP answers POST /v1/fabric/points, streaming one
 // length-prefixed frame per requested point, in request order (not
 // grid order — the coordinator owns ordering), each written as soon as
-// the point and every point requested before it are evaluated, and
-// flushed per frame when w is an http.Flusher. Behind the daemon's
-// metrics wrapper it is not, and frames batch in net/http's buffer. Spec
+// the point and every point requested before it are evaluated. The
+// worker never flushes: frames batch in net/http's buffer. Spec
 // and index validation (CampaignSpec.CheckPoints: in range, no
 // duplicates, and at least one point) happen before the first frame,
 // so protocol errors are clean JSON with a real status code; a failure
 // after streaming starts tears the stream, which the coordinator
 // treats like a dead worker.
 func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		workerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req pointsRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPointsBody))
 	dec.DisallowUnknownFields()
@@ -95,21 +90,12 @@ func (wk *Worker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", ContentType)
 	w.Header().Set("X-Content-Type-Options", "nosniff")
-	flusher, _ := w.(http.Flusher)
 	var buf []byte
-	err = wk.eng.CampaignPoints(spec, req.Points, func(p repro.CampaignPoint) error {
-		frame, err := appendPoint(buf[:0], p)
-		if err != nil {
+	err = wk.eng.CampaignPoints(spec, req.Points, func(p repro.CampaignPoint) (err error) {
+		if buf, err = appendPoint(buf[:0], p); err != nil {
 			return err
 		}
-		buf = frame
-		if err := writeFrame(w, frame); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return writeFrame(w, buf)
 	})
 	if err != nil {
 		// The stream is already open: tear the connection so the
@@ -135,11 +121,6 @@ func (wk *Worker) ServeHealth(w http.ResponseWriter, r *http.Request) {
 // deterministic for a given cache state (entries sort by their encoded
 // bytes), so two peers holding the same entries ship identical bytes.
 func (wk *Worker) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		workerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
 	q := r.URL.Query()
 	keep, err := ownerFilter(q.Get("owner"), q["fleet"])
 	if err != nil {
@@ -152,6 +133,7 @@ func (wk *Worker) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", SnapshotContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 	_, _ = w.Write(data)
 }
@@ -190,13 +172,13 @@ type warmResponse struct {
 // ServeWarm answers POST /v1/fabric/warm, whose body is one peer's
 // owner-filtered snapshot as the coordinator relays it, by installing
 // its entries into the worker's own suite cache. The restore is
-// all-or-nothing: a body that does not decode, or runs past
-// maxSnapshotBody, is a 400 and installs nothing. A worker that could
-// not warm evaluates its shard cold, bit-identically.
+// all-or-nothing: a body that does not decode, or runs (or is declared)
+// past maxSnapshotBody, is a 400 and installs nothing; the buffer grows
+// with the bytes that arrive, not with the declared length. A worker
+// that could not warm evaluates its shard cold, bit-identically.
 func (wk *Worker) ServeWarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		workerError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
+	if r.ContentLength > maxSnapshotBody {
+		workerError(w, http.StatusBadRequest, fmt.Errorf("warm snapshot too large: %d bytes declared, the bound is %d", r.ContentLength, maxSnapshotBody))
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBody))

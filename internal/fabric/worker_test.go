@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -202,29 +203,38 @@ func TestWarmDialsNothing(t *testing.T) {
 	}
 }
 
-// fabricServer serves wk's snapshot and warm endpoints.
-func fabricServer(wk *Worker) *httptest.Server {
+// fabricHandler serves wk's snapshot and warm endpoints under the
+// daemon's method patterns.
+func fabricHandler(wk *Worker) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(SnapshotPath, wk.ServeSnapshot)
-	mux.HandleFunc(WarmPath, wk.ServeWarm)
-	return httptest.NewServer(mux)
+	mux.HandleFunc("GET "+SnapshotPath, wk.ServeSnapshot)
+	mux.HandleFunc("POST "+WarmPath, wk.ServeWarm)
+	return mux
 }
 
 // TestShipWarmRelaysPeerSnapshots: the coordinator relays each live
-// peer's snapshot, filtered to the joiner's keys, into the joiner. A
+// peer's snapshot, filtered to the joiner's keys, into the joiner, with
+// the snapshot's length declared on the POST. A
 // peer whose snapshot GET fails costs one WarmError and the rest of
 // the shipment still joins; a shipment no relay got through is tried
 // warmAttempts times, each failure counted, and joins nothing.
 func TestShipWarmRelaysPeerSnapshots(t *testing.T) {
 	peer := warmedWorker(t)
-	good := fabricServer(peer)
+	good := httptest.NewServer(fabricHandler(peer))
 	defer good.Close()
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no snapshot", http.StatusInternalServerError)
 	}))
 	defer bad.Close()
 	eng := repro.NewEngine(repro.Options{})
-	joiner := fabricServer(NewWorker(eng))
+	var declared atomic.Int64
+	joined := fabricHandler(NewWorker(eng))
+	joiner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == WarmPath {
+			declared.Store(r.ContentLength)
+		}
+		joined.ServeHTTP(w, r)
+	}))
 	defer joiner.Close()
 
 	fleet := []string{joiner.URL, good.URL, bad.URL}
@@ -239,6 +249,9 @@ func TestShipWarmRelaysPeerSnapshots(t *testing.T) {
 	}
 	if !bytes.Equal(mustSnapshot(t, eng), owned) {
 		t.Error("the joiner's cache is not the peer's snapshot of the joiner's keys")
+	}
+	if n := declared.Load(); n != int64(len(owned)) {
+		t.Errorf("the relayed POST declared %d bytes, want the snapshot's %d", n, len(owned))
 	}
 	want, err := repro.NewEngine(repro.Options{}).RestoreCache(owned)
 	if err != nil {
@@ -279,18 +292,62 @@ func TestWorkerBodiesBounded(t *testing.T) {
 // TestWarmRejectsOversizeSnapshot: a warm body of maxSnapshotBody+1
 // bytes — a valid snapshot, then zeros — answers "too large" and
 // installs nothing. The bytes are generated as they are read, so only
-// the read bound can stop them.
+// the read bound can stop them when no length is declared. A declared
+// length past the bound is refused before a byte is read, and a
+// declared length the body falls short of costs only the bytes that
+// came: both allocate far less than the bound.
 func TestWarmRejectsOversizeSnapshot(t *testing.T) {
 	snap := mustSnapshot(t, warmedWorker(t).eng)
-	body := io.MultiReader(bytes.NewReader(snap), io.LimitReader(zeros{}, maxSnapshotBody+1-int64(len(snap))))
+	oversize := func() io.Reader {
+		return io.MultiReader(bytes.NewReader(snap), io.LimitReader(zeros{}, maxSnapshotBody+1-int64(len(snap))))
+	}
 	eng := repro.NewEngine(repro.Options{})
-	code, msg := postWarm(NewWorker(eng), body)
+	wk := NewWorker(eng)
+	code, msg := postWarm(wk, oversize())
 	if code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
 		t.Errorf("status %d, want 400 too large: %s", code, msg)
 	}
 	if !bytes.Equal(mustSnapshot(t, eng), mustSnapshot(t, repro.NewEngine(repro.Options{}))) {
 		t.Error("an oversize snapshot left entries in the cache")
 	}
+
+	// warmAllocs serves one warm POST whose body declares length bytes
+	// and returns the status, the body bytes read and the bytes
+	// allocated.
+	warmAllocs := func(body io.Reader, length int64) (int, int64, uint64) {
+		counted := &countingReader{r: body}
+		req := httptest.NewRequest(http.MethodPost, WarmPath, counted)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		wk.ServeWarm(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec.Code, counted.n, after.TotalAlloc - before.TotalAlloc
+	}
+	const far = maxSnapshotBody / 64
+	code, read, alloc := warmAllocs(oversize(), maxSnapshotBody+1)
+	if code != http.StatusBadRequest || read != 0 || alloc > far {
+		t.Errorf("declared %d B: status %d, read %d B, allocated %d B; want 400, nothing read, under %d B",
+			maxSnapshotBody+1, code, read, alloc, far)
+	}
+	code, read, alloc = warmAllocs(bytes.NewReader(snap), maxSnapshotBody)
+	if code != http.StatusOK || read != int64(len(snap)) || alloc > far {
+		t.Errorf("declared %d B, sent the %d B snapshot: status %d, read %d B, allocated %d B; want 200 under %d B",
+			int64(maxSnapshotBody), len(snap), code, read, alloc, far)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // zeros reads as an endless run of zero bytes.

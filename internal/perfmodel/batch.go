@@ -27,6 +27,7 @@ package perfmodel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/autovec"
 	"repro/internal/kernels"
@@ -253,7 +254,7 @@ func (m *Model) initUncoreCtx(x *uncoreCtx, cfg Config) error {
 			x.syncSec += float64(float64(s-1) * mach.XSocketLatencyNs * 1e-9)
 		}
 		if nd := sharing.NodesUsed; nd > 1 && mach.NodeLatencyNs > 0 {
-			hops := 2 * math.Ceil(math.Log2(float64(nd)))
+			hops := float64(2 * allReduceRounds(nd))
 			x.syncSec += float64(hops * mach.NodeLatencyNs * 1e-9)
 		}
 		x.seq = m.levelParamsFor(mach, sharing, 1)
@@ -261,6 +262,9 @@ func (m *Model) initUncoreCtx(x *uncoreCtx, cfg Config) error {
 	x.levels = m.levelParamsFor(mach, sharing, cfg.Threads)
 	return nil
 }
+
+// allReduceRounds is ⌈log₂ nodes⌉ for nodes ≥ 1, in integers.
+func allReduceRounds(nodes int) int { return bits.Len(uint(nodes - 1)) }
 
 // levelParamsFor derives each cache level's usable per-thread capacity
 // and bandwidth share under the sharing pattern and thread count — the

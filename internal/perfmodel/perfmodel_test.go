@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/autovec"
@@ -322,5 +323,16 @@ func TestProblemNOverride(t *testing.T) {
 	}
 	if bs.ServedBy == "MEM" {
 		t.Errorf("1024-element triad should be cache resident, got %s", bs.ServedBy)
+	}
+}
+
+// TestAllReduceRoundsMatchesLog2: the integer round count gives the
+// hop count the float expression 2·⌈log₂ nd⌉ gave, for every node count
+// a machine can reach (2 up to machine.MaxCores, one core a node).
+func TestAllReduceRoundsMatchesLog2(t *testing.T) {
+	for nd := 2; nd <= machine.MaxCores; nd++ {
+		if got, want := float64(2*allReduceRounds(nd)), 2*math.Ceil(math.Log2(float64(nd))); got != want {
+			t.Fatalf("%d nodes: %v hops, the float expression gave %v", nd, got, want)
+		}
 	}
 }

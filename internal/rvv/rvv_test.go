@@ -469,3 +469,35 @@ func TestGeneratedTextMentionsDialectMnemonics(t *testing.T) {
 		t.Errorf("v1.0 VLA code should use vle32.v with ta,ma:\n%s", src10)
 	}
 }
+
+// TestVFMaccFused pins vfmacc as fused, on inputs where fusing shows.
+// At SEW=64, (1+2⁻³⁰)(1−2⁻³⁰) = 1−2⁻⁶⁰ rounds to 1 on its own, so an
+// unfused lane adding −1 gives 0 and the fused lane gives −2⁻⁶⁰: in
+// vfmacc.vf (daxpy) and in the second strip of vfmacc.vv (dot). At
+// SEW=32 the product of two binary32 values is exact in float64, so
+// fused and unfused agree; the lane is rounded to binary32 after the
+// float64 sum, a second rounding. (1+2⁻¹²)² + 2⁻⁸⁰ shows it: the
+// float64 sum 1+2⁻¹¹+2⁻²⁴ drops the 2⁻⁸⁰ and is a binary32 tie, which
+// rounds to even, 1+2⁻¹¹, where a binary32 fma gives 1+2⁻¹¹+2⁻²³.
+func TestVFMaccFused(t *testing.T) {
+	a, b := 1+0x1p-30, 1-0x1p-30
+	for _, d := range []Dialect{V071, V10} {
+		cfg := GenConfig{Dialect: d, SEW: 64, Mode: ModeVLA, VLEN: 128}
+		got, _ := runKernel(t, KDaxpy, cfg, 1, a, []float64{b}, nil, []float64{-1})
+		if got[0] != -0x1p-60 {
+			t.Errorf("%v: vfmacc.vf lane = %g, want the fused -2^-60 (unfused gives 0)", d, got[0])
+		}
+		// Two strips of VL=2: lane 0 holds (-1)(1), then adds a*b.
+		got, _ = runKernel(t, KDot, cfg, 4, 0, []float64{-1, 0, a, 0}, []float64{1, 0, b, 0}, nil)
+		if got[0] != -0x1p-60 {
+			t.Errorf("%v: vfmacc.vv dot = %g, want the fused -2^-60 (unfused gives 0)", d, got[0])
+		}
+
+		cfg.SEW = 32
+		x := 1 + 0x1p-12
+		got, _ = runKernel(t, KDaxpy, cfg, 1, x, []float64{x}, nil, []float64{0x1p-80})
+		if want := 1 + 0x1p-11; got[0] != want {
+			t.Errorf("%v: SEW=32 vfmacc.vf lane = %g, want %g (float64 fma, then rounded to binary32)", d, got[0], want)
+		}
+	}
+}

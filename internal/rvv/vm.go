@@ -393,6 +393,9 @@ func (vm *VM) vFScalarOp(in Inst, f func(a, s float64) float64) error {
 	return vm.tailFill(in.Rd, esz)
 }
 
+// vFMaccVF and vFMaccVV are fused, as the RVV spec defines vfmacc: one
+// math.FMA per lane. At SEW=32 setF then rounds to binary32 a second
+// time (TestVFMaccFused).
 func (vm *VM) vFMaccVF(in Inst) error {
 	vm.Stats.VectorInsts++
 	esz := vm.sew / 8
@@ -406,7 +409,7 @@ func (vm *VM) vFMaccVF(in Inst) error {
 		if err != nil {
 			return err
 		}
-		vm.setF(d, esz, vm.getF(d, esz)+s*vm.getF(a, esz))
+		vm.setF(d, esz, math.FMA(s, vm.getF(a, esz), vm.getF(d, esz)))
 	}
 	return vm.tailFill(in.Rd, esz)
 }
@@ -427,7 +430,7 @@ func (vm *VM) vFMaccVV(in Inst) error {
 		if err != nil {
 			return err
 		}
-		vm.setF(d, esz, vm.getF(d, esz)+vm.getF(a, esz)*vm.getF(b, esz))
+		vm.setF(d, esz, math.FMA(vm.getF(a, esz), vm.getF(b, esz), vm.getF(d, esz)))
 	}
 	return vm.tailFill(in.Rd, esz)
 }

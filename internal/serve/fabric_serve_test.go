@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/fabric/faulttest"
 )
 
 // newFleet starts n worker servers (each a full Server with the fabric
@@ -206,39 +204,6 @@ func TestCoordinatorMetricsExposeFleet(t *testing.T) {
 	}
 	if !strings.Contains(body, "sg2042d_fabric_fleet_down_total 0") {
 		t.Error("non-coordinating server omits the fleet-down counter")
-	}
-}
-
-// TestReplicatedCampaignQuarantineInMetrics is the serving-tier face of
-// the replica acceptance: a coordinator with Replicas: 2 over a fleet
-// where one worker tampers a frame body still answers the exact local
-// bytes, and /metrics reports the quarantine.
-func TestReplicatedCampaignQuarantineInMetrics(t *testing.T) {
-	local := httptest.NewServer(New(Options{Parallel: 4}).Handler())
-	defer local.Close()
-
-	cluster := faulttest.NewCluster(3)
-	defer cluster.Close()
-	cluster.Tamper(0, 1)
-	coord := httptest.NewServer(New(Options{Coordinate: cluster.Targets(), Replicas: 2}).Handler())
-	defer coord.Close()
-
-	_, _, want := postCampaign(t, local, "", campaignBody, "")
-	status, _, got := postCampaign(t, coord, "", campaignBody, "")
-	if status != http.StatusOK {
-		t.Fatalf("status %d with a tampering worker under replication: %s", status, got)
-	}
-	if got != want {
-		t.Error("replicated body differs from single-process body despite quorum")
-	}
-
-	body := getMetricsBody(t, coord)
-	if !strings.Contains(body, "sg2042d_fabric_quarantines_total 1") {
-		t.Errorf("metrics lack the quarantine counter:\n%s", grepMetrics(body, "quarantine"))
-	}
-	gauge := `sg2042d_fabric_worker_quarantined{target="` + cluster.Targets()[0] + `"} 1`
-	if !strings.Contains(body, gauge) {
-		t.Errorf("metrics lack %s:\n%s", gauge, grepMetrics(body, "quarantined"))
 	}
 }
 

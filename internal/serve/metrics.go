@@ -252,11 +252,10 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 
 // statusWriter records the response status for the error counter.
 //
-// It deliberately has no Flush method: a handler that type-asserts
-// http.Flusher (the daemon-mounted fabric worker) sees none and leaves
-// its frames to net/http's buffering. Unwrap lets
-// http.NewResponseController reach the connection's writer, which is
-// how the NDJSON campaign stream flushes its first line.
+// It has no Flush method: no handler flushes by type-asserting
+// http.Flusher. Unwrap lets http.NewResponseController reach the
+// connection's writer, which is how the NDJSON campaign stream flushes
+// its first line.
 type statusWriter struct {
 	http.ResponseWriter
 	status int

@@ -22,7 +22,7 @@
 //	POST /v1/fabric/points          shard-scoped campaign points (Options.Worker)
 //	GET  /v1/fabric/healthz         fabric liveness for the coordinator's prober (Options.Worker)
 //	GET  /v1/fabric/snapshot        owner-scoped suite-cache snapshot (Options.Worker)
-//	POST /v1/fabric/warm            pull peer snapshots into the local cache (Options.Worker)
+//	POST /v1/fabric/warm            install a relayed peer snapshot (Options.Worker)
 //
 // With Options.Coordinate the campaign endpoint shards its grid over a
 // fleet of workers through internal/fabric; every format's bytes stay
@@ -162,8 +162,8 @@ func (s *Server) routes() {
 	if s.wk != nil {
 		s.handle("POST "+fabric.PointsPath, "fabric-points", s.wk.ServeHTTP)
 		// The self-healing surface: the coordinator's prober watches
-		// fabric healthz, and peers ship a (re)joining worker the cache
-		// entries it owns through snapshot/warm.
+		// fabric healthz, and relays a (re)joining worker the cache
+		// entries it owns from its peers' snapshot into its warm.
 		s.handle("GET "+fabric.HealthPath, "fabric-healthz", s.wk.ServeHealth)
 		s.handle("GET "+fabric.SnapshotPath, "fabric-snapshot", s.wk.ServeSnapshot)
 		s.handle("POST "+fabric.WarmPath, "fabric-warm", s.wk.ServeWarm)

@@ -419,13 +419,14 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 
 	for path, want := range map[string]int{
-		"/v1/cluster/NotAMachine":        http.StatusNotFound,
-		"/v1/cluster/SG2042?net=carrier": http.StatusBadRequest,
-		"/v1/cluster/SG2042?grid=x":      http.StatusBadRequest,
-		"/v1/cluster/SG2042?grid=-5":     http.StatusBadRequest,
-		"/v1/cluster/SG2042?grid=0":      http.StatusBadRequest,
-		"/v1/cluster/SG2042?nodes=1,-2":  http.StatusBadRequest,
-		"/v1/cluster/SG2042?format=xml":  http.StatusBadRequest,
+		"/v1/cluster/NotAMachine":         http.StatusNotFound,
+		"/v1/cluster/SG2042?net=carrier":  http.StatusBadRequest,
+		"/v1/cluster/SG2042?grid=x":       http.StatusBadRequest,
+		"/v1/cluster/SG2042?grid=-5":      http.StatusBadRequest,
+		"/v1/cluster/SG2042?grid=0":       http.StatusBadRequest,
+		"/v1/cluster/SG2042?grid=2097152": http.StatusBadRequest,
+		"/v1/cluster/SG2042?nodes=1,-2":   http.StatusBadRequest,
+		"/v1/cluster/SG2042?format=xml":   http.StatusBadRequest,
 	} {
 		status, _, _ := get(t, ts, path, "")
 		if status != want {

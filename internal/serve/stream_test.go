@@ -54,10 +54,9 @@ func TestCampaignNDJSONFlushesFirstLineOnce(t *testing.T) {
 	}
 }
 
-// TestWorkerMountedInDaemonDoesNotFlush: the daemon-mounted fabric
-// worker sees no http.Flusher behind the metrics wrapper, so its frames
-// batch in net/http's buffers as they always have; only a directly
-// mounted worker flushes per frame.
+// TestWorkerMountedInDaemonDoesNotFlush: the fabric worker never
+// flushes, so through the daemon's handler its frames batch in
+// net/http's buffers even when the connection's writer could flush.
 func TestWorkerMountedInDaemonDoesNotFlush(t *testing.T) {
 	req := `{"spec": ` + campaignBody + `, "points": [0, 1, 2, 3]}`
 	rec := serveRecorded(New(Options{Worker: true}).Handler(), "/v1/fabric/points", req)
