@@ -1,5 +1,4 @@
 GO ?= go
-SERVE_ADDR ?= 127.0.0.1:18042
 # Relative regression tolerance for the benchmark gate; allocs/op and
 # B/op beyond it fail, ns/op only warns (CI timing is noise).
 BENCH_TOLERANCE ?= 0.10
@@ -156,22 +155,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNoiseSource$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePoint$$' -fuzztime $(FUZZTIME) ./internal/fabric
 
-# Build sg2042d and smoke-test it: start the daemon, hit one experiment
-# endpoint through the example client, then shut the daemon down.
+# Smoke-test sg2042d: a Go test boots the daemon's run on an ephemeral
+# port, fetches Table 4 as text and, by content negotiation, as CSV
+# (the examples/serveclient request), and shuts it down gracefully.
 serve:
-	$(GO) build -o bin/sg2042d ./cmd/sg2042d
-	@set -e; \
-	./bin/sg2042d -addr $(SERVE_ADDR) -parallel 4 > bin/sg2042d.log 2>&1 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in 1 2 3 4 5 6 7 8 9 10; do \
-	  $(GO) run ./examples/serveclient -addr $(SERVE_ADDR) -exp table4 > bin/smoke.log 2>&1 && break; \
-	  sleep 0.5; \
-	  if [ $$i = 10 ]; then \
-	    echo "sg2042d smoke test FAILED; client output:"; cat bin/smoke.log; \
-	    echo "daemon log:"; cat bin/sg2042d.log; exit 1; \
-	  fi; \
-	done; \
-	echo "sg2042d smoke test OK on $(SERVE_ADDR)"
+	$(GO) test -count=1 -run '^TestServeAndGracefulShutdown$$' ./cmd/sg2042d
 
 # Everything the CI workflow runs, reproducible in one local command:
 # tier-1 verify, doc references, the race detector, the riscv64

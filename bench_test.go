@@ -149,8 +149,7 @@ func benchXCompare(b *testing.B, p prec.Precision, mt bool) {
 // one at a time. The two benchmarks below divide against this one.
 func BenchmarkAllExperimentsUncachedSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		st := core.NewStudy()
-		st.NoCache = true
+		st := &core.Study{Model: perfmodel.New(), Runs: 5, Noise: 0.01, Seed: 42}
 		if _, err := runMany(st, ExperimentNames, false, st.Workers); err != nil {
 			b.Fatal(err)
 		}
@@ -228,10 +227,10 @@ func BenchmarkCampaignEngineServing(b *testing.B) {
 }
 
 // benchPlanSpec is a 1024-point grid (2 bases x 16 derived variants x
-// 8 threads x 2 placements x 2 precisions) with deliberate dedup
-// collisions: threads 0, 64 and 96 all resolve to full occupancy on the
-// 64-core machines, so a quarter of the grid fans out from shared
-// evaluations — the shape the campaign planner is built for.
+// 8 threads x 2 placements x 2 precisions) with deliberate collisions:
+// threads 0, 64 and 96 all resolve to full occupancy on the 64-core
+// machines, so a quarter of the grid's points share their
+// configurations with others and meet them in the suite cache as hits.
 func benchPlanSpec() CampaignSpec {
 	return CampaignSpec{
 		Bases: []*Machine{SG2042(), SG2044()},
@@ -248,7 +247,7 @@ func benchPlanSpec() CampaignSpec {
 
 // BenchmarkCampaignPlanCold: a cold engine evaluating and rendering the
 // 1024-point colliding grid — the planner's headline number: derivation
-// caching, cross-point dedup and the odometer all on the cold path.
+// caching, the odometer and suite-cache sharing all on the cold path.
 func BenchmarkCampaignPlanCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunCampaign(benchPlanSpec(), Options{}); err != nil {
@@ -308,7 +307,7 @@ var errFirstPoint = errors.New("first point emitted")
 
 // BenchmarkCampaignFirstPointCold: what a cold 256-point campaign pays
 // before its first point can be emitted — JSON spec parse (plan
-// compile, fingerprints of every derived machine), dedup, and the first
+// compile, fingerprints of every derived machine) and the first
 // point's evaluation — on a fresh engine, with clock values that never
 // repeat, as a daemon's cold NDJSON request does. The campaign stops at
 // the first point.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro"
 )
 
 // startDaemon runs the daemon on an ephemeral port and returns its base
@@ -33,11 +35,13 @@ func startDaemon(t *testing.T, args ...string) (string, context.CancelFunc, <-ch
 	}
 }
 
-// TestServeAndGracefulShutdown is the daemon's end-to-end smoke test:
-// come up on an ephemeral port, answer an experiment request with the
-// same bytes the library renders, then drain cleanly on cancellation.
+// TestServeAndGracefulShutdown is the daemon's end-to-end smoke test
+// (make serve): come up on an ephemeral port, answer an experiment
+// request with the same bytes the library renders, answer Table 4 the
+// way examples/serveclient asks for it — CSV by content negotiation —
+// then drain cleanly on cancellation.
 func TestServeAndGracefulShutdown(t *testing.T) {
-	url, cancel, done := startDaemon(t, "-parallel", "2")
+	url, cancel, done := startDaemon(t, "-parallel", "4")
 	defer cancel()
 
 	resp, err := http.Get(url + "/v1/experiments/table4")
@@ -46,8 +50,32 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "Table 4") {
-		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	want, err := repro.RunExperiment("table4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(body) != want {
+		t.Fatalf("status %d, body %q, want the library's %q", resp.StatusCode, body, want)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, url+"/v1/experiments/table4", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/csv")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	wantCSV, err := repro.RunExperimentCSV("table4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(csv) != wantCSV {
+		t.Fatalf("Accept: text/csv: status %d, Content-Type %q, body %q, want the library's %q",
+			resp.StatusCode, resp.Header.Get("Content-Type"), csv, wantCSV)
 	}
 
 	resp, err = http.Get(url + "/healthz")

@@ -8,8 +8,7 @@
 //	go run ./examples/serveclient -addr 127.0.0.1:8042
 //
 // With no -addr it starts an in-process server on a loopback port and
-// talks to that, so the example is runnable standalone. make serve uses
-// the -addr form as the daemon's smoke test.
+// talks to that, so the example is runnable standalone.
 package main
 
 import (

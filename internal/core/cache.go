@@ -25,7 +25,7 @@ import (
 // old entries instead of serving stale measurements. The one mutation
 // the key cannot see is editing a Model's Calibration in place after
 // its first use (Calibration holds a map and cannot be part of the
-// key); assign a fresh Model instead, or set NoCache.
+// key); assign a fresh Model instead, or use a Study without a cache.
 type suiteKey struct {
 	model      *perfmodel.Model
 	machine    string

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/prec"
 )
@@ -35,8 +36,7 @@ func TestRunSuiteUncachedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts on pooled paths vary under -race")
 	}
-	st := NewStudy()
-	st.NoCache = true
+	st := &Study{Model: perfmodel.New(), Runs: 5, Noise: 0.01, Seed: 42}
 	cfg := sgConfig(32, placement.CyclicNUMA, prec.F32)
 	var buf [64]float64
 	eval := testing.AllocsPerRun(100, func() {
@@ -59,10 +59,7 @@ func TestRunSuiteUncachedAllocs(t *testing.T) {
 // first fills the process-wide memos and pools, so B/op measures the
 // steady miss path rather than whichever of them the last GC emptied.
 func BenchmarkRunSuiteUncached(b *testing.B) {
-	st := NewStudy()
-	st.NoCache = true
-	st.Noise = 0
-	st.Runs = 1
+	st := &Study{Model: perfmodel.New(), Runs: 1, Seed: 42}
 	cfg := sgConfig(32, placement.CyclicNUMA, prec.F32)
 	if _, err := st.RunSuite(cfg); err != nil {
 		b.Fatal(err)

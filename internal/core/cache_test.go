@@ -41,8 +41,7 @@ func TestRunSuiteMemoized(t *testing.T) {
 
 func TestCachedMatchesUncached(t *testing.T) {
 	cached := NewStudy()
-	uncached := NewStudy()
-	uncached.NoCache = true
+	uncached := &Study{Model: perfmodel.New(), Runs: 5, Noise: 0.01, Seed: 42}
 	for _, cfg := range []struct {
 		name string
 		c    func() ([]Measurement, []Measurement, error)

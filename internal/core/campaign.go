@@ -21,12 +21,11 @@ package core
 // cache entry. Serial, parallel and cached campaigns are bit-identical.
 //
 // Execution goes through the compiled plan (plan.go): the spec is
-// validated and its machines derived once, the grid is decoded from
-// point indices instead of materialized, and points that resolve to
-// the same evaluation — same derived machine, same clamped threads
-// against both variant and base, same placement and precision —
-// evaluate once and fan out in grid order. Deduplication is an
-// execution strategy only: every emitted point carries exactly the
+// validated and its machines derived once, and each requested point is
+// decoded from its index instead of materialized. Points that resolve
+// to the same configuration — same derived machine, same clamped
+// threads, placement and precision — meet on one suite-cache entry,
+// which measures it once; every emitted point carries exactly the
 // bytes the naive per-point path produces.
 
 import (
@@ -59,9 +58,8 @@ type AxisValues struct {
 // request an unbounded fan-out. It is deliberately larger than
 // MaxSweepPoints — campaigns are the scale surface — and since the
 // planner stopped materializing the grid (points decode arithmetically
-// from their index and deduplicate before evaluation) the bound guards
-// evaluation work, not expansion memory, so it sits far above the old
-// materialized limit of 512.
+// from their index) the bound guards evaluation work, not expansion
+// memory, so it sits far above the old materialized limit of 512.
 const MaxCampaignPoints = 8192
 
 // CampaignSpec selects a multi-axis what-if campaign: several base
@@ -249,20 +247,18 @@ func campaignConfig(m *machine.Machine, threads int, pol placement.Policy, p pre
 	}
 }
 
-// evalUniq measures one deduplicated evaluation unit — a grid point
-// and its base under the same software configuration, both through the
-// memoized suite cache — and builds the point template every grid
-// point of the unit shares (Index is patched per point at fan-out; the
-// Values slice and ByClass map are shared read-only).
+// evalPoint measures grid point i and its base under the same
+// software configuration, both through the memoized suite cache, and
+// summarises the point.
 //
 // The aggregation is the positional form of the Ratios/ClassSummaries
 // pipeline the naive path used: ratios and per-class groups are read
 // off the cached seconds by suite position (the order the map-based
 // path iterated in anyway), so every float operation happens on the same
-// values in the same order and the template is bit-identical — without
+// values in the same order and the point is bit-identical — without
 // the two name-keyed maps and per-class append-grown slices per point.
-func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error) {
-	pc, bc := &u.cfg, &u.base
+func (st *Study) evalPoint(plan *campaignPlan, i int) (CampaignPoint, error) {
+	combo, pc, bc := plan.at(i)
 	cfg := campaignConfig(pc.m, pc.threads, pc.pol, pc.p)
 	secs, err := st.runSuiteShared(cfg, st.suiteKeyFP(cfg, pc.fp), pc.ufp)
 	if err != nil {
@@ -273,9 +269,8 @@ func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error)
 	if err != nil {
 		return CampaignPoint{}, err
 	}
-	cb := &plan.combos[u.combo]
 	p := CampaignPoint{
-		Index: -1, Base: bc.m.Label, Machine: pc.m.Label, Values: cb.values,
+		Index: i, Base: bc.m.Label, Machine: pc.m.Label, Values: plan.combos[combo].values,
 		Threads: cfg.Threads, Placement: pc.pol, Prec: pc.p, Cores: pc.m.Cores,
 		ByClass: make(map[kernels.Class]CampaignCell, len(kernels.Classes)),
 	}
@@ -287,11 +282,11 @@ func (st *Study) evalUniq(plan *campaignPlan, u planUniq) (CampaignPoint, error)
 	if len(secs) > len(ratiosArr) {
 		ratios = make([]float64, 0, len(secs))
 	}
-	for i, s := range secs {
+	for k, s := range secs {
 		if s <= 0 {
-			return CampaignPoint{}, fmt.Errorf("core: kernel %s has non-positive time", suite.All()[i].Name)
+			return CampaignPoint{}, fmt.Errorf("core: kernel %s has non-positive time", suite.All()[k].Name)
 		}
-		ratios = append(ratios, base[i]/s)
+		ratios = append(ratios, base[k]/s)
 		p.TotalSeconds += s
 	}
 	pos := classPositions()
@@ -394,53 +389,36 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 }
 
 // evaluate is the one evaluation loop of campaigns, shard-scoped point
-// requests and sweeps (one-axis campaigns). Requested points that
-// collide on one deduplicated evaluation unit (same derived machine,
-// same clamped threads against variant and base, same placement and
-// precision) share one evaluation: the units evaluate in
-// first-occurrence order over the study's worker pool, into the shared
-// memoized suite cache. emit (nil to discard) runs on the calling
-// goroutine once per index, in request order, as soon as that index's
-// unit and every earlier index's are done. However evaluate leaves —
-// finished, emit error, or a panic in emit — it stops new evaluations
-// and drains the in-flight ones before returning, so nothing keeps
-// evaluating for nobody.
+// requests and sweeps (one-axis campaigns). The requested points
+// evaluate over the study's worker pool into the shared memoized suite
+// cache, where points that collide on one configuration meet. emit
+// (nil to discard) runs on the calling goroutine once per index, in
+// request order, as soon as that point and every earlier one are done.
+// However evaluate leaves — finished, emit error, or a panic in emit —
+// it stops new evaluations and drains the in-flight ones before
+// returning, so nothing keeps evaluating for nobody.
 func (st *Study) evaluate(plan *campaignPlan, indices []int, emit func(CampaignPoint) error) error {
-	plan.dedup()
-	// order lists the requested units by first occurrence; slot[j] is
-	// indices[j]'s position in it.
-	unitSlot := make([]int, len(plan.uniqs)) // unit -> position in order + 1
-	var order []int32
-	slot := make([]int, len(indices))
-	for j, i := range indices {
-		u := plan.pointUniq[i]
-		if unitSlot[u] == 0 {
-			order = append(order, u)
-			unitSlot[u] = len(order)
-		}
-		slot[j] = unitSlot[u] - 1
-	}
-	// Workers fill evaluated[k] and send k on done, which holds every
-	// unit, so evaluation never waits on the caller's emit. After each
+	// Workers fill evaluated[j] and send j on done, which holds every
+	// point, so evaluation never waits on the caller's emit. After each
 	// send a worker yields: the send readies the waiting caller on the
 	// worker's own P, where it would otherwise sit until the worker's
 	// time slice ends, delaying the first emitted point by milliseconds.
-	evaluated := make([]CampaignPoint, len(order))
-	done := make(chan int, len(order))
+	evaluated := make([]CampaignPoint, len(indices))
+	done := make(chan int, len(indices))
 	var stop atomic.Bool
 	var evalErr error
 	go func() {
 		defer close(done)
-		evalErr = par.ForEach(len(order), st.Workers, func(k int) error {
+		evalErr = par.ForEach(len(indices), st.Workers, func(j int) error {
 			if stop.Load() {
 				return nil
 			}
-			p, err := st.evalUniq(plan, plan.uniqs[order[k]])
+			p, err := st.evalPoint(plan, indices[j])
 			if err != nil {
 				return err
 			}
-			evaluated[k] = p
-			done <- k
+			evaluated[j] = p
+			done <- j
 			runtime.Gosched()
 			return nil
 		})
@@ -450,15 +428,13 @@ func (st *Study) evaluate(plan *campaignPlan, indices []int, emit func(CampaignP
 		for range done {
 		}
 	}()
-	finished := make([]bool, len(order))
+	finished := make([]bool, len(indices))
 	next := 0
-	for k := range done {
-		finished[k] = true
-		for ; next < len(indices) && finished[slot[next]]; next++ {
-			p := evaluated[slot[next]]
-			p.Index = indices[next]
+	for j := range done {
+		finished[j] = true
+		for ; next < len(indices) && finished[next]; next++ {
 			if emit != nil {
-				if err := emit(p); err != nil {
+				if err := emit(evaluated[next]); err != nil {
 					return err
 				}
 			}

@@ -85,7 +85,7 @@ func TestCampaignPointsEmitsEachOnce(t *testing.T) {
 // goroutine, where it can be recovered (as net/http recovers
 // ErrAbortHandler), and stops the rest of the grid: by the time the
 // caller recovers, no evaluation is left running for nobody. The grid
-// is cold and every point its own evaluation unit, so it is still
+// is cold and no two points share a configuration, so it is still
 // evaluating when the panic hits.
 func TestCampaignPointsEmitPanicReachesCaller(t *testing.T) {
 	clocks := make([]float64, 512)
@@ -294,8 +294,7 @@ func TestCampaignContainsEvaluationPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.dedup()
-	bc := plan.uniqs[0].base
+	_, _, bc := plan.at(0)
 	bcfg := campaignConfig(bc.m, bc.threads, bc.pol, bc.p)
 	for _, workers := range []int{1, 2} {
 		st := NewStudy().WithWorkers(workers)

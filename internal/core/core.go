@@ -32,7 +32,7 @@ import (
 // config-keyed cache (see cache.go) and the experiment constructors
 // fan their per-configuration work out over Workers goroutines.
 // Because all noise seeding is derived from the configuration, results
-// are bit-identical whatever the Workers and NoCache settings.
+// are bit-identical whatever the Workers setting, cached or not.
 type Study struct {
 	Model *perfmodel.Model
 	// Runs is the number of repeated measurements averaged per
@@ -47,9 +47,6 @@ type Study struct {
 	// constructor evaluates concurrently; <= 1 evaluates serially on
 	// the calling goroutine.
 	Workers int
-	// NoCache bypasses the suite memoization (benchmarks use it to
-	// measure the uncached baseline).
-	NoCache bool
 
 	// cache is shared between a Study and its WithWorkers views; a
 	// zero-literal Study has none and evaluates uncached.
@@ -86,13 +83,14 @@ type Measurement struct {
 
 // RunSuite measures every kernel under cfg, averaging Runs noisy
 // evaluations. Results are memoized per canonicalized configuration
-// (unless NoCache is set); noise is seeded from the configuration, so
-// cached and freshly evaluated results are bit-identical. The result
-// is a fresh slice the caller owns, in suite.All() order.
+// (unless the Study has no cache); noise is seeded from the
+// configuration, so cached and freshly evaluated results are
+// bit-identical. The result is a fresh slice the caller owns, in
+// suite.All() order.
 func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
 	var secs []float64
 	var err error
-	if st.NoCache || st.cache == nil {
+	if st.cache == nil {
 		// Uncached seconds live only until they are joined with the
 		// suite below, so they stay in a stack buffer and this path
 		// allocates just the result.
@@ -121,7 +119,7 @@ func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
 // key must be suiteKeyFP with the machine's fingerprint, and ufp the
 // machine's uncore fingerprint.
 func (st *Study) runSuiteShared(cfg perfmodel.Config, key suiteKey, ufp uint64) ([]float64, error) {
-	if st.NoCache || st.cache == nil {
+	if st.cache == nil {
 		return st.runSuiteUncached(cfg, ufp, nil)
 	}
 	secs, _, err := st.cache.Get(key, func() ([]float64, error) {

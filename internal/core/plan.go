@@ -9,21 +9,19 @@ package core
 //
 //   - the derivation cache: each unique (parent machine, axis, value)
 //     derivation is built and validated once, and duplicate axis values
-//     resolve to the same *Machine, so downstream dedup is pointer
-//     equality;
-//   - the odometer: the grid is never materialized — a point's inputs
-//     are decoded arithmetically from its index (bases outermost, axis
-//     values in odometer order with the last axis fastest, then
-//     threads, placements, precisions), so plan memory is flat in the
-//     grid size and the point cap can sit far above the old
-//     materialized limit;
-//   - cross-point dedup: points whose resolved configuration collides —
-//     same derived machine, same clamped thread counts (against both
-//     the variant and its base), same placement and precision —
-//     evaluate once and fan out in grid order;
-//   - per-unit compilation: every evaluation unit carries its point and
-//     base configurations with their precomputed machine fingerprints,
-//     so cache lookups skip the per-point hash walk.
+//     resolve to the same *Machine, fingerprinted once;
+//   - the odometer: the grid is never materialized — at decodes a
+//     point's combo and its point and base configurations from its
+//     index (bases outermost, axis values in odometer order with the
+//     last axis fastest, then threads, placements, precisions), with
+//     the machine fingerprints precomputed, so plan memory is flat in
+//     the grid size and cache lookups skip the per-point hash walk.
+//
+// Points whose configurations collide — duplicate axis values, thread
+// counts that clamp alike — are not deduplicated here: each evaluates
+// through the suite cache, whose singleflight measures every
+// configuration once, and noise is seeded per configuration, so
+// colliding points carry identical bytes.
 //
 // Plans are memoized process-wide under a canonical content key (base
 // fingerprints, exact axis value bit patterns, software lists), the
@@ -55,7 +53,6 @@ type planCombo struct {
 	fp     uint64    // m.Fingerprint(), hashed once
 	ufp    uint64    // m.UncoreFingerprint(), inherited along clock and vector axes
 	values []float64 // axis values applied, aligned with spec.Axes
-	canon  int32     // first combo with the same machine (dup axis values)
 }
 
 // planConfig is one suite configuration a campaign evaluates — a grid
@@ -70,20 +67,8 @@ type planConfig struct {
 	p       prec.Precision
 }
 
-// planUniq is one deduplicated evaluation unit: every grid point that
-// resolves to the same (machine, clamped threads, base threads,
-// placement, precision) shares it and fans its template out by index.
-// Identical configurations of different units meet in the suite cache.
-type planUniq struct {
-	combo int32      // canonical combo (metadata: labels, values, cores)
-	cfg   planConfig // the point's configuration
-	base  planConfig // the base reference configuration
-}
-
 // campaignPlan is a compiled campaign: validated spec, derived
-// machines, and the odometer geometry. The dedup tables are built
-// lazily (dedup) because the cheap surfaces — Validate, Points, Title,
-// Fingerprints — never need them.
+// machines, and the odometer geometry.
 type campaignPlan struct {
 	spec       CampaignSpec // normalized
 	combos     []planCombo
@@ -91,10 +76,6 @@ type campaignPlan struct {
 	baseFPs    []uint64 // per-base fingerprints, hashed once
 	baseUFPs   []uint64 // per-base uncore fingerprints, hashed once
 	n          int
-
-	uniqOnce  sync.Once
-	uniqs     []planUniq
-	pointUniq []int32 // grid index -> uniq index
 }
 
 // softPerCombo is the number of software points per combo.
@@ -248,7 +229,7 @@ func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 	}
 	// The derivation cache: one build+validate per unique (parent, axis,
 	// value); duplicate values within an axis share the derived machine
-	// by pointer, which is what makes downstream dedup exact. It also
+	// by pointer, so each distinct machine hashes once below. It also
 	// carries each variant's uncore fingerprint: a clock or vector
 	// derivation changes only fields the uncore hash leaves out, so its
 	// variant inherits the parent's value, and only the other axes hash
@@ -301,108 +282,47 @@ func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 			return nil, err
 		}
 	}
-	// Fingerprint each distinct machine once; duplicate-value combos
-	// alias their canonical combo.
-	firstOf := make(map[*machine.Machine]int32, len(plan.combos))
-	for i := range plan.combos {
-		cb := &plan.combos[i]
-		if j, ok := firstOf[cb.m]; ok {
-			cb.canon = j
-			cb.fp = plan.combos[j].fp
-			continue
+	// Fingerprint each distinct machine once: duplicate-value combos
+	// share their machine, and with no axes each base is its own combo.
+	fps := make(map[*machine.Machine]uint64, len(plan.combos))
+	fingerprint := func(m *machine.Machine) uint64 {
+		fp, ok := fps[m]
+		if !ok {
+			fp = m.Fingerprint()
+			fps[m] = fp
 		}
-		firstOf[cb.m] = int32(i)
-		cb.canon = int32(i)
-		cb.fp = cb.m.Fingerprint()
+		return fp
+	}
+	for i := range plan.combos {
+		plan.combos[i].fp = fingerprint(plan.combos[i].m)
 	}
 	plan.baseFPs = make([]uint64, len(s.Bases))
 	for bi, base := range s.Bases {
-		if j, ok := firstOf[base]; ok { // no axes: the base is its own combo
-			plan.baseFPs[bi] = plan.combos[j].fp
-		} else {
-			plan.baseFPs[bi] = base.Fingerprint()
-		}
+		plan.baseFPs[bi] = fingerprint(base)
 	}
 	return plan, nil
 }
 
-// dedup lazily builds the evaluation tables: the deduplicated
-// evaluation units and the grid-index mapping. Only the evaluation loop
-// (evaluate, behind Campaign and CampaignPoints) pays for it.
-//
-// Units are found by index arithmetic, not by hashing each point. A
-// unit is (canonical combo, thread class, placement, precision), each
-// list entry standing for the first equal one: derived machines are
-// unique per combo (duplicate axis values alias their canonical combo,
-// and no two bases share a derivation), so the canonical combo fixes
-// the machine and its base, and a thread class is the threads that
-// clamp alike against both their core counts. A point's unit therefore
-// first occurs at the grid index of those first entries — never after
-// the point itself — so one pass in grid order numbers the units in
-// first-occurrence order.
-func (p *campaignPlan) dedup() {
-	p.uniqOnce.Do(func() {
-		s := p.spec
-		nT, nP, nQ := len(s.Threads), len(s.Placements), len(s.Precs)
-		polRep := firstAlike(nP, func(i, j int) bool { return s.Placements[i] == s.Placements[j] })
-		precRep := firstAlike(nQ, func(i, j int) bool { return s.Precs[i] == s.Precs[j] })
-		// Thread classes depend only on the two core counts.
-		threadReps := make(map[[2]int][]int)
-		p.pointUniq = make([]int32, p.n)
-		at := 0
-		for ci := range p.combos {
-			canon := p.combos[ci].canon
-			cb := &p.combos[canon]
-			bi := ci / p.axisCombos
-			base := s.Bases[bi]
-			cores := [2]int{cb.m.Cores, base.Cores}
-			threadRep, ok := threadReps[cores]
-			if !ok {
-				threadRep = firstAlike(nT, func(i, j int) bool {
-					ti, tj := s.Threads[i], s.Threads[j]
-					return resolveThreads(ti, cores[0]) == resolveThreads(tj, cores[0]) &&
-						resolveThreads(ti, cores[1]) == resolveThreads(tj, cores[1])
-				})
-				threadReps[cores] = threadRep
-			}
-			for ti, t := range s.Threads {
-				for pi, pol := range s.Placements {
-					for qi, pr := range s.Precs {
-						first := ((int(canon)*nT+threadRep[ti])*nP+polRep[pi])*nQ + precRep[qi]
-						if first < at {
-							p.pointUniq[at] = p.pointUniq[first]
-						} else {
-							p.pointUniq[at] = int32(len(p.uniqs))
-							p.uniqs = append(p.uniqs, planUniq{
-								combo: canon,
-								cfg: planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp,
-									threads: resolveThreads(t, cb.m.Cores), pol: pol, p: pr},
-								base: planConfig{m: base, fp: p.baseFPs[bi], ufp: p.baseUFPs[bi],
-									threads: resolveThreads(t, base.Cores), pol: pol, p: pr},
-							})
-						}
-						at++
-					}
-				}
-			}
-		}
-	})
-}
-
-// firstAlike returns, for each i in [0, n), the first j <= i that is
-// alike(i, j) — the representative of i's class.
-func firstAlike(n int, alike func(i, j int) bool) []int {
-	rep := make([]int, n)
-	for i := range rep {
-		rep[i] = i
-		for j := range i {
-			if alike(i, j) {
-				rep[i] = j
-				break
-			}
-		}
-	}
-	return rep
+// at decodes grid index i: its combo, and the point's and its base's
+// configurations under the point's software settings. The odometer
+// runs precisions fastest, then placements, threads and combos, and a
+// combo's base is combo / axisCombos. Colliding points decode to equal
+// configurations and so meet on one suite-cache entry.
+func (p *campaignPlan) at(i int) (combo int, cfg, base planConfig) {
+	s := p.spec
+	nQ, nP := len(s.Precs), len(s.Placements)
+	pr := s.Precs[i%nQ]
+	i /= nQ
+	pol := s.Placements[i%nP]
+	i /= nP
+	t := s.Threads[i%len(s.Threads)]
+	combo = i / len(s.Threads)
+	cb := &p.combos[combo]
+	bi := combo / p.axisCombos
+	b := s.Bases[bi]
+	cfg = planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp, threads: resolveThreads(t, cb.m.Cores), pol: pol, p: pr}
+	base = planConfig{m: b, fp: p.baseFPs[bi], ufp: p.baseUFPs[bi], threads: resolveThreads(t, b.Cores), pol: pol, p: pr}
+	return combo, cfg, base
 }
 
 // suiteClassPos maps each class (by its index in kernels.Classes) to

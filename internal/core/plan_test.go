@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/prec"
 )
@@ -13,7 +14,7 @@ import (
 // (full occupancy) and 64 resolve identically on the 64-core SG2042,
 // and the duplicated clock value makes two combos share one derived
 // machine. 2 combos x 2 threads x 1 placement x 1 precision = 4 grid
-// points, all one evaluation unit.
+// points, all one configuration.
 func collidingCampaign() CampaignSpec {
 	return CampaignSpec{
 		Bases:   []*machine.Machine{machine.SG2042()},
@@ -25,8 +26,8 @@ func collidingCampaign() CampaignSpec {
 // TestCampaignDedupCollisionsIdentical: colliding grid points carry
 // identical evaluated results — only the grid index differs — and those
 // results are exactly what the collision-free form of the spec
-// produces. This is the library face of the dedup determinism contract:
-// deduplication is invisible in the output.
+// produces: colliding points meet on one suite-cache entry, and the
+// sharing is invisible in the output.
 func TestCampaignDedupCollisionsIdentical(t *testing.T) {
 	st := NewStudy()
 	res, err := st.Campaign(collidingCampaign(), nil)
@@ -62,11 +63,11 @@ func TestCampaignDedupCollisionsIdentical(t *testing.T) {
 // TestCampaignPointsDedupMatchesCampaign: the point-subset surface
 // returns, for any index selection over a colliding grid, exactly the
 // points the full campaign evaluates, in request order — also when the
-// grid's evaluation units interleave, so colliding points are not
-// adjacent — and a full-grid request emits exactly what Campaign emits.
+// grid's colliding points interleave rather than sit adjacent — and a
+// full-grid request emits exactly what Campaign emits.
 func TestCampaignPointsDedupMatchesCampaign(t *testing.T) {
 	// interleaved: clock 2.0, 2.2, 2.0 x threads full, 64 — points 0,
-	// 1, 4 and 5 are one unit, 2 and 3 another.
+	// 1, 4 and 5 are one configuration, 2 and 3 another.
 	interleaved := CampaignSpec{
 		Bases:   []*machine.Machine{machine.SG2042()},
 		Axes:    []AxisValues{{Axis: SweepClock, Values: []float64{2.0, 2.2, 2.0}}},
@@ -196,25 +197,11 @@ func TestPlanCacheEvictsPastCapacity(t *testing.T) {
 	}
 }
 
-// caseAt decodes grid index i into its combo and software indices: the
-// odometer the planner walks, spelled out for the grid-order checks.
-func (p *campaignPlan) caseAt(i int) (combo, ti, pi, qi int) {
-	s := p.spec
-	nQ := len(s.Precs)
-	nP := len(s.Placements)
-	qi = i % nQ
-	i /= nQ
-	pi = i % nP
-	i /= nP
-	ti = i % len(s.Threads)
-	combo = i / len(s.Threads)
-	return
-}
-
-// FuzzCampaignGridOrder cross-checks the odometer decode against a
-// naive materialization of the same grid: for every index, caseAt must
-// name exactly the (base, axis values, thread, placement, precision)
-// tuple the nested loops of the pre-planner expansion produced.
+// FuzzCampaignGridOrder cross-checks the planner's index decoder
+// against a naive materialization of the same grid: for every index,
+// at must name exactly the (base, axis values, thread, placement,
+// precision) tuple the nested loops of the pre-planner expansion
+// produced, resolved into the point's and its base's configurations.
 func FuzzCampaignGridOrder(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(2), uint8(2), uint8(1), uint8(1))
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(2), uint8(2))
@@ -271,21 +258,28 @@ func FuzzCampaignGridOrder(f *testing.F) {
 		// odometer order (last axis fastest), then threads, placements,
 		// precisions.
 		i := 0
-		for bi := range bases {
+		for bi, b := range bases {
+			bfp, bufp := b.Fingerprint(), b.UncoreFingerprint()
 			for ai, va := range axisA {
 				for ci, vb := range axisB {
 					combo := bi*(len(axisA)*len(axisB)) + ai*len(axisB) + ci
-					for ti := range threads {
-						for pi := range pols {
-							for qi := range precs {
-								gc, gt, gp, gq := plan.caseAt(i)
-								if gc != combo || gt != ti || gp != pi || gq != qi {
-									t.Fatalf("index %d decodes to (combo %d, t %d, p %d, q %d), want (%d, %d, %d, %d)",
-										i, gc, gt, gp, gq, combo, ti, pi, qi)
+					for _, th := range threads {
+						for _, pol := range pols {
+							for _, pr := range precs {
+								gc, cfg, base := plan.at(i)
+								if gc != combo {
+									t.Fatalf("index %d decodes to combo %d, want %d", i, gc, combo)
 								}
 								cb := plan.combos[gc]
 								if cb.values[0] != va || cb.values[1] != vb {
 									t.Fatalf("index %d: combo values %v, want [%g %g]", i, cb.values, va, vb)
+								}
+								want := planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp,
+									threads: resolveThreads(th, cb.m.Cores), pol: pol, p: pr}
+								wantBase := planConfig{m: b, fp: bfp, ufp: bufp,
+									threads: resolveThreads(th, b.Cores), pol: pol, p: pr}
+								if cfg != want || base != wantBase {
+									t.Fatalf("index %d decodes to (%+v, %+v), want (%+v, %+v)", i, cfg, base, want, wantBase)
 								}
 								i++
 							}
@@ -300,49 +294,14 @@ func FuzzCampaignGridOrder(f *testing.F) {
 	})
 }
 
-// dedupByMap is dedup by definition: units keyed on (derived machine,
-// clamped threads against variant and base, placement, precision),
-// numbered in first-occurrence grid order.
-func dedupByMap(p *campaignPlan) (uniqs []planUniq, pointUniq []int32) {
-	type key struct {
-		m      *machine.Machine
-		pt, bt int
-		pol    placement.Policy
-		pr     prec.Precision
-	}
-	seen := make(map[key]int32)
-	for i := 0; i < p.n; i++ {
-		ci, ti, pi, qi := p.caseAt(i)
-		cb := &p.combos[p.combos[ci].canon]
-		bi := ci / p.axisCombos
-		base := p.spec.Bases[bi]
-		t := p.spec.Threads[ti]
-		k := key{cb.m, resolveThreads(t, cb.m.Cores), resolveThreads(t, base.Cores),
-			p.spec.Placements[pi], p.spec.Precs[qi]}
-		u, ok := seen[k]
-		if !ok {
-			u = int32(len(uniqs))
-			seen[k] = u
-			uniqs = append(uniqs, planUniq{
-				combo: p.combos[ci].canon,
-				cfg:   planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp, threads: k.pt, pol: k.pol, p: k.pr},
-				base: planConfig{m: base, fp: p.baseFPs[bi], ufp: p.baseUFPs[bi],
-					threads: k.bt, pol: k.pol, p: k.pr},
-			})
-		}
-		pointUniq = append(pointUniq, u)
-	}
-	return uniqs, pointUniq
-}
-
-// TestDedupMatchesMapReference: the arithmetic dedup finds exactly the
-// units, unit numbering and point mapping of the map-keyed form, on
-// grids that collide every way a grid can — duplicate axis values,
-// threads that clamp alike on one machine but not its base, repeated
-// placements and precisions, several bases.
-func TestDedupMatchesMapReference(t *testing.T) {
+// TestCampaignCollisionsMatchUncached: on grids that collide every way
+// a grid can — duplicate axis values, threads that clamp alike on a
+// variant but not its base, repeated placements and precisions,
+// several bases — a cached parallel campaign, whose colliding points
+// share suite-cache entries, equals an uncached serial one, whose
+// points each evaluate on their own.
+func TestCampaignCollisionsMatchUncached(t *testing.T) {
 	specs := []CampaignSpec{
-		collidingCampaign(),
 		{
 			Bases:      []*machine.Machine{machine.SG2042(), machine.SG2044(), machine.VisionFiveV2()},
 			Axes:       []AxisValues{{Axis: SweepCores, Values: []float64{4, 32, 4, 64}}},
@@ -361,20 +320,17 @@ func TestDedupMatchesMapReference(t *testing.T) {
 		{Bases: []*machine.Machine{machine.SG2042x2()}, Threads: []int{0, 128, 64, 200}},
 	}
 	for i, spec := range specs {
-		p, err := buildPlan(spec)
+		got, err := NewStudy().WithWorkers(4).Campaign(spec, nil)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
-		p.dedup()
-		uniqs, pointUniq := dedupByMap(p)
-		if !reflect.DeepEqual(p.pointUniq, pointUniq) {
-			t.Errorf("spec %d: point->unit map\n got %v\nwant %v", i, p.pointUniq, pointUniq)
+		uncached := &Study{Model: perfmodel.New(), Runs: 5, Noise: 0.01, Seed: 42}
+		want, err := uncached.Campaign(spec, nil)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(p.uniqs, uniqs) {
-			t.Errorf("spec %d: %d units, reference has %d, or they differ", i, len(p.uniqs), len(uniqs))
-		}
-		if len(p.uniqs) == p.n {
-			t.Errorf("spec %d: no point collided; the spec tests nothing", i)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("spec %d: cached campaign differs from the uncached one", i)
 		}
 	}
 }

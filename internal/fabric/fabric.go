@@ -27,8 +27,10 @@
 //     answers; it makes no outbound request.
 //
 //   - Coordinator (coordinator.go): expands the grid, assigns points
-//     by ring, fans requests out, and emits points in grid order
-//     through the same in-order machinery a local campaign uses. A
+//     by ring, fans requests out, and emits points in grid order from
+//     its own reorder loop (run.decide emits each newly decided
+//     in-order prefix), then assembles the ranked summaries with
+//     repro.AssembleCampaignResult, as a local campaign computes them. A
 //     worker that dies, stalls past PointTimeout, or misbehaves is
 //     excluded and its outstanding points re-dispatched to survivors;
 //     the campaign completes as long as one worker lives, and fails

@@ -2,8 +2,8 @@
 // engine evaluates the same configurations over and over (Figure 1's
 // SG2042 columns are Figures 4 and 5's baselines, every scaling table
 // shares its one-thread row), so suite results, rendered responses,
-// campaign plans, derived machines, placement analyses and compiler
-// decisions are all memoized — each through a Map, under one policy:
+// campaign plans, the model's uncore halves and compiler decisions are
+// all memoized — each through a Map, under one policy:
 //
 //   - Singleflight: the first caller of a key runs its fill; concurrent
 //     callers of the same key wait for that fill and share its result.

@@ -2,6 +2,7 @@ package rvv
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -474,11 +475,11 @@ func TestGeneratedTextMentionsDialectMnemonics(t *testing.T) {
 // At SEW=64, (1+2⁻³⁰)(1−2⁻³⁰) = 1−2⁻⁶⁰ rounds to 1 on its own, so an
 // unfused lane adding −1 gives 0 and the fused lane gives −2⁻⁶⁰: in
 // vfmacc.vf (daxpy) and in the second strip of vfmacc.vv (dot). At
-// SEW=32 the product of two binary32 values is exact in float64, so
-// fused and unfused agree; the lane is rounded to binary32 after the
-// float64 sum, a second rounding. (1+2⁻¹²)² + 2⁻⁸⁰ shows it: the
-// float64 sum 1+2⁻¹¹+2⁻²⁴ drops the 2⁻⁸⁰ and is a binary32 tie, which
-// rounds to even, 1+2⁻¹¹, where a binary32 fma gives 1+2⁻¹¹+2⁻²³.
+// SEW=32 the lane must be one binary32 rounding of the exact result.
+// (1+2⁻¹²)² ± 2⁻⁸⁰ shows it: the float64 sum 1+2⁻¹¹+2⁻²⁴ drops the
+// 2⁻⁸⁰ and is a binary32 tie, which a second rounding sends to even,
+// 1+2⁻¹¹, whatever the addend's sign; the binary32 fma gives
+// 1+2⁻¹¹+2⁻²³ for +2⁻⁸⁰ and 1+2⁻¹¹ for −2⁻⁸⁰, in both forms.
 func TestVFMaccFused(t *testing.T) {
 	a, b := 1+0x1p-30, 1-0x1p-30
 	for _, d := range []Dialect{V071, V10} {
@@ -495,9 +496,53 @@ func TestVFMaccFused(t *testing.T) {
 
 		cfg.SEW = 32
 		x := 1 + 0x1p-12
-		got, _ = runKernel(t, KDaxpy, cfg, 1, x, []float64{x}, nil, []float64{0x1p-80})
-		if want := 1 + 0x1p-11; got[0] != want {
-			t.Errorf("%v: SEW=32 vfmacc.vf lane = %g, want %g (float64 fma, then rounded to binary32)", d, got[0], want)
+		for _, tc := range []struct{ addend, want float64 }{
+			{0x1p-80, 1 + 0x1p-11 + 0x1p-23},
+			{-0x1p-80, 1 + 0x1p-11},
+		} {
+			got, _ = runKernel(t, KDaxpy, cfg, 1, x, []float64{x}, nil, []float64{tc.addend})
+			if got[0] != tc.want {
+				t.Errorf("%v: SEW=32 vfmacc.vf lane with addend %g = %g, want %g", d, tc.addend, got[0], tc.want)
+			}
+			// Two strips of VL=4: lane 0 holds the addend, then adds x*x.
+			got, _ = runKernel(t, KDot, cfg, 8, 0,
+				[]float64{tc.addend, 0, 0, 0, x, 0, 0, 0}, []float64{1, 0, 0, 0, x, 0, 0, 0}, nil)
+			if got[0] != tc.want {
+				t.Errorf("%v: SEW=32 vfmacc.vv dot with addend %g = %g, want %g", d, tc.addend, got[0], tc.want)
+			}
+		}
+	}
+}
+
+// TestFMA32MatchesExact holds fma32 to the exactly rounded binary32
+// result, computed with math/big, on seeded random operands whose
+// exponents are close enough for the addend to land near the
+// product's rounding bits — where a second rounding goes wrong.
+func TestFMA32MatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	operand := func(bits uint, scale int) float32 {
+		f := math.Ldexp(1+float64(rng.Intn(1<<bits))/float64(int(1)<<bits), scale+rng.Intn(5)-2)
+		if rng.Intn(2) == 0 {
+			f = -f
+		}
+		return float32(f)
+	}
+	for i := 0; i < 200000; i++ {
+		a, b := operand(23, 0), operand(23, 0)
+		c := operand(23, -24-rng.Intn(40))
+		switch i % 4 {
+		case 0: // cancellation
+			c = -float32(float64(a) * float64(b))
+		case 1: // 13-bit significands: the product is often a binary32 tie
+			a, b = operand(12, 0), operand(12, 0)
+			c = operand(23, -60)
+		}
+		exact := new(big.Float).SetPrec(200).SetFloat64(float64(a))
+		exact.Mul(exact, new(big.Float).SetFloat64(float64(b)))
+		exact.Add(exact, new(big.Float).SetFloat64(float64(c)))
+		want, _ := exact.Float32()
+		if got := fma32(a, b, c); got != want {
+			t.Fatalf("fma32(%g, %g, %g) = %g, want %g", a, b, c, got, want)
 		}
 	}
 }

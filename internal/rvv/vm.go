@@ -393,9 +393,8 @@ func (vm *VM) vFScalarOp(in Inst, f func(a, s float64) float64) error {
 	return vm.tailFill(in.Rd, esz)
 }
 
-// vFMaccVF and vFMaccVV are fused, as the RVV spec defines vfmacc: one
-// math.FMA per lane. At SEW=32 setF then rounds to binary32 a second
-// time (TestVFMaccFused).
+// vFMaccVF and vFMaccVV are fused, as the RVV spec defines vfmacc: each
+// lane is rounded once, at the element width (fmaLane, TestVFMaccFused).
 func (vm *VM) vFMaccVF(in Inst) error {
 	vm.Stats.VectorInsts++
 	esz := vm.sew / 8
@@ -409,7 +408,7 @@ func (vm *VM) vFMaccVF(in Inst) error {
 		if err != nil {
 			return err
 		}
-		vm.setF(d, esz, math.FMA(s, vm.getF(a, esz), vm.getF(d, esz)))
+		vm.setF(d, esz, fmaLane(esz, s, vm.getF(a, esz), vm.getF(d, esz)))
 	}
 	return vm.tailFill(in.Rd, esz)
 }
@@ -430,9 +429,42 @@ func (vm *VM) vFMaccVV(in Inst) error {
 		if err != nil {
 			return err
 		}
-		vm.setF(d, esz, math.FMA(vm.getF(a, esz), vm.getF(b, esz), vm.getF(d, esz)))
+		vm.setF(d, esz, fmaLane(esz, vm.getF(a, esz), vm.getF(b, esz), vm.getF(d, esz)))
 	}
 	return vm.tailFill(in.Rd, esz)
+}
+
+// fmaLane is one vfmacc lane, a*b + c rounded once at element width
+// esz. At SEW=32 the operands are binary32 (a scalar register's value
+// is rounded to binary32 first, as the lanes are).
+func fmaLane(esz int, a, b, c float64) float64 {
+	if esz == 4 {
+		return float64(fma32(float32(a), float32(b), float32(c)))
+	}
+	return math.FMA(a, b, c)
+}
+
+// fma32 is the binary32 fused multiply-add a*b + c, rounded once. The
+// product of two binary32 values is exact in float64, so a TwoSum
+// gives the exact error of the float64 sum. When that error is nonzero
+// the sum steps to its odd neighbour on the exact value's side (round
+// to odd), and with 29 bits to spare the rounding to binary32 then
+// lands where one rounding of the exact result would: a float64 sum
+// that is a binary32 tie no longer rounds as one.
+func fma32(a, b, c float32) float32 {
+	p := float64(float64(a) * float64(b)) // exact
+	s := p + float64(c)
+	bv := s - p
+	e := (p - (s - bv)) + (float64(c) - bv)
+	if bits := math.Float64bits(s); e != 0 && !math.IsNaN(e) && bits&1 == 0 {
+		if (e > 0) == (s > 0) {
+			bits++
+		} else {
+			bits--
+		}
+		s = math.Float64frombits(bits)
+	}
+	return float32(s)
 }
 
 func (vm *VM) vIntBinop(in Inst, f func(a, b int64) int64) error {

@@ -287,7 +287,7 @@ const collidingCampaignBody = `{
 
 // TestCampaignNDJSONDedupIdenticalLines: over HTTP, colliding grid
 // points stream as identical NDJSON lines except for their grid index —
-// cross-point deduplication never shows in the bytes.
+// sharing one suite-cache entry never shows in the bytes.
 func TestCampaignNDJSONDedupIdenticalLines(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Parallel: 4}))
 	defer ts.Close()

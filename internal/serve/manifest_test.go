@@ -22,8 +22,9 @@ import (
 // response the servable corpus produces, pinned by status,
 // Content-Type, ETag, body length and SHA-256 in
 // testdata/http_manifest.txt. It covers the experiments, reports,
-// sweeps (one per axis), both example campaigns, the suite-cache
-// snapshot the prewarm pass leaves, and gzip representations. A change
+// sweeps (one per axis), both example campaigns, a campaign whose grid
+// points collide, the suite-cache snapshot the prewarm pass leaves, and
+// gzip representations. A change
 // to a renderer, a format table, a cache key, the wire frames, the
 // snapshot layout, the model or the presets that moves one byte of one
 // response shows up here as a one-line diff. After a deliberate change,
@@ -95,7 +96,10 @@ func gzipGETs() []manifestRequest {
 // manifestBodies holds the POST bodies the manifest names. The sweeps
 // cover every axis: a duplicate clock value, a widened vector unit at
 // one thread, NUMA regions under cyclic placement, sockets, cluster
-// nodes, and an x86 base run at more threads than it has cores.
+// nodes, and an x86 base run at more threads than it has cores. The
+// colliding campaign repeats a core count, has threads that clamp alike
+// on the 4- and 16-core variants but not on the 64-core base, and
+// repeats a placement and a precision.
 func manifestBodies(t *testing.T) map[string]string {
 	t.Helper()
 	read := func(path string) string {
@@ -122,6 +126,8 @@ func manifestBodies(t *testing.T) map[string]string {
 		"sweep-rome":    `{"machine": "Rome", "axis": "clock", "values": [2.25, 3.0], "threads": 96}`,
 		"campaign-spec": read("../../examples/campaign/spec.json"),
 		"scaling-spec":  read("../../examples/scaling/campaign.json"),
+		"colliding-spec": `{"machines": ["SG2042"], "axes": [{"axis": "cores", "values": [4, 16, 4]}], ` +
+			`"threads": [0, 4, 16, 64], "placements": ["block", "cyclic", "block"], "precisions": ["f64", "f32", "f64"]}`,
 	}
 }
 
@@ -217,7 +223,8 @@ func machineGETs() []manifestRequest {
 
 // walkManifest prewarms s and serves the corpus in manifest order: the
 // GETs (which must all hit the render cache), the suite-cache snapshot
-// at exactly the prewarm corpus, the POSTs, then the machine registry.
+// at exactly the prewarm corpus, the POSTs, the machine registry, then
+// the colliding campaign.
 func walkManifest(t *testing.T, s *Server, bodies map[string]string) []string {
 	t.Helper()
 	if _, err := s.Prewarm(context.Background()); err != nil {
@@ -238,6 +245,7 @@ func walkManifest(t *testing.T, s *Server, bodies map[string]string) []string {
 	serve(manifestRequest{method: http.MethodGet, path: fabric.SnapshotPath})
 	serve(postRequests()...)
 	serve(machineGETs()...)
+	serve(campaignRequests("colliding-spec")...)
 	return lines
 }
 
@@ -267,9 +275,10 @@ func requestOf(line string) manifestRequest {
 // prewarmed server and holds every response of both to its manifest
 // line. Each GET walk must be served entirely from the prewarmed render
 // cache — zero misses — so the keys prewarm fills cannot drift from
-// the ones the handlers look up. Both example campaigns, coordinated
-// over three worker daemons at one and at two replicas, must then
-// reproduce their pinned lines exactly, in every format.
+// the ones the handlers look up. Both example campaigns and the
+// colliding one, coordinated over three worker daemons at one and at
+// two replicas, must then reproduce their pinned lines exactly, in
+// every format.
 func TestHTTPByteManifest(t *testing.T) {
 	bodies := manifestBodies(t)
 	for _, parallel := range []int{1, 8} {
@@ -304,7 +313,7 @@ func TestHTTPByteManifest(t *testing.T) {
 	}
 	for _, replicas := range []int{1, 2} {
 		coord := New(Options{Coordinate: workers, Replicas: replicas})
-		for _, body := range []string{"campaign-spec", "scaling-spec"} {
+		for _, body := range []string{"campaign-spec", "scaling-spec", "colliding-spec"} {
 			for _, req := range campaignRequests(body) {
 				if got := manifestLine(t, coord, req, bodies); got != pinned[req] {
 					t.Errorf("Replicas %d: coordinated campaign differs from its pinned line:\n want %s\n  got %s", replicas, pinned[req], got)
