@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"net/url"
 	"slices"
 	"sort"
@@ -82,6 +83,7 @@ type FabricStats struct {
 	WarmInstalled uint64 // cache entries installed across all warm-joins
 	WarmErrors    uint64 // failed per-peer relays (snapshot GET or warm POST)
 	Quarantines   uint64 // workers quarantined by the replica cross-check
+	HeadPoints    uint64 // streamed grid heads (index 0) the coordinator evaluated itself
 	Members       []MemberStatus
 }
 
@@ -96,6 +98,7 @@ type Coordinator struct {
 	mem    *Membership
 	reg    *repro.MachineRegistry
 	client *http.Client
+	eng    *repro.Engine // evaluates a streamed run's grid head
 
 	// PointTimeout overrides DefaultPointTimeout (tests shrink it).
 	PointTimeout time.Duration
@@ -112,7 +115,10 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over worker base URLs
 // ("http://host:port"). nil reg means the default registry; nil client
-// means http.DefaultClient.
+// means http.DefaultClient. The coordinator owns one serial engine of
+// its own, on which streamed runs evaluate their grid head (index 0)
+// in-process; its suite cache gains at most the head's configurations
+// per streamed campaign.
 func NewCoordinator(targets []string, reg *repro.MachineRegistry, client *http.Client) (*Coordinator, error) {
 	mem, err := NewMembership(targets)
 	if err != nil {
@@ -128,6 +134,7 @@ func NewCoordinator(targets []string, reg *repro.MachineRegistry, client *http.C
 		mem:    mem,
 		reg:    reg,
 		client: client,
+		eng:    repro.NewEngine(repro.Options{Parallel: 1}),
 	}, nil
 }
 
@@ -321,6 +328,18 @@ type shardRequest struct {
 // fleet is smaller than N, unanimous agreement among the reachable
 // replicas is accepted at this degraded quorum — but divergence never
 // is.
+//
+// A streamed run (emit non-nil) does not wait on the fleet for its
+// first line: right after launching the shard requests it evaluates
+// grid index 0 on the coordinator's own engine and decides that index
+// with the point's own frame once some shard request has been written
+// to a worker (httptrace's WroteRequest without an error). Until then
+// the head is held, so a fleet that refuses every connection still
+// fails with *AllWorkersDownError before anything is emitted. Index 0
+// is dispatched to its owners all the same: their frames arrive as late
+// replicas of a decided index and are byte-compared against the local
+// one, so a worker that diverges there is quarantined at every replica
+// count. A run that buffers (emit nil) evaluates nothing locally.
 func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.CampaignPoint) error) (repro.CampaignResult, error) {
 	spec, err := repro.CampaignSpecFromJSON(specJSON, c.reg)
 	if err != nil {
@@ -340,14 +359,45 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 	}
 	err = r.assign(all)
 	msgs := make(chan workerMsg, 16)
-	for err == nil && r.nextEmit < len(fps) {
+	launch := func() {
 		for _, q := range r.queued {
 			go c.runRequest(ctx, q.id, q.target, specJSON, q.indices, msgs)
 		}
 		r.queued = r.queued[:0]
+	}
+	var head *replicaVote
+	wrote := make(chan struct{}) // closed once a shard request reached a worker
+	if err == nil && emit != nil {
+		var once sync.Once
+		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+			WroteRequest: func(info httptrace.WroteRequestInfo) {
+				if info.Err == nil {
+					once.Do(func() { close(wrote) })
+				}
+			},
+		})
+		launch()
+		head = c.evalHead(spec)
+	}
+	for err == nil && r.nextEmit < len(fps) {
+		launch()
+		// A released head goes before any message: no worker frame can
+		// precede the write that releases it, so a divergent owner of
+		// index 0 never decides it.
+		var gate <-chan struct{}
+		if head != nil {
+			select {
+			case <-wrote:
+				err, head = r.takeHead(*head), nil
+				continue
+			default:
+				gate = wrote
+			}
+		}
 		select {
 		case <-ctx.Done():
 			err = ctx.Err()
+		case <-gate: // released: taken at the top of the loop
 		case m := <-msgs:
 			if m.done {
 				err = r.onEnd(m)
@@ -360,6 +410,22 @@ func (c *Coordinator) Run(ctx context.Context, specJSON []byte, emit func(repro.
 		return repro.CampaignResult{}, err
 	}
 	return repro.AssembleCampaignResult(spec, r.points)
+}
+
+// evalHead evaluates grid index 0 on the coordinator's own engine and
+// frames it as a worker would. It answers nil, leaving the head to the
+// fleet, when the local evaluation fails.
+func (c *Coordinator) evalHead(spec repro.CampaignSpec) *replicaVote {
+	var head *replicaVote
+	_ = c.eng.CampaignPoints(spec, []int{0}, func(p repro.CampaignPoint) error {
+		frame, err := appendPoint(nil, p)
+		if err != nil {
+			return err
+		}
+		head = &replicaVote{frame: frame, point: p}
+		return nil
+	})
+	return head
 }
 
 // run is one Run's exactly-once bookkeeping: which workers each grid
@@ -627,6 +693,18 @@ func (r *run) tally(i int) error {
 	r.ask(i, extra[0])
 	r.dispatch(extra[0], []int{i})
 	return nil
+}
+
+// takeHead decides index 0 with the coordinator's own evaluation,
+// unless a worker's frame decided it first.
+func (r *run) takeHead(head replicaVote) error {
+	if r.decided[0] != nil {
+		return nil
+	}
+	r.c.mu.Lock()
+	r.c.stats.HeadPoints++
+	r.c.mu.Unlock()
+	return r.decide(0, head)
 }
 
 // decide commits index i to the winning vote, emits any newly

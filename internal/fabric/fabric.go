@@ -31,10 +31,15 @@
 //     its own reorder loop (run.decide emits each newly decided
 //     in-order prefix), then assembles the ranked summaries with
 //     repro.AssembleCampaignResult, as a local campaign computes them. A
-//     worker that dies, stalls past PointTimeout, or misbehaves is
-//     excluded and its outstanding points re-dispatched to survivors;
-//     the campaign completes as long as one worker lives, and fails
-//     with *AllWorkersDownError once none do. When a worker (re)joins,
+//     streamed run evaluates grid index 0 itself, on an engine the
+//     coordinator owns, and emits it once some shard request has been
+//     written to a worker, so the first line does not wait on a worker
+//     process to be scheduled; the owners' frames for index 0 are still
+//     byte-compared against it. A worker that dies, stalls past
+//     PointTimeout, or misbehaves is excluded and its outstanding
+//     points re-dispatched to survivors; the campaign completes as
+//     long as one worker lives, and fails with *AllWorkersDownError
+//     once none do. When a worker (re)joins,
 //     the coordinator relays its live peers' snapshots of its keys to
 //     it (a warm join).
 //

@@ -186,6 +186,7 @@ func BenchmarkSuiteTimesBatched(b *testing.B) {
 		Placement: placement.CyclicNUMA, Prec: prec.F32,
 		Compiler: autovec.GCCXuanTie, Mode: autovec.VLS}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mdl.SuiteTimes(specs, cfg); err != nil {
 			b.Fatal(err)
@@ -202,6 +203,7 @@ func BenchmarkSuiteTimesMultiSocket(b *testing.B) {
 		Placement: placement.CyclicNUMA, Prec: prec.F32,
 		Compiler: autovec.GCCXuanTie, Mode: autovec.VLS}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mdl.SuiteTimes(specs, cfg); err != nil {
 			b.Fatal(err)
@@ -216,6 +218,7 @@ func BenchmarkSuiteTimesPerKernel(b *testing.B) {
 		Placement: placement.CyclicNUMA, Prec: prec.F32,
 		Compiler: autovec.GCCXuanTie, Mode: autovec.VLS}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
 			if _, err := mdl.KernelTime(spec, cfg); err != nil {

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // newFleet starts n worker servers (each a full Server with the fabric
@@ -204,6 +207,91 @@ func TestCoordinatorMetricsExposeFleet(t *testing.T) {
 	}
 	if !strings.Contains(body, "sg2042d_fabric_fleet_down_total 0") {
 		t.Error("non-coordinating server omits the fleet-down counter")
+	}
+}
+
+// TestCoordinatorHeadPointsMetric: a streamed campaign through a
+// coordinator counts the one grid head the coordinator evaluated
+// itself; the same spec buffered as CSV evaluates nothing locally and
+// counts none.
+func TestCoordinatorHeadPointsMetric(t *testing.T) {
+	for _, tc := range []struct {
+		query string
+		want  string
+	}{
+		{"?format=ndjson", "sg2042d_fabric_head_points_total 1"},
+		{"?format=csv", "sg2042d_fabric_head_points_total 0"},
+	} {
+		coord, _ := newFleet(t, 2)
+		if status, _, body := postCampaign(t, coord, tc.query, campaignBody, ""); status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.query, status, body)
+		}
+		if body := getMetricsBody(t, coord); !strings.Contains(body, tc.want) {
+			t.Errorf("%s: metrics lack %q:\n%s", tc.query, tc.want, grepMetrics(body, "head_points"))
+		}
+	}
+}
+
+// TestCoordinatorFirstLineWhileWorkerHeld: on real listeners, a
+// coordinator whose only worker holds its points handler still streams
+// the first NDJSON line, byte-equal to a local server's first line;
+// released, the worker completes the body, byte-equal to the local one.
+func TestCoordinatorFirstLineWhileWorkerHeld(t *testing.T) {
+	local := httptest.NewServer(New(Options{Parallel: 4}).Handler())
+	defer local.Close()
+	_, _, want := postCampaign(t, local, "?format=ndjson", campaignBody, "")
+
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	worker := New(Options{Worker: true}).Handler()
+	held := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fabric/points" {
+			<-release
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	defer held.Close()
+	defer open() // before held.Close, which waits for the held handler
+	coord := httptest.NewServer(New(Options{Coordinate: []string{held.URL}}).Handler())
+	defer coord.Close()
+
+	type head struct {
+		first string
+		rest  *bufio.Reader
+		err   error
+	}
+	heads := make(chan head, 1)
+	go func() {
+		resp, err := coord.Client().Post(coord.URL+"/v1/campaign?format=ndjson", "application/json",
+			strings.NewReader(campaignBody))
+		if err != nil {
+			heads <- head{err: err}
+			return
+		}
+		br := bufio.NewReader(resp.Body)
+		first, err := br.ReadString('\n')
+		heads <- head{first, br, err}
+	}()
+	var h head
+	select {
+	case h = <-heads:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first NDJSON line not delivered while the worker was held")
+	}
+	if h.err != nil {
+		t.Fatal(h.err)
+	}
+	if wantFirst := want[:strings.IndexByte(want, '\n')+1]; h.first != wantFirst {
+		t.Fatalf("first line %q, want the local first line %q", h.first, wantFirst)
+	}
+	open()
+	rest, err := io.ReadAll(h.rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.first+string(rest) != want {
+		t.Error("coordinated NDJSON body differs from the local body")
 	}
 }
 

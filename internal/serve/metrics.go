@@ -211,6 +211,9 @@ func (m *metrics) render(cacheHits, cacheMisses, renderHits, renderMisses uint64
 		b.WriteString("# HELP sg2042d_fabric_quarantines_total Workers quarantined after diverging from replica quorum.\n")
 		b.WriteString("# TYPE sg2042d_fabric_quarantines_total counter\n")
 		fmt.Fprintf(&b, "sg2042d_fabric_quarantines_total %d\n", fs.Quarantines)
+		b.WriteString("# HELP sg2042d_fabric_head_points_total Streamed campaigns whose first point (grid index 0) the coordinator evaluated itself rather than a worker.\n")
+		b.WriteString("# TYPE sg2042d_fabric_head_points_total counter\n")
+		fmt.Fprintf(&b, "sg2042d_fabric_head_points_total %d\n", fs.HeadPoints)
 		b.WriteString("# HELP sg2042d_fabric_worker_up Whether each fabric worker is currently live in the ring.\n")
 		b.WriteString("# TYPE sg2042d_fabric_worker_up gauge\n")
 		for _, ms := range fs.Members {

@@ -221,6 +221,7 @@ func BenchmarkAppendCampaignPoint(b *testing.B) {
 	p := ndjsonTestPoint()
 	buf := make([]byte, 0, 2048)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
 		buf, err = appendCampaignPoint(buf[:0], p)
