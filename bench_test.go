@@ -305,14 +305,12 @@ func BenchmarkCampaignColdDistinct(b *testing.B) {
 // errFirstPoint stops a campaign after its first emitted point.
 var errFirstPoint = errors.New("first point emitted")
 
-// BenchmarkCampaignFirstPointCold: what a cold 256-point campaign pays
-// before its first point can be emitted — JSON spec parse (plan
-// compile, fingerprints of every derived machine) and the first
-// point's evaluation — on a fresh engine, with clock values that never
-// repeat, as a daemon's cold NDJSON request does. The campaign stops at
-// the first point.
-func BenchmarkCampaignFirstPointCold(b *testing.B) {
-	bodies := make([][]byte, b.N)
+// coldSpecBodies returns n JSON bodies of a 256-point campaign (two
+// bases, 16 clocks, two thread counts, placements and precisions),
+// each with clock values no earlier body used, as a daemon's cold
+// requests carry.
+func coldSpecBodies(b *testing.B, n int) [][]byte {
+	bodies := make([][]byte, n)
 	for i := range bodies {
 		clocks := make([]float64, 16)
 		for k := range clocks {
@@ -331,6 +329,34 @@ func BenchmarkCampaignFirstPointCold(b *testing.B) {
 		}
 		bodies[i] = body
 	}
+	return bodies
+}
+
+// BenchmarkCampaignSpecCompileCold: the compile a cold campaign
+// request pays before anything is evaluated — JSON decode, validation
+// and the plan, which derives and validates all 32 clock variants but
+// fingerprints none of them — on specs that never repeat.
+func BenchmarkCampaignSpecCompileCold(b *testing.B) {
+	bodies := coldSpecBodies(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		if _, err := CampaignSpecFromJSON(body, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCampaignFirstPointCold: what a cold 256-point campaign pays
+// before its first point can be emitted — JSON spec parse (the plan
+// compile, which fingerprints no derived machine) and the first
+// point's evaluation, with the two fingerprints it needs — on a fresh
+// engine, with clock values that never repeat, as a daemon's cold
+// NDJSON request does. The engine evaluates the head before its pool
+// starts and the campaign stops at that point, so every iteration does
+// the same work whatever the scheduler does.
+func BenchmarkCampaignFirstPointCold(b *testing.B) {
+	bodies := coldSpecBodies(b, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, body := range bodies {

@@ -125,8 +125,8 @@ func (s CampaignSpec) Points() int {
 // its rendezvous-hash shard assignment on these, so every point of one
 // derived machine lands on the same worker and each shard owns a
 // stable slice of the suite cache. The fingerprints come straight off
-// the compiled plan — one hash per unique derived machine, decoded to
-// points arithmetically, never one per point.
+// the compiled plan — one hash per combo, filled on first use and
+// shared with the plan's evaluation, never one per point.
 func (s CampaignSpec) Fingerprints() ([]uint64, error) {
 	plan, err := planFor(s)
 	if err != nil {
@@ -135,7 +135,7 @@ func (s CampaignSpec) Fingerprints() ([]uint64, error) {
 	fps := make([]uint64, plan.n)
 	soft := plan.softPerCombo()
 	for i := range fps {
-		fps[i] = plan.combos[i/soft].fp
+		fps[i] = plan.combos[i/soft].fingerprint()
 	}
 	return fps, nil
 }
@@ -397,7 +397,30 @@ func (st *Study) CampaignPoints(spec CampaignSpec, indices []int, emit func(Camp
 // However evaluate leaves — finished, emit error, or a panic in emit —
 // it stops new evaluations and drains the in-flight ones before
 // returning, so nothing keeps evaluating for nobody.
+//
+// The head comes first: with more than one worker and more than one
+// index, the calling goroutine evaluates the first requested index
+// itself and emits it before the pool starts, so a streamed grid's
+// first point waits for its own two suite configurations only, not for
+// the pool's start-up and the scheduler. A panic in the head comes back
+// as a *par.PanicError, as one in the pool does, before any emit.
 func (st *Study) evaluate(plan *campaignPlan, indices []int, emit func(CampaignPoint) error) error {
+	if st.Workers > 1 && len(indices) > 1 {
+		var head CampaignPoint
+		err := par.ForEach(1, 1, func(int) (err error) {
+			head, err = st.evalPoint(plan, indices[0])
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		if emit != nil {
+			if err := emit(head); err != nil {
+				return err
+			}
+		}
+		indices = indices[1:]
+	}
 	// Workers fill evaluated[j] and send j on done, which holds every
 	// point, so evaluation never waits on the caller's emit. After each
 	// send a worker yields: the send readies the waiting caller on the

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/par"
+	"repro/internal/placement"
 	"repro/internal/suite"
 )
 
@@ -283,11 +284,77 @@ func TestCampaignRestoredShortBase(t *testing.T) {
 	}
 }
 
+// coldHeadSpec is a 64-point cold grid over one base: 16 clock
+// variants, each under two thread counts and two placements.
+func coldHeadSpec() CampaignSpec {
+	clocks := make([]float64, 16)
+	for i := range clocks {
+		clocks[i] = 1.0 + 0.125*float64(i)
+	}
+	return CampaignSpec{
+		Bases:      []*machine.Machine{machine.SG2042()},
+		Axes:       []AxisValues{{Axis: SweepClock, Values: clocks}},
+		Threads:    []int{0, 32},
+		Placements: []placement.Policy{placement.Block, placement.CyclicNUMA},
+	}
+}
+
+// TestCampaignHeadEvaluatesFirst: on a 4-worker study, the first point
+// of a cold grid is emitted before the pool starts, so by then the
+// suite cache has measured exactly the head and its base — two misses,
+// whatever the scheduler does — and every later point still arrives in
+// grid order.
+func TestCampaignHeadEvaluatesFirst(t *testing.T) {
+	spec := coldHeadSpec()
+	st := NewStudy().WithWorkers(4)
+	var next int
+	_, err := st.Campaign(spec, func(p CampaignPoint) error {
+		if p.Index != next {
+			t.Fatalf("emitted point %d, want %d", p.Index, next)
+		}
+		if next == 0 {
+			if hits, misses := st.CacheStats(); hits != 0 || misses != 2 {
+				t.Errorf("at the first emit the suite cache saw %d hits and %d misses, want 0 and 2 (the head and its base)", hits, misses)
+			}
+		}
+		next++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != spec.Points() {
+		t.Fatalf("emitted %d points, want %d", next, spec.Points())
+	}
+}
+
+// TestCampaignHeadEmitErrorStartsNoPool: an emit error at the head
+// returns before any pool goroutine exists — the goroutine count is
+// back at its baseline the moment Campaign returns, with no scheduler
+// rounds allowed — and nothing beyond the head and its base was
+// measured.
+func TestCampaignHeadEmitErrorStartsNoPool(t *testing.T) {
+	st := NewStudy().WithWorkers(4)
+	baseline := runtime.NumGoroutine()
+	const wantErr = "head refused on purpose"
+	_, err := st.Campaign(coldHeadSpec(), func(CampaignPoint) error { return errTest(wantErr) })
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after the head's emit error, baseline %d", n, baseline)
+	}
+	if err == nil || err.Error() != wantErr {
+		t.Fatalf("err = %v, want %q", err, wantErr)
+	}
+	if _, misses := st.CacheStats(); misses != 2 {
+		t.Errorf("%d suite-cache misses, want 2 (the head and its base)", misses)
+	}
+}
+
 // TestCampaignContainsEvaluationPanic: a short entry installed straight
 // into the cache, past restore's validation, makes evaluation index
 // beyond its end. On the serial and the parallel pool alike the panic
 // comes back from Campaign as a *par.PanicError, and the process
-// survives.
+// survives. With two workers the head panics: it is evaluated on the
+// calling goroutine, so the recovered stack runs through Campaign.
 func TestCampaignContainsEvaluationPanic(t *testing.T) {
 	spec := shortBaseSpec()
 	plan, err := planFor(spec)
@@ -308,6 +375,9 @@ func TestCampaignContainsEvaluationPanic(t *testing.T) {
 		}
 		if !strings.Contains(fmt.Sprint(pe.Value), "index out of range") {
 			t.Fatalf("workers=%d: panic value %v, want an index out of range", workers, pe.Value)
+		}
+		if head := strings.Contains(string(pe.Stack), "core.(*Study).Campaign("); head != (workers > 1) {
+			t.Errorf("workers=%d: panic on the calling goroutine = %v, want %v:\n%s", workers, head, workers > 1, pe.Stack)
 		}
 	}
 }

@@ -9,13 +9,19 @@ package core
 //
 //   - the derivation cache: each unique (parent machine, axis, value)
 //     derivation is built and validated once, and duplicate axis values
-//     resolve to the same *Machine, fingerprinted once;
+//     resolve to the same *Machine;
 //   - the odometer: the grid is never materialized — at decodes a
 //     point's combo and its point and base configurations from its
 //     index (bases outermost, axis values in odometer order with the
-//     last axis fastest, then threads, placements, precisions), with
-//     the machine fingerprints precomputed, so plan memory is flat in
-//     the grid size and cache lookups skip the per-point hash walk.
+//     last axis fastest, then threads, placements, precisions), so plan
+//     memory is flat in the grid size;
+//   - lazy fingerprints: the compile hashes only the bases (the plan
+//     key needs them anyway). Each combo's machine fingerprint is
+//     hashed once, on first use — by at, for whichever point of the
+//     combo evaluates first, or by Fingerprints on a fabric coordinator
+//     — and kept, so cache lookups skip the per-point hash walk and the
+//     first point waits for its own hash, not for every derived
+//     machine's.
 //
 // Points whose configurations collide — duplicate axis values, thread
 // counts that clamp alike — are not deduplicated here: each evaluates
@@ -50,9 +56,22 @@ import (
 // derived machine shared by that combination's software points.
 type planCombo struct {
 	m      *machine.Machine
-	fp     uint64    // m.Fingerprint(), hashed once
 	ufp    uint64    // m.UncoreFingerprint(), inherited along clock and vector axes
 	values []float64 // axis values applied, aligned with spec.Axes
+
+	// fp is m.Fingerprint(), hashed on first use (fingerprint) rather
+	// than while the plan compiles: the first point then waits for one
+	// hash, not one per derived machine.
+	fpOnce sync.Once
+	fp     uint64
+}
+
+// fingerprint returns the combo's machine fingerprint, hashing it on
+// the first call. Pool workers (through at) and the fabric coordinator
+// (through Fingerprints) may race to fill it; the once makes that safe.
+func (c *planCombo) fingerprint() uint64 {
+	c.fpOnce.Do(func() { c.fp = c.m.Fingerprint() })
+	return c.fp
 }
 
 // planConfig is one suite configuration a campaign evaluates — a grid
@@ -158,8 +177,11 @@ func planFor(s CampaignSpec) (*campaignPlan, error) {
 }
 
 // buildPlan validates the spec and derives every combo's machine — the
-// one-time compilation. The validation sequence (and so the first error
-// reported) is identical to the old expand path.
+// one-time compilation. It pays only for what validation needs: every
+// derivation is built and validated, but no derived machine is
+// fingerprinted here (planCombo.fingerprint hashes each on first use).
+// The validation sequence (and so the first error reported) is
+// identical to the old expand path.
 func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 	s = s.normalized()
 	if len(s.Bases) == 0 {
@@ -229,12 +251,11 @@ func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 	}
 	// The derivation cache: one build+validate per unique (parent, axis,
 	// value); duplicate values within an axis share the derived machine
-	// by pointer, so each distinct machine hashes once below. It also
-	// carries each variant's uncore fingerprint: a clock or vector
-	// derivation changes only fields the uncore hash leaves out, so its
-	// variant inherits the parent's value, and only the other axes hash
-	// again. Planning precedes the first point, and each hash walks
-	// every machine field.
+	// by pointer. It also carries each variant's uncore fingerprint: a
+	// clock or vector derivation changes only fields the uncore hash
+	// leaves out, so its variant inherits the parent's value, and only
+	// the other axes hash again. Planning precedes the first point, and
+	// each hash walks every machine field.
 	type dkey struct {
 		parent *machine.Machine
 		axis   SweepAxis
@@ -282,23 +303,9 @@ func buildPlan(s CampaignSpec) (*campaignPlan, error) {
 			return nil, err
 		}
 	}
-	// Fingerprint each distinct machine once: duplicate-value combos
-	// share their machine, and with no axes each base is its own combo.
-	fps := make(map[*machine.Machine]uint64, len(plan.combos))
-	fingerprint := func(m *machine.Machine) uint64 {
-		fp, ok := fps[m]
-		if !ok {
-			fp = m.Fingerprint()
-			fps[m] = fp
-		}
-		return fp
-	}
-	for i := range plan.combos {
-		plan.combos[i].fp = fingerprint(plan.combos[i].m)
-	}
 	plan.baseFPs = make([]uint64, len(s.Bases))
 	for bi, base := range s.Bases {
-		plan.baseFPs[bi] = fingerprint(base)
+		plan.baseFPs[bi] = base.Fingerprint()
 	}
 	return plan, nil
 }
@@ -320,7 +327,7 @@ func (p *campaignPlan) at(i int) (combo int, cfg, base planConfig) {
 	cb := &p.combos[combo]
 	bi := combo / p.axisCombos
 	b := s.Bases[bi]
-	cfg = planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp, threads: resolveThreads(t, cb.m.Cores), pol: pol, p: pr}
+	cfg = planConfig{m: cb.m, fp: cb.fingerprint(), ufp: cb.ufp, threads: resolveThreads(t, cb.m.Cores), pol: pol, p: pr}
 	base = planConfig{m: b, fp: p.baseFPs[bi], ufp: p.baseUFPs[bi], threads: resolveThreads(t, b.Cores), pol: pol, p: pr}
 	return combo, cfg, base
 }

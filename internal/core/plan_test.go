@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -270,11 +271,13 @@ func FuzzCampaignGridOrder(f *testing.F) {
 								if gc != combo {
 									t.Fatalf("index %d decodes to combo %d, want %d", i, gc, combo)
 								}
-								cb := plan.combos[gc]
+								cb := &plan.combos[gc]
 								if cb.values[0] != va || cb.values[1] != vb {
 									t.Fatalf("index %d: combo values %v, want [%g %g]", i, cb.values, va, vb)
 								}
-								want := planConfig{m: cb.m, fp: cb.fp, ufp: cb.ufp,
+								// at fills the combo's fingerprint on first use:
+								// it must be the machine's own full hash.
+								want := planConfig{m: cb.m, fp: cb.m.Fingerprint(), ufp: cb.ufp,
 									threads: resolveThreads(th, cb.m.Cores), pol: pol, p: pr}
 								wantBase := planConfig{m: b, fp: bfp, ufp: bufp,
 									threads: resolveThreads(th, b.Cores), pol: pol, p: pr}
@@ -374,7 +377,8 @@ func TestPlanUncoreFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
-		for _, cb := range p.combos {
+		for j := range p.combos {
+			cb := &p.combos[j]
 			if want := cb.m.UncoreFingerprint(); cb.ufp != want {
 				t.Errorf("spec %d, %s: planned uncore fingerprint %#x, want %#x", i, cb.m.Label, cb.ufp, want)
 			}
@@ -383,6 +387,57 @@ func TestPlanUncoreFingerprints(t *testing.T) {
 			if want := base.UncoreFingerprint(); p.baseUFPs[bi] != want {
 				t.Errorf("spec %d, base %s: planned uncore fingerprint %#x, want %#x", i, base.Label, p.baseUFPs[bi], want)
 			}
+		}
+	}
+}
+
+// TestPlanLazyFingerprintsConcurrent: several campaigns over one
+// compiled plan, each on its own parallel study, and the coordinator's
+// Fingerprints all race to fill the plan's machine fingerprints on
+// first use. Under -race the fill must be clean; everywhere, each
+// filled value is the machine's own hash and every campaign carries
+// the same bytes.
+func TestPlanLazyFingerprintsConcurrent(t *testing.T) {
+	spec := coldHeadSpec()
+	spec.Axes[0].Values = append([]float64(nil), spec.Axes[0].Values...)
+	for i := range spec.Axes[0].Values {
+		spec.Axes[0].Values[i] += 1.0 / 1024 // a plan no other test compiled
+	}
+	plan, err := planFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	results := make([]CampaignResult, runs)
+	errs := make([]error, runs+1)
+	var fps []uint64
+	var wg sync.WaitGroup
+	wg.Add(runs + 1)
+	for r := 0; r < runs; r++ {
+		go func(r int) {
+			defer wg.Done()
+			results[r], errs[r] = NewStudy().WithWorkers(2).Campaign(spec, nil)
+		}(r)
+	}
+	go func() {
+		defer wg.Done()
+		fps, errs[runs] = spec.Fingerprints()
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 1; r < runs; r++ {
+		if !reflect.DeepEqual(results[r], results[0]) {
+			t.Fatalf("campaign %d differs from campaign 0", r)
+		}
+	}
+	soft := plan.softPerCombo()
+	for i, fp := range fps {
+		if want := plan.combos[i/soft].m.Fingerprint(); fp != want {
+			t.Fatalf("point %d fingerprint %#x, want %#x", i, fp, want)
 		}
 	}
 }

@@ -10,11 +10,16 @@ package machine
 // ("SG2042/v256") so reports — and the study engine's config-keyed
 // cache — distinguish it from the stock machine. Every call returns a
 // new machine the caller owns outright; nothing is memoized here (the
-// campaign planner derives each variant once per compiled plan).
+// campaign planner derives each variant once per compiled plan, and
+// fingerprints it only when a point first needs it). A cold campaign
+// compile is mostly these derivations, so they stay cheap: the clock
+// label is built with strconv, and Validate counts NUMA regions
+// without a map.
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // MaxCores bounds how large a (derived or decoded) machine can be —
@@ -61,7 +66,10 @@ func (m *Machine) WithClock(hz float64) (*Machine, error) {
 	}
 	v := m.Clone()
 	v.ClockHz = hz
-	v.Label = fmt.Sprintf("%s/%gGHz", m.Label, hz/1e9)
+	// strconv's shortest 'g' form is exactly what %g prints, without
+	// fmt's reflection: a cold campaign derives one clock variant per
+	// grid value while it compiles.
+	v.Label = m.Label + "/" + strconv.FormatFloat(hz/1e9, 'g', -1, 64) + "GHz"
 	return validated(v)
 }
 

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -158,6 +159,28 @@ func TestWithClockLabelsAreDistinct(t *testing.T) {
 	}
 	if a.Label == b.Label {
 		t.Errorf("labels collide: %q", a.Label)
+	}
+}
+
+// TestWithClockLabelMatchesSprintf: the label is built with strconv,
+// byte-equal to the %g form it replaced, at every exponent boundary %g
+// switches on, at both ends of the representable range, and where the
+// shortest form is long.
+func TestWithClockLabelMatchesSprintf(t *testing.T) {
+	m := SG2042()
+	for _, ghz := range []float64{
+		2, 2.5, 1.0001, 0.1 + 0.2, 1.0 / 3, math.Nextafter(2, 3),
+		1e-4, 9.9999e-5, 1e-5, 123456, 999999, 1e6, 1234567, 1e21,
+		1e-9, 1e12, 1e-300, 1e299,
+	} {
+		hz := ghz * 1e9
+		v, err := m.WithClock(hz)
+		if err != nil {
+			t.Fatalf("WithClock(%v): %v", hz, err)
+		}
+		if want := fmt.Sprintf("%s/%gGHz", m.Label, hz/1e9); v.Label != want {
+			t.Errorf("WithClock(%v) label %q, want %q", hz, v.Label, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/prec"
 )
@@ -326,6 +327,32 @@ func (m *Machine) PeakScalarFlops() float64 {
 	return m.ScalarFlopsPerCycle * m.ClockHz
 }
 
+// populatedRegions counts the distinct regions NUMARegionOf names, all
+// of them already checked to lie in [0, NUMARegions). The seen-set is
+// sized by the region count only when that is at most Cores (so at
+// most MaxCores), never by a client's numa_regions: with more regions
+// than cores some region is empty anyway, and the count comes from a
+// sorted copy of the map instead.
+func (m *Machine) populatedRegions() int {
+	if m.NUMARegions <= m.Cores {
+		var small [64]bool // every preset; no allocation
+		seen, n := small[:], 0
+		if m.NUMARegions > len(small) {
+			seen = make([]bool, m.NUMARegions)
+		}
+		for _, r := range m.NUMARegionOf {
+			if !seen[r] {
+				seen[r] = true
+				n++
+			}
+		}
+		return n
+	}
+	regions := slices.Clone(m.NUMARegionOf)
+	slices.Sort(regions)
+	return len(slices.Compact(regions))
+}
+
 // Validate checks structural consistency of the description.
 func (m *Machine) Validate() error {
 	if m.Name == "" {
@@ -344,16 +371,14 @@ func (m *Machine) Validate() error {
 		return fmt.Errorf("machine %s: NUMARegionOf has %d entries for %d cores",
 			m.Name, len(m.NUMARegionOf), m.Cores)
 	}
-	seen := make(map[int]bool)
 	for c, r := range m.NUMARegionOf {
 		if r < 0 || r >= m.NUMARegions {
 			return fmt.Errorf("machine %s: core %d in invalid NUMA region %d", m.Name, c, r)
 		}
-		seen[r] = true
 	}
-	if len(seen) != m.NUMARegions {
+	if populated := m.populatedRegions(); populated != m.NUMARegions {
 		return fmt.Errorf("machine %s: only %d of %d NUMA regions populated",
-			m.Name, len(seen), m.NUMARegions)
+			m.Name, populated, m.NUMARegions)
 	}
 	if m.ClusterSize < 1 {
 		return fmt.Errorf("machine %s: cluster size %d", m.Name, m.ClusterSize)

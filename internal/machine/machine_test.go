@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/prec"
@@ -214,6 +215,55 @@ func TestValidateRejectsBroken(t *testing.T) {
 	m.MLP = 0
 	if err := m.Validate(); err == nil {
 		t.Error("MLP 0 accepted")
+	}
+}
+
+// TestValidateNUMAErrorTexts: the NUMA checks name the same core,
+// region and counts as always, whether the region count is below,
+// at or far above the core count.
+func TestValidateNUMAErrorTexts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(m *Machine)
+		want string
+	}{
+		{"region out of range", func(m *Machine) { m.NUMARegionOf[3] = 99 },
+			"machine %s: core 3 in invalid NUMA region 99"},
+		{"negative region", func(m *Machine) { m.NUMARegionOf[5] = -1 },
+			"machine %s: core 5 in invalid NUMA region -1"},
+		{"empty region", func(m *Machine) {
+			for c, r := range m.NUMARegionOf {
+				if r == 2 {
+					m.NUMARegionOf[c] = 1
+				}
+			}
+		}, "machine %s: only 3 of 4 NUMA regions populated"},
+		{"more regions than cores", func(m *Machine) {
+			m.NUMARegions = 100
+			for c := range m.NUMARegionOf {
+				m.NUMARegionOf[c] = c % 10
+			}
+		}, "machine %s: only 10 of 100 NUMA regions populated"},
+		{"more regions than the stack set, fewer than cores", func(m *Machine) {
+			wide, err := m.WithCores(256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*m = *wide
+			m.NUMARegions = 100
+			for c := range m.NUMARegionOf {
+				m.NUMARegionOf[c] = c % 90
+			}
+		}, "machine %s: only 90 of 100 NUMA regions populated"},
+		{"2^40 regions", func(m *Machine) { m.NUMARegions = 1 << 40 },
+			"machine %s: only 4 of 1099511627776 NUMA regions populated"},
+	} {
+		m := SG2042()
+		tc.edit(m)
+		want := fmt.Sprintf(tc.want, m.Name)
+		if err := m.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, want)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -382,5 +383,29 @@ func TestCampaignPanicIsInternalError(t *testing.T) {
 	}
 	if body := getMetricsBody(t, ts); !strings.Contains(body, "sg2042d_panics_total 1") {
 		t.Errorf("metrics lack the counted panic:\n%s", grepMetrics(body, "panics"))
+	}
+}
+
+// TestCampaignHugeNUMARegionsRejected: an inline machine claiming 2^40
+// NUMA regions is a 400 naming the count, and rejecting it allocates
+// nothing in proportion to that number: validation's seen-set is
+// bounded by the machine's cores.
+func TestCampaignHugeNUMARegionsRejected(t *testing.T) {
+	s := New(Options{})
+	body := `{"specs": [` + inlineSpec(t, repro.SG2042(), "numa_regions", int64(1)<<40) + `],
+		"axes": [{"axis": "clock", "values": [1.5, 2.5]}]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/campaign", strings.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body)
+	}
+	if !strings.Contains(w.Body.String(), "only 4 of 1099511627776 NUMA regions populated") {
+		t.Errorf("body %q does not name the region count", w.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the spec allocated %d B", grew)
 	}
 }
