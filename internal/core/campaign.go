@@ -501,10 +501,11 @@ func assemble(spec CampaignSpec, points []CampaignPoint) CampaignResult {
 }
 
 // rankByMeanRatio orders point indices by descending MeanRatio, grid
-// order breaking ties.
+// order breaking ties: the order a stable sort of the grid gives, from
+// an unstable one.
 func rankByMeanRatio(points []CampaignPoint) []int {
 	out := gridOrder(len(points))
-	slices.SortStableFunc(out, func(a, b int) int {
+	slices.SortFunc(out, func(a, b int) int {
 		ra, rb := points[a].MeanRatio, points[b].MeanRatio
 		switch {
 		case ra > rb:
@@ -512,7 +513,7 @@ func rankByMeanRatio(points []CampaignPoint) []int {
 		case ra < rb:
 			return 1
 		}
-		return 0
+		return a - b
 	})
 	return out
 }
@@ -531,14 +532,11 @@ func gridOrder(n int) []int {
 func bestByClass(points []CampaignPoint) map[kernels.Class]int {
 	out := make(map[kernels.Class]int)
 	for _, class := range kernels.Classes {
-		best := -1
-		for i, p := range points {
-			cell, ok := p.ByClass[class]
-			if !ok {
-				continue
-			}
-			if best < 0 || cell.Seconds < points[best].ByClass[class].Seconds {
-				best = i
+		best, bestSec := -1, 0.0
+		for i := range points {
+			cell, ok := points[i].ByClass[class]
+			if ok && (best < 0 || cell.Seconds < bestSec) {
+				best, bestSec = i, cell.Seconds
 			}
 		}
 		if best >= 0 {
@@ -554,7 +552,7 @@ func bestByClass(points []CampaignPoint) map[kernels.Class]int {
 // cores before it.
 func paretoFront(points []CampaignPoint) []int {
 	order := gridOrder(len(points))
-	slices.SortStableFunc(order, func(a, b int) int {
+	slices.SortFunc(order, func(a, b int) int {
 		pa, pb := &points[a], &points[b]
 		switch {
 		case pa.Cores != pb.Cores:
@@ -564,7 +562,7 @@ func paretoFront(points []CampaignPoint) []int {
 		case pa.TotalSeconds > pb.TotalSeconds:
 			return 1
 		}
-		return 0
+		return a - b
 	})
 	var front []int
 	best := 0.0

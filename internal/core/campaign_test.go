@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,5 +245,120 @@ func TestCampaignNoAxesSelfRatio(t *testing.T) {
 	}
 	if p.MeanRatio < 0.999 || p.MeanRatio > 1.001 {
 		t.Errorf("self-ratio %v, want 1", p.MeanRatio)
+	}
+}
+
+// stableSummaries computes a grid's ranked summaries the way assemble
+// did with stable sorts, ties left in grid order by the sort itself:
+// the reference rankByMeanRatio, bestByClass and paretoFront must
+// equal.
+func stableSummaries(points []CampaignPoint) (ranked []int, best map[kernels.Class]int, pareto []int) {
+	ranked = gridOrder(len(points))
+	slices.SortStableFunc(ranked, func(a, b int) int {
+		ra, rb := points[a].MeanRatio, points[b].MeanRatio
+		switch {
+		case ra > rb:
+			return -1
+		case ra < rb:
+			return 1
+		}
+		return 0
+	})
+	best = make(map[kernels.Class]int)
+	for _, class := range kernels.Classes {
+		bi := -1
+		for i, p := range points {
+			cell, ok := p.ByClass[class]
+			if !ok {
+				continue
+			}
+			if bi < 0 || cell.Seconds < points[bi].ByClass[class].Seconds {
+				bi = i
+			}
+		}
+		if bi >= 0 {
+			best[class] = bi
+		}
+	}
+	order := gridOrder(len(points))
+	slices.SortStableFunc(order, func(a, b int) int {
+		pa, pb := &points[a], &points[b]
+		switch {
+		case pa.Cores != pb.Cores:
+			return pa.Cores - pb.Cores
+		case pa.TotalSeconds < pb.TotalSeconds:
+			return -1
+		case pa.TotalSeconds > pb.TotalSeconds:
+			return 1
+		}
+		return 0
+	})
+	bestSec := 0.0
+	for k, i := range order {
+		if k == 0 || points[i].TotalSeconds < bestSec {
+			pareto = append(pareto, i)
+			bestSec = points[i].TotalSeconds
+		}
+	}
+	return ranked, best, pareto
+}
+
+// TestCampaignSummariesMatchStableSort: the summaries' unstable sorts
+// with an explicit grid-index tie-break, and bestByClass carrying the
+// best seconds forward, give exactly the stable-sort reference — on the
+// colliding grids, whose repeated points tie exactly, and on seeded
+// grids drawing MeanRatio, TotalSeconds, cores and cell seconds from
+// pools small enough to force ties.
+func TestCampaignSummariesMatchStableSort(t *testing.T) {
+	check := func(name string, points []CampaignPoint) {
+		t.Helper()
+		ranked, best, pareto := stableSummaries(points)
+		if got := rankByMeanRatio(points); !slices.Equal(got, ranked) {
+			t.Errorf("%s: ranked %v, want %v", name, got, ranked)
+		}
+		if got := bestByClass(points); !reflect.DeepEqual(got, best) {
+			t.Errorf("%s: best by class %v, want %v", name, got, best)
+		}
+		if got := paretoFront(points); !slices.Equal(got, pareto) {
+			t.Errorf("%s: pareto %v, want %v", name, got, pareto)
+		}
+	}
+	ties := 0
+	for i, spec := range collidingSpecs() {
+		res, err := NewStudy().WithWorkers(4).Campaign(spec, nil)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		seen := map[float64]bool{}
+		for _, p := range res.Points {
+			if seen[p.MeanRatio] {
+				ties++
+			}
+			seen[p.MeanRatio] = true
+		}
+		check(fmt.Sprintf("colliding spec %d", i), res.Points)
+	}
+	if ties == 0 {
+		t.Fatal("the colliding grids have no tied MeanRatio: the tie-break goes unchecked")
+	}
+
+	rng := rand.New(rand.NewSource(39))
+	pick := func(pool ...float64) float64 { return pool[rng.Intn(len(pool))] }
+	for trial := 0; trial < 300; trial++ {
+		points := make([]CampaignPoint, 1+rng.Intn(256))
+		for i := range points {
+			p := &points[i]
+			p.Index = i
+			p.Cores = []int{4, 16, 64}[rng.Intn(3)]
+			p.MeanRatio = pick(0.5, 1, 1.25, 2, rng.Float64())
+			p.TotalSeconds = pick(1, 2, 3.5, 1+rng.Float64())
+			p.ByClass = make(map[kernels.Class]CampaignCell)
+			for _, class := range kernels.Classes {
+				if rng.Intn(8) > 0 {
+					p.ByClass[class] = CampaignCell{Seconds: pick(0.25, 0.5, 1, rng.Float64())}
+				}
+			}
+		}
+		check(fmt.Sprintf("seeded grid %d", trial), points)
 	}
 }

@@ -297,14 +297,13 @@ func FuzzCampaignGridOrder(f *testing.F) {
 	})
 }
 
-// TestCampaignCollisionsMatchUncached: on grids that collide every way
-// a grid can — duplicate axis values, threads that clamp alike on a
-// variant but not its base, repeated placements and precisions,
-// several bases — a cached parallel campaign, whose colliding points
-// share suite-cache entries, equals an uncached serial one, whose
-// points each evaluate on their own.
-func TestCampaignCollisionsMatchUncached(t *testing.T) {
-	specs := []CampaignSpec{
+// collidingSpecs are grids that collide every way a grid can:
+// duplicate axis values, threads that clamp alike on a variant but not
+// its base, repeated placements and precisions, several bases. Their
+// colliding points evaluate to equal results, so their summaries have
+// exact ties.
+func collidingSpecs() []CampaignSpec {
+	return []CampaignSpec{
 		{
 			Bases:      []*machine.Machine{machine.SG2042(), machine.SG2044(), machine.VisionFiveV2()},
 			Axes:       []AxisValues{{Axis: SweepCores, Values: []float64{4, 32, 4, 64}}},
@@ -322,7 +321,14 @@ func TestCampaignCollisionsMatchUncached(t *testing.T) {
 		},
 		{Bases: []*machine.Machine{machine.SG2042x2()}, Threads: []int{0, 128, 64, 200}},
 	}
-	for i, spec := range specs {
+}
+
+// TestCampaignCollisionsMatchUncached: on the colliding grids
+// (collidingSpecs), a cached parallel campaign, whose colliding points
+// share suite-cache entries, equals an uncached serial one, whose
+// points each evaluate on their own.
+func TestCampaignCollisionsMatchUncached(t *testing.T) {
+	for i, spec := range collidingSpecs() {
 		got, err := NewStudy().WithWorkers(4).Campaign(spec, nil)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)

@@ -469,7 +469,7 @@ func (m *Model) clockTerms(c *clockCtx, spec *kernels.Spec, pre *specPre, dec *a
 	// --- combine per-thread time -------------------------------------------
 	var perThread float64
 	if c.outOfOrder {
-		perThread = math.Max(comp, math.Max(issue, u.memSec)) + u.latSec
+		perThread = max(comp, issue, u.memSec) + u.latSec
 	} else {
 		// In-order cores overlap little: costs add.
 		perThread = comp + issue + u.memSec + u.latSec
@@ -477,7 +477,7 @@ func (m *Model) clockTerms(c *clockCtx, spec *kernels.Spec, pre *specPre, dec *a
 
 	// --- atomic contention ---------------------------------------------------
 	atomic = m.atomicTerm(c.rmwSec, pre, threads)
-	perThread = math.Max(perThread, atomic)
+	perThread = max(perThread, atomic)
 
 	perRep = perThread + u.syncSec
 	if threads == c.cores && threads > 1 {

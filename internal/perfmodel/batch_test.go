@@ -1,6 +1,8 @@
 package perfmodel_test
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/autovec"
@@ -225,5 +227,54 @@ func BenchmarkSuiteTimesPerKernel(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestBuiltinMaxMatchesMathMax: clockTerms combines its terms with the
+// builtin max, which the compiler inlines, where it called math.Max (an
+// assembly call on amd64). On every pair without a NaN — ±0, ±Inf and
+// subnormals included — the two agree bit for bit. With a NaN operand
+// both give a NaN, though not always the same payload, except beside
+// +Inf: math.Max(+Inf, NaN) is +Inf and the builtin gives NaN. The
+// model's terms are finite for a validated machine, so its times cannot
+// tell the two apart.
+func TestBuiltinMaxMatchesMathMax(t *testing.T) {
+	agree := func(a, b float64) {
+		t.Helper()
+		got, want := max(a, b), math.Max(a, b)
+		switch {
+		case !math.IsNaN(a) && !math.IsNaN(b):
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("max(%v, %v) = %#x, math.Max = %#x", a, b, math.Float64bits(got), math.Float64bits(want))
+			}
+		case math.IsInf(a, 1) || math.IsInf(b, 1):
+			if !math.IsNaN(got) || !math.IsInf(want, 1) {
+				t.Fatalf("max(%v, %v) = %v, math.Max = %v; want NaN and +Inf", a, b, got, want)
+			}
+		case !math.IsNaN(got) || !math.IsNaN(want):
+			t.Fatalf("max(%v, %v) = %v, math.Max = %v; want NaN from both", a, b, got, want)
+		}
+	}
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000000),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x800fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 1e-9, 3.5e-3,
+	}
+	for _, a := range special {
+		for _, b := range special {
+			agree(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		a := math.Float64frombits(rng.Uint64())
+		b := math.Float64frombits(rng.Uint64())
+		if i%2 == 1 {
+			// Neighbours and equal magnitudes of either sign.
+			b = math.Copysign(math.Float64frombits(math.Float64bits(a)^uint64(rng.Intn(2))), b)
+		}
+		agree(a, b)
 	}
 }

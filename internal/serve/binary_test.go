@@ -189,9 +189,9 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 }
 
-// TestPrewarmFillsCorpusAndMetrics: after Prewarm, a request for any
-// corpus entry is a render-cache hit, and the prewarm metrics report
-// the pass.
+// TestPrewarmFillsCorpusAndMetrics: after Prewarm, every corpus entry
+// has its ETag computed, a request for any corpus entry is a
+// render-cache hit, and the prewarm metrics report the pass.
 func TestPrewarmFillsCorpusAndMetrics(t *testing.T) {
 	s := New(Options{Parallel: 4, Prewarm: true})
 	n, err := s.Prewarm(context.Background())
@@ -204,6 +204,11 @@ func TestPrewarmFillsCorpusAndMetrics(t *testing.T) {
 	if got := s.rc.Len(); got != n {
 		t.Errorf("render cache holds %d entries after prewarming %d", got, n)
 	}
+	s.rc.Range(func(k renderKey, e *renderEntry) {
+		if e.etag == "" {
+			t.Errorf("prewarmed entry %+v has no ETag yet", k)
+		}
+	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	hitsBefore, _ := s.rc.Stats()
@@ -288,8 +293,8 @@ func TestRenderCacheConcurrentStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				if string(ent.body) != want {
-					errs <- fmt.Errorf("key %d served body %q", n, ent.body)
+				if string(entryBody(ent)) != want {
+					errs <- fmt.Errorf("key %d served body %q", n, entryBody(ent))
 					return
 				}
 			}

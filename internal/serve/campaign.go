@@ -188,16 +188,19 @@ const fleetDownRetryAfter = "5"
 
 // campaignNDJSON serves the streaming form. The first request for a
 // grid renders live — each point line is written as the engine
-// finishes it, in grid order — while teeing the bytes into the
-// render cache; repeat requests (and concurrent requests that lost the
-// singleflight race) serve the cached body, byte-identical to the
-// stream.
+// finishes it, in grid order — while keeping the bytes, in the chunks
+// they were written in, for the render cache; repeat requests (and
+// concurrent requests that lost the singleflight race) serve the
+// cached body, byte-identical to the stream.
 func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte, points int) {
 	streamed := false
-	ent, err := s.rc.get(campaignKey(spec, formatNDJSON), func() ([]byte, string, error) {
+	ent, _, err := s.rc.Get(campaignKey(spec, formatNDJSON), func() (*renderEntry, error) {
 		streamed = true
-		body, err := s.streamCampaign(w, r, spec, raw, points)
-		return body, "application/x-ndjson", err
+		chunks, err := s.streamCampaign(w, r, spec, raw)
+		if err != nil {
+			return nil, err
+		}
+		return newRenderEntry(chunks, "application/x-ndjson"), nil
 	})
 	if streamed {
 		// The response — or, on a mid-stream engine failure, a terminal
@@ -218,19 +221,20 @@ func (s *Server) campaignNDJSON(w http.ResponseWriter, r *http.Request, spec rep
 }
 
 // streamCampaign writes the live NDJSON stream and returns the complete
-// body for the render cache. Under Options.Coordinate the points come
-// off the fabric — evaluated across the fleet, emitted here in grid
-// order — and the lines are byte-identical to the local stream. Point
-// lines go through the append encoder (ndjson.go) — byte-for-byte what
-// json.Encoder produced, without a reflection walk and interface boxing
-// per line — while the one-off summary line stays on encoding/json.
-// campaignStream decides when the bytes leave.
-func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte, points int) ([]byte, error) {
+// body, as the chunks campaignStream wrote it in, for the render cache.
+// Under Options.Coordinate the points come off the fabric — evaluated
+// across the fleet, emitted here in grid order — and the lines are
+// byte-identical to the local stream. Point lines go through the append
+// encoder (ndjson.go) — byte-for-byte what json.Encoder produced,
+// without a reflection walk and interface boxing per line — while the
+// one-off summary line stays on encoding/json. campaignStream decides
+// when the bytes leave.
+func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec repro.CampaignSpec, raw []byte) ([][]byte, error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	c := &campaignStream{w: w, body: make([]byte, 0, 2048), points: points}
+	c := &campaignStream{w: w, line: make([]byte, 0, 2048)}
 	res, err := s.runCampaign(r, spec, raw, c.point)
 	if err != nil {
-		if c.sent == 0 {
+		if c.cur == nil {
 			// Nothing has streamed, so the status line is still ours:
 			// answer a real error (502 for a dead fleet) instead of an
 			// empty 200 stream.
@@ -245,90 +249,100 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, spec rep
 		if s.recordPanic(err) {
 			msg = errInternal
 		}
-		c.body = append(appendJSONString(append(c.body, `{"error":`...), msg.Error()), '}', '\n')
-		c.end()
+		c.line = append(appendJSONString(append(c.line[:0], `{"error":`...), msg.Error()), '}', '\n')
+		if c.add(c.line) == nil {
+			c.end()
+		}
 		return nil, err
 	}
 	summary, err := json.Marshal(campaignSummaryLine(res))
 	if err != nil {
 		return nil, err
 	}
-	c.body = append(append(c.body, summary...), '\n')
+	c.line = append(append(c.line[:0], summary...), '\n')
+	if err := c.add(c.line); err != nil {
+		return nil, err
+	}
 	return c.end()
 }
 
-// campaignBatch is the smallest write a live NDJSON stream makes after
-// its first line. Of 16, 32 and 64 KiB, 32 KiB measured best on a cold
-// 256-point campaign (docs/PERFORMANCE.md, "One buffer per campaign
-// stream").
+// campaignBatch is the size of the chunks a live NDJSON stream keeps
+// its body in; every write after its first line but the last completes
+// one. Of 16, 32 and 64 KiB, 32 KiB measured best on a cold 256-point
+// campaign (docs/PERFORMANCE.md, "Campaign streams in chunks"); it is
+// also Go's largest small-object size class.
 const campaignBatch = 32 << 10
 
-// campaignStream is one live NDJSON stream. Every line is appended
-// once, into the body the render cache keeps. The first point line is
-// written and flushed at once, through http.NewResponseController
-// (which unwraps the metrics statusWriter), so a client sees the head
-// of the grid without waiting for a batch; later lines leave in writes
-// of at least campaignBatch bytes cut from the same slice. A client
-// that hangs up is therefore noticed at the next batch boundary, up to
-// about 50 points later. Flushing every line measured slower on the
-// fabric tier (docs/PERFORMANCE.md, "Time to first point").
+// campaignStream is one live NDJSON stream. Each line is encoded into
+// a reused scratch buffer and copied into the current chunk of
+// campaignBatch bytes, spanning two chunks where it crosses a
+// boundary; the chunks are the body the render cache keeps. The first
+// point line is written and flushed at once, through
+// http.NewResponseController (which unwraps the metrics statusWriter),
+// so a client sees the head of the grid without waiting for a batch;
+// every later write completes a chunk, and end writes the last, partial
+// one. A client that hangs up is therefore noticed at the next chunk
+// boundary, up to about 50 points later. Flushing every line measured
+// slower on the fabric tier (docs/PERFORMANCE.md, "Time to first
+// point").
 type campaignStream struct {
 	w      http.ResponseWriter
-	body   []byte
-	sent   int // body[:sent] has been written
-	points int // point lines the grid has
-	size   int // the body's estimated size, set after the first line
+	line   []byte   // the line being encoded, reused
+	chunks [][]byte // the body's full chunks, in order
+	cur    []byte   // the chunk being filled; nil until the first line
+	sent   int      // cur[:sent] has been written
 }
 
-// point appends p's line and writes what is due.
+// point encodes p's line and writes what is due.
 func (c *campaignStream) point(p repro.CampaignPoint) error {
-	b, err := appendCampaignPoint(c.body, p)
+	line, err := appendCampaignPoint(c.line[:0], p)
 	if err != nil {
 		return err
 	}
-	c.body = b
-	switch {
-	case c.sent == 0:
-		_, err = c.w.Write(c.body)
-		c.sent = len(c.body)
-		// The stream is underway either way; a writer that cannot
-		// flush (ErrNotSupported) just batches the head too.
-		_ = http.NewResponseController(c.w).Flush()
-		// The head is out: estimate the body as every line the first
-		// one's length, plus a sixteenth. A body of more than two
-		// batches gets room for one now and the rest at the first.
-		c.size = len(c.body) * c.points * 17 / 16
-		if c.size > 2*campaignBatch {
-			c.grow(campaignBatch + campaignBatch/4)
-		} else {
-			c.grow(c.size)
-		}
-	case len(c.body)-c.sent >= campaignBatch:
-		c.grow(c.size)
-		_, err = c.w.Write(c.body[c.sent:])
-		c.sent = len(c.body)
+	c.line = line
+	if c.cur != nil {
+		return c.add(line)
 	}
+	_, err = c.w.Write(line)
+	// The stream is underway either way; a writer that cannot flush
+	// (ErrNotSupported) just batches the head too.
+	_ = http.NewResponseController(c.w).Flush()
+	// The first chunk is allocated only once the head is out.
+	c.cur = append(make([]byte, 0, campaignBatch), line...)
+	c.sent = len(c.cur)
 	return err
 }
 
-// grow moves the body into a slice of capacity n, unless it has that
-// much already.
-func (c *campaignStream) grow(n int) {
-	if cap(c.body) < n {
-		c.body = append(make([]byte, 0, n), c.body...)
+// add copies b into the body after the first line. A full chunk is
+// written, the part of it still unsent, when the next byte needs room.
+func (c *campaignStream) add(b []byte) error {
+	for {
+		n := copy(c.cur[len(c.cur):cap(c.cur)], b)
+		c.cur, b = c.cur[:len(c.cur)+n], b[n:]
+		if len(b) == 0 {
+			return nil
+		}
+		_, err := c.w.Write(c.cur[c.sent:])
+		c.chunks = append(c.chunks, c.cur)
+		c.cur, c.sent = make([]byte, 0, campaignBatch), 0
+		if err != nil {
+			return err
+		}
 	}
 }
 
-// end writes whatever of the body is unsent, the last line included,
-// and returns the body at exact size.
-func (c *campaignStream) end() ([]byte, error) {
-	if _, err := c.w.Write(c.body[c.sent:]); err != nil {
+// end writes whatever of the last chunk is unsent and returns the
+// body's chunks, the last one at exact size.
+func (c *campaignStream) end() ([][]byte, error) {
+	if _, err := c.w.Write(c.cur[c.sent:]); err != nil {
 		return nil, err
 	}
-	if cap(c.body) == len(c.body) {
-		return c.body, nil
+	last := c.cur
+	if cap(last) > len(last) {
+		last = make([]byte, len(c.cur))
+		copy(last, c.cur)
 	}
-	return append(make([]byte, 0, len(c.body)), c.body...), nil
+	return append(c.chunks, last), nil
 }
 
 // campaignKey is a campaign's render-cache key: the spec's content key

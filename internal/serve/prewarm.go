@@ -50,7 +50,8 @@ func (s *Server) prewarmCorpus() []renderJob {
 	return jobs
 }
 
-// Prewarm renders the full GET corpus into the render cache, then marks
+// Prewarm renders the full GET corpus into the render cache, computing
+// each entry's ETag so no request pays for the hash, then marks
 // the server ready (flipping /healthz from 503 to 200 when
 // Options.Prewarm gated it). It returns the number of renderings
 // filled. Individual fill failures don't abort the pass — the entry
@@ -67,13 +68,15 @@ func (s *Server) Prewarm(ctx context.Context) (int, error) {
 			s.met.setPrewarm(warmed, failed, time.Since(start))
 			return warmed, err
 		}
-		if _, err := s.rc.get(e.key, e.fill); err != nil {
+		ent, err := s.rc.get(e.key, e.fill)
+		if err != nil {
 			failed++
 			if firstErr == nil {
 				firstErr = fmt.Errorf("prewarm %s/%s: %w", e.key.kind, e.key.name, err)
 			}
 			continue
 		}
+		ent.tag()
 		warmed++
 	}
 	s.met.setPrewarm(warmed, failed, time.Since(start))

@@ -5,16 +5,18 @@ package serve
 // (experiment|report|sweep, machine, format) tuple always renders to
 // the same bytes — so the server can cache entire response bodies, not
 // just the suite evaluations behind them. Each entry stores the
-// rendered body, a precomputed strong ETag over it, and (for bodies
-// worth compressing) a gzip form built with a pooled writer the first
-// time a request accepts it — most cold campaign bodies are never read
-// again, let alone by a gzip client, so compressing at fill time would
-// be work for nobody.
-// Repeat GETs cost a map lookup and one write; conditional requests
-// (If-None-Match) cost a 304 with no body at all. Entries are filled
-// once per key, so concurrent first requests coalesce exactly like the
-// engine's suite cache. docs/PERFORMANCE.md documents
-// the semantics.
+// rendered body, as one buffer or (for a streamed campaign) the chunks
+// it was written in, a strong ETag over it and (for bodies worth
+// compressing) a gzip form. The ETag and the gzip form are both
+// computed once, the first time a request needs them: most cold
+// campaign bodies are never read again, let alone revalidated or read
+// by a gzip client, so hashing or compressing at fill time would be
+// work for nobody. Prewarm computes the corpus's ETags up front.
+// Repeat GETs cost a map lookup and one write per chunk; conditional
+// requests (If-None-Match) cost a 304 with no body at all. Entries are
+// filled once per key, so concurrent first requests coalesce exactly
+// like the engine's suite cache. docs/PERFORMANCE.md documents the
+// semantics.
 
 import (
 	"bytes"
@@ -62,11 +64,16 @@ type renderJob struct {
 }
 
 // renderEntry is one cached rendering. Its identity form is immutable;
-// the gzip form is filled once, on demand, by gzip.
+// the ETag and the gzip form are filled once, on demand, by tag and
+// gzip.
 type renderEntry struct {
-	body  []byte
-	ctype string
-	etag  string // strong ETag over body
+	// chunks is the body, in order: one buffer, or the chunks a live
+	// campaign stream wrote (campaignStream).
+	chunks [][]byte
+	ctype  string
+	// etag is the strong ETag over the body, set by tag.
+	etagOnce sync.Once
+	etag     string
 	// gzipped/etagGzip are set by gzip when compression pays; the gzip
 	// representation gets its own ETag ("...-gzip"), nginx-style, so
 	// each representation revalidates against the exact bytes it serves.
@@ -107,7 +114,7 @@ func (c *renderCache) get(k renderKey, fill renderFill) (*renderEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newRenderEntry(body, ctype), nil
+		return newRenderEntry([][]byte{body}, ctype), nil
 	})
 	return ent, err
 }
@@ -127,30 +134,53 @@ var gzipPool = sync.Pool{
 	},
 }
 
-func newRenderEntry(body []byte, ctype string) *renderEntry {
-	sum := sha256.Sum256(body)
-	return &renderEntry{
-		body:  body,
-		ctype: ctype,
-		etag:  `"` + hex.EncodeToString(sum[:16]) + `"`,
+func newRenderEntry(chunks [][]byte, ctype string) *renderEntry {
+	return &renderEntry{chunks: chunks, ctype: ctype}
+}
+
+// bodyLen is the length in bytes of a body kept as chunks.
+func bodyLen(chunks [][]byte) int {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
 	}
+	return n
+}
+
+// tag returns the entry's strong ETag: the first 16 bytes of the
+// body's SHA-256, hex-encoded. The first call hashes; concurrent first
+// callers wait for that one hash.
+func (e *renderEntry) tag() string {
+	e.etagOnce.Do(func() {
+		h := sha256.New()
+		for _, c := range e.chunks {
+			h.Write(c)
+		}
+		var sum [sha256.Size]byte
+		e.etag = `"` + hex.EncodeToString(h.Sum(sum[:0])[:16]) + `"`
+	})
+	return e.etag
 }
 
 // gzip returns the entry's gzip representation and its ETag, or nil
 // when the body is too small or does not shrink. The first call
-// compresses; concurrent first callers wait for that one compression.
+// compresses the chunks in order; concurrent first callers wait for
+// that one compression.
 func (e *renderEntry) gzip() ([]byte, string) {
 	e.gzipOnce.Do(func() {
-		if len(e.body) < gzipMinSize {
+		n := bodyLen(e.chunks)
+		if n < gzipMinSize {
 			return
 		}
 		var buf bytes.Buffer
 		zw := gzipPool.Get().(*gzip.Writer)
 		zw.Reset(&buf)
-		zw.Write(e.body)
-		if err := zw.Close(); err == nil && buf.Len() < len(e.body) {
+		for _, c := range e.chunks {
+			zw.Write(c)
+		}
+		if err := zw.Close(); err == nil && buf.Len() < n {
 			e.gzipped = buf.Bytes()
-			e.etagGzip = strings.TrimSuffix(e.etag, `"`) + `-gzip"`
+			e.etagGzip = strings.TrimSuffix(e.tag(), `"`) + `-gzip"`
 		}
 		gzipPool.Put(zw)
 	})
@@ -168,10 +198,10 @@ func serveRendered(w http.ResponseWriter, r *http.Request, ent *renderEntry) {
 	// those caches which headers select the representation.
 	h.Add("Vary", "Accept")
 	h.Add("Vary", "Accept-Encoding")
-	body, etag, enc := ent.body, ent.etag, ""
+	body, etag, enc := ent.chunks, ent.tag(), ""
 	if acceptsGzip(r) {
 		if gz, gzTag := ent.gzip(); gz != nil {
-			body, etag, enc = gz, gzTag, "gzip"
+			body, etag, enc = [][]byte{gz}, gzTag, "gzip"
 		}
 	}
 	h.Set("ETag", etag)
@@ -189,8 +219,10 @@ func serveRendered(w http.ResponseWriter, r *http.Request, ent *renderEntry) {
 	if enc != "" {
 		h.Set("Content-Encoding", enc)
 	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
+	h.Set("Content-Length", strconv.Itoa(bodyLen(body)))
+	for _, c := range body {
+		w.Write(c)
+	}
 }
 
 // etagMatches implements If-None-Match for a strong ETag: a list of

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func doGet(t *testing.T, s *Server, path string, hdr map[string]string) *httptest.ResponseRecorder {
@@ -170,7 +172,7 @@ func TestGzipConditionalFirstRequest(t *testing.T) {
 // Concurrent first gzip requests share one compression.
 func TestGzipCompressesOnce(t *testing.T) {
 	const workers = 8
-	ent := newRenderEntry([]byte(strings.Repeat("compressible body ", 100)), "text/plain")
+	ent := newRenderEntry([][]byte{[]byte(strings.Repeat("compressible body ", 100))}, "text/plain")
 	bodies := make([][]byte, workers)
 	var wg sync.WaitGroup
 	for i := range bodies {
@@ -203,6 +205,84 @@ func TestGzipCompressesOnce(t *testing.T) {
 	for i := range codes {
 		if codes[i] != http.StatusOK || etags[i] != gzTag {
 			t.Errorf("concurrent gzip request %d: %d %s", i, codes[i], etags[i])
+		}
+	}
+}
+
+// entryBody is an entry's body in one buffer.
+func entryBody(e *renderEntry) []byte {
+	if e == nil {
+		return nil
+	}
+	return bytes.Join(e.chunks, nil)
+}
+
+// replay serves ent to a GET, gzip-accepting or not.
+func replay(ent *renderEntry, gzipOK bool) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(http.MethodGet, "/v1/campaign", nil)
+	if gzipOK {
+		r.Header.Set("Accept-Encoding", "gzip")
+	}
+	w := httptest.NewRecorder()
+	serveRendered(w, r, ent)
+	return w
+}
+
+// chunkedBody is a compressible body of about 3 campaignBatch chunks,
+// cut the way a campaign stream cuts it.
+func chunkedBody() ([]byte, [][]byte) {
+	body := []byte(strings.Repeat(`{"point":7,"machine":"SG2042","total_s":1.25}`+"\n", 2000))
+	return body, [][]byte{body[:campaignBatch], body[campaignBatch : 2*campaignBatch], body[2*campaignBatch:]}
+}
+
+// TestChunkedEntryReplaysLikeOneBuffer: an entry kept as chunks
+// replays exactly as one buffer of the same bytes does: the same body,
+// ETag and Content-Length, and the same gzip body and -gzip ETag.
+func TestChunkedEntryReplaysLikeOneBuffer(t *testing.T) {
+	body, chunks := chunkedBody()
+	for _, gzipOK := range []bool{false, true} {
+		want := replay(newRenderEntry([][]byte{body}, "application/x-ndjson"), gzipOK)
+		got := replay(newRenderEntry(chunks, "application/x-ndjson"), gzipOK)
+		if want.Code != http.StatusOK || got.Code != http.StatusOK {
+			t.Fatalf("gzip %v: status %d and %d", gzipOK, want.Code, got.Code)
+		}
+		for _, h := range []string{"ETag", "Content-Length", "Content-Encoding", "Content-Type"} {
+			if g, w := got.Header().Get(h), want.Header().Get(h); g != w {
+				t.Errorf("gzip %v: %s %q, want %q", gzipOK, h, g, w)
+			}
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("gzip %v: chunked replay body differs from the single buffer's", gzipOK)
+		}
+		if gzipOK && !strings.HasSuffix(got.Header().Get("ETag"), `-gzip"`) {
+			t.Errorf("gzip replay ETag %q is not the -gzip tag", got.Header().Get("ETag"))
+		}
+	}
+	if got := replay(newRenderEntry(chunks, "application/x-ndjson"), false).Body.Bytes(); !bytes.Equal(got, body) {
+		t.Error("chunked replay is not the body")
+	}
+}
+
+// TestChunkedEntryHashesOnce: concurrent first replays of a chunked
+// entry, identity and gzip, share one hash: the ETags they send are
+// one string per representation, not equal copies.
+func TestChunkedEntryHashesOnce(t *testing.T) {
+	const workers = 8
+	_, chunks := chunkedBody()
+	ent := newRenderEntry(chunks, "application/x-ndjson")
+	etags := make([]string, workers)
+	var wg sync.WaitGroup
+	for i := range etags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			etags[i] = replay(ent, i%2 == 1).Header().Get("ETag")
+		}()
+	}
+	wg.Wait()
+	for i, tag := range etags {
+		if tag == "" || unsafe.StringData(tag) != unsafe.StringData(etags[i%2]) {
+			t.Fatalf("replay %d got its own hash (or none): %q", i, tag)
 		}
 	}
 }
@@ -309,8 +389,8 @@ func TestRenderCacheDoesNotCacheErrors(t *testing.T) {
 	}
 	ok := func() ([]byte, string, error) { return []byte("fine"), "text/plain", nil }
 	ent, err := c.get(k, ok)
-	if err != nil || string(ent.body) != "fine" {
-		t.Errorf("recovery fill: %v %q", err, ent.body)
+	if err != nil || string(entryBody(ent)) != "fine" {
+		t.Errorf("recovery fill: %v %q", err, entryBody(ent))
 	}
 	// Every fill that ran is a miss, the two failed ones included.
 	if hits, misses := c.Stats(); hits != 0 || misses != 3 {
@@ -339,8 +419,8 @@ func TestRenderCacheBounded(t *testing.T) {
 	k := renderKey{kind: "sweep", variant: "overflow"}
 	for i := 0; i < 2; i++ {
 		ent, err := c.get(k, over)
-		if err != nil || string(ent.body) != "over" {
-			t.Fatalf("overflow get %d: %v %q", i, err, ent.body)
+		if err != nil || string(entryBody(ent)) != "over" {
+			t.Fatalf("overflow get %d: %v %q", i, err, entryBody(ent))
 		}
 	}
 	if calls != 1 {

@@ -176,9 +176,10 @@ func (l *writeLog) Write(b []byte) (int, error) {
 }
 
 // TestCampaignNDJSONBatchedWrites: a cold 256-point stream reaches the
-// ResponseWriter as the first point line alone, then writes of at least
-// 32 KiB, all but the last; the render cache keeps exactly the streamed
-// bytes, with no spare capacity.
+// ResponseWriter as the first point line alone, then writes that each
+// end on a 32 KiB boundary of the stream, all but the last; the render
+// cache keeps exactly the streamed bytes, in chunks with no spare
+// capacity, so the kept body costs no more than its bytes.
 func TestCampaignNDJSONBatchedWrites(t *testing.T) {
 	s := New(Options{Parallel: 2})
 	log := &writeLog{header: http.Header{}}
@@ -194,22 +195,25 @@ func TestCampaignNDJSONBatchedWrites(t *testing.T) {
 	if len(log.writes) < 3 {
 		t.Errorf("%d writes, want the first line, at least one batch and the tail", len(log.writes))
 	}
+	end := len(log.writes[0])
 	for i, w := range log.writes[1 : len(log.writes)-1] {
-		if len(w) < 32<<10 {
-			t.Errorf("write %d is %d bytes, want at least 32 KiB", i+1, len(w))
+		if end += len(w); end%(32<<10) != 0 {
+			t.Errorf("write %d (%d bytes) ends at byte %d of the stream, want a 32 KiB boundary", i+1, len(w), end)
 		}
 	}
-	var bodies [][]byte
-	s.rc.Range(func(_ renderKey, e *renderEntry) { bodies = append(bodies, e.body) })
-	if len(bodies) != 1 {
-		t.Fatalf("render cache holds %d bodies, want the one stream", len(bodies))
+	var entries []*renderEntry
+	s.rc.Range(func(_ renderKey, e *renderEntry) { entries = append(entries, e) })
+	if len(entries) != 1 {
+		t.Fatalf("render cache holds %d bodies, want the one stream", len(entries))
 	}
-	body := bodies[0]
-	if !bytes.Equal(body, streamed) {
-		t.Error("cached body differs from the streamed bytes")
+	if !bytes.Equal(entryBody(entries[0]), streamed) {
+		t.Error("cached chunks differ from the streamed bytes")
 	}
-	if cap(body) != len(body) {
-		t.Errorf("cached body has cap %d for len %d, want no spare capacity", cap(body), len(body))
+	for i, c := range entries[0].chunks {
+		if cap(c) != len(c) {
+			t.Errorf("cached chunk %d of %d has cap %d for len %d, want no spare capacity",
+				i, len(entries[0].chunks), cap(c), len(c))
+		}
 	}
 }
 
