@@ -24,9 +24,12 @@ test:
 
 # The race job CI runs, reproducible locally. The par panic tests run
 # 50 more times: they time how fast a panicking task stops its siblings.
+# So does the campaign emit-panic test: a panic in emit must stop the
+# rest of the grid before it reaches the caller.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'Panic' ./internal/par
+	$(GO) test -race -count=50 -run TestCampaignPointsEmitPanicReachesCaller ./internal/core
 
 # Cross-compile for the paper's actual target: the reproduction must
 # keep building for riscv64 even though the model runs anywhere. The

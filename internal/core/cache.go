@@ -5,8 +5,8 @@ package core
 // and over — Figure 1's SG2042 columns are Figure 4/5's baselines, the
 // scaling tables share their one-thread baseline with every row, and a
 // long-lived engine serving experiment requests replays all of them.
-// Because RunSuite seeds its measurement noise from the configuration
-// (Seed ^ configSeed(cfg)), a cached result is bit-identical to a fresh
+// Because a suite evaluation seeds its measurement noise from the
+// configuration (Seed ^ configSeed(cfg)), a cached result is bit-identical to a fresh
 // evaluation, so memoization is purely an execution strategy.
 
 import (
@@ -18,7 +18,7 @@ import (
 	"repro/internal/prec"
 )
 
-// suiteKey canonically identifies one RunSuite evaluation: every Config
+// suiteKey canonically identifies one suite evaluation: every Config
 // field that feeds the performance model or the noise seeding, plus the
 // Study knobs (Model/Runs/Noise/Seed), so re-tuning a Study between
 // calls — changing a knob or swapping in a different Model — misses the
@@ -102,17 +102,17 @@ func (st *Study) suiteKeyFP(cfg perfmodel.Config, fp uint64) suiteKey {
 	}
 }
 
-// suiteCache memoizes RunSuite results for one Study: unbounded,
+// suiteCache memoizes suite evaluations for one Study: unbounded,
 // singleflight, errors and panics not kept (internal/memo). A value is
 // one configuration's per-kernel seconds in suite.All() order and
 // nothing else: the kernel names and classes are the suite's own, the
-// same for every entry, so they are joined back in only where
-// Measurements are asked for (RunSuite, snapshot encoding). A 64-kernel
-// entry is one 512-byte array with no pointers for the GC to scan; it
-// is never written after its fill, so readers share it without copying.
+// same for every entry, so only the snapshot encoder joins them back
+// in. A 64-kernel entry is one 512-byte array with no pointers for the
+// GC to scan; it is never written after its fill, so readers
+// (suiteSeconds, runSuiteShared) share it without copying.
 type suiteCache = memo.Map[suiteKey, []float64]
 
-// CacheStats reports memoized RunSuite lookups so far: hits served from
+// CacheStats reports suite-cache lookups so far: hits served from
 // the cache and misses that evaluated the suite.
 func (st *Study) CacheStats() (hits, misses uint64) {
 	if st.cache == nil {

@@ -15,11 +15,11 @@ import (
 func TestRunSuiteMemoized(t *testing.T) {
 	st := NewStudy()
 	cfg := sgConfig(1, placement.Block, prec.F32)
-	a, err := st.RunSuite(cfg)
+	a, err := st.suiteSeconds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := st.RunSuite(cfg)
+	b, err := st.suiteSeconds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +30,9 @@ func TestRunSuiteMemoized(t *testing.T) {
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache stats hits=%d misses=%d, want 1/1", hits, misses)
 	}
-	// The cache must hand out independent copies: mutating a result
-	// must not poison later lookups.
-	b[0].Seconds = -1
-	c, _ := st.RunSuite(cfg)
-	if c[0].Seconds == -1 {
-		t.Error("cache returned aliased slice")
+	// A hit hands out the entry's own seconds, not a copy.
+	if &a[0] != &b[0] {
+		t.Error("cache hit copied the entry's seconds")
 	}
 }
 
@@ -44,24 +41,24 @@ func TestCachedMatchesUncached(t *testing.T) {
 	uncached := &Study{Model: perfmodel.New(), Runs: 5, Noise: 0.01, Seed: 42}
 	for _, cfg := range []struct {
 		name string
-		c    func() ([]Measurement, []Measurement, error)
+		c    func() ([]float64, []float64, error)
 	}{
-		{"sg-f32", func() ([]Measurement, []Measurement, error) {
+		{"sg-f32", func() ([]float64, []float64, error) {
 			cfg := sgConfig(8, placement.CyclicNUMA, prec.F32)
-			a, err := cached.RunSuite(cfg)
+			a, err := cached.suiteSeconds(cfg)
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := uncached.RunSuite(cfg)
+			b, err := uncached.suiteSeconds(cfg)
 			return a, b, err
 		}},
-		{"x86-f64", func() ([]Measurement, []Measurement, error) {
+		{"x86-f64", func() ([]float64, []float64, error) {
 			cfg := mustMachineCfg(machine.EPYC7742(), 64, prec.F64)
-			a, err := cached.RunSuite(cfg)
+			a, err := cached.suiteSeconds(cfg)
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := uncached.RunSuite(cfg)
+			b, err := uncached.suiteSeconds(cfg)
 			return a, b, err
 		}},
 	} {
@@ -78,7 +75,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 func TestCacheKeyDistinguishesStudyKnobs(t *testing.T) {
 	st := NewStudy()
 	cfg := sgConfig(1, placement.Block, prec.F32)
-	noisy, err := st.RunSuite(cfg)
+	noisy, err := st.suiteSeconds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +83,7 @@ func TestCacheKeyDistinguishesStudyKnobs(t *testing.T) {
 	// noisy measurements as exact ones.
 	st.Noise = 0
 	st.Runs = 1
-	exact, err := st.RunSuite(cfg)
+	exact, err := st.suiteSeconds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +98,7 @@ func TestCacheKeyDistinguishesStudyKnobs(t *testing.T) {
 	// computed under the old calibration.
 	st.Model = perfmodel.New()
 	st.Model.Cal.VLAFactor = 0.5
-	if _, err := st.RunSuite(cfg); err != nil {
+	if _, err := st.suiteSeconds(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := st.CacheStats(); misses != 3 {
@@ -113,7 +110,7 @@ func TestCacheKeyDistinguishesMachineParams(t *testing.T) {
 	st := NewStudy()
 	st.Noise = 0
 	st.Runs = 1
-	stock, err := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
+	stock, err := st.suiteSeconds(sgConfig(1, placement.Block, prec.F32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +120,7 @@ func TestCacheKeyDistinguishesMachineParams(t *testing.T) {
 	tweaked.ClockHz *= 2
 	cfg := sgConfig(1, placement.Block, prec.F32)
 	cfg.Machine = &tweaked
-	fast, err := st.RunSuite(cfg)
+	fast, err := st.suiteSeconds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +261,9 @@ func TestSuiteCacheConcurrentStress(t *testing.T) {
 			}
 		}
 	}
-	want := make([][]Measurement, len(cfgs))
+	want := make([][]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		ms, err := serial.RunSuite(cfg)
+		ms, err := serial.suiteSeconds(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,13 +281,13 @@ func TestSuiteCacheConcurrentStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for i := range cfgs {
 					j := (i + offset) % len(cfgs)
-					ms, err := shared.RunSuite(cfgs[j])
+					ms, err := shared.suiteSeconds(cfgs[j])
 					if err != nil {
 						errs <- err
 						return
 					}
 					if !reflect.DeepEqual(ms, want[j]) {
-						errs <- constErr("concurrent RunSuite differs from serial reference")
+						errs <- constErr("concurrent suiteSeconds differs from serial reference")
 						return
 					}
 				}
@@ -312,7 +309,7 @@ func TestSuiteCacheConcurrentStress(t *testing.T) {
 }
 
 // A panicking evaluation must not poison the cache: the entry is
-// dropped, so a second RunSuite of the same configuration evaluates
+// dropped, so a second lookup of the same configuration evaluates
 // (and panics) again instead of returning no measurements and a nil
 // error.
 func TestRunSuitePanicDoesNotPoisonCache(t *testing.T) {
@@ -320,11 +317,11 @@ func TestRunSuitePanicDoesNotPoisonCache(t *testing.T) {
 	st.Model = nil
 	cfg := sgConfig(1, placement.Block, prec.F32)
 	for call := 1; call <= 2; call++ {
-		var ms []Measurement
+		var ms []float64
 		var err error
 		panicked := func() (p bool) {
 			defer func() { p = recover() != nil }()
-			ms, err = st.RunSuite(cfg)
+			ms, err = st.suiteSeconds(cfg)
 			return false
 		}()
 		if !panicked && err == nil {
@@ -348,7 +345,7 @@ func TestSuiteCacheRetainedPerEntry(t *testing.T) {
 	const entries = 1024
 	st := NewStudy()
 	cfg := sgConfig(32, placement.CyclicNUMA, prec.F32)
-	if _, err := st.RunSuite(cfg); err != nil {
+	if _, err := st.suiteSeconds(cfg); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -356,7 +353,7 @@ func TestSuiteCacheRetainedPerEntry(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 1; i <= entries; i++ {
 		st.Seed = 42 + int64(i)
-		if _, err := st.RunSuite(cfg); err != nil {
+		if _, err := st.suiteSeconds(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,7 +43,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/prec"
 	"repro/internal/stats"
-	"repro/internal/suite"
 )
 
 // AxisValues is one swept hardware axis of a campaign: the axis and the
@@ -249,14 +248,9 @@ func campaignConfig(m *machine.Machine, threads int, pol placement.Policy, p pre
 
 // evalPoint measures grid point i and its base under the same
 // software configuration, both through the memoized suite cache, and
-// summarises the point.
-//
-// The aggregation is the positional form of the Ratios/ClassSummaries
-// pipeline the naive path used: ratios and per-class groups are read
-// off the cached seconds by suite position (the order the map-based
-// path iterated in anyway), so every float operation happens on the same
-// values in the same order and the point is bit-identical — without
-// the two name-keyed maps and per-class append-grown slices per point.
+// summarises the point through classSummaries, the aggregation the
+// experiments use: the cached seconds are read by suite position, so
+// the point's only allocation is its own ByClass map.
 func (st *Study) evalPoint(plan *campaignPlan, i int) (CampaignPoint, error) {
 	combo, pc, bc := plan.at(i)
 	cfg := campaignConfig(pc.m, pc.threads, pc.pol, pc.p)
@@ -274,37 +268,16 @@ func (st *Study) evalPoint(plan *campaignPlan, i int) (CampaignPoint, error) {
 		Threads: cfg.Threads, Placement: pc.pol, Prec: pc.p, Cores: pc.m.Cores,
 		ByClass: make(map[kernels.Class]CampaignCell, len(kernels.Classes)),
 	}
-	// Scratch lives in stack arrays (the suite is 64 kernels; a custom
-	// subset larger than that falls back to the heap) — the per-point
-	// ratio and per-class slices were the naive path's hottest allocs.
-	var ratiosArr, secsArr, ratsArr [64]float64
-	ratios := ratiosArr[:0]
-	if len(secs) > len(ratiosArr) {
-		ratios = make([]float64, 0, len(secs))
-	}
-	for k, s := range secs {
-		if s <= 0 {
-			return CampaignPoint{}, fmt.Errorf("core: kernel %s has non-positive time", suite.All()[k].Name)
-		}
-		ratios = append(ratios, base[k]/s)
-		p.TotalSeconds += s
-	}
-	pos := classPositions()
 	sum, n := 0.0, 0
-	for ci, class := range kernels.Classes {
-		idxs := pos[ci]
-		if len(idxs) == 0 {
-			continue
-		}
-		cs, rats := secsArr[:0], ratsArr[:0]
-		for _, k := range idxs {
-			cs = append(cs, secs[k])
-			rats = append(rats, ratios[k])
-		}
-		cell := CampaignCell{Seconds: stats.Mean(cs), Ratio: stats.Summarize(rats)}
-		p.ByClass[class] = cell
-		sum += cell.Ratio.Mean
+	if err := classSummaries(base, secs, func(c kernels.Class, s float64, r stats.Summary) {
+		p.ByClass[c] = CampaignCell{Seconds: s, Ratio: r}
+		sum += r.Mean
 		n++
+	}); err != nil {
+		return CampaignPoint{}, err
+	}
+	for _, s := range secs {
+		p.TotalSeconds += s
 	}
 	if n > 0 {
 		p.MeanRatio = sum / float64(n)

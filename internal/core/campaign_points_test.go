@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/par"
@@ -87,7 +88,9 @@ func TestCampaignPointsEmitsEachOnce(t *testing.T) {
 // ErrAbortHandler), and stops the rest of the grid: by the time the
 // caller recovers, no evaluation is left running for nobody. The grid
 // is cold and no two points share a configuration, so it is still
-// evaluating when the panic hits.
+// evaluating when the panic hits, and the suite-cache misses count the
+// evaluations: were the rest of the grid not stopped, the drain would
+// evaluate it all before the panic got through.
 func TestCampaignPointsEmitPanicReachesCaller(t *testing.T) {
 	clocks := make([]float64, 512)
 	for i := range clocks {
@@ -124,14 +127,20 @@ func TestCampaignPointsEmitPanicReachesCaller(t *testing.T) {
 					return nil
 				})
 			}()
+			_, misses := st.CacheStats()
+			if misses >= uint64(len(all))/2 {
+				t.Fatalf("%d suite evaluations before the panic reached the caller, grid has %d points: the rest of the grid was not stopped", misses, len(all))
+			}
 			// Drained goroutines have signalled but may not have exited
-			// yet: allow them a few scheduler rounds, far less than the
-			// rest of the grid would take.
-			for i := 0; i < 10 && runtime.NumGoroutine() > baseline; i++ {
-				runtime.Gosched()
+			// yet; wait for them, without bounding how fast they go.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
 			}
 			if n := runtime.NumGoroutine(); n > baseline {
-				t.Fatalf("%d goroutines after recover, baseline %d: evaluation kept running", n, baseline)
+				t.Fatalf("%d goroutines 5s after recover, baseline %d: evaluation kept running", n, baseline)
+			}
+			if _, after := st.CacheStats(); after != misses {
+				t.Fatalf("suite evaluations went on after the panic reached the caller: %d misses, then %d", misses, after)
 			}
 			n := 0
 			if err := st.CampaignPoints(spec, all, func(CampaignPoint) error { n++; return nil }); err != nil || n != len(all) {

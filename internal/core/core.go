@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/autovec"
@@ -70,47 +71,22 @@ func (st *Study) WithWorkers(workers int) *Study {
 	return &v
 }
 
-// Measurement is one kernel's averaged time under one configuration.
-// The suite cache does not store Measurements: it keeps only each
-// configuration's per-kernel seconds, in suite.All() order, and
-// RunSuite (or the snapshot encoder) joins them with the suite's
-// kernel names and classes when a caller asks.
-type Measurement struct {
-	Kernel  string
-	Class   kernels.Class
-	Seconds float64
-}
-
-// RunSuite measures every kernel under cfg, averaging Runs noisy
-// evaluations. Results are memoized per canonicalized configuration
-// (unless the Study has no cache); noise is seeded from the
-// configuration, so cached and freshly evaluated results are
-// bit-identical. The result is a fresh slice the caller owns, in
-// suite.All() order.
-func (st *Study) RunSuite(cfg perfmodel.Config) ([]Measurement, error) {
-	var secs []float64
-	var err error
+// suiteSeconds returns cfg's per-kernel seconds in suite.All() order,
+// memoized per canonicalized configuration unless the Study has no
+// cache; noise is seeded from the configuration, so cached and freshly
+// evaluated seconds are bit-identical. It is the experiments' read of
+// the suite cache: with the cache on, the slice is the entry's own,
+// the one campaigns read through runSuiteShared, and the caller must
+// treat it as read-only.
+func (st *Study) suiteSeconds(cfg perfmodel.Config) ([]float64, error) {
 	if st.cache == nil {
-		// Uncached seconds live only until they are joined with the
-		// suite below, so they stay in a stack buffer and this path
-		// allocates just the result.
-		var buf [64]float64
-		secs, err = st.runSuiteUncached(cfg, uncoreFingerprint(cfg.Machine), buf[:0])
-	} else {
-		// The uncore fingerprint is hashed only on a miss.
-		secs, _, err = st.cache.Get(st.suiteKeyFor(cfg), func() ([]float64, error) {
-			return st.runSuiteUncached(cfg, uncoreFingerprint(cfg.Machine), nil)
-		})
+		return st.runSuiteUncached(cfg, uncoreFingerprint(cfg.Machine), nil)
 	}
-	if err != nil {
-		return nil, err
-	}
-	specs := suite.All()
-	out := make([]Measurement, len(secs))
-	for i, s := range secs {
-		out[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class, Seconds: s}
-	}
-	return out, nil
+	// The uncore fingerprint is hashed only on a miss.
+	secs, _, err := st.cache.Get(st.suiteKeyFor(cfg), func() ([]float64, error) {
+		return st.runSuiteUncached(cfg, uncoreFingerprint(cfg.Machine), nil)
+	})
+	return secs, err
 }
 
 // runSuiteShared returns cfg's per-kernel seconds in suite order. With
@@ -187,51 +163,61 @@ func configSeed(cfg perfmodel.Config) int64 {
 	return h
 }
 
-// Ratios computes per-kernel performance ratios base/test: > 1 means
-// the test configuration is faster than the baseline.
-func Ratios(base, test []Measurement) (map[string]float64, error) {
-	if len(base) != len(test) {
-		return nil, fmt.Errorf("core: mismatched measurement sets (%d vs %d)",
-			len(base), len(test))
+// classPos maps each class, by its index in kernels.Classes, to the
+// suite.All() positions of its kernels, in suite order.
+var classPos = func() [][]int {
+	pos := make([][]int, len(kernels.Classes))
+	for k, spec := range suite.All() {
+		ci := slices.Index(kernels.Classes, spec.Class)
+		pos[ci] = append(pos[ci], k)
 	}
-	baseBy := make(map[string]float64, len(base))
-	for _, m := range base {
-		baseBy[m.Kernel] = m.Seconds
-	}
-	out := make(map[string]float64, len(test))
-	for _, m := range test {
-		b, ok := baseBy[m.Kernel]
-		if !ok {
-			return nil, fmt.Errorf("core: kernel %s missing from baseline", m.Kernel)
-		}
-		if m.Seconds <= 0 {
-			return nil, fmt.Errorf("core: kernel %s has non-positive time", m.Kernel)
-		}
-		out[m.Kernel] = b / m.Seconds
-	}
-	return out, nil
-}
+	return pos
+}()
 
-// ClassSummaries aggregates per-kernel ratios into per-class bar+whisker
-// summaries, the form every figure in the paper uses.
-func ClassSummaries(ratios map[string]float64) map[kernels.Class]stats.Summary {
-	byClass := make(map[kernels.Class][]float64)
-	for _, spec := range suite.All() {
-		if r, ok := ratios[spec.Name]; ok {
-			byClass[spec.Class] = append(byClass[spec.Class], r)
+// classSummaries is the study's one aggregation, the form in which the
+// paper reports every figure, table and campaign point. base and test
+// are per-kernel seconds in suite.All() order; for each class with
+// kernels, in kernels.Classes order, yield gets the class's mean test
+// seconds and the summary of its per-kernel ratios base/test (> 1 means
+// the test configuration is faster). A non-positive test time is an
+// error, returned before any yield. The scratch is two stack arrays, so
+// the aggregation allocates nothing.
+func classSummaries(base, test []float64, yield func(c kernels.Class, secs float64, ratio stats.Summary)) error {
+	for k, s := range test {
+		if s <= 0 {
+			return fmt.Errorf("core: kernel %s has non-positive time", suite.All()[k].Name)
 		}
 	}
-	out := make(map[kernels.Class]stats.Summary, len(byClass))
-	for c, rs := range byClass {
-		out[c] = stats.Summarize(rs)
+	var secsArr, ratsArr [64]float64
+	for ci, idxs := range classPos {
+		if len(idxs) == 0 {
+			continue
+		}
+		secs, rats := secsArr[:0], ratsArr[:0]
+		for _, k := range idxs {
+			secs = append(secs, test[k])
+			rats = append(rats, base[k]/test[k])
+		}
+		yield(kernels.Classes[ci], stats.Mean(secs), stats.Summarize(rats))
 	}
-	return out
+	return nil
 }
 
 // Series is one bar group of a class-level figure.
 type Series struct {
 	Label   string
 	ByClass map[kernels.Class]stats.Summary
+}
+
+// figureSeries summarises test against base per class as one series.
+func figureSeries(label string, base, test []float64) (Series, error) {
+	byClass := make(map[kernels.Class]stats.Summary, len(kernels.Classes))
+	if err := classSummaries(base, test, func(c kernels.Class, _ float64, r stats.Summary) {
+		byClass[c] = r
+	}); err != nil {
+		return Series{}, err
+	}
+	return Series{Label: label, ByClass: byClass}, nil
 }
 
 // Figure is a class-level bar+whisker figure.
@@ -260,7 +246,7 @@ func mustMachineCfg(m *machine.Machine, threads int, p prec.Precision) perfmodel
 // Figure1 reproduces the single-core RISC-V comparison: V2 (FP32), V1
 // (FP64+FP32) and SG2042 (FP64+FP32), all relative to the V2 at FP64.
 func (st *Study) Figure1() (Figure, error) {
-	base, err := st.RunSuite(mustMachineCfg(machine.VisionFiveV2(), 1, prec.F64))
+	base, err := st.suiteSeconds(mustMachineCfg(machine.VisionFiveV2(), 1, prec.F64))
 	if err != nil {
 		return Figure{}, err
 	}
@@ -280,16 +266,12 @@ func (st *Study) Figure1() (Figure, error) {
 	}
 	series := make([]Series, len(cases))
 	err = par.ForEach(len(cases), st.Workers, func(i int) error {
-		test, err := st.RunSuite(cases[i].cfg)
+		test, err := st.suiteSeconds(cases[i].cfg)
 		if err != nil {
 			return err
 		}
-		ratios, err := Ratios(base, test)
-		if err != nil {
-			return err
-		}
-		series[i] = Series{Label: cases[i].label, ByClass: ClassSummaries(ratios)}
-		return nil
+		series[i], err = figureSeries(cases[i].label, base, test)
+		return err
 	})
 	if err != nil {
 		return Figure{}, err
@@ -329,33 +311,23 @@ func (st *Study) ScalingTable(pol placement.Policy) (ScalingTableResult, error) 
 	}
 	// Baseline: one thread ("multi-threaded runs are undertaken in
 	// single precision, FP32").
-	base, err := st.RunSuite(sgConfig(1, pol, prec.F32))
+	base, err := st.suiteSeconds(sgConfig(1, pol, prec.F32))
 	if err != nil {
 		return res, err
-	}
-	baseBy := make(map[string]Measurement, len(base))
-	for _, m := range base {
-		baseBy[m.Kernel] = m
 	}
 	rows := make([]map[kernels.Class]ScalingCell, len(TableThreads))
 	err = par.ForEach(len(TableThreads), st.Workers, func(i int) error {
 		threads := TableThreads[i]
-		test, err := st.RunSuite(sgConfig(threads, pol, prec.F32))
+		test, err := st.suiteSeconds(sgConfig(threads, pol, prec.F32))
 		if err != nil {
 			return err
 		}
-		perClass := make(map[kernels.Class][]float64)
-		for _, m := range test {
-			b := baseBy[m.Kernel]
-			perClass[m.Class] = append(perClass[m.Class], stats.Speedup(b.Seconds, m.Seconds))
-		}
-		row := make(map[kernels.Class]ScalingCell, len(perClass))
-		for c, sps := range perClass {
-			sp := stats.Mean(sps)
-			row[c] = ScalingCell{Speedup: sp, PE: stats.ParallelEfficiency(sp, threads)}
-		}
+		// A class's speed up is the mean of its kernels' t1/tn.
+		row := make(map[kernels.Class]ScalingCell, len(kernels.Classes))
 		rows[i] = row
-		return nil
+		return classSummaries(base, test, func(c kernels.Class, _ float64, sp stats.Summary) {
+			row[c] = ScalingCell{Speedup: sp.Mean, PE: stats.ParallelEfficiency(sp.Mean, threads)}
+		})
 	})
 	if err != nil {
 		return res, err
@@ -379,23 +351,16 @@ func (st *Study) Figure2() (Figure, error) {
 		p := precs[i]
 		scalarCfg := sgConfig(1, placement.Block, p)
 		scalarCfg.ScalarOnly = true
-		base, err := st.RunSuite(scalarCfg)
+		base, err := st.suiteSeconds(scalarCfg)
 		if err != nil {
 			return err
 		}
-		test, err := st.RunSuite(sgConfig(1, placement.Block, p))
+		test, err := st.suiteSeconds(sgConfig(1, placement.Block, p))
 		if err != nil {
 			return err
 		}
-		ratios, err := Ratios(base, test)
-		if err != nil {
-			return err
-		}
-		series[i] = Series{
-			Label:   fmt.Sprintf("RVV vs scalar, %v", p),
-			ByClass: ClassSummaries(ratios),
-		}
-		return nil
+		series[i], err = figureSeries(fmt.Sprintf("RVV vs scalar, %v", p), base, test)
+		return err
 	})
 	if err != nil {
 		return Figure{}, err
@@ -505,10 +470,10 @@ func (st *Study) XCompare(p prec.Precision, multithreaded bool) (Figure, error) 
 		Baseline: "SG2042",
 	}
 
-	// SG2042 baseline measurements.
-	var base []Measurement
+	// SG2042 baseline seconds, in suite order.
+	var base []float64
 	if !multithreaded {
-		b, err := st.RunSuite(sgConfig(1, placement.Block, p))
+		b, err := st.suiteSeconds(sgConfig(1, placement.Block, p))
 		if err != nil {
 			return Figure{}, err
 		}
@@ -530,15 +495,14 @@ func (st *Study) XCompare(p prec.Precision, multithreaded bool) (Figure, error) 
 		if err != nil {
 			return Figure{}, err
 		}
-		base = make([]Measurement, len(specs))
+		base = make([]float64, len(specs))
 		for i := range specs {
-			secs := times[0][i].Seconds
+			base[i] = times[0][i].Seconds
 			for _, bds := range times[1:] {
-				if bds[i].Seconds < secs {
-					secs = bds[i].Seconds
+				if bds[i].Seconds < base[i] {
+					base[i] = bds[i].Seconds
 				}
 			}
-			base[i] = Measurement{Kernel: specs[i].Name, Class: specs[i].Class, Seconds: secs}
 		}
 	}
 
@@ -551,16 +515,12 @@ func (st *Study) XCompare(p prec.Precision, multithreaded bool) (Figure, error) 
 			threads = m.Cores // "on all the x86 systems this was found to
 			// be the same as the number of physical cores"
 		}
-		test, err := st.RunSuite(mustMachineCfg(m, threads, p))
+		test, err := st.suiteSeconds(mustMachineCfg(m, threads, p))
 		if err != nil {
 			return err
 		}
-		ratios, err := Ratios(base, test)
-		if err != nil {
-			return err
-		}
-		series[i] = Series{Label: m.Label, ByClass: ClassSummaries(ratios)}
-		return nil
+		series[i], err = figureSeries(m.Label, base, test)
+		return err
 	})
 	if err != nil {
 		return Figure{}, err

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/kernels"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/placement"
 	"repro/internal/prec"
+	"repro/internal/stats"
 	"repro/internal/suite"
 )
 
@@ -21,42 +24,42 @@ func exactStudy() *Study {
 
 func TestRunSuiteCoversAllKernels(t *testing.T) {
 	st := exactStudy()
-	ms, err := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
+	secs, err := st.suiteSeconds(sgConfig(1, placement.Block, prec.F32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 64 {
-		t.Fatalf("got %d measurements, want 64", len(ms))
+	if len(secs) != 64 {
+		t.Fatalf("got %d kernel times, want 64", len(secs))
 	}
-	for _, m := range ms {
-		if m.Seconds <= 0 {
-			t.Errorf("%s: non-positive time", m.Kernel)
+	for k, s := range secs {
+		if s <= 0 {
+			t.Errorf("%s: non-positive time", suite.All()[k].Name)
 		}
 	}
 }
 
 func TestNoiseAveragingReproducible(t *testing.T) {
-	st := NewStudy() // default noisy study
-	a, err := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
+	// Two default noisy studies, so each evaluates on its own.
+	a, err := NewStudy().suiteSeconds(sgConfig(1, placement.Block, prec.F32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
+	b, err := NewStudy().suiteSeconds(sgConfig(1, placement.Block, prec.F32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if a[i].Seconds != b[i].Seconds {
-			t.Fatalf("%s: noisy measurements not reproducible", a[i].Kernel)
+		if a[i] != b[i] {
+			t.Fatalf("%s: noisy measurements not reproducible", suite.All()[i].Name)
 		}
 	}
 	// Noise must stay small relative to the signal after averaging.
 	ex := exactStudy()
-	c, _ := ex.RunSuite(sgConfig(1, placement.Block, prec.F32))
+	c, _ := ex.suiteSeconds(sgConfig(1, placement.Block, prec.F32))
 	for i := range a {
-		rel := math.Abs(a[i].Seconds-c[i].Seconds) / c[i].Seconds
+		rel := math.Abs(a[i]-c[i]) / c[i]
 		if rel > 0.05 {
-			t.Errorf("%s: averaged noise %.3f too large", a[i].Kernel, rel)
+			t.Errorf("%s: averaged noise %.3f too large", suite.All()[i].Name, rel)
 		}
 	}
 }
@@ -111,15 +114,29 @@ func TestMemsetStandsOut(t *testing.T) {
 	// require MEMSET to be among the strongest kernels with a large
 	// FP32 ratio.
 	st := exactStudy()
-	base, _ := st.RunSuite(mustMachineCfg(machine.VisionFiveV2(), 1, prec.F64))
-	test, _ := st.RunSuite(sgConfig(1, placement.Block, prec.F32))
-	ratios, _ := Ratios(base, test)
-	if ratios["MEMSET"] < 8 {
-		t.Errorf("MEMSET FP32 ratio %.1f should be large", ratios["MEMSET"])
+	base, err := st.suiteSeconds(mustMachineCfg(machine.VisionFiveV2(), 1, prec.F64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := st.suiteSeconds(sgConfig(1, placement.Block, prec.F32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := slices.Index(suite.Names(), "MEMSET")
+	memset := base[k] / test[k]
+	if memset < 8 {
+		t.Errorf("MEMSET FP32 ratio %.1f should be large", memset)
 	}
 	// It should exceed the algorithm-class average (it is the whisker top).
-	cs := ClassSummaries(ratios)
-	if ratios["MEMSET"] < cs[kernels.Algorithm].Mean {
+	var algorithm stats.Summary
+	if err := classSummaries(base, test, func(c kernels.Class, _ float64, r stats.Summary) {
+		if c == kernels.Algorithm {
+			algorithm = r
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if memset < algorithm.Mean {
 		t.Error("MEMSET should be above its class average")
 	}
 }
@@ -406,19 +423,23 @@ func TestBestSGThreads(t *testing.T) {
 	}
 }
 
+// TestRatiosErrors: a non-positive test time fails the aggregation,
+// naming the first such kernel in suite order, before any class is
+// yielded.
 func TestRatiosErrors(t *testing.T) {
-	a := []Measurement{{Kernel: "X", Seconds: 1}}
-	b := []Measurement{{Kernel: "X", Seconds: 2}, {Kernel: "Y", Seconds: 1}}
-	if _, err := Ratios(a, b); err == nil {
-		t.Error("mismatched lengths accepted")
+	base := make([]float64, len(suite.All()))
+	for k := range base {
+		base[k] = 1
 	}
-	c := []Measurement{{Kernel: "Z", Seconds: 1}}
-	if _, err := Ratios(a, c); err == nil {
-		t.Error("missing baseline kernel accepted")
+	test := slices.Clone(base)
+	test[5], test[9] = 0, -1
+	yields := 0
+	err := classSummaries(base, test, func(kernels.Class, float64, stats.Summary) { yields++ })
+	if want := suite.All()[5].Name; err == nil || !strings.Contains(err.Error(), want+" has non-positive time") {
+		t.Errorf("err = %v, want kernel %s named", err, want)
 	}
-	d := []Measurement{{Kernel: "X", Seconds: 0}}
-	if _, err := Ratios(a, d); err == nil {
-		t.Error("zero time accepted")
+	if yields != 0 {
+		t.Errorf("%d classes yielded before the error", yields)
 	}
 }
 

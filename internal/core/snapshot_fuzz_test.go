@@ -17,7 +17,7 @@ import (
 func FuzzRestoreCache(f *testing.F) {
 	// Seeds: a real snapshot, its prefixes, and structured corruptions.
 	st := NewStudy()
-	if _, err := st.RunSuite(mustMachineCfg(machine.SG2042(), 4, prec.F64)); err != nil {
+	if _, err := st.suiteSeconds(mustMachineCfg(machine.SG2042(), 4, prec.F64)); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := st.SnapshotCache()
@@ -46,7 +46,7 @@ func FuzzRestoreCache(f *testing.F) {
 				t.Fatalf("failed restore reported %d installed entries", n)
 			}
 			// The cache must still work after a failed restore.
-			if _, err := fresh.RunSuite(mustMachineCfg(machine.SG2042(), 1, prec.F64)); err != nil {
+			if _, err := fresh.suiteSeconds(mustMachineCfg(machine.SG2042(), 1, prec.F64)); err != nil {
 				t.Fatalf("study poisoned after failed restore: %v", err)
 			}
 			return

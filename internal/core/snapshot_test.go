@@ -25,16 +25,16 @@ func populateStudy(t *testing.T) *Study {
 		if !ok {
 			t.Fatalf("registry lost %q", label)
 		}
-		if _, err := st.RunSuite(mustMachineCfg(m, 1, prec.F64)); err != nil {
-			t.Fatalf("RunSuite(%s): %v", label, err)
+		if _, err := st.suiteSeconds(mustMachineCfg(m, 1, prec.F64)); err != nil {
+			t.Fatalf("suiteSeconds(%s): %v", label, err)
 		}
 	}
 	// A few non-default software configs so keys vary in more than the
 	// machine.
 	sg := machine.SG2042()
 	for _, threads := range []int{8, 64} {
-		if _, err := st.RunSuite(mustMachineCfg(sg, threads, prec.F32)); err != nil {
-			t.Fatalf("RunSuite(threads=%d): %v", threads, err)
+		if _, err := st.suiteSeconds(mustMachineCfg(sg, threads, prec.F32)); err != nil {
+			t.Fatalf("suiteSeconds(threads=%d): %v", threads, err)
 		}
 	}
 	return st
@@ -65,11 +65,11 @@ func TestSnapshotRoundTripAllPresets(t *testing.T) {
 	hits0, misses0 := fresh.CacheStats()
 	for _, label := range machine.DefaultRegistry().Labels() {
 		m, _ := machine.DefaultRegistry().Get(label)
-		want, err := st.RunSuite(mustMachineCfg(m, 1, prec.F64))
+		want, err := st.suiteSeconds(mustMachineCfg(m, 1, prec.F64))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fresh.RunSuite(mustMachineCfg(m, 1, prec.F64))
+		got, err := fresh.suiteSeconds(mustMachineCfg(m, 1, prec.F64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 func TestRestoreDoesNotOverwrite(t *testing.T) {
 	st := NewStudy()
 	cfg := mustMachineCfg(machine.SG2042(), 1, prec.F64)
-	if _, err := st.RunSuite(cfg); err != nil {
+	if _, err := st.suiteSeconds(cfg); err != nil {
 		t.Fatal(err)
 	}
 	data, err := st.SnapshotCache()
@@ -124,7 +124,7 @@ func TestRestoreDoesNotOverwrite(t *testing.T) {
 // come back unchanged.
 func TestSnapshotRoundTripNegativeFields(t *testing.T) {
 	src := NewStudy()
-	if _, err := src.RunSuite(mustMachineCfg(machine.SG2042(), 4, prec.F64)); err != nil {
+	if _, err := src.suiteSeconds(mustMachineCfg(machine.SG2042(), 4, prec.F64)); err != nil {
 		t.Fatal(err)
 	}
 	var want snapshotEntry
@@ -323,7 +323,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: failed restore touched the cache (hits=%d misses=%d)", name, hits, misses)
 		}
 		// The cache must still work after a failed restore.
-		if _, err := fresh.RunSuite(mustMachineCfg(machine.SG2042(), 1, prec.F64)); err != nil {
+		if _, err := fresh.suiteSeconds(mustMachineCfg(machine.SG2042(), 1, prec.F64)); err != nil {
 			t.Errorf("%s: study poisoned after failed restore: %v", name, err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 func TestRestoreRejectsForeignSuiteRows(t *testing.T) {
 	cfg := mustMachineCfg(machine.SG2042(), 4, prec.F64)
 	src := NewStudy()
-	want, err := src.RunSuite(cfg)
+	want, err := src.suiteSeconds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestRestoreRejectsForeignSuiteRows(t *testing.T) {
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
 			st := NewStudy()
-			if _, err := st.RunSuite(mustMachineCfg(machine.SG2042(), 1, prec.F64)); err != nil {
+			if _, err := st.suiteSeconds(mustMachineCfg(machine.SG2042(), 1, prec.F64)); err != nil {
 				t.Fatal(err)
 			}
 			hits, misses := st.CacheStats()
@@ -390,7 +390,7 @@ func TestRestoreRejectsForeignSuiteRows(t *testing.T) {
 			if h, m := st.CacheStats(); h != hits || m != misses {
 				t.Fatalf("failed restore moved the counters: hits %d->%d misses %d->%d", hits, h, misses, m)
 			}
-			ms, err := st.RunSuite(cfg)
+			ms, err := st.suiteSeconds(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,8 +133,8 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Engine returns the server's underlying engine (tests use it to
-// observe cache statistics).
+// Engine returns the server's engine: sg2042d restores and snapshots
+// its suite cache through it (-restore, -snapshot); tests read its stats.
 func (s *Server) Engine() *repro.Engine { return s.eng }
 
 // StartFabricProber begins coordinator-side health probing: workers

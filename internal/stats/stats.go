@@ -63,15 +63,6 @@ func SignedRatio(r float64) float64 {
 	return 1 - 1/r
 }
 
-// Speedup returns t1/tn, the paper's definition of speed up (execution
-// time on one thread divided by execution time on n threads).
-func Speedup(t1, tn float64) float64 {
-	if tn <= 0 {
-		return math.NaN()
-	}
-	return t1 / tn
-}
-
 // ParallelEfficiency returns speedup/threads, which "ranges from 1 to 0,
 // where 1 is optimal" (footnote 3 of the paper). Super-linear speedups
 // (Table 3 reports PE 1.40 for Stream at 8 threads) are preserved, not
